@@ -18,7 +18,7 @@ import numpy as np
 
 from .dh import DhParam
 from .regions import LmiRegion, in_closed_left_half_plane
-from .result import SolveResult, finalize_solution
+from .result import SolveResult, _objective_value, finalize_solution, relative_error
 from .sdp import ConstraintSet, ConvexSubproblem, solve_subproblem
 
 __all__ = ["BcdOptions", "BcdDiagnostics", "update_Q", "solve_general"]
@@ -57,12 +57,6 @@ class BcdDiagnostics:
     restarts: int = 0
 
 
-def _obj(E, A, T, J, R, Q, mu):
-    res_a = A - (J - R) @ Q
-    res_e = E - T @ Q
-    return float(np.sum(res_a * res_a) + mu * np.sum(res_e * res_e))
-
-
 def update_Q(E, A, T, J, R, mu=1.0):
     """Exact minimizer of the objective over Q, all else fixed.
 
@@ -88,10 +82,9 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
                   diagnostics: BcdDiagnostics | None = None) -> SolveResult:
     """Nearest pair with all finite eigenvalues inside the given region.
 
-    The region must be assembled from primitives (the subproblem needs the
-    per-primitive stability blocks). Returns the best iterate found within
-    the budget; the realized pair is always re-verified and flagged when
-    the verification fails.
+    Any (B, C) region works. Returns the best iterate found within the
+    budget; the realized pair is always re-verified and flagged when the
+    verification fails.
     """
     opts = opts if opts is not None else BcdOptions()
     diag = diagnostics if diagnostics is not None else BcdDiagnostics()
@@ -99,8 +92,6 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
     A = np.asarray(A, dtype=float)
     n = E.shape[0]
     mu = opts.mu
-    if region.primitives == ():
-        raise ValueError("the BCD solver needs a region built from primitives")
 
     require_R_psd = (opts.require_R_psd if opts.require_R_psd is not None
                      else in_closed_left_half_plane(region))
@@ -109,23 +100,19 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
     cs = ConstraintSet(n, region, require_R_psd, delta, opts.fix_T)
 
     t_start = _time.perf_counter()
-    denominator = float(np.sum(A * A) + np.sum(E * E))
-    if denominator == 0.0:
-        raise ValueError("relative error undefined for E = A = 0")
 
     def elapsed():
         return _time.perf_counter() - t_start
 
     def rel_of(T, J, R, Q):
-        num = float(np.sum((A - (J - R) @ Q) ** 2) + np.sum((E - T @ Q) ** 2))
-        return np.sqrt(num / denominator)
+        return relative_error(E, A, T @ Q, (J - R) @ Q)
 
     Q = np.eye(n) if opts.fix_Q is None else np.asarray(opts.fix_Q, dtype=float)
     scale0 = 1.0 + float(np.sum(A * A) + mu * np.sum(E * E))
     sp = ConvexSubproblem(E, A, Q, mu, region, require_R_psd, delta, opts.fix_T)
     sol = solve_subproblem(sp, accuracy=opts.eps_init * scale0, constraints=cs)
     T, J, R = sol.T, sol.J, sol.R
-    f = _obj(E, A, T, J, R, Q, mu)
+    f = _objective_value(E, A, T, J, R, Q, mu)
     scale = 1.0 + f
 
     best = (T, J, R, Q)
@@ -141,9 +128,9 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
     def half_step(base_T, base_J, base_R, base_Q, eps, gap_guess):
         """One [Q update; (T, J, R) update] sweep from the given base."""
         if opts.fix_Q is None:
-            f_before = _obj(E, A, base_T, base_J, base_R, base_Q, mu)
+            f_before = _objective_value(E, A, base_T, base_J, base_R, base_Q, mu)
             Qn, fell_back = update_Q(E, A, base_T, base_J, base_R, mu)
-            f_after = _obj(E, A, base_T, base_J, base_R, Qn, mu)
+            f_after = _objective_value(E, A, base_T, base_J, base_R, Qn, mu)
             diag.q_updates.append((f_before, f_after))
             if fell_back:
                 diag.q_fallbacks += 1
@@ -154,10 +141,10 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
         warm = ((base_T, base_J, base_R)
                 if cs.strictly_feasible(cs.pack(base_T, base_J, base_R))
                 else (T, J, R))
-        f_warm = _obj(E, A, *warm, Qn, mu)
+        f_warm = _objective_value(E, A, *warm, Qn, mu)
         soln = solve_subproblem(spn, init=warm, accuracy=eps, constraints=cs,
                                 gap0=gap_guess)
-        fn = _obj(E, A, soln.T, soln.J, soln.R, Qn, mu)
+        fn = _objective_value(E, A, soln.T, soln.J, soln.R, Qn, mu)
         diag.tjr_updates.append((f_warm, fn, eps))
         return soln.T, soln.J, soln.R, Qn, fn
 

@@ -20,8 +20,8 @@ from .bcd import BcdOptions, solve_general
 from .dh import DhParam
 from .fgm import FgmOptions, solve_hurwitz
 from .pencil import MatrixPair, spectrum
-from .regions import LmiRegion, characteristic_matrix, hurwitz, region_from_dict
-from .result import write_trace
+from .regions import LmiRegion, characteristic_matrix, region_from_dict
+from .result import relative_error, write_trace
 
 __all__ = [
     "BenchInstance",
@@ -91,17 +91,6 @@ def near_schur(n, eps, seed=0) -> MatrixPair:
     N = rng.standard_normal((n, n))
     A = U + eps * N * np.sqrt(n) / np.linalg.norm(N, "fro")
     return MatrixPair(np.eye(n), A)
-
-
-def relative_error(E, A, Et, At) -> float:
-    """sqrt((||A - At||_F^2 + ||E - Et||_F^2) / (||A||_F^2 + ||E||_F^2))."""
-    E, A = np.asarray(E, float), np.asarray(A, float)
-    Et, At = np.asarray(Et, float), np.asarray(At, float)
-    denom = float(np.sum(A * A) + np.sum(E * E))
-    if denom == 0.0:
-        raise ValueError("relative error undefined for E = A = 0")
-    num = float(np.sum((A - At) ** 2) + np.sum((E - Et) ** 2))
-    return float(np.sqrt(num / denom))
 
 
 @dataclass
@@ -283,10 +272,3 @@ def region_plot_data(region: LmiRegion, pairs, bounds, nx=161, ny=121,
                 fh.write(f"{lam.real:.12g},{lam.imag:.12g}\n")
         files[f"eigenvalues_{i:02d}"] = path
     return files
-
-
-def hurwitz_grcar_suite(n=10, budget_s=30.0, mu=1.0):
-    """The three half-plane test rows at size n."""
-    return [BenchInstance(name=f"grcar_{n}_{k}", pair=grcar(n, k),
-                          region=hurwitz(), algorithm="fgm",
-                          budget_s=budget_s, mu=mu) for k in (1, 2, 3)]

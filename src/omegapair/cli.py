@@ -37,9 +37,16 @@ def _fmt(x):
     return _FMT.format(float(x))
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, the code of a flagged solve here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _parser():
-    p = argparse.ArgumentParser(prog="omegapair",
-                                description="Nearest admissible matrix pair tools")
+    p = _Parser(prog="omegapair", description="Nearest admissible matrix pair tools")
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="find the nearest admissible pair")
@@ -52,8 +59,6 @@ def _parser():
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--out", default=".", help="output directory")
     ps.add_argument("--trace", default=None, help="trace CSV path")
-    ps.add_argument("--tol-margin", type=float, default=1e-6,
-                    help="eigenvalue membership tolerance for the final check")
 
     pc = sub.add_parser("check", help="admissibility report for a pair")
     pc.add_argument("--pair", required=True)

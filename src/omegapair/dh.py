@@ -11,12 +11,11 @@ conversion from a feasibility certificate X to a quadruple.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pencil import MatrixPair, admissibility_check
+from .pencil import MatrixPair, admissibility_check, invertibility
 from .regions import LmiRegion
 
 __all__ = [
@@ -35,12 +34,9 @@ __all__ = [
     "shift_dissipation",
     "dh_to_dict",
     "dh_from_dict",
-    "save_dh",
-    "load_dh",
 ]
 
 DEFAULT_DEF_TOL = 1e-9
-_COND_LIMIT_FACTOR = 1e-12  # Q counts as singular when cond(Q) > 1/(n * this)
 DH_SCHEMA_VERSION = 1
 
 
@@ -116,10 +112,10 @@ def realize(d: DhParam) -> MatrixPair:
 
     Raises when Q is numerically singular.
     """
-    cond = np.linalg.cond(d.Q)
-    if not np.isfinite(cond) or cond > 1.0 / (d.n * _COND_LIMIT_FACTOR):
+    ok, rcond = invertibility(d.Q)
+    if not ok:
         raise np.linalg.LinAlgError(
-            f"Q is numerically singular (condition estimate {cond:.3e})")
+            f"Q is numerically singular (reciprocal condition {rcond:.3e})")
     return MatrixPair(d.T @ d.Q, (d.J - d.R) @ d.Q)
 
 
@@ -187,7 +183,6 @@ def certify_admissibility(region: LmiRegion, E, J, R, Q,
     J = np.asarray(J, dtype=float)
     R = np.asarray(R, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    n = E.shape[0]
     conds = []
 
     dev = np.linalg.norm(J + J.T) - tol * (1.0 + np.linalg.norm(J))
@@ -196,10 +191,8 @@ def certify_admissibility(region: LmiRegion, E, J, R, Q,
     m = pos_def_margin(R, tol)
     conds.append(ConditionResult("R positive definite", m > 0, m))
 
-    cond = np.linalg.cond(Q)
-    ok_q = np.isfinite(cond) and cond <= 1.0 / (n * _COND_LIMIT_FACTOR)
-    conds.append(ConditionResult("Q invertible", bool(ok_q),
-                                 1.0 / cond if np.isfinite(cond) and cond > 0 else 0.0))
+    ok_q, rcond = invertibility(Q)
+    conds.append(ConditionResult("Q invertible", ok_q, rcond))
 
     QE = Q.T @ E
     asym = np.linalg.norm(QE - QE.T) - tol * (1.0 + np.linalg.norm(QE))
@@ -226,8 +219,7 @@ def dh_from_certificate(A, X) -> tuple:
     """
     A = np.asarray(A, dtype=float)
     X = np.asarray(X, dtype=float)
-    cond = np.linalg.cond(X)
-    if not np.isfinite(cond) or cond > 1.0 / (X.shape[0] * _COND_LIMIT_FACTOR):
+    if not invertibility(X)[0]:
         raise np.linalg.LinAlgError("certificate matrix X is numerically singular")
     AXinv = np.linalg.solve(X.T, A.T).T
     return skew(AXinv), -sym(AXinv), X.copy()
@@ -270,7 +262,6 @@ def verify_certificate(cert: Certificate, pair: MatrixPair, region: LmiRegion,
     """
     E, A = pair.E, pair.A
     B, C = region.B, region.C
-    n = pair.n
     conds = []
 
     if cert.kind == "X":
@@ -315,10 +306,8 @@ def verify_certificate(cert: Certificate, pair: MatrixPair, region: LmiRegion,
         conds.append(ConditionResult("E^T S symmetric", asym <= 0, -asym))
         m = psd_margin(sym(ES), tol)
         conds.append(ConditionResult("E^T S PSD", m >= 0, m))
-        condS = np.linalg.cond(S)
-        ok_s = np.isfinite(condS) and condS <= 1.0 / (n * _COND_LIMIT_FACTOR)
-        conds.append(ConditionResult("S invertible", bool(ok_s),
-                                     1.0 / condS if np.isfinite(condS) and condS > 0 else 0.0))
+        ok_s, rcond = invertibility(S)
+        conds.append(ConditionResult("S invertible", ok_s, rcond))
         M = region_lmi_pair(region, E, J, R, Q) + np.kron(np.eye(region.size), sym(ES))
         m = psd_margin(-sym(M), tol)
         conds.append(ConditionResult("shifted Kronecker LMI negative semidefinite",
@@ -355,12 +344,3 @@ def dh_from_dict(obj) -> DhParam:
         raise ValueError(f"unsupported DhParam schema version {version}")
     return DhParam(*(np.asarray(obj[k], dtype=float) for k in ("T", "J", "R", "Q")))
 
-
-def save_dh(path, d: DhParam):
-    with open(path, "w") as fh:
-        json.dump(dh_to_dict(d), fh, indent=1)
-
-
-def load_dh(path) -> DhParam:
-    with open(path) as fh:
-        return dh_from_dict(json.load(fh))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dh import DhParam, project_psd, skew as skew_part, sym as sym_part
 from .regions import hurwitz
-from .result import SolveResult, _objective_value, _relative_error, finalize_solution
+from .result import SolveResult, _objective_value, finalize_solution, relative_error
 
 __all__ = ["FgmOptions", "objective", "gradient", "project", "solve_hurwitz",
            "estimate_lipschitz"]
@@ -50,7 +50,7 @@ class FgmOptions:
 
 def objective(E, A, d: DhParam, mu=1.0) -> float:
     """||A - (J - R) Q||_F^2 + mu ||E - T Q||_F^2."""
-    return _objective_value(E, A, d, mu)
+    return _objective_value(E, A, d.T, d.J, d.R, d.Q, mu)
 
 
 def gradient(E, A, d: DhParam, mu=1.0):
@@ -135,13 +135,12 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
     step = 1.0 / L
     step_accept = step
 
-    denominator = float(np.sum(A * A) + np.sum(E * E))
-    if denominator == 0.0:
-        raise ValueError("relative error undefined for E = A = 0")
+    def rel_of(d):
+        return relative_error(E, A, d.T @ d.Q, (d.J - d.R) @ d.Q)
 
     best = X
     fbest = fX
-    trace = [(0.0, fbest, np.sqrt(fbest_ratio(E, A, best, denominator)))]
+    trace = [(0.0, fbest, rel_of(best))]
     Y = X
     alpha = opts.alpha0
     fail_streak = 0
@@ -204,8 +203,7 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
 
         it += 1
         if it % opts.trace_every == 0:
-            trace.append((_time.perf_counter() - t0, fbest,
-                          np.sqrt(fbest_ratio(E, A, best, denominator))))
+            trace.append((_time.perf_counter() - t0, fbest, rel_of(best)))
         anchor_it, anchor_f = stall_anchor
         if it - anchor_it >= opts.stall_window:
             if anchor_f - fbest <= opts.stall_rel_tol * (1.0 + abs(anchor_f)):
@@ -217,17 +215,9 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
         E, A, best, hurwitz(), mu)
     # the trace stays the optimization's best-so-far sequence; the boundary
     # repair (when applied) only affects the returned objective
-    trace.append((_time.perf_counter() - t0, fbest,
-                  np.sqrt(fbest_ratio(E, A, best, denominator))))
+    trace.append((_time.perf_counter() - t0, fbest, rel_of(best)))
     return SolveResult(dh=d, pair=pair, objective=obj, relative_error=rel,
                        iterations=it, admissible=verdict.admissible,
                        admissibility=verdict, trace=trace, algorithm="fgm",
                        mu=mu, converged="budget" not in stop_reason,
                        shifted=shifted, stop_reason=stop_reason)
-
-
-def fbest_ratio(E, A, d: DhParam, denominator):
-    pair_E = d.T @ d.Q
-    pair_A = (d.J - d.R) @ d.Q
-    num = float(np.sum((A - pair_A) ** 2) + np.sum((E - pair_E) ** 2))
-    return num / denominator

@@ -24,6 +24,7 @@ __all__ = [
     "regularity_check",
     "admissibility_check",
     "eigenvalue_parts",
+    "invertibility",
     "load_pair",
     "save_pair",
 ]
@@ -31,6 +32,7 @@ __all__ = [
 DEFAULT_BETA_TOL = 1e-8
 REGULARITY_TOL = 1e-12
 _REGULARITY_SEED = 730552
+_COND_LIMIT_FACTOR = 1e-12  # M counts as singular when cond(M) > 1/(n * this)
 
 
 @dataclass(frozen=True)
@@ -181,6 +183,14 @@ def admissibility_check(pair: MatrixPair, region: LmiRegion,
                                 worst_margin=worst, margins=margins, spectrum=rep)
 
 
+def invertibility(M):
+    """(ok, rcond): rcond = 1 / cond(M), 0 for a singular M; ok iff
+    cond(M) <= 1 / (n * 1e-12)."""
+    cond = np.linalg.cond(M)
+    rcond = 1.0 / cond if np.isfinite(cond) and cond > 0 else 0.0
+    return bool(rcond >= M.shape[0] * _COND_LIMIT_FACTOR), float(rcond)
+
+
 def eigenvalue_parts(E, J, R, Q, x):
     """Real and imaginary part of an eigenvalue from its left eigenvector.
 
@@ -200,8 +210,7 @@ def eigenvalue_parts(E, J, R, Q, x):
     x = np.asarray(x, dtype=complex).reshape(-1)
     if np.allclose(x, 0):
         raise ValueError("eigenvector x must be nonzero")
-    cond = np.linalg.cond(Q)
-    if not np.isfinite(cond) or cond > 1.0 / (Q.shape[0] * 1e-12):
+    if not invertibility(Q)[0]:
         raise np.linalg.LinAlgError("Q is numerically singular")
     EQinv = E @ np.linalg.inv(Q)
     denom = complex(x.conj() @ (EQinv @ x))

@@ -4,8 +4,9 @@ A region is the set {z : B + C z + C^T conj(z) < 0} (matrix negative
 definite) for a real symmetric B and a real square C. This module builds
 such (B, C) pairs for twelve standard primitives (half-planes, strips,
 disks, conic sectors, ellipses, parabolic and hyperbolic regions),
-composes them by intersection, evaluates membership of complex points,
-and exposes the per-primitive stability LMI blocks used by the solvers.
+composes them by intersection, and evaluates membership of complex
+points. Everything the solvers need from a region (its real-axis section,
+its connected diagonal blocks) is read from (B, C) alone.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import block_diag
 
 __all__ = [
@@ -39,8 +41,8 @@ __all__ = [
     "characteristic_matrix",
     "membership",
     "uniform_part_nonempty",
-    "stability_lmi_blocks",
-    "initial_scalar_interval",
+    "real_section",
+    "connected_blocks",
     "region_from_dict",
     "region_to_dict",
     "load_region",
@@ -65,24 +67,6 @@ PRIMITIVE_KINDS = (
     "right_hyperbola",
     "horizontal_strip",
 )
-
-# Factor c such that -(B (x) T + (C-C^T) (x) J - (C+C^T) (x) R) equals
-# c times the stability block, up to a signed block permutation for the
-# disk (which uses the conventional (B, C) with C = [[0,0],[-1,0]]).
-TABLE_BLOCK_SCALE = {
-    "left_conic_sector": 2.0,
-    "right_conic_sector": 2.0,
-    "disk": 1.0,
-    "vertical_strip": 2.0,
-    "left_half_plane": 2.0,
-    "right_half_plane": 2.0,
-    "ellipsoid": 1.0,
-    "left_parabola": 1.0,
-    "right_parabola": 1.0,
-    "left_hyperbola": 1.0,
-    "right_hyperbola": 1.0,
-    "horizontal_strip": 1.0,
-}
 
 
 @dataclass(frozen=True)
@@ -207,13 +191,7 @@ def horizontal_strip(w):
 
 
 def _primitive_bc(p: RegionPrimitive):
-    """Characteristic matrices (B, C) of one primitive.
-
-    Chosen so that -(B (x) T + (C-C^T) (x) J - (C+C^T) (x) R) reproduces
-    the stability block of `stability_lmi_blocks` times TABLE_BLOCK_SCALE
-    (exactly for all kinds except the disk, where the two agree up to a
-    signed block permutation).
-    """
+    """Characteristic matrices (B, C) of one primitive."""
     k = p.kind
     if k == "left_conic_sector":
         a, th = p.a, p.theta
@@ -278,9 +256,9 @@ def _freeze(a):
 class LmiRegion:
     """A region {z : B + C z + C^T conj(z) < 0} with its building blocks.
 
-    B is stored exactly symmetric. `primitives` records the intersection
-    structure when the region was assembled from primitives; it is empty
-    for regions built from raw (B, C).
+    B is stored exactly symmetric. (B, C) alone defines the region;
+    `primitives` only labels a region assembled from primitives, for the
+    file format, and is empty for regions built from raw (B, C).
     """
 
     B: np.ndarray
@@ -360,95 +338,75 @@ def uniform_part_nonempty(region: LmiRegion, tol: float = DEFAULT_MARGIN_TOL) ->
     return bool(eigs[0] > tol * scale or eigs[-1] < -tol * scale)
 
 
-def _check_tjr(T, J, R):
-    T = np.asarray(T, dtype=float)
-    J = np.asarray(J, dtype=float)
-    R = np.asarray(R, dtype=float)
-    n = T.shape[0]
-    for name, M in (("T", T), ("J", J), ("R", R)):
-        if M.ndim != 2 or M.shape != (n, n):
-            raise ValueError(f"{name} must be {n}x{n}, got {M.shape}")
-    return T, J, R
+def real_section(region: LmiRegion):
+    """The open interval {x real : B + x (C + C^T) < 0} as (lo, hi), or None
+    when it is empty. The ends may be infinite.
 
-
-def stability_lmi_blocks(p: RegionPrimitive, T, J, R) -> np.ndarray:
-    """Stability block of one primitive, linear in (T, J, R).
-
-    The condition "block > 0" (positive definite) on T = E Q^{-1}, skew J
-    and symmetric R places all finite eigenvalues of (T Q, (J - R) Q)
-    inside the primitive's region.
+    LMI regions are convex and symmetric about the real axis, so with z the
+    region also holds Re(z): the section is the region's shadow on the real
+    axis, and hi is its largest real part. Its ends are real roots of
+    det(B + x (C + C^T)), so each gap between roots lies wholly in or out
+    of it and one point of the gap decides. Roots where |B| is below the
+    rounding of |x (C + C^T)| cannot be ends (a singular C + C^T puts
+    spurious ones there), and a gap is in only by a margin above the
+    rounding of B + x (C + C^T): a multiple root splits into a sliver.
     """
-    T, J, R = _check_tjr(T, J, R)
-    k = p.kind
-    if k == "left_conic_sector":
-        s, c = math.sin(p.theta), math.cos(p.theta)
-        D = s * (p.a * T + R)
-        return np.block([[D, -c * J], [c * J, D]])
-    if k == "right_conic_sector":
-        s, c = math.sin(p.theta), math.cos(p.theta)
-        D = -s * (p.a * T + R)
-        return np.block([[D, -c * J], [c * J, D]])
-    if k == "disk":
-        q, r = p.q, p.r
-        return np.block([[r * T, q * T - J + R], [q * T + J + R, r * T]])
-    if k == "vertical_strip":
-        Z = np.zeros_like(T)
-        return np.block([[p.k * T + R, Z], [Z, -p.h * T - R]])
-    if k == "left_half_plane":
-        return p.k * T + R
-    if k == "right_half_plane":
-        return -p.h * T - R
-    if k == "ellipsoid":
-        q, a, b = p.q_e, p.a_e, p.b_e
-        off = q * T + (a / b) * J + R
-        return np.block([[a * T, off.T], [off, a * T]])
-    if k == "left_parabola":
-        g = math.sqrt(p.c_p / 2.0)
-        return np.block([[T, -g * J], [g * J, p.q_p * T + R]])
-    if k == "right_parabola":
-        g = math.sqrt(p.c_p / 2.0)
-        return np.block([[T, -g * J], [g * J, -p.q_p * T - R]])
-    if k == "left_hyperbola":
-        a, b = p.a_h, p.b_h
-        return np.block([[R / a, -T - J / b], [-T + J / b, R / a]])
-    if k == "right_hyperbola":
-        a, b = p.a_h, p.b_h
-        return np.block([[-R / a, -T - J / b], [-T + J / b, -R / a]])
-    if k == "horizontal_strip":
-        return np.block([[p.w * T, -J], [J, p.w * T]])
-    raise ValueError(f"unknown region kind {k!r}")  # pragma: no cover
+    B = region.B
+    S = region.C + region.C.T
+    b, s = np.abs(B).max(), np.abs(S).max()
+    roots = scipy.linalg.eigvals(B, -S)
+    roots = roots.real[np.isfinite(roots)]
+    cuts = np.unique(roots[np.abs(roots) * s <= 1e12 * b]).tolist()
+    inside = []
+    for lo, hi in zip([-math.inf, *cuts], [*cuts, math.inf]):
+        # the point of the gap nearest 0 that is well inside it
+        if math.isinf(lo) and math.isinf(hi):
+            x = 0.0
+        elif math.isinf(lo) or (not math.isinf(hi) and abs(hi) < abs(lo)):
+            x = hi - min((hi - lo) / 2.0, max(1.0, abs(hi)))
+        else:
+            x = lo + min((hi - lo) / 2.0, max(1.0, abs(lo)))
+        if np.linalg.eigvalsh(B + x * S)[-1] < -1e-12 * (b + abs(x) * s):
+            inside.append((lo, hi))
+    if not inside:
+        return None
+    return _polish_root(B, S, inside[0][0]), _polish_root(B, S, inside[-1][1])
 
 
-def initial_scalar_interval(p: RegionPrimitive):
-    """Open interval of rho making the block at (T, J, R) = (I, 0, rho I)
-    positive definite. Endpoints may be +-inf."""
-    k = p.kind
-    inf = math.inf
-    if k == "left_conic_sector":
-        return (-p.a, inf)
-    if k == "right_conic_sector":
-        return (-inf, -p.a)
-    if k == "disk":
-        return (-p.q - p.r, -p.q + p.r)
-    if k == "vertical_strip":
-        return (-p.k, -p.h)
-    if k == "left_half_plane":
-        return (-p.k, inf)
-    if k == "right_half_plane":
-        return (-inf, -p.h)
-    if k == "ellipsoid":
-        return (-p.q_e - p.a_e, -p.q_e + p.a_e)
-    if k == "left_parabola":
-        return (-p.q_p, inf)
-    if k == "right_parabola":
-        return (-inf, -p.q_p)
-    if k == "left_hyperbola":
-        return (p.a_h, inf)
-    if k == "right_hyperbola":
-        return (-inf, -p.a_h)
-    if k == "horizontal_strip":
-        return (-inf, inf)
-    raise ValueError(f"unknown region kind {k!r}")  # pragma: no cover
+def _polish_root(B, S, x):
+    """One Newton step on the eigenvalue of B + x S nearest 0, which
+    vanishes at the root; QZ leaves simple roots a few ulps off."""
+    if math.isinf(x):
+        return x
+    w, V = np.linalg.eigh(B + x * S)
+    i = int(np.argmin(np.abs(w)))
+    slope = V[:, i] @ S @ V[:, i]
+    return float(x - w[i] / slope) if slope != 0.0 else float(x)
+
+
+def connected_blocks(region: LmiRegion) -> list:
+    """Regions whose intersection is `region`, one per connected component
+    of the coupling pattern of (B, C), ordered by their first index.
+
+    For a region assembled by `intersect`, each block is one primitive's
+    (B, C) or, where that splits further (the vertical strip), a part of it.
+    """
+    coupled = (region.B != 0.0) | (region.C != 0.0) | (region.C.T != 0.0)
+    placed = np.zeros(region.size, dtype=bool)
+    blocks = []
+    for first in range(region.size):
+        if placed[first]:
+            continue
+        members = np.zeros(region.size, dtype=bool)
+        members[first] = True
+        frontier = members.copy()
+        while frontier.any():
+            frontier = coupled[frontier].any(axis=0) & ~members
+            members |= frontier
+        placed |= members
+        idx = np.ix_(members, members)
+        blocks.append(LmiRegion(region.B[idx], region.C[idx]))
+    return blocks
 
 
 def hurwitz() -> LmiRegion:
@@ -462,52 +420,14 @@ def schur() -> LmiRegion:
 
 
 def is_hurwitz(region: LmiRegion) -> bool:
-    """True iff the region is exactly the single primitive {Re(z) < 0}."""
-    return (len(region.primitives) == 1
-            and region.primitives[0].kind == "left_half_plane"
-            and region.primitives[0].k == 0.0)
+    """True iff the region is {Re(z) < 0} given as (B, C) = (0, c) with c > 0."""
+    return region.size == 1 and region.B[0, 0] == 0.0 and region.C[0, 0] > 0.0
 
 
-def in_closed_left_half_plane(region: LmiRegion, probe_box: float = 1e3,
-                              samples: int = 400) -> bool:
-    """Heuristic test that the region lies in {Re(z) <= 0}.
-
-    Exact for regions built from primitives (interval arithmetic on their
-    real-axis extents); for raw (B, C) regions falls back to sampling the
-    right half of a large box.
-    """
-    if region.primitives:
-        # The intersection is in the closed left half-plane as soon as one
-        # factor is; each primitive's maximal real part is available in
-        # closed form.
-        for p in region.primitives:
-            if _max_real_part(p) <= 0.0:
-                return True
-        return False
-    rng = np.random.default_rng(20170301)
-    pts = rng.uniform(0, probe_box, size=samples) + 1j * rng.uniform(
-        -probe_box, probe_box, size=samples)
-    pts = np.concatenate([pts, np.linspace(1e-9, probe_box, 50)])
-    return not any(membership(region, z).status == "inside" for z in pts)
-
-
-def _max_real_part(p: RegionPrimitive) -> float:
-    k = p.kind
-    if k == "left_conic_sector":
-        return p.a
-    if k == "disk":
-        return p.q + p.r
-    if k == "vertical_strip":
-        return p.k
-    if k == "left_half_plane":
-        return p.k
-    if k == "ellipsoid":
-        return p.q_e + p.a_e
-    if k == "left_parabola":
-        return p.q_p
-    if k == "left_hyperbola":
-        return -p.a_h
-    return math.inf
+def in_closed_left_half_plane(region: LmiRegion) -> bool:
+    """True iff the region lies in {Re(z) <= 0} (an empty region does)."""
+    section = real_section(region)
+    return section is None or section[1] <= 0.0
 
 
 def region_from_dict(obj) -> LmiRegion:

@@ -11,7 +11,8 @@ from .dh import DhParam, dh_to_dict, realize, shift_dissipation
 from .pencil import AdmissibilityVerdict, MatrixPair, admissibility_check
 from .regions import LmiRegion
 
-__all__ = ["SolveResult", "write_trace", "read_trace", "finalize_solution"]
+__all__ = ["SolveResult", "write_trace", "read_trace", "relative_error",
+           "finalize_solution"]
 
 TRACE_HEADER = "time_s,objective,relative_error"
 
@@ -73,13 +74,17 @@ def read_trace(path):
     return rows
 
 
-def _objective_value(E, A, d: DhParam, mu):
-    res_a = A - (d.J - d.R) @ d.Q
-    res_e = E - d.T @ d.Q
+def _objective_value(E, A, T, J, R, Q, mu):
+    """||A - (J - R) Q||_F^2 + mu ||E - T Q||_F^2."""
+    res_a = A - (J - R) @ Q
+    res_e = E - T @ Q
     return float(np.sum(res_a * res_a) + mu * np.sum(res_e * res_e))
 
 
-def _relative_error(E, A, Et, At):
+def relative_error(E, A, Et, At) -> float:
+    """sqrt((||A - At||_F^2 + ||E - Et||_F^2) / (||A||_F^2 + ||E||_F^2))."""
+    E, A = np.asarray(E, float), np.asarray(A, float)
+    Et, At = np.asarray(Et, float), np.asarray(At, float)
     denom = float(np.sum(A * A) + np.sum(E * E))
     if denom == 0.0:
         raise ValueError("relative error undefined for E = A = 0")
@@ -117,6 +122,6 @@ def finalize_solution(E, A, d: DhParam, region: LmiRegion, mu,
                                           margin_tol=margin_tol)
         if verdict_rep.admissible:
             d, pair, verdict, shifted = d_rep, pair_rep, verdict_rep, True
-    obj = _objective_value(E, A, d, mu)
-    rel = _relative_error(E, A, pair.E, pair.A)
+    obj = _objective_value(E, A, d.T, d.J, d.R, d.Q, mu)
+    rel = relative_error(E, A, pair.E, pair.A)
     return d, pair, obj, rel, verdict, shifted

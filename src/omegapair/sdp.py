@@ -3,8 +3,8 @@
 For a fixed invertible Q the problem
 
     min  ||A - (J - R) Q||_F^2 + mu ||E - T Q||_F^2
-    s.t. T >= 0,  optionally R >= 0,  and for every region primitive the
-         stability block is positive definite with margin delta_lmi,
+    s.t. T >= 0,  optionally R >= 0,  and the region LMI
+         -(B (x) T + (C-C^T) (x) J - (C+C^T) (x) R) > delta_lmi I,
 
 is a convex quadratic over the symmetric/skew/symmetric triple (T, J, R)
 with affine semidefinite constraints. It is solved by path-following:
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .regions import LmiRegion, initial_scalar_interval, stability_lmi_blocks
+from .regions import LmiRegion, connected_blocks, real_section
 
 __all__ = [
     "ConvexSubproblem",
@@ -133,8 +133,7 @@ class _Block:
     assembly.
     """
 
-    def __init__(self, name, G0, K):
-        self.name = name
+    def __init__(self, G0, K):
         self.G0 = G0
         self.d = G0.shape[0]
         active = np.flatnonzero(np.abs(K).max(axis=(1, 2)) > 0.0)
@@ -172,22 +171,23 @@ class ConstraintSet:
         if fixed_T is None:
             K = np.zeros((self.m, n, n))
             K[: self.nT] = self.ST
-            blocks.append(_Block("T psd", np.zeros((n, n)), K))
+            blocks.append(_Block(np.zeros((n, n)), K))
         if require_R_psd:
             K = np.zeros((self.m, n, n))
             K[self.nT + self.nJ:] = self.SR
-            blocks.append(_Block("R psd", np.zeros((n, n)), K))
+            blocks.append(_Block(np.zeros((n, n)), K))
         if region is not None:
-            for p in region.primitives:
-                blocks.append(self._region_block(p, delta_lmi))
+            # one barrier block per connected diagonal block of (B, C): the
+            # barrier is the same as for the whole region, at a fraction of
+            # the Cholesky cost
+            for part in connected_blocks(region):
+                blocks.append(self._region_block(part, delta_lmi))
         self.blocks = blocks
         self.nu = sum(b.d for b in blocks)
 
-    def _region_block(self, prim, delta):
+    def _region_block(self, part, delta):
         """-(B (x) T + (C-C^T) (x) J - (C+C^T) (x) R) - delta I >= 0."""
-        from .regions import _primitive_bc
-
-        B, C = _primitive_bc(prim)
+        B, C = part.B, part.C
         s = B.shape[0]
         n = self.n
         Cm, Cp = C - C.T, C + C.T
@@ -199,7 +199,7 @@ class ConstraintSet:
             G0 = -np.kron(B, self.fixed_T) - delta * np.eye(s * n)
         K[self.nT: self.nT + self.nJ] = -_batch_kron(Cm, self.SJ)
         K[self.nT + self.nJ:] = _batch_kron(Cp, self.SR)
-        return _Block(f"region {prim.kind}", G0, K)
+        return _Block(G0, K)
 
     def split(self, x):
         T = (self.fixed_T if self.fixed_T is not None
@@ -311,26 +311,28 @@ def initial_point(sp: ConvexSubproblem, cs: ConstraintSet | None = None,
                   interior_margin: float | None = None):
     """A strictly feasible (T, J, R), by scalar search R = rho I at T = I.
 
-    Each primitive restricts rho to an interval; their intersection (cut
-    at 0 when R must be PSD) provides candidates, and the one maximizing
-    the worst block margin is returned. Raises InfeasibleStartError when
-    the intersection is empty (for instance, an empty region).
+    At (I, 0, rho I) the region LMI reads B - rho (C + C^T) < 0, so rho
+    ranges over the region's real section negated (cut at 0 when R must
+    be PSD). Candidates from that interval are tried and the one
+    maximizing the worst block margin is returned. Raises
+    InfeasibleStartError when the interval is empty (for instance, an
+    empty region).
     """
     if cs is None:
         cs = ConstraintSet(sp.n, sp.region, sp.require_R_psd, sp.delta_lmi,
                            sp.fixed_T)
     n = sp.n
-    lo, hi = -math.inf, math.inf
-    if sp.region is not None:
-        for p in sp.region.primitives:
-            plo, phi = initial_scalar_interval(p)
-            lo, hi = max(lo, plo), min(hi, phi)
+    section = (-math.inf, math.inf) if sp.region is None else real_section(sp.region)
+    if section is None:
+        raise InfeasibleStartError("the region is empty: no real x has "
+                                   "B + x (C + C^T) negative definite")
+    lo, hi = -section[1], -section[0]
     if sp.require_R_psd:
         lo = max(lo, 0.0)
     if lo >= hi:
         raise InfeasibleStartError(
             f"no scalar dissipation level is feasible (interval [{lo:.3g}, {hi:.3g}] "
-            "is empty); review the region primitives and their parameters")
+            "is empty); a PSD R needs a region that meets the open left half-plane")
 
     if math.isinf(lo) and math.isinf(hi):
         candidates = [0.0, 1.0] if not sp.require_R_psd else [1.0]
@@ -356,7 +358,7 @@ def initial_point(sp: ConvexSubproblem, cs: ConstraintSet | None = None,
     if best[0] <= max(needed, 0.0) and cs.blocks:
         raise InfeasibleStartError(
             f"default starting point search failed (best margin {best[0]:.3e}); "
-            "review the region primitives and their parameters")
+            "review the region and its parameters")
     return T, J, best[1] * np.eye(n)
 
 

@@ -40,10 +40,15 @@ def test_update_Q_normal_equation_residual():
         assert np.linalg.norm(resid) <= 1e-8 * (1 + scale)
 
 
-def test_rejects_raw_bc_regions():
-    raw = rg.LmiRegion(np.array([[0.0]]), np.array([[1.0]]))
-    with pytest.raises(ValueError, match="primitives"):
-        solve_general(np.eye(2), -np.eye(2), raw)
+def test_raw_bc_region_solves_like_its_primitive():
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((3, 3)) * 1.5
+    raw = rg.LmiRegion(rg.schur().B, rg.schur().C)
+    opts = BcdOptions(max_time_s=30.0, max_outer_iters=4)
+    res = solve_general(np.eye(3), A, rg.schur(), opts)
+    res_raw = solve_general(np.eye(3), A, raw, opts)
+    assert res_raw.iterations == res.iterations
+    assert res_raw.objective == pytest.approx(res.objective, rel=1e-10)
 
 
 def test_already_admissible_disk_input_recovered():

@@ -126,7 +126,7 @@ def test_run_table_deterministic_and_traces(tmp_path):
 
 def test_run_table_records_failures_and_continues(tmp_path):
     bad = BenchInstance(name="bad", pair=MatrixPair(np.eye(2), np.eye(2)),
-                        region=rg.LmiRegion(np.array([[0.0]]), np.array([[1.0]])),
+                        region=rg.intersect(rg.disk(-3.0, 1.0), rg.disk(3.0, 1.0)),
                         algorithm="bcd", budget_s=1.0)
     good = BenchInstance(name="good", pair=MatrixPair(np.eye(2), -np.eye(2)),
                          region=rg.hurwitz(), algorithm="fgm", budget_s=2.0)

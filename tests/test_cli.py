@@ -84,6 +84,27 @@ def test_solve_auto_picks_bcd_for_disk(files):
         assert json.load(fh)["algorithm"] == "bcd"
 
 
+def test_usage_errors_exit_1(files, capsys):
+    for argv in (["solve", "--region", "x.json"],
+                 ["solve", "--pair", "p.json", "--region", "r.json", "--tol-margin", "1e-3"],
+                 ["nope"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage" in capsys.readouterr().err
+
+
+def test_solve_auto_picks_fgm_for_raw_half_plane(files):
+    tmp, write_pair, write_region = files
+    pair = write_pair("p.json", np.eye(2), -np.eye(2))
+    region = write_region("r.json", {"raw": {"B": [[0.0]], "C": [[1.0]]}})
+    out_dir = str(tmp / "out")
+    assert main(["solve", "--pair", pair, "--region", region, "--time", "2",
+                 "--out", out_dir]) == 0
+    with open(tmp / "out" / "result.json") as fh:
+        assert json.load(fh)["algorithm"] == "fgm"
+
+
 def test_solve_malformed_pair_file(files, capsys):
     tmp, write_pair, write_region = files
     bad = tmp / "bad.json"

@@ -1,13 +1,15 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegapair import regions as rg
 from omegapair.dh import region_lmi, skew, sym
-from omegapair.regions import TABLE_BLOCK_SCALE
 
-from _oracles import geometric_membership, standard_primitives
+from _oracles import (TABLE_BLOCK_SCALE, geometric_membership, initial_scalar_interval,
+                      stability_lmi_blocks, standard_primitives)
 
 
 def test_disk_matrices_match_reference():
@@ -155,15 +157,15 @@ def test_stability_blocks_examples():
     R = sym(rng.standard_normal((n, n)))
     J = skew(rng.standard_normal((n, n)))
     np.testing.assert_allclose(
-        rg.stability_lmi_blocks(rg.left_half_plane(2.0), T, J, R), 2.0 * T + R)
+        stability_lmi_blocks(rg.left_half_plane(2.0), T, J, R), 2.0 * T + R)
 
-    blk = rg.stability_lmi_blocks(rg.disk(0.0, 1.0), np.eye(2), np.zeros((2, 2)),
-                                  np.zeros((2, 2)))
+    blk = stability_lmi_blocks(rg.disk(0.0, 1.0), np.eye(2), np.zeros((2, 2)),
+                               np.zeros((2, 2)))
     np.testing.assert_allclose(blk, np.eye(4))
 
     J2 = np.array([[0.0, 2.0], [-2.0, 0.0]])
-    blk = rg.stability_lmi_blocks(rg.horizontal_strip(1.0), np.eye(2), J2,
-                                  sym(rng.standard_normal((2, 2))))
+    blk = stability_lmi_blocks(rg.horizontal_strip(1.0), np.eye(2), J2,
+                               sym(rng.standard_normal((2, 2))))
     assert np.linalg.eigvalsh(blk)[0] == pytest.approx(-1.0)
 
 
@@ -174,9 +176,9 @@ def test_stability_blocks_are_linear():
         T1, T2 = (sym(rng.standard_normal((n, n))) for _ in range(2))
         R1, R2 = (sym(rng.standard_normal((n, n))) for _ in range(2))
         J1, J2 = (skew(rng.standard_normal((n, n))) for _ in range(2))
-        lhs = rg.stability_lmi_blocks(p, T1 + T2, J1 + J2, R1 + R2)
-        rhs = (rg.stability_lmi_blocks(p, T1, J1, R1)
-               + rg.stability_lmi_blocks(p, T2, J2, R2))
+        lhs = stability_lmi_blocks(p, T1 + T2, J1 + J2, R1 + R2)
+        rhs = (stability_lmi_blocks(p, T1, J1, R1)
+               + stability_lmi_blocks(p, T2, J2, R2))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -194,14 +196,89 @@ def test_kronecker_assembly_matches_stability_blocks_spectrally():
             R = sym(rng.standard_normal((n, n)))
             e1 = np.sort(np.linalg.eigvalsh(-region_lmi(r, T, J, R)))
             e2 = np.sort(scale * np.linalg.eigvalsh(
-                rg.stability_lmi_blocks(p, T, J, R)))
+                stability_lmi_blocks(p, T, J, R)))
             np.testing.assert_allclose(e1, e2, atol=1e-10)
 
 
 def test_stability_blocks_dimension_mismatch():
     with pytest.raises(ValueError):
-        rg.stability_lmi_blocks(rg.disk(0.0, 1.0), np.eye(3), np.zeros((2, 2)),
-                                np.eye(3))
+        region_lmi(rg.schur(), np.eye(3), np.zeros((2, 2)), np.eye(3))
+
+
+def _composite():
+    return rg.intersect(rg.vertical_strip(-5.0, 5.0), rg.horizontal_strip(3.0),
+                        rg.left_parabola(6.0, 1.0), rg.right_parabola(-6.0, 1.0))
+
+
+def test_real_section_matches_closed_form_intervals():
+    """The (B, C) section, negated, is the table's scalar interval."""
+    cases = [(rg.from_primitive(p), [p]) for p in standard_primitives()]
+    cases.append((_composite(), list(_composite().primitives)))
+    for region, prims in cases:
+        lo = max(initial_scalar_interval(p)[0] for p in prims)
+        hi = min(initial_scalar_interval(p)[1] for p in prims)
+        got = rg.real_section(region)
+        for a, b in ((-got[1], lo), (-got[0], hi)):
+            if math.isinf(b):
+                assert a == b, (prims, got)
+            else:
+                assert abs(a - b) <= 1e-12, (prims, got)
+
+
+def test_empty_intersection_has_empty_section():
+    assert rg.real_section(rg.intersect(rg.disk(-3.0, 1.0), rg.disk(3.0, 1.0))) is None
+
+
+@st.composite
+def _raw_regions(draw):
+    s = draw(st.integers(1, 3))
+    entries = st.integers(-3, 3).map(float)
+    B = np.array(draw(st.lists(entries, min_size=s * s, max_size=s * s))).reshape(s, s)
+    C = np.array(draw(st.lists(entries, min_size=s * s, max_size=s * s))).reshape(s, s)
+    return rg.LmiRegion(B + B.T, C)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_raw_regions())
+def test_real_section_property_on_raw_regions(region):
+    """A point of the section is inside, points past a finite end are not,
+    and no real point outside the section is inside."""
+    section = rg.real_section(region)
+    grid = np.linspace(-10.0, 10.0, 81)
+    if section is None:
+        assert all(rg.membership(region, x).status != "inside" for x in grid)
+        return
+    lo, hi = section
+    if math.isinf(lo) and math.isinf(hi):
+        x = 0.0
+    elif math.isinf(lo):
+        x = hi - 1.0
+    elif math.isinf(hi):
+        x = lo + 1.0
+    else:
+        x = (lo + hi) / 2.0
+    assert rg.membership(region, x).status == "inside", (section, x)
+    for end, step in ((lo, -1.0), (hi, 1.0)):
+        if not math.isinf(end):
+            past = end + step * 1e-6 * (1.0 + abs(end))
+            assert rg.membership(region, past).status != "inside", (section, past)
+    for x in grid:
+        if rg.membership(region, x).status == "inside":
+            assert lo < x < hi, (section, x)
+
+
+def test_connected_blocks():
+    inter = rg.intersect(rg.schur(), rg.vertical_strip(-3.0, -1.0), rg.hurwitz())
+    blocks = rg.connected_blocks(inter)
+    assert [b.size for b in blocks] == [2, 1, 1, 1]
+    np.testing.assert_array_equal(blocks[0].B, rg.schur().B)
+    np.testing.assert_array_equal(blocks[0].C, rg.schur().C)
+    # coupled indices need not be adjacent
+    B = np.array([[-1.0, 0.0, 0.5], [0.0, -2.0, 0.0], [0.5, 0.0, -1.0]])
+    C = np.diag([1.0, 1.0, 1.0])
+    blocks = rg.connected_blocks(rg.LmiRegion(B, C))
+    np.testing.assert_array_equal(blocks[0].B, [[-1.0, 0.5], [0.5, -1.0]])
+    np.testing.assert_array_equal(blocks[1].B, [[-2.0]])
 
 
 def test_region_json_roundtrip(tmp_path):
@@ -233,12 +310,17 @@ def test_is_hurwitz_and_closed_left_half_plane():
     assert rg.is_hurwitz(rg.hurwitz())
     assert not rg.is_hurwitz(rg.schur())
     assert not rg.is_hurwitz(rg.from_primitive(rg.left_half_plane(-1.0)))
+    assert rg.is_hurwitz(rg.LmiRegion(np.array([[0.0]]), np.array([[2.0]])))
+    assert not rg.is_hurwitz(rg.LmiRegion(np.array([[0.0]]), np.array([[-1.0]])))
     assert rg.in_closed_left_half_plane(rg.hurwitz())
     assert rg.in_closed_left_half_plane(
         rg.from_primitive(rg.disk(-2.0, 1.5)))
     assert not rg.in_closed_left_half_plane(rg.schur())
     assert rg.in_closed_left_half_plane(
         rg.intersect(rg.disk(0.0, 3.0), rg.left_half_plane(0.0)))
+    left_disk = rg.from_primitive(rg.disk(-2.0, 1.5))
+    assert rg.in_closed_left_half_plane(rg.LmiRegion(left_disk.B, left_disk.C))
+    assert not rg.in_closed_left_half_plane(rg.LmiRegion(rg.schur().B, rg.schur().C))
 
 
 def test_regions_are_immutable():

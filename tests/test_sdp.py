@@ -7,7 +7,7 @@ from omegapair.dh import project_psd, skew, sym
 from omegapair.sdp import (ConstraintSet, ConvexSubproblem, InfeasibleStartError,
                            initial_point, solve_subproblem)
 
-from _oracles import random_well_conditioned
+from _oracles import random_well_conditioned, stability_lmi_blocks
 
 
 def test_identity_instance_recovers_exact_quadruple():
@@ -61,7 +61,7 @@ def test_disk_instance_beats_grid_search_slice():
             for r in np.linspace(-1.0, 1.0, 40):
                 T, J, R = t * np.eye(2), j * S, r * np.eye(2)
                 if t < 0 or np.linalg.eigvalsh(
-                        rg.stability_lmi_blocks(p, T, J, R))[0] <= delta:
+                        stability_lmi_blocks(p, T, J, R))[0] <= delta:
                     continue
                 val = (np.sum((A - (J - R)) ** 2) + np.sum((E - T) ** 2))
                 best = min(best, val)
