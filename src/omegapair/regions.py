@@ -258,12 +258,14 @@ class LmiRegion:
 
     B is stored exactly symmetric. (B, C) alone defines the region;
     `primitives` only labels a region assembled from primitives, for the
-    file format, and is empty for regions built from raw (B, C).
+    file format, and is empty for regions built from raw (B, C). `scale`
+    is the largest absolute entry of (B, C), derived on construction.
     """
 
     B: np.ndarray
     C: np.ndarray
     primitives: tuple = ()
+    scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         B = np.asarray(self.B, dtype=float)
@@ -275,6 +277,8 @@ class LmiRegion:
         object.__setattr__(self, "B", _freeze((B + B.T) / 2.0))
         object.__setattr__(self, "C", _freeze(C))
         object.__setattr__(self, "primitives", tuple(self.primitives))
+        object.__setattr__(self, "scale", float(max(np.abs(self.B).max(initial=0.0),
+                                                    np.abs(self.C).max(initial=0.0))))
 
     @property
     def size(self) -> int:
@@ -314,16 +318,23 @@ def membership(region: LmiRegion, z: complex,
                margin_tol: float = DEFAULT_MARGIN_TOL) -> Membership:
     """Classify z by the largest eigenvalue of the characteristic matrix.
 
-    margin is -lambda_max, so positive margins mean strictly inside.
+    margin is -lambda_max / min(1, scale), so positive margins mean
+    strictly inside. The division keeps a region given by a tiny multiple
+    of (B, C) from reading as all boundary under the absolute margin_tol;
+    for scale >= 1 the margin is -lambda_max itself. All-zero (B, C) is
+    the empty set: every point is outside, at margin -inf.
     """
+    if region.scale == 0.0:
+        return Membership("outside", -math.inf)
     lam_max = float(np.linalg.eigvalsh(characteristic_matrix(region, z))[-1])
-    if lam_max < -margin_tol:
+    margin = -lam_max / min(1.0, region.scale)
+    if margin > margin_tol:
         status = "inside"
-    elif lam_max > margin_tol:
+    elif margin < -margin_tol:
         status = "outside"
     else:
         status = "boundary"
-    return Membership(status, -lam_max)
+    return Membership(status, margin)
 
 
 def uniform_part_nonempty(region: LmiRegion, tol: float = DEFAULT_MARGIN_TOL) -> bool:

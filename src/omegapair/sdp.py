@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg.lapack import dtrtri
 
 from .regions import LmiRegion, connected_blocks, real_section
 
@@ -123,6 +125,7 @@ class SubproblemSolution:
     converged: bool
     stage_objectives: list = field(default_factory=list)
     initial_point_used: bool = False
+    stage_newton: list = field(default_factory=list)  # Newton steps per barrier stage
 
 
 class _Block:
@@ -219,14 +222,8 @@ class ConstraintSet:
     def margins(self, x):
         return [float(np.linalg.eigvalsh(b.value(x))[0]) for b in self.blocks]
 
-    def strictly_feasible(self, x, margin=0.0):
-        for b in self.blocks:
-            L = b.chol(x)
-            if L is None:
-                return False
-            if margin > 0.0 and np.linalg.eigvalsh(b.value(x))[0] <= margin:
-                return False
-        return True
+    def strictly_feasible(self, x):
+        return _barrier(self.blocks, x)[0] is not None
 
 
 class _Objective:
@@ -276,31 +273,42 @@ class _Objective:
         return f, np.concatenate(parts)
 
 
-def _barrier_value(blocks, x):
-    """-sum logdet G_b(x); +inf outside the interior."""
+def _barrier(blocks, x):
+    """(factors, -sum logdet G_b(x)): the Cholesky factor of every block,
+    or (None, +inf) outside the interior."""
+    factors = []
     total = 0.0
     for b in blocks:
         L = b.chol(x)
         if L is None:
-            return np.inf
+            return None, np.inf
         diag = np.diag(L)
         if np.any(diag <= 0.0):
-            return np.inf
+            return None, np.inf
+        factors.append(L)
         total -= 2.0 * float(np.sum(np.log(diag)))
-    return total
+    return factors, total
 
 
-def _barrier_grad_hess(blocks, x, m):
+def _barrier_grad_hess(blocks, x, m, factors=None):
+    """Gradient and Hessian of -sum logdet G_b at x.
+
+    `factors` are the blocks' Cholesky factors at x, as `_barrier` returns
+    them; they are computed here when not given.
+    """
+    if factors is None:
+        factors, _ = _barrier(blocks, x)
+        if factors is None:
+            return None, None
     g = np.zeros(m)
     H = np.zeros((m, m))
-    for b in blocks:
-        L = b.chol(x)
-        if L is None:
+    for b, L in zip(blocks, factors):
+        Li, info = dtrtri(L, lower=1)
+        if info != 0:
             return None, None
-        Y = np.linalg.solve(L[None], b.K)                  # L^-1 K_j
-        Ghat = np.linalg.solve(L[None], Y.transpose(0, 2, 1))
         # Ghat_j = L^-1 K_j L^-T (K_j symmetric), so traces and Gram
         # products below are exact
+        Ghat = Li @ b.K @ Li.T
         g[b.active] -= np.trace(Ghat, axis1=1, axis2=2)
         V = Ghat.reshape(len(b.active), -1)
         H[np.ix_(b.active, b.active)] += V @ V.T
@@ -395,6 +403,7 @@ def solve_subproblem(sp: ConvexSubproblem, init=None, accuracy: float | None = N
     trace_rows = []
     total_newton = 0
     stage_objectives = []
+    stage_newton = []
 
     if not cs.blocks:
         # Unconstrained convex quadratic: one exact Newton solve.
@@ -402,21 +411,25 @@ def solve_subproblem(sp: ConvexSubproblem, init=None, accuracy: float | None = N
         x = x - np.linalg.solve(obj.H + 1e-14 * np.eye(cs.m), g)
         T, J, R = cs.split(x)
         return SubproblemSolution(T, J, R, obj.value(x), 1, 0.0, [], True,
-                                  [obj.value(x)], used_default)
+                                  [obj.value(x)], used_default, [1])
 
     nu = cs.nu
     gap_guess = gap0 if gap0 is not None else f0
     t = max(1e-2, min(1e8, nu / max(gap_guess, eps)))
     converged = False
+    # block factors and barrier value at x, kept from the accepted
+    # line-search trial for the next step
+    factors, phi_b = _barrier(cs.blocks, x)
     while total_newton < MAX_TOTAL_NEWTON:
         # centering at the current t; intermediate stages only need to be
         # roughly central for the x10 growth, the final stage is tightened
         # so the gap bound holds
         is_final = nu / t <= eps
         center_tol = 1e-9 if is_final else 1e-4
+        stage_start = total_newton
         for _ in range(MAX_NEWTON_PER_STAGE):
             f, gf = obj.value_grad(x)
-            gphi, Hphi = _barrier_grad_hess(cs.blocks, x, cs.m)
+            gphi, Hphi = _barrier_grad_hess(cs.blocks, x, cs.m, factors)
             if gphi is None:
                 raise RuntimeError("iterate left the interior; this is a bug")
             g = t * gf + gphi
@@ -426,24 +439,26 @@ def solve_subproblem(sp: ConvexSubproblem, init=None, accuracy: float | None = N
             except np.linalg.LinAlgError:
                 H = H + (1e-12 * (1.0 + np.trace(H) / cs.m)) * np.eye(cs.m)
                 L = np.linalg.cholesky(H)
-            dx = -np.linalg.solve(L.T, np.linalg.solve(L, g))
-            lam2 = float(-g @ dx)
+            dx = -scipy.linalg.cho_solve((L, True), g)
+            slope = float(g @ dx)
             total_newton += 1
-            if lam2 / 2.0 <= center_tol:
+            if -slope / 2.0 <= center_tol:
                 break
-            phi0 = t * f + _barrier_value(cs.blocks, x)
+            phi0 = t * f + phi_b
             s = 1.0
             for _ in range(60):
                 xn = x + s * dx
-                phin = t * obj.value(xn) + _barrier_value(cs.blocks, xn)
-                if phin <= phi0 + ARMIJO * s * (g @ dx):
+                factors_n, phi_bn = _barrier(cs.blocks, xn)
+                if (factors_n is not None
+                        and t * obj.value(xn) + phi_bn <= phi0 + ARMIJO * s * slope):
                     break
                 s *= 0.5
             else:
                 break  # no progress possible at this t
-            x = xn
+            x, factors, phi_b = xn, factors_n, phi_bn
             if total_newton >= MAX_TOTAL_NEWTON:
                 break
+        stage_newton.append(total_newton - stage_start)
         fval = obj.value(x)
         stage_objectives.append(fval)
         gap = nu / t
@@ -463,4 +478,4 @@ def solve_subproblem(sp: ConvexSubproblem, init=None, accuracy: float | None = N
     T, J, R = cs.split(x)
     return SubproblemSolution(T, J, R, obj.value(x), total_newton, nu / t,
                               cs.margins(x), converged, stage_objectives,
-                              used_default)
+                              used_default, stage_newton)

@@ -207,5 +207,24 @@ def sample_feasible_tjr(p, n, rng, psd_R=False, margin=1e-6):
     return T0, J0, R0
 
 
+def barrier_blocks(B, C, T, J, R, delta=0.0, psd_T=True, psd_R=False):
+    """Dense matrices G_b of the subproblem's constraints G_b > 0 at (T, J, R).
+
+    T (when T is a variable), R (when R must be PSD), and the whole region
+    LMI -(B (x) T + (C-C^T) (x) J - (C+C^T) (x) R) - delta I. The solver
+    splits the region LMI into diagonal blocks; logdet, tr(G^-1 dG) and
+    tr(G^-1 dG G^-1 dG) are sums over diagonal blocks, so one matrix
+    stands for all of them. Affine in (T, J, R): with delta = 0 it gives
+    the directional derivative dG of a direction (dT, dJ, dR).
+    """
+    B, C = np.asarray(B, dtype=float), np.asarray(C, dtype=float)
+    blocks = [T] if psd_T else []
+    if psd_R:
+        blocks.append(R)
+    lmi = -(np.kron(B, T) + np.kron(C - C.T, J) - np.kron(C + C.T, R))
+    blocks.append(lmi - delta * np.eye(lmi.shape[0]))
+    return blocks
+
+
 def random_well_conditioned(n, rng, shift=2.0):
     return rng.standard_normal((n, n)) + shift * np.eye(n)

@@ -107,6 +107,17 @@ def test_admissibility_examples():
     assert v2.spectrum.is_impulse_free
 
 
+def test_admissibility_does_not_depend_on_region_scale():
+    pair = MatrixPair(np.eye(2), np.diag([-1.0, 1.0]))
+    tiny = rg.LmiRegion(np.zeros((1, 1)), [[3e-61]])  # the open left half-plane
+    assert not admissibility_check(pair, tiny).admissible
+    assert not admissibility_check(pair, rg.hurwitz()).admissible
+    assert admissibility_check(MatrixPair(np.eye(2), -np.eye(2)), tiny).admissible
+    empty = rg.LmiRegion(np.zeros((1, 1)), np.zeros((1, 1)))
+    v = admissibility_check(MatrixPair(np.eye(2), -np.eye(2)), empty)
+    assert not v.admissible and v.worst_margin == -np.inf
+
+
 def test_eigenvalue_parts_on_left_eigenvectors():
     E = Q = np.eye(2)
     J = np.array([[0.0, 1.0], [-1.0, 0.0]])

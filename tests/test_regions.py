@@ -90,6 +90,26 @@ def test_membership_examples():
     assert rg.membership(dsk, 2.0).status == "outside"
 
 
+def test_membership_is_scale_free_below_unit_scale():
+    """A tiny multiple of (B, C) keeps its interior; scale >= 1 keeps -lambda_max."""
+    tiny = rg.LmiRegion(np.zeros((1, 1)), [[3e-61]])  # the open left half-plane
+    hw = rg.hurwitz()
+    for z in (-1.0, 1.0, -2.0 + 5.0j, 0.5j):
+        m, ref = rg.membership(tiny, z), rg.membership(hw, z)
+        assert m.status == ref.status
+        assert m.margin == pytest.approx(ref.margin, rel=1e-12)
+    big = rg.LmiRegion(4.0 * hw.B, 4.0 * hw.C)
+    assert big.scale == 4.0
+    assert rg.membership(big, -1.0).margin == 8.0
+
+
+def test_all_zero_region_is_empty():
+    empty = rg.LmiRegion(np.zeros((2, 2)), np.zeros((2, 2)))
+    for z in (0.0, -1.0, 1.0 + 1.0j):
+        m = rg.membership(empty, z)
+        assert m.status == "outside" and m.margin == -math.inf
+
+
 def test_membership_agrees_with_geometry():
     rng = np.random.default_rng(1)
     for p in standard_primitives():

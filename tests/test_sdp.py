@@ -5,9 +5,14 @@ import scipy.linalg
 from omegapair import regions as rg
 from omegapair.dh import project_psd, skew, sym
 from omegapair.sdp import (ConstraintSet, ConvexSubproblem, InfeasibleStartError,
-                           initial_point, solve_subproblem)
+                           _barrier, _barrier_grad_hess, initial_point, solve_subproblem)
 
-from _oracles import random_well_conditioned, stability_lmi_blocks
+from _oracles import barrier_blocks, random_well_conditioned, stability_lmi_blocks
+
+
+def _composite():
+    return rg.intersect(rg.vertical_strip(-5.0, 5.0), rg.horizontal_strip(3.0),
+                        rg.left_parabola(6.0, 1.0), rg.right_parabola(-6.0, 1.0))
 
 
 def test_identity_instance_recovers_exact_quadruple():
@@ -106,6 +111,63 @@ def test_stage_objectives_non_increasing():
         assert b <= a + 1e-9 * (1 + abs(a))
 
 
+def test_stage_newton_sums_to_barrier_iterations():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((4, 4)) * 2
+    sp = ConvexSubproblem(np.eye(4), A, np.eye(4), 1.0, rg.schur())
+    cold = solve_subproblem(sp, accuracy=1e-8)
+    warm = solve_subproblem(sp, init=(cold.T, cold.J, cold.R), accuracy=1e-10,
+                            gap0=1e-6)
+    free = solve_subproblem(ConvexSubproblem(np.eye(4), A, np.eye(4), 1.0,
+                                             fixed_T=np.eye(4)))
+    for sol in (cold, warm, free):
+        assert len(sol.stage_newton) == len(sol.stage_objectives)
+        assert sum(sol.stage_newton) == sol.barrier_iterations
+        assert all(k >= 1 for k in sol.stage_newton)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("case", ["schur", "hurwitz_psd_R", "composite", "frozen_T"])
+def test_barrier_derivatives_match_dense_oracle(case, n):
+    """g.dx = -sum tr(G^-1 dG) and dx'H dx = sum tr(G^-1 dG G^-1 dG)."""
+    rng = np.random.default_rng(n)
+    region = {"schur": rg.schur(), "hurwitz_psd_R": rg.hurwitz()}.get(case, _composite())
+    psd_R = case == "hurwitz_psd_R"
+    T_fixed = (np.eye(n) + 0.3 * sym(rng.standard_normal((n, n)))
+               if case == "frozen_T" else None)
+    sp = ConvexSubproblem(np.eye(n), rng.standard_normal((n, n)), np.eye(n), 1.0,
+                          region, require_R_psd=psd_R, fixed_T=T_fixed)
+    cs = ConstraintSet(n, region, psd_R, sp.delta_lmi, T_fixed)
+    x0 = cs.pack(*initial_point(sp, cs))
+
+    def oracle(x, direction=False):
+        """G_b at a point x, or dG_b along a direction x."""
+        T, J, R = cs.split(x)
+        if direction and T_fixed is not None:
+            T = np.zeros((n, n))  # a direction does not move a frozen T
+        return barrier_blocks(region.B, region.C, T, J, R,
+                              0.0 if direction else sp.delta_lmi,
+                              psd_T=T_fixed is None, psd_R=psd_R)
+
+    # a random interior point off the start's symmetric (I, 0, rho I)
+    step = rng.standard_normal(cs.m)
+    while min(np.linalg.eigvalsh(G)[0] for G in oracle(x0 + step)) <= 0.0:
+        step /= 2.0
+    x = x0 + step
+    G = oracle(x)
+    g, H = _barrier_grad_hess(cs.blocks, x, cs.m)
+    g2, H2 = _barrier_grad_hess(cs.blocks, x, cs.m, _barrier(cs.blocks, x)[0])
+    np.testing.assert_array_equal(g, g2)
+    np.testing.assert_array_equal(H, H2)
+    for _ in range(3):
+        dx = rng.standard_normal(cs.m)
+        WdG = [np.linalg.solve(Gb, dGb) for Gb, dGb in zip(G, oracle(dx, direction=True))]
+        first = -sum(np.trace(M) for M in WdG)
+        second = sum(np.trace(M @ M) for M in WdG)
+        assert g @ dx == pytest.approx(first, rel=1e-10)
+        assert dx @ H @ dx == pytest.approx(second, rel=1e-10)
+
+
 def test_returned_point_interior_and_gap():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((3, 3))
@@ -132,7 +194,7 @@ def test_kkt_residual_at_return():
     # primal stationarity: gradient of f matches the conic multipliers
     x = cs.pack(sol.T, sol.J, sol.R)
     t_final = cs.nu / sol.gap_estimate
-    from omegapair.sdp import _barrier_grad_hess, _Objective
+    from omegapair.sdp import _Objective
 
     obj = _Objective(sp, cs)
     _, gf = obj.value_grad(x)
