@@ -6,10 +6,18 @@ open left half-plane needs only PSD cone projections, so an accelerated
 projected gradient with a restart safeguard applies: extrapolated
 gradient steps with a backtracking line search, momentum dropped and the
 step halved whenever the objective fails to decrease.
+
+The iterate, the extrapolated point and the gradient are each one stacked
+(4, n, n) array [T, J, R, Q], so a line-search trial is one array update,
+one `eigh` call on the stacked T and R, and one objective evaluation. The
+stacked operations do the same floating-point operations as the
+per-matrix ones, so the iterates are those of the per-matrix loop bit for
+bit (`tests/_oracles.py` keeps that loop as the reference).
 """
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass
 
@@ -35,7 +43,7 @@ class FgmOptions:
     alpha0: float = 0.5                # momentum seed
     stall_window: int = 3000
     stall_rel_tol: float = 1e-11
-    grad_tol: float = 0.0              # absolute projected-gradient stop, 0 disables
+    grad_tol: float = 0.0              # absolute gradient-norm stop, 0 disables
     trace_every: int = 25
     seed: int = 0                      # power-iteration start
 
@@ -48,42 +56,75 @@ class FgmOptions:
             raise ValueError("alpha0 must be in (0, 1)")
 
 
-def objective(E, A, d: DhParam, mu=1.0) -> float:
-    """||A - (J - R) Q||_F^2 + mu ||E - T Q||_F^2."""
-    return _objective_value(E, A, d.T, d.J, d.R, d.Q, mu)
+# Signs that turn M + s M^T into 2 sym(M), 2 skew(M), 2 sym(M) along (T, J, R).
+_STRUCTURE_SIGNS = np.array([1.0, -1.0, 1.0])[:, None, None]
 
 
-def gradient(E, A, d: DhParam, mu=1.0):
-    """Structured gradient (dT, dJ, dR, dQ) of the objective.
+def _structure(Z, out):
+    """Write sym(T), skew(J), sym(R) of a stack Z = [T, J, R, ...] into the
+    (3, n, n) array `out`; bitwise the per-matrix `sym` and `skew`."""
+    Z3 = Z[:3]
+    np.multiply(Z3.mT, _STRUCTURE_SIGNS, out=out)
+    out += Z3
+    out /= 2.0
+    return out
+
+
+def objective(E, A, X, mu=1.0) -> float:
+    """||A - (J - R) Q||_F^2 + mu ||E - T Q||_F^2 at X = [T, J, R, Q]."""
+    return _objective_value(E, A, X[0], X[1], X[2], X[3], mu)
+
+
+def gradient(E, A, X, mu=1.0):
+    """Structured gradient [dT, dJ, dR, dQ] of the objective at X = [T, J, R, Q].
 
     The T and R blocks are symmetric, the J block skew-symmetric, matching
     directional derivatives along the structured subspaces.
     """
-    res_a = (d.J - d.R) @ d.Q - A
-    res_e = d.T @ d.Q - E
-    GA = res_a @ d.Q.T
-    gT = 2.0 * mu * sym_part(res_e @ d.Q.T)
-    gJ = 2.0 * skew_part(GA)
-    gR = -2.0 * sym_part(GA)
-    gQ = 2.0 * (d.J - d.R).T @ res_a + 2.0 * mu * d.T.T @ res_e
-    return gT, gJ, gR, gQ
+    Q = X[3]
+    P = X[:2].copy()                  # [T, J - R]
+    JR = P[1]
+    JR -= X[2]
+    res = P @ Q                       # [T Q - E, (J - R) Q - A]
+    res_e = res[0]
+    res_e -= E
+    res_a = res[1]
+    res_a -= A
+    K = (res @ Q.T)[[0, 1, 1]]        # [res_e Q^T, res_a Q^T, res_a Q^T]
+    scale = np.array([2.0 * mu, 2.0, -2.0])[:, None, None]
+    G = np.empty_like(X)
+    GS = _structure(K, out=G[:3])
+    GS *= scale
+    P *= scale[:2]                    # [2 mu T, 2 (J - R)]
+    C = P.mT @ res
+    np.add(C[1], C[0], out=G[3])
+    return G
 
 
-def project(T, J, R, Q) -> DhParam:
-    """Project onto the feasible set: T, R onto the PSD cone, J onto skew."""
-    return DhParam(project_psd(T), skew_part(J), project_psd(R), Q)
+def project(Z):
+    """Project Z = [T, J, R, Q] onto the feasible set: T, R onto the PSD cone,
+    J onto skew; Q unchanged. One `eigh` call covers T and R."""
+    X = np.empty_like(Z)
+    _structure(Z, out=X[:3])
+    X[3] = Z[3]
+    TR = X[::2]
+    w, V = np.linalg.eigh(TR)
+    P = (V * np.maximum(w, 0.0)[:, None]) @ V.mT
+    np.divide(P + P.mT, 2.0, out=TR)
+    return X
 
 
-def estimate_lipschitz(E, A, d: DhParam, mu=1.0, iters=25, seed=0):
-    """Power iteration on the Gauss-Newton curvature operator at d.
+def estimate_lipschitz(E, A, X, mu=1.0, iters=25, seed=0):
+    """Power iteration on the Gauss-Newton curvature operator at X = [T, J, R, Q].
 
     The operator maps a structured direction to the derivative of the two
     residuals; twice its largest singular value squared bounds the local
     curvature of the objective and seeds the step size 1 / L.
     """
     rng = np.random.default_rng(seed)
-    n = d.n
-    JR = d.J - d.R
+    T, J, R, Q = X
+    n = Q.shape[0]
+    JR = J - R
     dT = sym_part(rng.standard_normal((n, n)))
     dJ = skew_part(rng.standard_normal((n, n)))
     dR = sym_part(rng.standard_normal((n, n)))
@@ -94,12 +135,13 @@ def estimate_lipschitz(E, A, d: DhParam, mu=1.0, iters=25, seed=0):
         if norm == 0.0:
             break
         dT, dJ, dR, dQ = dT / norm, dJ / norm, dR / norm, dQ / norm
-        ra = (dJ - dR) @ d.Q + JR @ dQ
-        re = dT @ d.Q + d.T @ dQ
-        nT = mu * sym_part(re @ d.Q.T)
-        nJ = skew_part(ra @ d.Q.T)
-        nR = -sym_part(ra @ d.Q.T)
-        nQ = JR.T @ ra + mu * d.T.T @ re
+        ra = (dJ - dR) @ Q + JR @ dQ
+        re = dT @ Q + T @ dQ
+        raQ = ra @ Q.T
+        nT = mu * sym_part(re @ Q.T)
+        nJ = skew_part(raQ)
+        nR = -sym_part(raQ)
+        nQ = JR.T @ ra + mu * T.T @ re
         lam = sum(np.sum(a * b) for a, b in
                   ((nT, dT), (nJ, dJ), (nR, dR), (nQ, dQ)))
         dT, dJ, dR, dQ = nT, nJ, nR, nQ
@@ -107,10 +149,13 @@ def estimate_lipschitz(E, A, d: DhParam, mu=1.0, iters=25, seed=0):
 
 
 def initial_quadruple(E, A):
-    """Q = I with the best (T, J, R) for that Q: PSD-clipped E, the skew
-    part of A, and the PSD-clipped negated symmetric part of A."""
+    """Q = I with the best (T, J, R) for that Q, as a stack [T, J, R, Q]:
+    PSD-clipped E, the skew part of A, and the PSD-clipped negated
+    symmetric part of A; T and R are symmetrized after the clipping, as
+    in `project`."""
     n = E.shape[0]
-    return DhParam(project_psd(E), skew_part(A), project_psd(-sym_part(A)), np.eye(n))
+    return np.stack([sym_part(project_psd(E)), skew_part(A),
+                     sym_part(project_psd(-sym_part(A))), np.eye(n)])
 
 
 def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
@@ -135,8 +180,9 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
     step = 1.0 / L
     step_accept = step
 
-    def rel_of(d):
-        return relative_error(E, A, d.T @ d.Q, (d.J - d.R) @ d.Q)
+    def rel_of(X):
+        T, J, R, Q = X
+        return relative_error(E, A, T @ Q, (J - R) @ Q)
 
     best = X
     fbest = fX
@@ -153,9 +199,9 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
         if _time.perf_counter() - t0 >= opts.max_time_s:
             stop_reason = "time budget"
             break
-        gT, gJ, gR, gQ = gradient(E, A, Y, mu)
+        G = gradient(E, A, Y, mu)
         if opts.grad_tol > 0.0:
-            gnorm = np.sqrt(sum(np.sum(g * g) for g in (gT, gJ, gR, gQ)))
+            gnorm = np.sqrt(sum((g * g).sum() for g in G))
             if gnorm <= opts.grad_tol:
                 stop_reason = "gradient norm"
                 break
@@ -163,10 +209,9 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
         accepted = None
         ls_budget = 100 if it == 0 else opts.ls_max
         for _ in range(ls_budget):
-            cand = project(Y.T - step * gT, Y.J - step * gJ,
-                           Y.R - step * gR, Y.Q - step * gQ)
+            cand = project(Y - step * G)
             fc = objective(E, A, cand, mu)
-            if not np.isfinite(fc):
+            if not math.isfinite(fc):
                 raise FloatingPointError(
                     "objective overflowed during line search; the problem data "
                     "may be badly scaled")
@@ -194,8 +239,7 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
             Xn, fXn = accepted
             alpha_next = (np.sqrt(alpha ** 4 + 4 * alpha ** 2) - alpha ** 2) / 2.0
             beta = alpha * (1.0 - alpha) / (alpha ** 2 + alpha_next)
-            Y = DhParam(Xn.T + beta * (Xn.T - X.T), Xn.J + beta * (Xn.J - X.J),
-                        Xn.R + beta * (Xn.R - X.R), Xn.Q + beta * (Xn.Q - X.Q))
+            Y = Xn + beta * (Xn - X)
             X, fX = Xn, fXn
             alpha = alpha_next
             if fX < fbest:
@@ -212,7 +256,7 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
             stall_anchor = (it, fbest)
 
     d, pair, obj, rel, verdict, shifted = finalize_solution(
-        E, A, best, hurwitz(), mu)
+        E, A, DhParam(*best), hurwitz(), mu)
     # the trace stays the optimization's best-so-far sequence; the boundary
     # repair (when applied) only affects the returned objective
     trace.append((_time.perf_counter() - t0, fbest, rel_of(best)))

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dh import DhParam, dh_to_dict, realize, shift_dissipation
+from .dh import DhParam, dh_to_dict, project_psd, realize, shift_dissipation
 from .pencil import AdmissibilityVerdict, MatrixPair, admissibility_check
 from .regions import LmiRegion
 
@@ -78,7 +78,7 @@ def _objective_value(E, A, T, J, R, Q, mu):
     """||A - (J - R) Q||_F^2 + mu ||E - T Q||_F^2."""
     res_a = A - (J - R) @ Q
     res_e = E - T @ Q
-    return float(np.sum(res_a * res_a) + mu * np.sum(res_e * res_e))
+    return float((res_a * res_a).sum() + mu * (res_e * res_e).sum())
 
 
 def relative_error(E, A, Et, At) -> float:
@@ -108,8 +108,6 @@ def finalize_solution(E, A, d: DhParam, region: LmiRegion, mu,
     verdict = admissibility_check(pair, region, margin_tol=margin_tol)
     shifted = False
     if not verdict.admissible:
-        from .dh import project_psd
-
         T_rep = project_psd(d.T) if psd_T else d.T
         R_rep = d.R
         if np.linalg.eigvalsh(R_rep)[0] > -1e-12 * (1.0 + np.linalg.norm(R_rep)):

@@ -6,6 +6,11 @@ relative to the vertex), never through the (B, C) matrices under test.
 The per-primitive stability blocks and their scalar intervals are the
 paper's closed-form table, written out per kind; the package derives the
 same facts from (B, C), and the tests compare the two.
+
+`fgm_reference` is the projected fast gradient loop written on separate
+T, J, R, Q matrices in plain numpy, with no `omegapair.fgm` import; the
+package runs the same loop on one stacked array, and the tests require
+the two to agree bit for bit.
 """
 
 import math
@@ -228,3 +233,155 @@ def barrier_blocks(B, C, T, J, R, delta=0.0, psd_T=True, psd_R=False):
 
 def random_well_conditioned(n, rng, shift=2.0):
     return rng.standard_normal((n, n)) + shift * np.eye(n)
+
+
+def _sym(M):
+    return (M + M.T) / 2.0
+
+
+def _skew(M):
+    return (M - M.T) / 2.0
+
+
+def _psd(M):
+    w, V = np.linalg.eigh(_sym(M))
+    return (V * np.maximum(w, 0.0)) @ V.T
+
+
+def _quadruple(T, J, R, Q):
+    """A (T, J, R, Q) tuple built as the package's DhParam builds one:
+    T and R symmetrized, J made skew, on every construction."""
+    return _sym(T), _skew(J), _sym(R), np.asarray(Q, dtype=float)
+
+
+def _fgm_objective(E, A, d, mu):
+    T, J, R, Q = d
+    res_a = A - (J - R) @ Q
+    res_e = E - T @ Q
+    return float(np.sum(res_a * res_a) + mu * np.sum(res_e * res_e))
+
+
+def _fgm_gradient(E, A, d, mu):
+    T, J, R, Q = d
+    res_a = (J - R) @ Q - A
+    res_e = T @ Q - E
+    GA = res_a @ Q.T
+    gT = 2.0 * mu * _sym(res_e @ Q.T)
+    gJ = 2.0 * _skew(GA)
+    gR = -2.0 * _sym(GA)
+    gQ = 2.0 * (J - R).T @ res_a + 2.0 * mu * T.T @ res_e
+    return gT, gJ, gR, gQ
+
+
+def _fgm_lipschitz(E, A, d, mu, iters=25, seed=0):
+    rng = np.random.default_rng(seed)
+    T, J, R, Q = d
+    n = T.shape[0]
+    JR = J - R
+    dT = _sym(rng.standard_normal((n, n)))
+    dJ = _skew(rng.standard_normal((n, n)))
+    dR = _sym(rng.standard_normal((n, n)))
+    dQ = rng.standard_normal((n, n))
+    lam = 1.0
+    for _ in range(iters):
+        norm = np.sqrt(sum(np.sum(M * M) for M in (dT, dJ, dR, dQ)))
+        if norm == 0.0:
+            break
+        dT, dJ, dR, dQ = dT / norm, dJ / norm, dR / norm, dQ / norm
+        ra = (dJ - dR) @ Q + JR @ dQ
+        re = dT @ Q + T @ dQ
+        nT = mu * _sym(re @ Q.T)
+        nJ = _skew(ra @ Q.T)
+        nR = -_sym(ra @ Q.T)
+        nQ = JR.T @ ra + mu * T.T @ re
+        lam = sum(np.sum(a * b) for a, b in
+                  ((nT, dT), (nJ, dJ), (nR, dR), (nQ, dQ)))
+        dT, dJ, dR, dQ = nT, nJ, nR, nQ
+    return max(2.0 * abs(lam), 1e-12)
+
+
+def _fgm_relative_error(E, A, d):
+    T, J, R, Q = d
+    num = float(np.sum((A - (J - R) @ Q) ** 2) + np.sum((E - T @ Q) ** 2))
+    return float(np.sqrt(num / float(np.sum(A * A) + np.sum(E * E))))
+
+
+def fgm_reference(E, A, max_iters, mu=1.0, init_step=None, ls_shrink=2.0,
+                  ls_grow=2.0, ls_max=20, alpha0=0.5, stall_window=3000,
+                  stall_rel_tol=1e-11, grad_tol=0.0, trace_every=25, seed=0):
+    """The projected fast gradient loop of `fgm.solve_hurwitz`, written on
+    per-matrix (T, J, R, Q) tuples with one `eigh` per PSD projection and a
+    re-symmetrized tuple after every projection and momentum step.
+
+    Takes `FgmOptions`' fields by name, with no wall-clock budget. Returns
+    the trace rows without their times, (objective, relative error), the
+    iteration count, the stop reason, the best (T, J, R, Q) and the number
+    of line searches that found no descent (restarts).
+    """
+    E = np.asarray(E, dtype=float)
+    A = np.asarray(A, dtype=float)
+    n = E.shape[0]
+    X = _quadruple(_psd(E), _skew(A), _psd(-_sym(A)), np.eye(n))
+    fX = _fgm_objective(E, A, X, mu)
+    L = 1.0 / init_step if init_step is not None else _fgm_lipschitz(E, A, X, mu, seed=seed)
+    step = 1.0 / L
+    step_accept = step
+    best, fbest = X, fX
+    trace = [(fbest, _fgm_relative_error(E, A, best))]
+    Y = X
+    alpha = alpha0
+    fail_streak = restarts = it = 0
+    stall_anchor = (0, fbest)
+    stop_reason = "iteration budget"
+    while it < max_iters:
+        gT, gJ, gR, gQ = _fgm_gradient(E, A, Y, mu)
+        if grad_tol > 0.0:
+            gnorm = np.sqrt(sum(np.sum(g * g) for g in (gT, gJ, gR, gQ)))
+            if gnorm <= grad_tol:
+                stop_reason = "gradient norm"
+                break
+        step *= ls_grow
+        accepted = None
+        for _ in range(100 if it == 0 else ls_max):
+            YT, YJ, YR, YQ = Y
+            cand = _quadruple(_psd(YT - step * gT), _skew(YJ - step * gJ),
+                              _psd(YR - step * gR), YQ - step * gQ)
+            fc = _fgm_objective(E, A, cand, mu)
+            if fc < fX:
+                accepted = (cand, fc)
+                break
+            step /= ls_shrink
+        if accepted is None:
+            fail_streak += 1
+            restarts += 1
+            if fail_streak >= 3:
+                stop_reason = "converged (no descent after restarts)"
+                break
+            Y = X
+            alpha = alpha0
+            if fail_streak == 1:
+                step = step_accept / 2.0
+            else:
+                step = 1.0 / _fgm_lipschitz(E, A, X, mu, seed=seed)
+        else:
+            fail_streak = 0
+            step_accept = step
+            Xn, fXn = accepted
+            alpha_next = (np.sqrt(alpha ** 4 + 4 * alpha ** 2) - alpha ** 2) / 2.0
+            beta = alpha * (1.0 - alpha) / (alpha ** 2 + alpha_next)
+            Y = _quadruple(*(a + beta * (a - b) for a, b in zip(Xn, X)))
+            X, fX = Xn, fXn
+            alpha = alpha_next
+            if fX < fbest:
+                best, fbest = X, fX
+        it += 1
+        if it % trace_every == 0:
+            trace.append((fbest, _fgm_relative_error(E, A, best)))
+        anchor_it, anchor_f = stall_anchor
+        if it - anchor_it >= stall_window:
+            if anchor_f - fbest <= stall_rel_tol * (1.0 + abs(anchor_f)):
+                stop_reason = "objective stall"
+                break
+            stall_anchor = (it, fbest)
+    trace.append((fbest, _fgm_relative_error(E, A, best)))
+    return trace, it, stop_reason, best, restarts

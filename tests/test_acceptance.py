@@ -182,20 +182,19 @@ def test_criterion_7_numerical_analysis_suite():
     n = 4
     for _ in range(20):
         E, A = rng.standard_normal((n, n)), rng.standard_normal((n, n))
-        d = DhParam(sym(rng.standard_normal((n, n))), skew(rng.standard_normal((n, n))),
-                    sym(rng.standard_normal((n, n))), rng.standard_normal((n, n)))
+        X = np.stack([sym(rng.standard_normal((n, n))), skew(rng.standard_normal((n, n))),
+                      sym(rng.standard_normal((n, n))), rng.standard_normal((n, n))])
         mu = float(rng.uniform(0.5, 2.0))
-        gT, gJ, gR, gQ = gradient(E, A, d, mu)
+        gT, gJ, gR, gQ = gradient(E, A, X, mu)
         dT = sym(rng.standard_normal((n, n)))
         dJ = skew(rng.standard_normal((n, n)))
         dR = sym(rng.standard_normal((n, n)))
         dQ = rng.standard_normal((n, n))
-        scale = 1 + max(np.linalg.norm(M) for M in (d.T, d.J, d.R, d.Q))
+        D = np.stack([dT, dJ, dR, dQ])
+        scale = 1 + max(np.linalg.norm(M) for M in X)
         h = 1e-6 * scale
-        fp = objective(E, A, DhParam(d.T + h * dT, d.J + h * dJ, d.R + h * dR,
-                                     d.Q + h * dQ), mu)
-        fm = objective(E, A, DhParam(d.T - h * dT, d.J - h * dJ, d.R - h * dR,
-                                     d.Q - h * dQ), mu)
+        fp = objective(E, A, X + h * D, mu)
+        fm = objective(E, A, X - h * D, mu)
         fd = (fp - fm) / (2 * h)
         an = (np.sum(gT * dT) + np.sum(gJ * dJ) + np.sum(gR * dR) + np.sum(gQ * dQ))
         worst_fd = max(worst_fd, abs(fd - an) / (1 + abs(an)))

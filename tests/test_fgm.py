@@ -2,18 +2,25 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from _oracles import fgm_reference
 from omegapair import regions as rg
-from omegapair.dh import DhParam, project_psd, skew, sym
+from omegapair.bench import grcar
+from omegapair.dh import project_psd, skew, sym
 from omegapair.fgm import (FgmOptions, estimate_lipschitz, gradient,
                            initial_quadruple, objective, project, solve_hurwitz)
 from omegapair.pencil import admissibility_check
 
 
+def _random_point(rng, n):
+    return np.stack([sym(rng.standard_normal((n, n))), skew(rng.standard_normal((n, n))),
+                     sym(rng.standard_normal((n, n))), rng.standard_normal((n, n))])
+
+
 def test_objective_exact_cases():
-    d = DhParam(np.eye(2), np.zeros((2, 2)), np.eye(2), np.eye(2))
-    assert objective(np.eye(2), -np.eye(2), d) == 0.0
-    d0 = DhParam(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2))
-    assert objective(np.eye(2), np.zeros((2, 2)), d0) == 0.0
+    X = np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2), np.eye(2)])
+    assert objective(np.eye(2), -np.eye(2), X) == 0.0
+    X0 = np.stack([np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2)])
+    assert objective(np.eye(2), np.zeros((2, 2)), X0) == 0.0
 
 
 def test_objective_matches_elementwise_recomputation():
@@ -21,27 +28,29 @@ def test_objective_matches_elementwise_recomputation():
     n = 4
     for _ in range(10):
         E, A = rng.standard_normal((n, n)), rng.standard_normal((n, n))
-        d = DhParam(sym(rng.standard_normal((n, n))), skew(rng.standard_normal((n, n))),
-                    sym(rng.standard_normal((n, n))), rng.standard_normal((n, n)))
+        X = _random_point(rng, n)
+        T, J, R, Q = X
         mu = float(rng.uniform(0.5, 2.0))
-        ra = A - (d.J - d.R) @ d.Q
-        re = E - d.T @ d.Q
+        ra = A - (J - R) @ Q
+        re = E - T @ Q
         by_hand = sum(ra[i, j] ** 2 for i in range(n) for j in range(n)) \
             + mu * sum(re[i, j] ** 2 for i in range(n) for j in range(n))
-        assert objective(E, A, d, mu) == pytest.approx(by_hand, rel=1e-12)
+        assert objective(E, A, X, mu) == pytest.approx(by_hand, rel=1e-12)
 
 
 def test_gradient_vanishes_at_global_minimizer():
-    d = DhParam(np.eye(3), np.zeros((3, 3)), np.eye(3), np.eye(3))
-    pair_E, pair_A = d.T @ d.Q, (d.J - d.R) @ d.Q
-    for g in gradient(pair_E, pair_A, d):
+    X = np.stack([np.eye(3), np.zeros((3, 3)), np.eye(3), np.eye(3)])
+    T, J, R, Q = X
+    pair_E, pair_A = T @ Q, (J - R) @ Q
+    G = gradient(pair_E, pair_A, X)
+    assert G.shape == X.shape
+    for g in G:
         np.testing.assert_allclose(g, 0.0, atol=1e-14)
 
 
-def _fd_gradient(E, A, d, mu, dT, dJ, dR, dQ, h):
+def _fd_gradient(E, A, X, mu, D, h):
     def f(s):
-        return objective(E, A, DhParam(d.T + s * dT, d.J + s * dJ,
-                                       d.R + s * dR, d.Q + s * dQ), mu)
+        return objective(E, A, X + s * D, mu)
     return (f(h) - f(-h)) / (2 * h)
 
 
@@ -50,16 +59,13 @@ def test_gradient_matches_central_finite_differences():
     n = 4
     for _ in range(20):
         E, A = rng.standard_normal((n, n)), rng.standard_normal((n, n))
-        d = DhParam(sym(rng.standard_normal((n, n))), skew(rng.standard_normal((n, n))),
-                    sym(rng.standard_normal((n, n))), rng.standard_normal((n, n)))
+        X = _random_point(rng, n)
         mu = float(rng.uniform(0.5, 2.0))
-        gT, gJ, gR, gQ = gradient(E, A, d, mu)
-        dT = sym(rng.standard_normal((n, n)))
-        dJ = skew(rng.standard_normal((n, n)))
-        dR = sym(rng.standard_normal((n, n)))
-        dQ = rng.standard_normal((n, n))
-        scale = 1 + max(np.linalg.norm(M) for M in (d.T, d.J, d.R, d.Q))
-        fd = _fd_gradient(E, A, d, mu, dT, dJ, dR, dQ, 1e-6 * scale)
+        gT, gJ, gR, gQ = gradient(E, A, X, mu)
+        D = _random_point(rng, n)
+        dT, dJ, dR, dQ = D
+        scale = 1 + max(np.linalg.norm(M) for M in X)
+        fd = _fd_gradient(E, A, X, mu, D, 1e-6 * scale)
         analytic = (np.sum(gT * dT) + np.sum(gJ * dJ) + np.sum(gR * dR)
                     + np.sum(gQ * dQ))
         assert fd == pytest.approx(analytic, rel=1e-5, abs=1e-8 * scale)
@@ -69,20 +75,20 @@ def test_gradient_mu_linearity():
     rng = np.random.default_rng(2)
     n = 3
     E, A = rng.standard_normal((n, n)), rng.standard_normal((n, n))
-    d = DhParam(sym(rng.standard_normal((n, n))), skew(rng.standard_normal((n, n))),
-                sym(rng.standard_normal((n, n))), rng.standard_normal((n, n)))
-    gT1, _, _, gQ1 = gradient(E, A, d, 1.0)
-    gT2, _, _, gQ2 = gradient(E, A, d, 2.0)
+    X = _random_point(rng, n)
+    T, J, R, Q = X
+    gT1, _, _, gQ1 = gradient(E, A, X, 1.0)
+    gT2, _, _, gQ2 = gradient(E, A, X, 2.0)
     np.testing.assert_allclose(gT2, 2.0 * gT1, atol=1e-12)
     # the E-residual part of the Q gradient doubles; isolate it by
     # subtracting the A-residual part (mu-independent)
-    gQ_a = 2.0 * (d.J - d.R).T @ ((d.J - d.R) @ d.Q - A)
+    gQ_a = 2.0 * (J - R).T @ ((J - R) @ Q - A)
     np.testing.assert_allclose(gQ2 - gQ_a, 2.0 * (gQ1 - gQ_a), atol=1e-10)
 
 
 def test_project_examples():
-    d = project(np.eye(2), np.zeros((2, 2)), np.diag([1.0, -1.0]), np.eye(2))
-    np.testing.assert_allclose(d.R, np.diag([1.0, 0.0]), atol=1e-14)
+    X = project(np.stack([np.eye(2), np.zeros((2, 2)), np.diag([1.0, -1.0]), np.eye(2)]))
+    np.testing.assert_allclose(X[2], np.diag([1.0, 0.0]), atol=1e-14)
 
     rng = np.random.default_rng(3)
     T = sym(rng.standard_normal((3, 3)))
@@ -91,34 +97,34 @@ def test_project_examples():
     R = sym(rng.standard_normal((3, 3)))
     R = R @ R.T
     Q = rng.standard_normal((3, 3))
-    d = project(T, J, R, Q)
-    np.testing.assert_allclose(d.T, T, atol=1e-12)
-    np.testing.assert_allclose(d.J, J, atol=1e-14)
-    np.testing.assert_allclose(d.R, R, atol=1e-12)
-    np.testing.assert_allclose(d.Q, Q)
+    X = project(np.stack([T, J, R, Q]))
+    np.testing.assert_allclose(X[0], T, atol=1e-12)
+    np.testing.assert_allclose(X[1], J, atol=1e-14)
+    np.testing.assert_allclose(X[2], R, atol=1e-12)
+    np.testing.assert_allclose(X[3], Q)
 
     M = sym(rng.standard_normal((2, 2)))
     w, V = np.linalg.eigh(M)
     oracle = V @ np.diag(np.maximum(w, 0)) @ V.T
-    np.testing.assert_allclose(project(M, np.zeros((2, 2)), M, np.eye(2)).T,
+    np.testing.assert_allclose(project(np.stack([M, np.zeros((2, 2)), M, np.eye(2)]))[0],
                                oracle, atol=1e-12)
 
 
 def test_initialization_rule():
     rng = np.random.default_rng(4)
     E, A = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
-    d = initial_quadruple(E, A)
-    np.testing.assert_allclose(d.Q, np.eye(4))
-    np.testing.assert_allclose(d.T, project_psd(E), atol=1e-12)
-    np.testing.assert_allclose(d.J, skew(A), atol=1e-14)
-    np.testing.assert_allclose(d.R, project_psd(-sym(A)), atol=1e-12)
+    T, J, R, Q = initial_quadruple(E, A)
+    np.testing.assert_allclose(Q, np.eye(4))
+    np.testing.assert_allclose(T, project_psd(E), atol=1e-12)
+    np.testing.assert_allclose(J, skew(A), atol=1e-14)
+    np.testing.assert_allclose(R, project_psd(-sym(A)), atol=1e-12)
 
 
 def test_estimate_lipschitz_identity_case():
     # at (T, J, R, Q) = (I, 0, I, I) with A = -I the extremal direction is
     # dT = dR = s, dQ = 2s for symmetric s, giving curvature 2 * 3 = 6
-    d = DhParam(np.eye(3), np.zeros((3, 3)), np.eye(3), np.eye(3))
-    L = estimate_lipschitz(np.eye(3), -np.eye(3), d, 1.0, iters=200)
+    X = np.stack([np.eye(3), np.zeros((3, 3)), np.eye(3), np.eye(3)])
+    L = estimate_lipschitz(np.eye(3), -np.eye(3), X, 1.0, iters=200)
     assert L == pytest.approx(6.0, rel=1e-3)
 
 
@@ -177,3 +183,52 @@ def test_option_validation():
         FgmOptions(alpha0=1.5)
     with pytest.raises(ValueError):
         FgmOptions(ls_shrink=1.0)
+
+
+def _assert_matches_reference(E, A, opts):
+    res = solve_hurwitz(E, A, opts)
+    trace, iterations, stop_reason, best, restarts = fgm_reference(
+        E, A, opts.max_iters, mu=opts.mu, trace_every=opts.trace_every, seed=opts.seed)
+    assert res.iterations == iterations
+    assert res.stop_reason == stop_reason
+    assert len(res.trace) == len(trace)
+    for row, ref in zip(res.trace, trace):
+        assert np.array_equal(row[1:], ref)
+    assert not res.shifted
+    for M, ref in zip((res.dh.T, res.dh.J, res.dh.R, res.dh.Q), best):
+        assert np.array_equal(M, ref)
+    return restarts
+
+
+def test_stacked_loop_matches_per_matrix_reference_on_grcar():
+    pair = grcar(10, 2)
+    _assert_matches_reference(pair.E, pair.A, FgmOptions(max_iters=300, max_time_s=1e9))
+
+
+def test_stacked_loop_matches_per_matrix_reference_through_a_restart():
+    rng = np.random.default_rng(1)
+    E, A = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
+    restarts = _assert_matches_reference(E, A, FgmOptions(max_iters=300, max_time_s=1e9))
+    assert restarts >= 1
+
+
+def test_grad_tol_stops_on_gradient_norm():
+    # a stable pair: the optimum is interior with objective 0, so the raw
+    # gradient vanishes there
+    rng = np.random.default_rng(8)
+    E = np.eye(4) + 0.1 * rng.standard_normal((4, 4))
+    A = -2.0 * np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+    res = solve_hurwitz(E, A, FgmOptions(max_iters=20_000, max_time_s=1e9, grad_tol=1e-6))
+    assert res.stop_reason == "gradient norm"
+    assert res.converged
+    assert res.iterations < 20_000
+
+
+def test_small_stall_window_stops_on_objective_stall():
+    rng = np.random.default_rng(9)
+    E, A = rng.standard_normal((4, 4)), rng.standard_normal((4, 4)) + np.eye(4)
+    res = solve_hurwitz(E, A, FgmOptions(max_iters=20_000, max_time_s=1e9,
+                                         stall_window=20, stall_rel_tol=1e-3))
+    assert res.stop_reason == "objective stall"
+    assert res.converged
+    assert res.iterations % 20 == 0 and res.iterations < 20_000
