@@ -20,7 +20,7 @@ from .bcd import BcdOptions, solve_general
 from .dh import DhParam
 from .fgm import FgmOptions, solve_hurwitz
 from .pencil import MatrixPair, spectrum
-from .regions import LmiRegion, characteristic_matrix, region_from_dict
+from .regions import LmiRegion, membership_margins, region_from_dict
 from .result import relative_error, write_trace
 
 __all__ = [
@@ -212,34 +212,29 @@ def _csv_cell(v):
     return str(v)
 
 
-def _lam_max(region, z):
-    return float(np.linalg.eigvalsh(characteristic_matrix(region, z))[-1])
-
-
 def region_plot_data(region: LmiRegion, pairs, bounds, nx=161, ny=121,
                      out_dir=".", tol=1e-6):
     """Emit eigenvalue scatters and a region boundary point cloud as CSV.
 
-    The boundary is located where the largest eigenvalue of the
-    characteristic matrix changes sign between neighbouring grid nodes,
-    refined by bisection along the connecting segment to `tol`.
-    Returns the mapping of emitted file paths.
+    The boundary is located where the membership margin (the largest
+    eigenvalue of the characteristic matrix, negated and scaled) changes
+    sign between neighbouring grid nodes, refined by bisection along the
+    connecting segment to `tol`. Returns the mapping of emitted file paths.
     """
     os.makedirs(out_dir, exist_ok=True)
     xmin, xmax, ymin, ymax = bounds
     xs = np.linspace(xmin, xmax, nx)
     ys = np.linspace(ymin, ymax, ny)
-    vals = np.array([[_lam_max(region, x + 1j * y) for x in xs] for y in ys])
+    margins = np.array([membership_margins(region, xs + 1j * y) for y in ys])
 
     def bisect(z_a, z_b):
-        f_a = _lam_max(region, z_a)
+        inside_a = membership_margins(region, [z_a])[0] > 0.0
         for _ in range(80):
             if abs(z_b - z_a) < tol:
                 break
             mid = (z_a + z_b) / 2.0
-            f_mid = _lam_max(region, mid)
-            if (f_mid < 0.0) == (f_a < 0.0):
-                z_a, f_a = mid, f_mid
+            if (membership_margins(region, [mid])[0] > 0.0) == inside_a:
+                z_a = mid
             else:
                 z_b = mid
         return (z_a + z_b) / 2.0
@@ -252,7 +247,7 @@ def region_plot_data(region: LmiRegion, pairs, bounds, nx=161, ny=121,
                 if jx >= nx or jy >= ny:
                     continue
                 z1 = xs[jx] + 1j * ys[jy]
-                if np.sign(vals[iy, ix]) * np.sign(vals[jy, jx]) < 0:
+                if np.sign(margins[iy, ix]) * np.sign(margins[jy, jx]) < 0:
                     boundary.append(bisect(z0, z1))
 
     files = {}

@@ -255,8 +255,10 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
                 break
             stall_anchor = (it, fbest)
 
+    # DhParam copies T, J and R when it symmetrizes them; copying Q too
+    # keeps the result from holding the whole (4, n, n) stack
     d, pair, obj, rel, verdict, shifted = finalize_solution(
-        E, A, DhParam(*best), hurwitz(), mu)
+        E, A, DhParam(*best[:3], best[3].copy()), hurwitz(), mu)
     # the trace stays the optimization's best-so-far sequence; the boundary
     # repair (when applied) only affects the returned objective
     trace.append((_time.perf_counter() - t0, fbest, rel_of(best)))

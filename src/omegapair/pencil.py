@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .regions import DEFAULT_MARGIN_TOL, LmiRegion, membership
+from .regions import DEFAULT_MARGIN_TOL, LmiRegion, membership_margins
 
 __all__ = [
     "MatrixPair",
@@ -59,22 +60,58 @@ class MatrixPair:
 
 @dataclass
 class SpectrumReport:
-    """Eigenvalue classification of a pencil with the tolerances that made it."""
+    """Eigenvalue classification of a pencil with the tolerances that made it.
+
+    `residuals` and `residuals_left` are computed on first read, from one
+    QZ with eigenvectors of `pair`; the admissibility verdict does not
+    need them.
+    """
 
     finite_eigenvalues: np.ndarray  # complex, length num_finite
-    residuals: np.ndarray           # right eigenvector residuals, per finite eigenvalue
-    residuals_left: np.ndarray      # left eigenvector residuals, per finite eigenvalue
     num_infinite: int
     rank_E: int
     is_regular: bool
     is_impulse_free: bool
     rank_tol: float
     beta_tol: float
-    regularity_witness: complex | None = None
+    regularity_witness: complex | None
+    pair: MatrixPair = field(repr=False)
+    scale: float  # sigma_max(E) + sigma_max(A)
 
     @property
     def num_finite(self) -> int:
         return len(self.finite_eigenvalues)
+
+    @cached_property
+    def _eigenvectors(self):
+        """(lam, V, W): the finite eigenvalues with their right and left
+        eigenvectors as columns, split by the same beta test as `spectrum`."""
+        ab, vl, vr = scipy.linalg.eig(self.pair.A, self.pair.E, left=True, right=True,
+                                      homogeneous_eigvals=True)
+        alpha, beta = ab[0], ab[1]
+        finite = np.abs(beta) > self.beta_tol * self.scale
+        return alpha[finite] / beta[finite], vr[:, finite], vl[:, finite]
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        """||lam E v - A v|| / ||v|| per finite eigenvalue."""
+        lam, V, _ = self._eigenvectors
+        E, A = self.pair.E, self.pair.A
+        return _column_residuals((E @ V) * lam - A @ V, V)
+
+    @cached_property
+    def residuals_left(self) -> np.ndarray:
+        """||lam w* E - w* A|| / ||w|| per finite eigenvalue."""
+        lam, _, W = self._eigenvectors
+        E, A = self.pair.E, self.pair.A
+        Wh = W.conj().T
+        return _column_residuals(((Wh @ E) * lam[:, None] - Wh @ A).T, W)
+
+
+def _column_residuals(R, V):
+    """Column norms of R over the column norms of V (over 1 for a zero column)."""
+    nv = np.linalg.norm(V, axis=0)
+    return np.linalg.norm(R, axis=0) / np.where(nv > 0, nv, 1.0)
 
 
 @dataclass
@@ -93,44 +130,37 @@ def spectrum(pair: MatrixPair, rank_tol: float | None = None,
     An eigenvalue (alpha_i, beta_i) from the QZ reduction counts as finite
     when |beta_i| > beta_tol * (||E|| + ||A||); rank(E) comes from the
     singular values with threshold rank_tol (default n * eps * sigma_max).
+    The QZ computes eigenvalues only, and the singular values of E and of
+    A (one SVD each) give the scale, rank(E) and the regularity test's
+    sample at s = 0.
     """
     E, A = pair.E, pair.A
     n = pair.n
-    scale = scipy.linalg.norm(E, 2) + scipy.linalg.norm(A, 2)
-
-    sv = scipy.linalg.svdvals(E)
+    sv_E = scipy.linalg.svdvals(E)
+    sv_A = scipy.linalg.svdvals(A)
+    scale = _largest(sv_E) + _largest(sv_A)
     if rank_tol is None:
-        rank_tol = n * np.finfo(float).eps * (sv[0] if len(sv) else 0.0)
-    rank_E = int(np.sum(sv > rank_tol))
+        rank_tol = n * np.finfo(float).eps * _largest(sv_E)
+    rank_E = int(np.sum(sv_E > rank_tol))
 
-    regular, witness = regularity_check(pair)
+    regular, witness = _regularity(E, A, scale, sv_A, REGULARITY_TOL)
 
     if scale == 0.0:
-        return SpectrumReport(np.zeros(0, complex), np.zeros(0), np.zeros(0),
-                              n, 0, False, False, rank_tol, beta_tol, witness)
+        return SpectrumReport(np.zeros(0, complex), n, 0, False, False, rank_tol, beta_tol,
+                              witness, pair, scale)
 
-    ab, vl, vr = scipy.linalg.eig(A, E, left=True, right=True,
-                                  homogeneous_eigvals=True)
-    alpha, beta = ab[0], ab[1]
+    alpha, beta = scipy.linalg.eig(A, E, left=False, right=False, homogeneous_eigvals=True)
     finite_mask = np.abs(beta) > beta_tol * scale
     lam = alpha[finite_mask] / beta[finite_mask]
 
-    res = np.empty(len(lam))
-    res_l = np.empty(len(lam))
-    vfin = vr[:, finite_mask]
-    wfin = vl[:, finite_mask]
-    for i, lv in enumerate(lam):
-        v = vfin[:, i]
-        nv = np.linalg.norm(v)
-        res[i] = np.linalg.norm(lv * (E @ v) - A @ v) / (nv if nv > 0 else 1.0)
-        w = wfin[:, i]
-        nw = np.linalg.norm(w)
-        res_l[i] = np.linalg.norm(lv * (w.conj() @ E) - w.conj() @ A) / (nw if nw > 0 else 1.0)
-
     num_infinite = int(np.sum(~finite_mask))
     is_impulse_free = regular and (len(lam) == rank_E)
-    return SpectrumReport(lam, res, res_l, num_infinite, rank_E, regular,
-                          is_impulse_free, rank_tol, beta_tol, witness)
+    return SpectrumReport(lam, num_infinite, rank_E, regular, is_impulse_free, rank_tol,
+                          beta_tol, witness, pair, scale)
+
+
+def _largest(sv) -> float:
+    return float(sv[0]) if len(sv) else 0.0
 
 
 def regularity_check(pair: MatrixPair, tol: float = REGULARITY_TOL):
@@ -140,8 +170,14 @@ def regularity_check(pair: MatrixPair, tol: float = REGULARITY_TOL):
     well-conditioned sample certifies regularity, numerical singularity at
     every sample is taken as singular.
     """
-    E, A = pair.E, pair.A
-    scale = scipy.linalg.norm(E, 2) + scipy.linalg.norm(A, 2)
+    sv_A = scipy.linalg.svdvals(pair.A)
+    scale = _largest(scipy.linalg.svdvals(pair.E)) + _largest(sv_A)
+    return _regularity(pair.E, pair.A, scale, sv_A, tol)
+
+
+def _regularity(E, A, scale, sv_A, tol):
+    """`regularity_check` given scale = sigma_max(E) + sigma_max(A) and the
+    singular values sv_A of A, whose smallest is the sample at s = 0."""
     if scale == 0.0:
         return False, None
     rng = np.random.default_rng(_REGULARITY_SEED)
@@ -149,7 +185,7 @@ def regularity_check(pair: MatrixPair, tol: float = REGULARITY_TOL):
     samples += list(rng.standard_normal(8) + 1j * rng.standard_normal(8))
     best = (-np.inf, None)
     for s in samples:
-        smin = scipy.linalg.svdvals(s * E - A)[-1]
+        smin = sv_A[-1] if s == 0.0 else scipy.linalg.svdvals(s * E - A)[-1]
         rel = smin / scale
         if rel > best[0]:
             best = (rel, s)
@@ -173,8 +209,7 @@ def admissibility_check(pair: MatrixPair, region: LmiRegion,
     if rep.is_regular and not rep.is_impulse_free:
         reasons.append(
             f"not impulse-free: {rep.num_finite} finite eigenvalues != rank(E) = {rep.rank_E}")
-    margins = np.array([membership(region, z, margin_tol).margin
-                        for z in rep.finite_eigenvalues])
+    margins = membership_margins(region, rep.finite_eigenvalues)
     worst = float(margins.min()) if len(margins) else np.inf
     if len(margins) and worst < -margin_tol:
         bad = rep.finite_eigenvalues[int(np.argmin(margins))]

@@ -40,6 +40,7 @@ __all__ = [
     "intersect",
     "characteristic_matrix",
     "membership",
+    "membership_margins",
     "uniform_part_nonempty",
     "real_section",
     "connected_blocks",
@@ -309,25 +310,37 @@ def intersect(*regions) -> LmiRegion:
 
 def characteristic_matrix(region: LmiRegion, z: complex) -> np.ndarray:
     """Evaluate B + C z + C^T conj(z); Hermitian by construction."""
-    z = complex(z)
+    return _characteristic_stack(region, [z])[0]
+
+
+def _characteristic_stack(region: LmiRegion, points) -> np.ndarray:
+    """The characteristic matrices of the points as one (k, m, m) array."""
+    z = np.asarray(points, dtype=complex).reshape(-1, 1, 1)
     F = region.B + region.C * z + region.C.T * np.conj(z)
-    return (F + F.conj().T) / 2.0
+    return (F + np.conj(np.swapaxes(F, 1, 2))) / 2.0
 
 
-def membership(region: LmiRegion, z: complex,
-               margin_tol: float = DEFAULT_MARGIN_TOL) -> Membership:
-    """Classify z by the largest eigenvalue of the characteristic matrix.
+def membership_margins(region: LmiRegion, points) -> np.ndarray:
+    """Membership margins of a vector of points, from one stacked eigvalsh.
 
-    margin is -lambda_max / min(1, scale), so positive margins mean
+    The margin of z is -lambda_max / min(1, scale), lambda_max the largest
+    eigenvalue of its characteristic matrix, so positive margins mean
     strictly inside. The division keeps a region given by a tiny multiple
-    of (B, C) from reading as all boundary under the absolute margin_tol;
+    of (B, C) from reading as all boundary under an absolute tolerance;
     for scale >= 1 the margin is -lambda_max itself. All-zero (B, C) is
     the empty set: every point is outside, at margin -inf.
     """
     if region.scale == 0.0:
-        return Membership("outside", -math.inf)
-    lam_max = float(np.linalg.eigvalsh(characteristic_matrix(region, z))[-1])
-    margin = -lam_max / min(1.0, region.scale)
+        return np.full(np.size(points), -math.inf)
+    lam_max = np.linalg.eigvalsh(_characteristic_stack(region, points))[:, -1]
+    return -lam_max / min(1.0, region.scale)
+
+
+def membership(region: LmiRegion, z: complex,
+               margin_tol: float = DEFAULT_MARGIN_TOL) -> Membership:
+    """Classify z by its margin from `membership_margins`: inside above
+    margin_tol, outside below -margin_tol, boundary between."""
+    margin = float(membership_margins(region, [z])[0])
     if margin > margin_tol:
         status = "inside"
     elif margin < -margin_tol:

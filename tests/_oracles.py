@@ -149,6 +149,20 @@ def geometric_membership(p, z):
     raise ValueError(k)
 
 
+def lam_max_margin(B, C, z):
+    """Membership margin of one point z for the region {B + C z + C^T z* < 0}:
+    -lambda_max of the Hermitian part of B + z C + conj(z) C^T, divided by
+    min(1, s) with s the largest absolute entry of (B, C); -inf when
+    (B, C) is all zero (the empty region)."""
+    s = max(np.abs(B).max(), np.abs(C).max())
+    if s == 0.0:
+        return -math.inf
+    z = complex(z)
+    F = B + z * C + np.conj(z) * C.T
+    H = (F + F.conj().T) / 2.0
+    return -float(np.linalg.eigvalsh(H)[-1]) / min(1.0, s)
+
+
 # One representative parameter choice per primitive kind, placed so each
 # region meets the left half-plane (needed by the sufficiency suite).
 def standard_primitives():

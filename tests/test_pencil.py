@@ -67,6 +67,26 @@ def test_eigenvector_residuals_small_on_random_regular_pairs():
                 assert res_l <= bound
 
 
+def test_residuals_pair_with_the_reported_eigenvalues():
+    """The eigenvalue-only QZ of `spectrum` and the eigenvector QZ behind
+    the residuals give the same finite eigenvalues, bit for bit."""
+    rng = np.random.default_rng(10)
+    pairs = [MatrixPair(random_well_conditioned(n, rng), rng.standard_normal((n, n)))
+             for n in (3, 6, 12) for _ in range(5)]
+    U, V = random_well_conditioned(5, rng), random_well_conditioned(5, rng)
+    pairs.append(MatrixPair(U @ np.diag([1.0, 1.0, 1.0, 0.0, 0.0]) @ V,
+                            U @ np.diag([-1.0, -2.0, 3.0, 1.0, 1.0]) @ V))
+    for pair in pairs:
+        rep = spectrum(pair)
+        lam, _, _ = rep._eigenvectors
+        assert np.array_equal(rep.finite_eigenvalues, lam)
+        assert len(rep.residuals) == len(rep.residuals_left) == rep.num_finite
+    assert rep.num_finite == 3 and rep.num_infinite == 2
+    # the verdict does not compute eigenvectors
+    verdict = admissibility_check(pairs[0], rg.hurwitz())
+    assert "_eigenvectors" not in vars(verdict.spectrum)
+
+
 def test_dh_pairs_with_definite_R_are_admissible():
     rng = np.random.default_rng(11)
     hw = rg.hurwitz()

@@ -9,7 +9,7 @@ from omegapair import regions as rg
 from omegapair.dh import region_lmi, skew, sym
 
 from _oracles import (TABLE_BLOCK_SCALE, geometric_membership, initial_scalar_interval,
-                      stability_lmi_blocks, standard_primitives)
+                      lam_max_margin, stability_lmi_blocks, standard_primitives)
 
 
 def test_disk_matrices_match_reference():
@@ -108,6 +108,27 @@ def test_all_zero_region_is_empty():
     for z in (0.0, -1.0, 1.0 + 1.0j):
         m = rg.membership(empty, z)
         assert m.status == "outside" and m.margin == -math.inf
+
+
+def test_membership_margins_equal_per_point_oracle():
+    """The stacked margins are the per-point oracle's, bit for bit, and
+    `membership` reports the same margin point by point."""
+    rng = np.random.default_rng(21)
+    z = np.concatenate([4.0 * rng.standard_normal(40) + 4.0j * rng.standard_normal(40),
+                        4.0 * rng.standard_normal(10), [0.0, 1.0, -1.0, 3.0j]])
+    composite = rg.intersect(rg.vertical_strip(-5.0, 5.0), rg.horizontal_strip(3.0),
+                             rg.left_parabola(6.0, 1.0), rg.right_parabola(-6.0, 1.0))
+    raw = rg.LmiRegion([[-1.0, 0.3], [0.3, -2.0]], [[0.5, -0.2], [0.7, 0.1]])
+    regions = [rg.from_primitive(p) for p in standard_primitives()]
+    regions += [composite, raw, rg.LmiRegion(1e-3 * raw.B, 1e-3 * raw.C),
+                rg.LmiRegion(np.zeros((2, 2)), np.zeros((2, 2)))]
+    for r in regions:
+        expected = np.array([lam_max_margin(r.B, r.C, zz) for zz in z])
+        got = rg.membership_margins(r, z)
+        assert np.array_equal(got, expected), r
+        assert [rg.membership(r, zz).margin for zz in z] == expected.tolist()
+        assert rg.membership_margins(r, []).shape == (0,)
+    assert regions[-2].scale < 1.0
 
 
 def test_membership_agrees_with_geometry():
