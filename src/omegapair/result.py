@@ -103,8 +103,17 @@ def finalize_solution(E, A, d: DhParam, region: LmiRegion, mu,
     wrong side) and the dissipation gets a tiny definite shift. The repair
     moves the pair by O(1e-10), so it can only rescue boundary solutions;
     a result that still fails is returned flagged, never silently upgraded.
+    A numerically singular Q gives the pair (T Q, (J - R) Q) flagged
+    non-admissible, with Q's reciprocal condition as the reason.
     """
-    pair = realize(d)
+    try:
+        pair = realize(d)
+    except np.linalg.LinAlgError as err:
+        # the repair keeps Q, so it cannot help here
+        pair = MatrixPair(d.T @ d.Q, (d.J - d.R) @ d.Q)
+        return (d, pair, _objective_value(E, A, d.T, d.J, d.R, d.Q, mu),
+                relative_error(E, A, pair.E, pair.A),
+                AdmissibilityVerdict(False, [str(err)]), False)
     verdict = admissibility_check(pair, region, margin_tol=margin_tol)
     shifted = False
     if not verdict.admissible:

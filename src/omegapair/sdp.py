@@ -8,9 +8,19 @@ For a fixed invertible Q the problem
 
 is a convex quadratic over the symmetric/skew/symmetric triple (T, J, R)
 with affine semidefinite constraints. It is solved by path-following:
-damped Newton steps on  t*f(x) - sum_b logdet(G_b(x))  with the barrier
+Newton steps on  psi(x) = t*f(x) - sum_b logdet(G_b(x))  with the barrier
 parameter t increased by a fixed factor until the duality-gap bound
 nu / t drops below the requested accuracy.
+
+Each Newton direction dx is followed by an exact line search. With
+L_b L_b^T = G_b(x) and mu the eigenvalues of L_b^-1 dG_b L_b^-T over all
+blocks (dG_b the change of G_b along dx),
+
+    psi(x + s dx) - psi(x) = t (s gf.dx + s^2/2 dx'H_f dx) - sum log(1 + s mu),
+
+because f is quadratic. The step s minimizes this scalar function on
+[0, 0.99 s_max], s_max = 1 / max(-mu) being where the first block turns
+singular; the blocks are factored once, at the accepted point.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ __all__ = [
 BARRIER_GROWTH = 10.0
 MAX_NEWTON_PER_STAGE = 60
 MAX_TOTAL_NEWTON = 4000
-ARMIJO = 0.3
+MAX_LINE_NEWTON = 50  # scalar Newton steps per line search
 
 
 class InfeasibleStartError(RuntimeError):
@@ -223,7 +233,7 @@ class ConstraintSet:
         return [float(np.linalg.eigvalsh(b.value(x))[0]) for b in self.blocks]
 
     def strictly_feasible(self, x):
-        return _barrier(self.blocks, x)[0] is not None
+        return _barrier(self.blocks, x) is not None
 
 
 class _Objective:
@@ -274,45 +284,91 @@ class _Objective:
 
 
 def _barrier(blocks, x):
-    """(factors, -sum logdet G_b(x)): the Cholesky factor of every block,
-    or (None, +inf) outside the interior."""
+    """The Cholesky factor of every block G_b(x), or None outside the
+    interior."""
     factors = []
-    total = 0.0
     for b in blocks:
         L = b.chol(x)
-        if L is None:
-            return None, np.inf
-        diag = np.diag(L)
-        if np.any(diag <= 0.0):
-            return None, np.inf
+        if L is None or np.any(np.diag(L) <= 0.0):
+            return None
         factors.append(L)
-        total -= 2.0 * float(np.sum(np.log(diag)))
-    return factors, total
+    return factors
 
 
 def _barrier_grad_hess(blocks, x, m, factors=None):
-    """Gradient and Hessian of -sum logdet G_b at x.
+    """Gradient and Hessian of -sum logdet G_b at x, and the inverses of
+    the blocks' Cholesky factors.
 
     `factors` are the blocks' Cholesky factors at x, as `_barrier` returns
     them; they are computed here when not given.
     """
     if factors is None:
-        factors, _ = _barrier(blocks, x)
+        factors = _barrier(blocks, x)
         if factors is None:
-            return None, None
+            return None, None, None
     g = np.zeros(m)
     H = np.zeros((m, m))
+    inverses = []
     for b, L in zip(blocks, factors):
         Li, info = dtrtri(L, lower=1)
         if info != 0:
-            return None, None
+            return None, None, None
+        inverses.append(Li)
         # Ghat_j = L^-1 K_j L^-T (K_j symmetric), so traces and Gram
         # products below are exact
         Ghat = Li @ b.K @ Li.T
         g[b.active] -= np.trace(Ghat, axis1=1, axis2=2)
         V = Ghat.reshape(len(b.active), -1)
         H[np.ix_(b.active, b.active)] += V @ V.T
-    return g, H
+    return g, H, inverses
+
+
+def _step_spectrum(blocks, inverses, dx):
+    """Eigenvalues mu of L_b^-1 dG_b L_b^-T over all blocks, where dG_b is
+    the change of G_b along dx and L_b^-1 the block's inverse factor at x.
+
+    G_b(x + s dx) = L_b (I + s L_b^-1 dG_b L_b^-T) L_b^T, so the barrier
+    changes by -sum log(1 + s mu) and x + s dx stays interior exactly for
+    s < 1 / max(-mu).
+    """
+    return np.concatenate([
+        np.linalg.eigvalsh(Li @ np.einsum("k,kij->ij", dx[b.active], b.K) @ Li.T)
+        for b, Li in zip(blocks, inverses)])
+
+
+def _line_merit(s, t, slope_f, curv_f, mu):
+    """psi(x + s dx) - psi(x) for psi = t f - sum logdet G_b, and its first
+    and second derivative in s, from slope_f = gf.dx, curv_f = dx'H_f dx
+    and the step spectrum mu."""
+    w = mu / (1.0 + s * mu)
+    return (t * (s * slope_f + 0.5 * s * s * curv_f) - float(np.sum(np.log1p(s * mu))),
+            t * (slope_f + s * curv_f) - float(np.sum(w)),
+            t * curv_f + float(w @ w))
+
+
+def _line_step(t, slope_f, curv_f, mu):
+    """The minimizer of `_line_merit` over s in [0, 0.99 s_max].
+
+    The merit is self-concordant in s, so Newton steps damped by
+    1 / (1 + lambda) (lambda the scalar Newton decrement) stay inside the
+    interior and turn quadratic once lambda < 1/4. Needs a descent
+    direction: t slope_f - sum mu < 0.
+    """
+    worst = float(mu.min())
+    cap = 0.99 / -worst if worst < 0.0 else math.inf
+    s = 0.0
+    for _ in range(MAX_LINE_NEWTON):
+        _, d1, d2 = _line_merit(s, t, slope_f, curv_f, mu)
+        lam = abs(d1) / math.sqrt(d2)
+        step = -d1 / d2
+        if lam >= 0.25:
+            step /= 1.0 + lam
+        s_next = min(s + step, cap)
+        done = s_next == s or lam < 1e-10
+        s = s_next
+        if done:
+            break
+    return s
 
 
 def initial_point(sp: ConvexSubproblem, cs: ConstraintSet | None = None,
@@ -417,19 +473,19 @@ def solve_subproblem(sp: ConvexSubproblem, init=None, accuracy: float | None = N
     gap_guess = gap0 if gap0 is not None else f0
     t = max(1e-2, min(1e8, nu / max(gap_guess, eps)))
     converged = False
-    # block factors and barrier value at x, kept from the accepted
-    # line-search trial for the next step
-    factors, phi_b = _barrier(cs.blocks, x)
+    # block factors at x, kept from the accepted point for the next step
+    factors = _barrier(cs.blocks, x)
     while total_newton < MAX_TOTAL_NEWTON:
         # centering at the current t; intermediate stages only need to be
         # roughly central for the x10 growth, the final stage is tightened
-        # so the gap bound holds
+        # so the gap bound holds and must meet it to count as converged
         is_final = nu / t <= eps
         center_tol = 1e-9 if is_final else 1e-4
+        centered = False
         stage_start = total_newton
         for _ in range(MAX_NEWTON_PER_STAGE):
-            f, gf = obj.value_grad(x)
-            gphi, Hphi = _barrier_grad_hess(cs.blocks, x, cs.m, factors)
+            _, gf = obj.value_grad(x)
+            gphi, Hphi, inverses = _barrier_grad_hess(cs.blocks, x, cs.m, factors)
             if gphi is None:
                 raise RuntimeError("iterate left the interior; this is a bug")
             g = t * gf + gphi
@@ -440,22 +496,21 @@ def solve_subproblem(sp: ConvexSubproblem, init=None, accuracy: float | None = N
                 H = H + (1e-12 * (1.0 + np.trace(H) / cs.m)) * np.eye(cs.m)
                 L = np.linalg.cholesky(H)
             dx = -scipy.linalg.cho_solve((L, True), g)
-            slope = float(g @ dx)
             total_newton += 1
-            if -slope / 2.0 <= center_tol:
+            if -float(g @ dx) / 2.0 <= center_tol:
+                centered = True
                 break
-            phi0 = t * f + phi_b
-            s = 1.0
-            for _ in range(60):
-                xn = x + s * dx
-                factors_n, phi_bn = _barrier(cs.blocks, xn)
-                if (factors_n is not None
-                        and t * obj.value(xn) + phi_bn <= phi0 + ARMIJO * s * slope):
-                    break
+            s = _line_step(t, float(gf @ dx), float(dx @ obj.H @ dx),
+                           _step_spectrum(cs.blocks, inverses, dx))
+            xn = x + s * dx
+            factors_n = _barrier(cs.blocks, xn)
+            while factors_n is None:  # a block lost definiteness to rounding
                 s *= 0.5
-            else:
+                xn = x + s * dx
+                factors_n = _barrier(cs.blocks, xn)
+            if np.array_equal(xn, x):
                 break  # no progress possible at this t
-            x, factors, phi_b = xn, factors_n, phi_bn
+            x, factors = xn, factors_n
             if total_newton >= MAX_TOTAL_NEWTON:
                 break
         stage_newton.append(total_newton - stage_start)
@@ -465,7 +520,7 @@ def solve_subproblem(sp: ConvexSubproblem, init=None, accuracy: float | None = N
         if trace_path is not None:
             trace_rows.append((total_newton, fval, gap, min(cs.margins(x))))
         if gap <= eps:
-            converged = True
+            converged = centered
             break
         t *= BARRIER_GROWTH
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from omegapair import bcd, sdp
 from omegapair import regions as rg
 from omegapair.bcd import BcdDiagnostics, BcdOptions, solve_general, update_Q
-from omegapair.bench import msd
+from omegapair.bench import grcar, msd
 from omegapair.dh import skew, sym
 from omegapair.fgm import FgmOptions, solve_hurwitz
 from omegapair.pencil import admissibility_check
@@ -94,6 +95,24 @@ def test_final_pair_verification():
     assert res.admissibility.margins.min() >= -1e-6
     # independent re-check of the flag
     assert admissibility_check(res.pair, rg.schur(), margin_tol=1e-6).admissible
+
+
+def test_grcar_disk_subproblems_converge_inside_the_stage_cap(monkeypatch):
+    """Every barrier stage of the paper's Grcar(10,1) disk solve centers
+    before MAX_NEWTON_PER_STAGE, so every subproblem converges."""
+    solutions = []
+
+    def recording(*args, **kwargs):
+        solutions.append(sdp.solve_subproblem(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(bcd, "solve_subproblem", recording)
+    pair = grcar(10, 1)
+    solve_general(pair.E, pair.A, rg.schur(),
+                  BcdOptions(max_outer_iters=20, max_time_s=120.0))
+    assert solutions
+    assert all(sol.converged for sol in solutions)
+    assert max(max(sol.stage_newton) for sol in solutions) < sdp.MAX_NEWTON_PER_STAGE
 
 
 def test_left_half_plane_region_forces_psd_R():

@@ -8,6 +8,7 @@ from omegapair.dh import (Certificate, DhParam, certify_admissibility,
                           project_psd, realize, region_lmi, region_lmi_pair,
                           shift_dissipation, skew, sym, verify_certificate)
 from omegapair.pencil import MatrixPair, admissibility_check, spectrum
+from omegapair.result import finalize_solution
 
 from _oracles import random_well_conditioned, sample_feasible_tjr, standard_primitives
 
@@ -36,6 +37,22 @@ def test_realize_rejects_singular_Q():
     d = DhParam(np.eye(2), np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)))
     with pytest.raises(np.linalg.LinAlgError):
         realize(d)
+
+
+def test_finalize_flags_singular_Q_instead_of_raising():
+    rng = np.random.default_rng(2)
+    Q = random_well_conditioned(3, rng)
+    Q[:, 1] = 0.0
+    d = DhParam(np.eye(3), skew(rng.standard_normal((3, 3))), np.eye(3), Q)
+    E, A = np.eye(3), rng.standard_normal((3, 3))
+    d2, pair, obj, rel, verdict, shifted = finalize_solution(E, A, d, rg.schur(), 1.0)
+    assert not verdict.admissible and not shifted
+    assert len(verdict.reasons) == 1 and "reciprocal condition" in verdict.reasons[0]
+    assert d2 is d
+    np.testing.assert_array_equal(pair.E, d.T @ Q)
+    np.testing.assert_array_equal(pair.A, (d.J - d.R) @ Q)
+    assert obj == pytest.approx(np.sum((A - pair.A) ** 2) + np.sum((E - pair.E) ** 2))
+    assert rel == pytest.approx(np.sqrt(obj / (np.sum(A * A) + np.sum(E * E))))
 
 
 def test_dhparam_symmetrizes_on_construction():

@@ -3,9 +3,11 @@ import pytest
 import scipy.linalg
 
 from omegapair import regions as rg
+from omegapair import sdp
 from omegapair.dh import project_psd, skew, sym
-from omegapair.sdp import (ConstraintSet, ConvexSubproblem, InfeasibleStartError,
-                           _barrier, _barrier_grad_hess, initial_point, solve_subproblem)
+from omegapair.sdp import (ConstraintSet, ConvexSubproblem, InfeasibleStartError, _barrier,
+                           _barrier_grad_hess, _line_merit, _Objective, _step_spectrum,
+                           initial_point, solve_subproblem)
 
 from _oracles import barrier_blocks, random_well_conditioned, stability_lmi_blocks
 
@@ -126,10 +128,10 @@ def test_stage_newton_sums_to_barrier_iterations():
         assert all(k >= 1 for k in sol.stage_newton)
 
 
-@pytest.mark.parametrize("n", [3, 5])
-@pytest.mark.parametrize("case", ["schur", "hurwitz_psd_R", "composite", "frozen_T"])
-def test_barrier_derivatives_match_dense_oracle(case, n):
-    """g.dx = -sum tr(G^-1 dG) and dx'H dx = sum tr(G^-1 dG G^-1 dG)."""
+def _interior_case(case, n):
+    """A subproblem of one of four constraint layouts, a random interior
+    point x off the start's symmetric (I, 0, rho I), the dense-oracle
+    blocks, and the generator for further draws."""
     rng = np.random.default_rng(n)
     region = {"schur": rg.schur(), "hurwitz_psd_R": rg.hurwitz()}.get(case, _composite())
     psd_R = case == "hurwitz_psd_R"
@@ -149,14 +151,23 @@ def test_barrier_derivatives_match_dense_oracle(case, n):
                               0.0 if direction else sp.delta_lmi,
                               psd_T=T_fixed is None, psd_R=psd_R)
 
-    # a random interior point off the start's symmetric (I, 0, rho I)
     step = rng.standard_normal(cs.m)
     while min(np.linalg.eigvalsh(G)[0] for G in oracle(x0 + step)) <= 0.0:
         step /= 2.0
-    x = x0 + step
+    return sp, cs, oracle, x0 + step, rng
+
+
+CASES = ["schur", "hurwitz_psd_R", "composite", "frozen_T"]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("case", CASES)
+def test_barrier_derivatives_match_dense_oracle(case, n):
+    """g.dx = -sum tr(G^-1 dG) and dx'H dx = sum tr(G^-1 dG G^-1 dG)."""
+    sp, cs, oracle, x, rng = _interior_case(case, n)
     G = oracle(x)
-    g, H = _barrier_grad_hess(cs.blocks, x, cs.m)
-    g2, H2 = _barrier_grad_hess(cs.blocks, x, cs.m, _barrier(cs.blocks, x)[0])
+    g, H, _ = _barrier_grad_hess(cs.blocks, x, cs.m)
+    g2, H2, _ = _barrier_grad_hess(cs.blocks, x, cs.m, _barrier(cs.blocks, x))
     np.testing.assert_array_equal(g, g2)
     np.testing.assert_array_equal(H, H2)
     for _ in range(3):
@@ -168,6 +179,53 @@ def test_barrier_derivatives_match_dense_oracle(case, n):
         assert dx @ H @ dx == pytest.approx(second, rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("case", CASES)
+def test_line_merit_matches_dense_oracle(case, n):
+    """The closed-form psi(x + s dx) - psi(x) equals t (f(x + s dx) - f(x))
+    minus the change of sum logdet G_b, its s-derivatives equal
+    t gf.dx - sum tr(G^-1 dG) and t dx'H_f dx + sum tr(G^-1 dG G^-1 dG)
+    at x + s dx, and s_max = 1 / max(-mu) is where the first block turns
+    singular."""
+    sp, cs, oracle, x, rng = _interior_case(case, n)
+    t = 7.0
+    obj = _Objective(sp, cs)
+
+    def f(x):
+        T, J, R = cs.split(x)
+        res_a = sp.A - (J - R) @ sp.Q
+        res_e = sp.E - T @ sp.Q
+        return np.sum(res_a * res_a) + sp.mu * np.sum(res_e * res_e)
+
+    def logdet(x):
+        signs, logs = zip(*(np.linalg.slogdet(G) for G in oracle(x)))
+        assert all(sign == 1.0 for sign in signs)
+        return sum(logs)
+
+    def definite(x):
+        return min(np.linalg.eigvalsh(G)[0] for G in oracle(x)) > 0.0
+
+    _, gf = obj.value_grad(x)
+    _, _, inverses = _barrier_grad_hess(cs.blocks, x, cs.m)
+    for _ in range(3):
+        dx = rng.standard_normal(cs.m)
+        mu = _step_spectrum(cs.blocks, inverses, dx)
+        assert mu.min() < 0.0
+        s_max = 1.0 / -mu.min()
+        for frac in (0.1, 0.5, 0.9):
+            s = frac * s_max
+            xs = x + s * dx
+            WdG = [np.linalg.solve(G, dG)
+                   for G, dG in zip(oracle(xs), oracle(dx, direction=True))]
+            dense = (t * (f(xs) - f(x)) - (logdet(xs) - logdet(x)),
+                     t * (obj.value_grad(xs)[1] @ dx) - sum(np.trace(M) for M in WdG),
+                     t * (dx @ obj.H @ dx) + sum(np.trace(M @ M) for M in WdG))
+            closed = _line_merit(s, t, gf @ dx, dx @ obj.H @ dx, mu)
+            assert closed == pytest.approx(dense, rel=1e-9)
+        assert definite(x + 0.999 * s_max * dx)
+        assert not definite(x + 1.001 * s_max * dx)
+
+
 def test_returned_point_interior_and_gap():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((3, 3))
@@ -177,6 +235,18 @@ def test_returned_point_interior_and_gap():
     assert sol.converged
     assert sol.gap_estimate <= eps
     assert all(m > 0 for m in sol.margins)
+
+
+def test_final_stage_short_of_centering_is_not_converged(monkeypatch):
+    rng = np.random.default_rng(4)
+    sp = ConvexSubproblem(np.eye(3), rng.standard_normal((3, 3)), np.eye(3), 1.0,
+                          rg.schur())
+    assert solve_subproblem(sp, accuracy=1e-7).converged
+    monkeypatch.setattr(sdp, "MAX_NEWTON_PER_STAGE", 1)
+    sol = solve_subproblem(sp, accuracy=1e-7)
+    assert sol.stage_newton[-1] == 1
+    assert sol.gap_estimate <= 1e-7
+    assert not sol.converged
 
 
 def test_kkt_residual_at_return():
@@ -194,11 +264,9 @@ def test_kkt_residual_at_return():
     # primal stationarity: gradient of f matches the conic multipliers
     x = cs.pack(sol.T, sol.J, sol.R)
     t_final = cs.nu / sol.gap_estimate
-    from omegapair.sdp import _Objective
-
     obj = _Objective(sp, cs)
     _, gf = obj.value_grad(x)
-    gphi, _ = _barrier_grad_hess(cs.blocks, x, cs.m)
+    gphi, _, _ = _barrier_grad_hess(cs.blocks, x, cs.m)
     resid = np.linalg.norm(gf + gphi / t_final)
     scale = 1.0 + np.linalg.norm(gf) + sol.objective
     assert resid <= np.sqrt(eps) * scale
