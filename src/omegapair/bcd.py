@@ -18,7 +18,8 @@ import numpy as np
 
 from .dh import DhParam
 from .regions import LmiRegion, in_closed_left_half_plane
-from .result import SolveResult, _objective_value, finalize_solution, relative_error
+from .result import (SolveResult, _objective_value, _realized_relative_error,
+                     finalize_solution)
 from .sdp import ConstraintSet, ConvexSubproblem, solve_subproblem
 
 __all__ = ["BcdOptions", "BcdDiagnostics", "update_Q", "solve_general"]
@@ -104,9 +105,6 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
     def elapsed():
         return _time.perf_counter() - t_start
 
-    def rel_of(T, J, R, Q):
-        return relative_error(E, A, T @ Q, (J - R) @ Q)
-
     Q = np.eye(n) if opts.fix_Q is None else np.asarray(opts.fix_Q, dtype=float)
     scale0 = 1.0 + float(np.sum(A * A) + mu * np.sum(E * E))
     sp = ConvexSubproblem(E, A, Q, mu, region, require_R_psd, delta, opts.fix_T)
@@ -117,7 +115,7 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
 
     best = (T, J, R, Q)
     fbest = f
-    trace = [(elapsed(), fbest, rel_of(*best))]
+    trace = [(elapsed(), fbest, _realized_relative_error(E, A, *best))]
     prev = (T, J, R, Q)
     fhist = [f]
     k = 1
@@ -171,7 +169,7 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
         T, J, R, Q, f = Tn, Jn, Rn, Qn, fn
         if f < fbest:
             best, fbest = (T, J, R, Q), f
-        trace.append((elapsed(), fbest, rel_of(*best)))
+        trace.append((elapsed(), fbest, _realized_relative_error(E, A, *best)))
         fhist.append(fbest)
         if len(fhist) > opts.stall_outer:
             recent = fhist[-(opts.stall_outer + 1):]
@@ -183,13 +181,6 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
     else:
         stop_reason = "iteration budget"
 
-    d = DhParam(best[0], best[1], best[2], best[3])
-    d, pair, obj, rel, verdict, shifted = finalize_solution(E, A, d, region, mu)
-    # the trace stays the optimization's best-so-far sequence; the boundary
-    # repair (when applied) only affects the returned objective
-    trace.append((elapsed(), fbest, rel_of(*best)))
-    return SolveResult(dh=d, pair=pair, objective=obj, relative_error=rel,
-                       iterations=k - 1, admissible=verdict.admissible,
-                       admissibility=verdict, trace=trace, algorithm="bcd",
-                       mu=mu, converged="budget" not in stop_reason,
-                       shifted=shifted, stop_reason=stop_reason)
+    return finalize_solution(E, A, DhParam(*best), region, mu, algorithm="bcd",
+                             iterations=k - 1, stop_reason=stop_reason, trace=trace,
+                             t0=t_start)

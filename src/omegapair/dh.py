@@ -31,7 +31,6 @@ __all__ = [
     "certify_admissibility",
     "dh_from_certificate",
     "verify_certificate",
-    "shift_dissipation",
     "dh_to_dict",
     "dh_from_dict",
 ]
@@ -315,17 +314,6 @@ def verify_certificate(cert: Certificate, pair: MatrixPair, region: LmiRegion,
 
     ok = all(c.ok for c in conds)
     return SufficiencyVerdict(ok, conds, None)
-
-
-def shift_dissipation(d: DhParam, delta: float | None = None) -> DhParam:
-    """Shift R to R + delta I to restore strict definiteness.
-
-    Default delta is 1e-10 * ||R||; the realized A moves by delta * ||Q||
-    at most, which is the accepted price for a certifiable solution.
-    """
-    if delta is None:
-        delta = 1e-10 * np.linalg.norm(d.R)
-    return DhParam(d.T, d.J, d.R + delta * np.eye(d.n), d.Q)
 
 
 def dh_to_dict(d: DhParam):

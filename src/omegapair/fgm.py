@@ -25,7 +25,8 @@ import numpy as np
 
 from .dh import DhParam, project_psd, skew as skew_part, sym as sym_part
 from .regions import hurwitz
-from .result import SolveResult, _objective_value, finalize_solution, relative_error
+from .result import (SolveResult, _objective_value, _realized_relative_error,
+                     finalize_solution)
 
 __all__ = ["FgmOptions", "objective", "gradient", "project", "solve_hurwitz",
            "estimate_lipschitz"]
@@ -163,9 +164,9 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
 
     Runs the accelerated projected gradient from the standard starting
     point until the time or iteration budget runs out or the best
-    objective stalls, then realizes the best quadruple, checks
-    admissibility, and applies the dissipation shift if that check fails
-    with a singular R.
+    objective stalls, then realizes and checks the best quadruple; a
+    boundary optimum that fails the check comes back with T and R lifted
+    to a definite floor when the lifted pair passes.
     """
     opts = opts if opts is not None else FgmOptions()
     E = np.asarray(E, dtype=float)
@@ -180,13 +181,9 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
     step = 1.0 / L
     step_accept = step
 
-    def rel_of(X):
-        T, J, R, Q = X
-        return relative_error(E, A, T @ Q, (J - R) @ Q)
-
     best = X
     fbest = fX
-    trace = [(0.0, fbest, rel_of(best))]
+    trace = [(0.0, fbest, _realized_relative_error(E, A, *best))]
     Y = X
     alpha = opts.alpha0
     fail_streak = 0
@@ -247,7 +244,8 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
 
         it += 1
         if it % opts.trace_every == 0:
-            trace.append((_time.perf_counter() - t0, fbest, rel_of(best)))
+            trace.append((_time.perf_counter() - t0, fbest,
+                          _realized_relative_error(E, A, *best)))
         anchor_it, anchor_f = stall_anchor
         if it - anchor_it >= opts.stall_window:
             if anchor_f - fbest <= opts.stall_rel_tol * (1.0 + abs(anchor_f)):
@@ -257,13 +255,6 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
 
     # DhParam copies T, J and R when it symmetrizes them; copying Q too
     # keeps the result from holding the whole (4, n, n) stack
-    d, pair, obj, rel, verdict, shifted = finalize_solution(
-        E, A, DhParam(*best[:3], best[3].copy()), hurwitz(), mu)
-    # the trace stays the optimization's best-so-far sequence; the boundary
-    # repair (when applied) only affects the returned objective
-    trace.append((_time.perf_counter() - t0, fbest, rel_of(best)))
-    return SolveResult(dh=d, pair=pair, objective=obj, relative_error=rel,
-                       iterations=it, admissible=verdict.admissible,
-                       admissibility=verdict, trace=trace, algorithm="fgm",
-                       mu=mu, converged="budget" not in stop_reason,
-                       shifted=shifted, stop_reason=stop_reason)
+    return finalize_solution(E, A, DhParam(*best[:3], best[3].copy()), hurwitz(), mu,
+                             algorithm="fgm", iterations=it, stop_reason=stop_reason,
+                             trace=trace, t0=t0)

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dh import DhParam, dh_to_dict, project_psd, realize, shift_dissipation
+from .dh import DhParam, dh_to_dict, project_psd, realize
 from .pencil import AdmissibilityVerdict, MatrixPair, admissibility_check
 from .regions import LmiRegion
 
@@ -15,10 +16,18 @@ __all__ = ["SolveResult", "write_trace", "read_trace", "relative_error",
            "finalize_solution"]
 
 TRACE_HEADER = "time_s,objective,relative_error"
+VERIFY_MARGIN = 1e-6  # boundary tolerance of the finish's admissibility check
+LIFT_DELTA = 1e-12    # relative eigenvalue floor of the finish's PSD lift
 
 
 @dataclass
 class SolveResult:
+    """A solve's quadruple, realized pair, verdict and best-so-far trace.
+
+    `shifted` means the finish lifted T and R (see `finalize_solution`);
+    the trace always belongs to the unlifted iterates.
+    """
+
     dh: DhParam
     pair: MatrixPair
     objective: float
@@ -92,43 +101,64 @@ def relative_error(E, A, Et, At) -> float:
     return float(np.sqrt(num / denom))
 
 
-def finalize_solution(E, A, d: DhParam, region: LmiRegion, mu,
-                      margin_tol: float = 1e-6, psd_T: bool = True):
-    """Realize, verify, and if needed repair a final quadruple.
+def _realized_relative_error(E, A, T, J, R, Q) -> float:
+    """Relative error of the pair (T Q, (J - R) Q) realized by a quadruple."""
+    return relative_error(E, A, T @ Q, (J - R) @ Q)
 
-    Returns (dh, pair, objective, relative_error, verdict, shifted). When
-    the realized pair fails the admissibility check, a boundary repair is
-    attempted: the PSD blocks are re-clipped at zero (roundoff can leave
-    eigenvalues at -1e-16, which flips near-infinite eigenvalues to the
-    wrong side) and the dissipation gets a tiny definite shift. The repair
-    moves the pair by O(1e-10), so it can only rescue boundary solutions;
-    a result that still fails is returned flagged, never silently upgraded.
-    A numerically singular Q gives the pair (T Q, (J - R) Q) flagged
-    non-admissible, with Q's reciprocal condition as the reason.
+
+def _fit(E, A, d: DhParam, mu):
+    """(objective, relative error) of a quadruple."""
+    return (_objective_value(E, A, d.T, d.J, d.R, d.Q, mu),
+            _realized_relative_error(E, A, d.T, d.J, d.R, d.Q))
+
+
+def _lifted(d: DhParam) -> DhParam:
+    """d with T, and R unless it is clearly indefinite, lifted to PSD with
+    every eigenvalue at least LIFT_DELTA * max(1, lambda_max)."""
+    def lift(M):
+        return project_psd(M, LIFT_DELTA * max(1.0, np.linalg.eigvalsh(M)[-1]))
+
+    R = d.R
+    if np.linalg.eigvalsh(R)[0] > -1e-12 * (1.0 + np.linalg.norm(R)):
+        R = lift(R)
+    return DhParam(lift(d.T), d.J, R, d.Q)
+
+
+def finalize_solution(E, A, d: DhParam, region: LmiRegion, mu, *, algorithm,
+                      iterations, stop_reason, trace, t0) -> SolveResult:
+    """Realize and verify a solver's final quadruple, lifting it if needed.
+
+    Appends the closing trace row (time since `t0` on `time.perf_counter`,
+    objective and relative error of `d`) and returns the SolveResult. When
+    the pair fails the admissibility check, the quadruple is lifted
+    (`_lifted`): roundoff can leave T or R of a boundary optimum a few
+    ulps indefinite, which flips near-infinite eigenvalues to the wrong
+    side. The lift moves the pair by about LIFT_DELTA relative and is kept,
+    with `shifted=True`, only if its pair passes the same check; otherwise
+    the unlifted result comes back flagged. A numerically singular Q gives
+    the pair (T Q, (J - R) Q) flagged, with Q's reciprocal condition as
+    the reason.
     """
+    closing = _fit(E, A, d, mu)
+    shifted = False
     try:
         pair = realize(d)
     except np.linalg.LinAlgError as err:
-        # the repair keeps Q, so it cannot help here
+        # the lift keeps Q, so it cannot help here
         pair = MatrixPair(d.T @ d.Q, (d.J - d.R) @ d.Q)
-        return (d, pair, _objective_value(E, A, d.T, d.J, d.R, d.Q, mu),
-                relative_error(E, A, pair.E, pair.A),
-                AdmissibilityVerdict(False, [str(err)]), False)
-    verdict = admissibility_check(pair, region, margin_tol=margin_tol)
-    shifted = False
-    if not verdict.admissible:
-        T_rep = project_psd(d.T) if psd_T else d.T
-        R_rep = d.R
-        if np.linalg.eigvalsh(R_rep)[0] > -1e-12 * (1.0 + np.linalg.norm(R_rep)):
-            R_rep = project_psd(R_rep)
-        d_rep = shift_dissipation(
-            DhParam(T_rep, d.J, R_rep, d.Q),
-            delta=1e-10 * max(np.linalg.norm(d.R), 1.0))
-        pair_rep = realize(d_rep)
-        verdict_rep = admissibility_check(pair_rep, region,
-                                          margin_tol=margin_tol)
-        if verdict_rep.admissible:
-            d, pair, verdict, shifted = d_rep, pair_rep, verdict_rep, True
-    obj = _objective_value(E, A, d.T, d.J, d.R, d.Q, mu)
-    rel = relative_error(E, A, pair.E, pair.A)
-    return d, pair, obj, rel, verdict, shifted
+        verdict = AdmissibilityVerdict(False, [str(err)])
+    else:
+        verdict = admissibility_check(pair, region, margin_tol=VERIFY_MARGIN)
+        if not verdict.admissible:
+            lifted = _lifted(d)
+            pair_l = realize(lifted)
+            verdict_l = admissibility_check(pair_l, region, margin_tol=VERIFY_MARGIN)
+            if verdict_l.admissible:
+                d, pair, verdict, shifted = lifted, pair_l, verdict_l, True
+    obj, rel = _fit(E, A, d, mu) if shifted else closing
+    trace.append((_time.perf_counter() - t0, *closing))
+    return SolveResult(dh=d, pair=pair, objective=obj, relative_error=rel,
+                       iterations=iterations, admissible=verdict.admissible,
+                       admissibility=verdict, trace=trace, algorithm=algorithm,
+                       mu=mu, converged="budget" not in stop_reason,
+                       shifted=shifted, stop_reason=stop_reason)

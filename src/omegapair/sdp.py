@@ -371,8 +371,7 @@ def _line_step(t, slope_f, curv_f, mu):
     return s
 
 
-def initial_point(sp: ConvexSubproblem, cs: ConstraintSet | None = None,
-                  interior_margin: float | None = None):
+def initial_point(sp: ConvexSubproblem, cs: ConstraintSet | None = None):
     """A strictly feasible (T, J, R), by scalar search R = rho I at T = I.
 
     At (I, 0, rho I) the region LMI reads B - rho (C + C^T) < 0, so rho
@@ -418,8 +417,7 @@ def initial_point(sp: ConvexSubproblem, cs: ConstraintSet | None = None,
         worst = min(cs.margins(x)) if cs.blocks else math.inf
         if worst > best[0]:
             best = (worst, rho)
-    needed = interior_margin if interior_margin is not None else 10.0 * sp.delta_lmi * 1e-3
-    if best[0] <= max(needed, 0.0) and cs.blocks:
+    if best[0] <= max(10.0 * sp.delta_lmi * 1e-3, 0.0) and cs.blocks:
         raise InfeasibleStartError(
             f"default starting point search failed (best margin {best[0]:.3e}); "
             "review the region and its parameters")

@@ -16,6 +16,7 @@ the two to agree bit for bit.
 import math
 
 import numpy as np
+import scipy.linalg
 
 from omegapair.dh import skew, sym
 
@@ -161,6 +162,34 @@ def lam_max_margin(B, C, z):
     F = B + z * C + np.conj(z) * C.T
     H = (F + F.conj().T) / 2.0
     return -float(np.linalg.eigvalsh(H)[-1]) / min(1.0, s)
+
+
+def pencil_admissible(E, A, B, C, margin_tol=1e-6):
+    """Admissibility of s E - A for the region {B + C z + C^T z* < 0}, from
+    one QZ and `lam_max_margin`, with no omegapair.pencil or .regions code.
+
+    The pencil is taken as singular when a QZ pair (alpha, beta) has both
+    parts below 1e-14 (||E||_2 + ||A||_2), a clear-cut case any regularity
+    test must also reject. An eigenvalue is finite when |beta| exceeds
+    1e-8 times that scale, rank(E) counts singular values above
+    n eps sigma_max(E), and admissible means regular, as many finite
+    eigenvalues as rank(E), and every finite eigenvalue at margin
+    >= -margin_tol.
+    """
+    E, A = np.asarray(E, dtype=float), np.asarray(A, dtype=float)
+    sv_E = scipy.linalg.svdvals(E)
+    scale = sv_E[0] + scipy.linalg.svdvals(A)[0]
+    if scale == 0.0:
+        return False
+    alpha, beta = scipy.linalg.eig(A, E, right=False, homogeneous_eigvals=True)
+    if np.any(np.maximum(np.abs(alpha), np.abs(beta)) <= 1e-14 * scale):
+        return False
+    finite = np.abs(beta) > 1e-8 * scale
+    rank_E = int(np.sum(sv_E > E.shape[0] * np.finfo(float).eps * sv_E[0]))
+    if int(finite.sum()) != rank_E:
+        return False
+    return all(lam_max_margin(B, C, z) >= -margin_tol
+               for z in alpha[finite] / beta[finite])
 
 
 # One representative parameter choice per primitive kind, placed so each

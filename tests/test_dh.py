@@ -1,16 +1,20 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegapair import regions as rg
 from omegapair.bench import msd
 from omegapair.dh import (Certificate, DhParam, certify_admissibility,
                           dh_from_certificate, dh_from_dict, dh_to_dict,
                           project_psd, realize, region_lmi, region_lmi_pair,
-                          shift_dissipation, skew, sym, verify_certificate)
+                          skew, sym, verify_certificate)
 from omegapair.pencil import MatrixPair, admissibility_check, spectrum
-from omegapair.result import finalize_solution
+from omegapair.result import finalize_solution, relative_error
 
-from _oracles import random_well_conditioned, sample_feasible_tjr, standard_primitives
+from _oracles import (pencil_admissible, random_well_conditioned, sample_feasible_tjr,
+                      standard_primitives)
 
 
 def test_realize_identity_examples():
@@ -39,20 +43,114 @@ def test_realize_rejects_singular_Q():
         realize(d)
 
 
+def _finalize(E, A, d, region, trace=None):
+    return finalize_solution(E, A, d, region, 1.0, algorithm="test", iterations=0,
+                             stop_reason="test", trace=[] if trace is None else trace,
+                             t0=time.perf_counter())
+
+
 def test_finalize_flags_singular_Q_instead_of_raising():
     rng = np.random.default_rng(2)
     Q = random_well_conditioned(3, rng)
     Q[:, 1] = 0.0
     d = DhParam(np.eye(3), skew(rng.standard_normal((3, 3))), np.eye(3), Q)
     E, A = np.eye(3), rng.standard_normal((3, 3))
-    d2, pair, obj, rel, verdict, shifted = finalize_solution(E, A, d, rg.schur(), 1.0)
-    assert not verdict.admissible and not shifted
+    res = _finalize(E, A, d, rg.schur())
+    verdict, pair, obj, rel = res.admissibility, res.pair, res.objective, res.relative_error
+    assert not verdict.admissible and not res.shifted
+    assert not res.admissible
     assert len(verdict.reasons) == 1 and "reciprocal condition" in verdict.reasons[0]
-    assert d2 is d
+    assert res.dh is d
     np.testing.assert_array_equal(pair.E, d.T @ Q)
     np.testing.assert_array_equal(pair.A, (d.J - d.R) @ Q)
     assert obj == pytest.approx(np.sum((A - pair.A) ** 2) + np.sum((E - pair.E) ** 2))
     assert rel == pytest.approx(np.sqrt(obj / (np.sum(A * A) + np.sum(E * E))))
+
+
+def test_finalize_lifts_a_boundary_quadruple():
+    # T has an eigenvalue at -1e-15 and R one at 0: the realized pencil has
+    # a real eigenvalue near +3e7, and the lifted one a pair near -1 +- 1e6 i
+    d = DhParam(np.diag([1.0, -1e-15]), np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                np.diag([1.0, 0.0]), np.eye(2))
+    assert not admissibility_check(realize(d), rg.hurwitz(), margin_tol=1e-6).admissible
+    E, A = np.eye(2), -np.eye(2)
+    trace = [(0.0, 9.0, 2.0)]
+    res = _finalize(E, A, d, rg.hurwitz(), trace)
+    assert res.admissible and res.shifted
+    assert res.admissibility.admissible
+    assert np.linalg.eigvalsh(res.dh.T)[0] > 0 and np.linalg.eigvalsh(res.dh.R)[0] > 0
+    assert np.array_equal(res.dh.J, d.J) and np.array_equal(res.dh.Q, d.Q)
+    unlifted = realize(d)
+    assert np.abs(res.pair.E - unlifted.E).max() <= 2e-12
+    assert np.abs(res.pair.A - unlifted.A).max() <= 2e-12
+    assert res.objective == pytest.approx(np.sum((A - res.pair.A) ** 2)
+                                          + np.sum((E - res.pair.E) ** 2))
+    assert res.relative_error == pytest.approx(
+        np.sqrt(res.objective / (np.sum(A * A) + np.sum(E * E))))
+    # the closing trace row belongs to the quadruple the solver handed over
+    assert res.trace is trace and len(trace) == 2
+    assert trace[1][1] == np.sum((A - unlifted.A) ** 2) + np.sum((E - unlifted.E) ** 2)
+    assert trace[1][2] == relative_error(E, A, unlifted.E, unlifted.A)
+    assert (res.iterations, res.stop_reason, res.algorithm) == (0, "test", "test")
+    assert res.converged
+
+
+def test_finalize_returns_the_unlifted_quadruple_when_the_lift_fails():
+    # the same quadruple in the unit disk: the lifted eigenvalues near
+    # -1 +- 1e6 i are far outside, so the result comes back flagged as is
+    d = DhParam(np.diag([1.0, -1e-15]), np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                np.diag([1.0, 0.0]), np.eye(2))
+    res = _finalize(np.eye(2), -np.eye(2), d, rg.schur())
+    assert not res.admissible and not res.shifted and res.dh is d
+    assert res.admissibility.reasons
+    np.testing.assert_array_equal(res.pair.E, realize(d).E)
+    np.testing.assert_array_equal(res.pair.A, realize(d).A)
+
+
+_PRIMITIVES = standard_primitives()
+
+
+@st.composite
+def _regions(draw):
+    """A standard primitive, or a raw (B, C) of size 1 or 2 with small integer entries."""
+    if draw(st.booleans()):
+        return rg.from_primitive(draw(st.sampled_from(_PRIMITIVES)))
+    s = draw(st.integers(1, 2))
+    entries = st.integers(-2, 2).map(float)
+    B = np.array(draw(st.lists(entries, min_size=s * s, max_size=s * s))).reshape(s, s)
+    C = np.array(draw(st.lists(entries, min_size=s * s, max_size=s * s))).reshape(s, s)
+    return rg.LmiRegion(B + B.T, C)
+
+
+def _psd_of_rank(rng, n, rank, nudge):
+    """G G^T with G of size n x rank, plus a symmetric perturbation of size nudge."""
+    G = rng.standard_normal((n, rank))
+    return G @ G.T + nudge * sym(rng.standard_normal((n, n)))
+
+
+@st.composite
+def _quadruples(draw):
+    """T and R PSD of any rank (singular included), exact, nudged by roundoff-sized
+    amounts either way, or clearly indefinite; J of three sizes; Q well conditioned."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nudges = st.sampled_from([0.0, 1e-16, 1e-15, 1e-13, 1e-10, 1.0])
+    T = _psd_of_rank(rng, n, draw(st.integers(0, n)), draw(nudges))
+    R = _psd_of_rank(rng, n, draw(st.integers(0, n)), draw(nudges))
+    J = draw(st.sampled_from([0.0, 1.0, 10.0])) * skew(rng.standard_normal((n, n)))
+    return DhParam(T, J, R, random_well_conditioned(n, rng))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_regions(), _quadruples())
+def test_finalize_never_flags_admissible_against_an_independent_check(region, d):
+    """Criterion 9 for the finish, lift or no lift."""
+    res = _finalize(np.eye(d.n), -np.eye(d.n), d, region)
+    assert res.admissible == res.admissibility.admissible
+    assert not res.shifted or res.admissible
+    if res.admissible:
+        assert pencil_admissible(res.pair.E, res.pair.A, region.B, region.C), (
+            res.shifted, res.pair)
 
 
 def test_dhparam_symmetrizes_on_construction():
@@ -277,13 +375,6 @@ def test_table_block_feasibility_implies_containment():
                 assert rg.membership(reg, lam).margin >= -1e-8, (p.kind, lam)
 
 
-def test_shift_dissipation():
-    d = DhParam(np.eye(2), np.zeros((2, 2)), np.diag([1.0, 0.0]), np.eye(2))
-    d2 = shift_dissipation(d)
-    assert np.linalg.eigvalsh(d2.R)[0] > 0
-    assert np.abs(d2.R - d.R).max() <= 1e-9
-
-
 def test_project_psd_matches_clipping_oracle():
     rng = np.random.default_rng(10)
     for _ in range(20):
@@ -311,7 +402,6 @@ def test_msd_zero_eps_certifiable_after_shift():
     pair, d = msd(4, 0.0)
     # R = diag(D, 0) is singular; a visible shift makes the quadruple
     # certifiable at a matching tolerance
-    d_shift = shift_dissipation(d, delta=1e-6)
-    v = certify_admissibility(rg.hurwitz(), pair.E, d_shift.J, d_shift.R,
-                              d_shift.Q, tol=1e-10)
+    v = certify_admissibility(rg.hurwitz(), pair.E, d.J, d.R + 1e-6 * np.eye(d.n),
+                              d.Q, tol=1e-10)
     assert v.certified, [(c.name, c.margin) for c in v.conditions if not c.ok]

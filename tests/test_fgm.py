@@ -234,3 +234,14 @@ def test_small_stall_window_stops_on_objective_stall():
     assert res.stop_reason == "objective stall"
     assert res.converged
     assert res.iterations % 20 == 0 and res.iterations < 20_000
+
+
+def test_grcar_10_3_boundary_optimum_comes_back_lifted_and_admissible():
+    # at 30k iterations the best quadruple has lambda_min(T) ~ -3e-15 and a
+    # near-infinite eigenvalue at +1.7e6; the finish's PSD lift moves it left
+    pair = grcar(10, 3)
+    res = solve_hurwitz(pair.E, pair.A, FgmOptions(max_iters=30_000, max_time_s=1e9))
+    assert res.iterations == 30_000 and res.stop_reason == "iteration budget"
+    assert res.admissible and res.shifted
+    assert admissibility_check(res.pair, rg.hurwitz(), margin_tol=1e-6).admissible
+    assert abs(res.relative_error - res.trace[-1][2]) <= 1e-9
