@@ -20,7 +20,7 @@ from .dh import DhParam
 from .regions import LmiRegion, in_closed_left_half_plane
 from .result import (SolveResult, _objective_value, _realized_relative_error,
                      finalize_solution)
-from .sdp import ConstraintSet, ConvexSubproblem, solve_subproblem
+from .sdp import ConvexSubproblem, solve_subproblem
 
 __all__ = ["BcdOptions", "BcdDiagnostics", "update_Q", "solve_general"]
 
@@ -96,9 +96,8 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
 
     require_R_psd = (opts.require_R_psd if opts.require_R_psd is not None
                      else in_closed_left_half_plane(region))
-    delta = (opts.delta_lmi if opts.delta_lmi is not None
-             else 1e-6 * (1.0 + np.linalg.norm(A, "fro")))
-    cs = ConstraintSet(n, region, require_R_psd, delta, opts.fix_T)
+    sp = ConvexSubproblem(E, A, mu, region, require_R_psd, opts.delta_lmi, opts.fix_T)
+    cs = sp.constraints
 
     t_start = _time.perf_counter()
 
@@ -107,10 +106,8 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
 
     Q = np.eye(n) if opts.fix_Q is None else np.asarray(opts.fix_Q, dtype=float)
     scale0 = 1.0 + float(np.sum(A * A) + mu * np.sum(E * E))
-    sp = ConvexSubproblem(E, A, Q, mu, region, require_R_psd, delta, opts.fix_T)
-    sol = solve_subproblem(sp, accuracy=opts.eps_init * scale0, constraints=cs)
-    T, J, R = sol.T, sol.J, sol.R
-    f = _objective_value(E, A, T, J, R, Q, mu)
+    sol = solve_subproblem(sp, Q, accuracy=opts.eps_init * scale0)
+    T, J, R, f = sol.T, sol.J, sol.R, sol.objective
     scale = 1.0 + f
 
     best = (T, J, R, Q)
@@ -134,17 +131,13 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
                 diag.q_fallbacks += 1
         else:
             Qn = base_Q
-        spn = ConvexSubproblem(E, A, Qn, mu, region, require_R_psd, delta,
-                               opts.fix_T)
         warm = ((base_T, base_J, base_R)
                 if cs.strictly_feasible(cs.pack(base_T, base_J, base_R))
                 else (T, J, R))
         f_warm = _objective_value(E, A, *warm, Qn, mu)
-        soln = solve_subproblem(spn, init=warm, accuracy=eps, constraints=cs,
-                                gap0=gap_guess)
-        fn = _objective_value(E, A, soln.T, soln.J, soln.R, Qn, mu)
-        diag.tjr_updates.append((f_warm, fn, eps))
-        return soln.T, soln.J, soln.R, Qn, fn
+        soln = solve_subproblem(sp, Qn, init=warm, accuracy=eps, gap0=gap_guess)
+        diag.tjr_updates.append((f_warm, soln.objective, eps))
+        return soln.T, soln.J, soln.R, Qn, soln.objective
 
     last_decrease = f
     while k <= max_outer:

@@ -44,7 +44,7 @@ class FgmOptions:
     alpha0: float = 0.5                # momentum seed
     stall_window: int = 3000
     stall_rel_tol: float = 1e-11
-    grad_tol: float = 0.0              # absolute gradient-norm stop, 0 disables
+    grad_tol: float = 0.0              # gradient-mapping stop, 0 disables
     trace_every: int = 25
     seed: int = 0                      # power-iteration start
 
@@ -163,8 +163,9 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
     """Nearest pair with all finite eigenvalues in the open left half-plane.
 
     Runs the accelerated projected gradient from the standard starting
-    point until the time or iteration budget runs out or the best
-    objective stalls, then realizes and checks the best quadruple; a
+    point until the time or iteration budget runs out, the best objective
+    stalls, or the gradient mapping of an accepted step falls to
+    `grad_tol`, then realizes and checks the best quadruple; a
     boundary optimum that fails the check comes back with T and R lifted
     to a definite floor when the lifted pair passes.
     """
@@ -197,11 +198,6 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
             stop_reason = "time budget"
             break
         G = gradient(E, A, Y, mu)
-        if opts.grad_tol > 0.0:
-            gnorm = np.sqrt(sum((g * g).sum() for g in G))
-            if gnorm <= opts.grad_tol:
-                stop_reason = "gradient norm"
-                break
         step *= opts.ls_grow
         accepted = None
         ls_budget = 100 if it == 0 else opts.ls_max
@@ -217,6 +213,7 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
                 break
             step /= opts.ls_shrink
 
+        stationary = False
         if accepted is None:
             fail_streak += 1
             if fail_streak >= 3:
@@ -234,6 +231,10 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
             fail_streak = 0
             step_accept = step
             Xn, fXn = accepted
+            # the gradient mapping ||X+ - Y|| / step vanishes at a constrained
+            # optimum, where the gradient itself need not
+            stationary = (opts.grad_tol > 0.0
+                          and np.linalg.norm(Xn - Y) / step <= opts.grad_tol)
             alpha_next = (np.sqrt(alpha ** 4 + 4 * alpha ** 2) - alpha ** 2) / 2.0
             beta = alpha * (1.0 - alpha) / (alpha ** 2 + alpha_next)
             Y = Xn + beta * (Xn - X)
@@ -246,6 +247,9 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
         if it % opts.trace_every == 0:
             trace.append((_time.perf_counter() - t0, fbest,
                           _realized_relative_error(E, A, *best)))
+        if stationary:
+            stop_reason = "gradient norm"
+            break
         anchor_it, anchor_f = stall_anchor
         if it - anchor_it >= opts.stall_window:
             if anchor_f - fbest <= opts.stall_rel_tol * (1.0 + abs(anchor_f)):

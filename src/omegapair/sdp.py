@@ -21,10 +21,18 @@ blocks (dG_b the change of G_b along dx),
 because f is quadratic. The step s minimizes this scalar function on
 [0, 0.99 s_max], s_max = 1 / max(-mu) being where the first block turns
 singular; the blocks are factored once, at the accepted point.
+
+The variables are x = (svec T, svec J, svec R): the upper triangle of
+each matrix, off-diagonal entries scaled by sqrt(2) (the strict upper
+triangle for the skew J), so that x.y is the Frobenius inner product of
+the matrices. A `ConvexSubproblem` states everything but Q and compiles
+its constraint blocks once; `solve_subproblem` takes Q per call, so one
+subproblem serves every Q update of a BCD solve.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -33,6 +41,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dtrtri
 
 from .regions import LmiRegion, connected_blocks, real_section
+from .result import _objective_value
 
 __all__ = [
     "ConvexSubproblem",
@@ -54,35 +63,39 @@ class InfeasibleStartError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Orthonormal bases of the symmetric and skew-symmetric matrix spaces
+# svec coordinates of the symmetric (sign +1) and skew (sign -1) matrices
+
+_ROOT_HALF = 1.0 / math.sqrt(2.0)
 
 
-def _sym_basis(n):
-    idx = [(i, j) for i in range(n) for j in range(i, n)]
-    S = np.zeros((len(idx), n, n))
-    for k, (i, j) in enumerate(idx):
-        if i == j:
-            S[k, i, i] = 1.0
-        else:
-            S[k, i, j] = S[k, j, i] = 1.0 / math.sqrt(2.0)
-    return S
+@functools.cache
+def _svec_index(n, sign):
+    """Flat indices of the upper triangle of an n x n matrix (with the
+    diagonal for sign +1, without it for sign -1), of their mirror images,
+    and the weights `_svec` and `_smat` apply there."""
+    i, j = np.triu_indices(n, 0 if sign > 0 else 1)
+    diag = i == j
+    return (i * n + j, j * n + i, np.where(diag, 0.5, _ROOT_HALF),
+            np.where(diag, 1.0, _ROOT_HALF))
 
 
-def _skew_basis(n):
-    idx = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    S = np.zeros((len(idx), n, n))
-    for k, (i, j) in enumerate(idx):
-        S[k, i, j] = 1.0 / math.sqrt(2.0)
-        S[k, j, i] = -1.0 / math.sqrt(2.0)
-    return S
+def _svec(M, sign):
+    """The coordinates of sym(M) (sign +1) or skew(M) (sign -1), for one
+    matrix or a stack."""
+    upper, lower, w, _ = _svec_index(M.shape[-1], sign)
+    flat = M.reshape(*M.shape[:-2], -1)
+    return (flat[..., upper] + sign * flat[..., lower]) * w
 
 
-def _coords(M, basis):
-    return np.einsum("ij,kij->k", M, basis)
-
-
-def _from_coords(x, basis):
-    return np.einsum("k,kij->ij", x, basis)
+def _smat(v, n, sign):
+    """The symmetric (sign +1) or skew (sign -1) n x n matrix with
+    coordinates v, or a stack of them for a stack of coordinate rows."""
+    upper, lower, _, w = _svec_index(n, sign)
+    out = np.zeros((*v.shape[:-1], n * n))
+    c = v * w
+    out[..., lower] = sign * c
+    out[..., upper] = c  # last, so the diagonal reads c for sign +1
+    return out.reshape(*v.shape[:-1], n, n)
 
 
 def _batch_kron(B, S):
@@ -98,25 +111,31 @@ def _batch_kron(B, S):
 
 @dataclass
 class ConvexSubproblem:
-    """Data of one fixed-Q convex subproblem."""
+    """The (T, J, R) subproblem of every Q: data, region and options.
+
+    Its constraint blocks do not depend on Q and are built once, as
+    `constraints`; `solve_subproblem` takes Q per call. `delta_lmi`
+    defaults to 1e-6 (1 + ||A||_F).
+    """
 
     E: np.ndarray
     A: np.ndarray
-    Q: np.ndarray
     mu: float = 1.0
     region: LmiRegion | None = None
     require_R_psd: bool = False
     delta_lmi: float | None = None
     fixed_T: np.ndarray | None = None  # when set, T is held constant
+    constraints: ConstraintSet = field(init=False, repr=False)
 
     def __post_init__(self):
         self.E = np.asarray(self.E, dtype=float)
         self.A = np.asarray(self.A, dtype=float)
-        self.Q = np.asarray(self.Q, dtype=float)
         if self.delta_lmi is None:
             self.delta_lmi = 1e-6 * (1.0 + np.linalg.norm(self.A, "fro"))
         if self.fixed_T is not None:
             self.fixed_T = np.asarray(self.fixed_T, dtype=float)
+        self.constraints = ConstraintSet(self.n, self.region, self.require_R_psd,
+                                         self.delta_lmi, self.fixed_T)
 
     @property
     def n(self) -> int:
@@ -165,20 +184,19 @@ class _Block:
 
 
 class ConstraintSet:
-    """Constraint blocks and variable layout, reusable across Q updates."""
+    """Constraint blocks and variable layout of a `ConvexSubproblem`."""
 
-    def __init__(self, n, region=None, require_R_psd=False, delta_lmi=0.0,
-                 fixed_T=None):
+    def __init__(self, n, region, require_R_psd, delta_lmi, fixed_T):
         self.n = n
         self.fixed_T = fixed_T
-        self.ST = _sym_basis(n)
-        self.SJ = _skew_basis(n)
+        # the basis matrices of the coordinates, one slice per variable
+        self.ST = _smat(np.eye(n * (n + 1) // 2), n, 1)
+        self.SJ = _smat(np.eye(n * (n - 1) // 2), n, -1)
         self.SR = self.ST
         self.nT = 0 if fixed_T is not None else self.ST.shape[0]
         self.nJ = self.SJ.shape[0]
         self.nR = self.SR.shape[0]
         self.m = self.nT + self.nJ + self.nR
-        self.delta_lmi = delta_lmi
 
         blocks = []
         if fixed_T is None:
@@ -215,18 +233,15 @@ class ConstraintSet:
         return _Block(G0, K)
 
     def split(self, x):
-        T = (self.fixed_T if self.fixed_T is not None
-             else _from_coords(x[: self.nT], self.ST))
-        J = _from_coords(x[self.nT: self.nT + self.nJ], self.SJ)
-        R = _from_coords(x[self.nT + self.nJ:], self.SR)
+        n, nT = self.n, self.nT
+        T = self.fixed_T if self.fixed_T is not None else _smat(x[:nT], n, 1)
+        J = _smat(x[nT: nT + self.nJ], n, -1)
+        R = _smat(x[nT + self.nJ:], n, 1)
         return T, J, R
 
     def pack(self, T, J, R):
-        parts = []
-        if self.fixed_T is None:
-            parts.append(_coords((T + T.T) / 2.0, self.ST))
-        parts.append(_coords((J - J.T) / 2.0, self.SJ))
-        parts.append(_coords((R + R.T) / 2.0, self.SR))
+        parts = [] if self.fixed_T is not None else [_svec(T, 1)]
+        parts += [_svec(J, -1), _svec(R, 1)]
         return np.concatenate(parts)
 
     def margins(self, x):
@@ -237,12 +252,12 @@ class ConstraintSet:
 
 
 class _Objective:
-    """f(x) = ||A - (J-R) Q||_F^2 + mu ||E - T Q||_F^2 in basis coordinates."""
+    """f(x) = ||A - (J-R) Q||_F^2 + mu ||E - T Q||_F^2 in svec coordinates."""
 
-    def __init__(self, sp: ConvexSubproblem, cs: ConstraintSet):
+    def __init__(self, sp: ConvexSubproblem, Q):
         self.sp = sp
-        self.cs = cs
-        Q = sp.Q
+        self.cs = cs = sp.constraints
+        self.Q = Q
         n = sp.n
         # rows are vec(S_k Q) for each basis slice
         PJ = (cs.SJ @ Q).reshape(cs.nJ, n * n)
@@ -261,26 +276,18 @@ class _Objective:
         self.H = H
 
     def value(self, x):
-        T, J, R = self.cs.split(x)
         sp = self.sp
-        res_a = sp.A - (J - R) @ sp.Q
-        res_e = sp.E - T @ sp.Q
-        return float(np.sum(res_a * res_a) + sp.mu * np.sum(res_e * res_e))
+        return _objective_value(sp.E, sp.A, *self.cs.split(x), self.Q, sp.mu)
 
-    def value_grad(self, x):
+    def grad(self, x):
         T, J, R = self.cs.split(x)
-        sp, cs = self.sp, self.cs
-        res_a = sp.A - (J - R) @ sp.Q
-        res_e = sp.E - T @ sp.Q
-        f = float(np.sum(res_a * res_a) + sp.mu * np.sum(res_e * res_e))
-        GA = res_a @ sp.Q.T
+        sp, Q = self.sp, self.Q
+        GA = (sp.A - (J - R) @ Q) @ Q.T
         parts = []
-        if cs.fixed_T is None:
-            GE = res_e @ sp.Q.T
-            parts.append(-2.0 * sp.mu * _coords((GE + GE.T) / 2.0, cs.ST))
-        parts.append(-2.0 * _coords((GA - GA.T) / 2.0, cs.SJ))
-        parts.append(2.0 * _coords((GA + GA.T) / 2.0, cs.SR))
-        return f, np.concatenate(parts)
+        if self.cs.fixed_T is None:
+            parts.append(-2.0 * sp.mu * _svec((sp.E - T @ Q) @ Q.T, 1))
+        parts += [-2.0 * _svec(GA, -1), 2.0 * _svec(GA, 1)]
+        return np.concatenate(parts)
 
 
 def _barrier(blocks, x):
@@ -371,7 +378,7 @@ def _line_step(t, slope_f, curv_f, mu):
     return s
 
 
-def initial_point(sp: ConvexSubproblem, cs: ConstraintSet | None = None):
+def initial_point(sp: ConvexSubproblem):
     """A strictly feasible (T, J, R), by scalar search R = rho I at T = I.
 
     At (I, 0, rho I) the region LMI reads B - rho (C + C^T) < 0, so rho
@@ -381,9 +388,7 @@ def initial_point(sp: ConvexSubproblem, cs: ConstraintSet | None = None):
     InfeasibleStartError when the interval is empty (for instance, an
     empty region).
     """
-    if cs is None:
-        cs = ConstraintSet(sp.n, sp.region, sp.require_R_psd, sp.delta_lmi,
-                           sp.fixed_T)
+    cs = sp.constraints
     n = sp.n
     section = (-math.inf, math.inf) if sp.region is None else real_section(sp.region)
     if section is None:
@@ -424,11 +429,10 @@ def initial_point(sp: ConvexSubproblem, cs: ConstraintSet | None = None):
     return T, J, best[1] * np.eye(n)
 
 
-def solve_subproblem(sp: ConvexSubproblem, init=None, accuracy: float | None = None,
-                     constraints: ConstraintSet | None = None,
-                     gap0: float | None = None,
-                     trace_path=None) -> SubproblemSolution:
-    """Minimize the subproblem objective to the requested duality gap.
+def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None = None,
+                     gap0: float | None = None) -> SubproblemSolution:
+    """Minimize the subproblem objective at the given Q to the requested
+    duality gap.
 
     `init` may supply a warm-start triple (T, J, R); it is used only when
     strictly feasible. `gap0` estimates the warm start's suboptimality and
@@ -437,9 +441,8 @@ def solve_subproblem(sp: ConvexSubproblem, init=None, accuracy: float | None = N
     strictly feasible and its objective is within `accuracy` (gap
     estimate) of the optimum.
     """
-    cs = constraints if constraints is not None else ConstraintSet(
-        sp.n, sp.region, sp.require_R_psd, sp.delta_lmi, sp.fixed_T)
-    obj = _Objective(sp, cs)
+    cs = sp.constraints
+    obj = _Objective(sp, np.asarray(Q, dtype=float))
 
     used_default = False
     x = None
@@ -448,21 +451,19 @@ def solve_subproblem(sp: ConvexSubproblem, init=None, accuracy: float | None = N
         if cs.strictly_feasible(xi):
             x = xi
     if x is None:
-        x = cs.pack(*initial_point(sp, cs))
+        x = cs.pack(*initial_point(sp))
         used_default = True
 
     f0 = obj.value(x)
     eps = accuracy if accuracy is not None else 1e-8 * (1.0 + f0)
 
-    trace_rows = []
     total_newton = 0
     stage_objectives = []
     stage_newton = []
 
     if not cs.blocks:
         # Unconstrained convex quadratic: one exact Newton solve.
-        _, g = obj.value_grad(x)
-        x = x - np.linalg.solve(obj.H + 1e-14 * np.eye(cs.m), g)
+        x = x - np.linalg.solve(obj.H + 1e-14 * np.eye(cs.m), obj.grad(x))
         T, J, R = cs.split(x)
         return SubproblemSolution(T, J, R, obj.value(x), 1, 0.0, [], True,
                                   [obj.value(x)], used_default, [1])
@@ -482,7 +483,7 @@ def solve_subproblem(sp: ConvexSubproblem, init=None, accuracy: float | None = N
         centered = False
         stage_start = total_newton
         for _ in range(MAX_NEWTON_PER_STAGE):
-            _, gf = obj.value_grad(x)
+            gf = obj.grad(x)
             gphi, Hphi, inverses = _barrier_grad_hess(cs.blocks, x, cs.m, factors)
             if gphi is None:
                 raise RuntimeError("iterate left the interior; this is a bug")
@@ -512,21 +513,11 @@ def solve_subproblem(sp: ConvexSubproblem, init=None, accuracy: float | None = N
             if total_newton >= MAX_TOTAL_NEWTON:
                 break
         stage_newton.append(total_newton - stage_start)
-        fval = obj.value(x)
-        stage_objectives.append(fval)
-        gap = nu / t
-        if trace_path is not None:
-            trace_rows.append((total_newton, fval, gap, min(cs.margins(x))))
-        if gap <= eps:
+        stage_objectives.append(obj.value(x))
+        if nu / t <= eps:
             converged = centered
             break
         t *= BARRIER_GROWTH
-
-    if trace_path is not None:
-        with open(trace_path, "w") as fh:
-            fh.write("iteration,objective,gap,min_margin\n")
-            for row in trace_rows:
-                fh.write(f"{row[0]},{row[1]:.12e},{row[2]:.12e},{row[3]:.12e}\n")
 
     T, J, R = cs.split(x)
     return SubproblemSolution(T, J, R, obj.value(x), total_newton, nu / t,

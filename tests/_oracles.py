@@ -11,6 +11,10 @@ same facts from (B, C), and the tests compare the two.
 T, J, R, Q matrices in plain numpy, with no `omegapair.fgm` import; the
 package runs the same loop on one stacked array, and the tests require
 the two to agree bit for bit.
+
+`sym_basis` and `skew_basis` build the orthonormal matrix bases of the
+subproblem's coordinates entry by entry; the package's svec gathers are
+checked against them.
 """
 
 import math
@@ -278,6 +282,30 @@ def random_well_conditioned(n, rng, shift=2.0):
     return rng.standard_normal((n, n)) + shift * np.eye(n)
 
 
+def sym_basis(n):
+    """Orthonormal basis of the symmetric n x n matrices, one slice per
+    upper-triangle entry (i, j), i <= j, in row-major order."""
+    idx = [(i, j) for i in range(n) for j in range(i, n)]
+    S = np.zeros((len(idx), n, n))
+    for k, (i, j) in enumerate(idx):
+        if i == j:
+            S[k, i, i] = 1.0
+        else:
+            S[k, i, j] = S[k, j, i] = 1.0 / math.sqrt(2.0)
+    return S
+
+
+def skew_basis(n):
+    """Orthonormal basis of the skew n x n matrices, one slice per strict
+    upper-triangle entry (i, j), i < j, in row-major order."""
+    idx = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    S = np.zeros((len(idx), n, n))
+    for k, (i, j) in enumerate(idx):
+        S[k, i, j] = 1.0 / math.sqrt(2.0)
+        S[k, j, i] = -1.0 / math.sqrt(2.0)
+    return S
+
+
 def _sym(M):
     return (M + M.T) / 2.0
 
@@ -378,11 +406,6 @@ def fgm_reference(E, A, max_iters, mu=1.0, init_step=None, ls_shrink=2.0,
     stop_reason = "iteration budget"
     while it < max_iters:
         gT, gJ, gR, gQ = _fgm_gradient(E, A, Y, mu)
-        if grad_tol > 0.0:
-            gnorm = np.sqrt(sum(np.sum(g * g) for g in (gT, gJ, gR, gQ)))
-            if gnorm <= grad_tol:
-                stop_reason = "gradient norm"
-                break
         step *= ls_grow
         accepted = None
         for _ in range(100 if it == 0 else ls_max):
@@ -394,6 +417,7 @@ def fgm_reference(E, A, max_iters, mu=1.0, init_step=None, ls_shrink=2.0,
                 accepted = (cand, fc)
                 break
             step /= ls_shrink
+        stationary = False
         if accepted is None:
             fail_streak += 1
             restarts += 1
@@ -410,6 +434,8 @@ def fgm_reference(E, A, max_iters, mu=1.0, init_step=None, ls_shrink=2.0,
             fail_streak = 0
             step_accept = step
             Xn, fXn = accepted
+            stationary = grad_tol > 0.0 and np.sqrt(sum(
+                np.sum((a - b) ** 2) for a, b in zip(Xn, Y))) / step <= grad_tol
             alpha_next = (np.sqrt(alpha ** 4 + 4 * alpha ** 2) - alpha ** 2) / 2.0
             beta = alpha * (1.0 - alpha) / (alpha ** 2 + alpha_next)
             Y = _quadruple(*(a + beta * (a - b) for a, b in zip(Xn, X)))
@@ -420,6 +446,9 @@ def fgm_reference(E, A, max_iters, mu=1.0, init_step=None, ls_shrink=2.0,
         it += 1
         if it % trace_every == 0:
             trace.append((fbest, _fgm_relative_error(E, A, best)))
+        if stationary:
+            stop_reason = "gradient norm"
+            break
         anchor_it, anchor_f = stall_anchor
         if it - anchor_it >= stall_window:
             if anchor_f - fbest <= stall_rel_tol * (1.0 + abs(anchor_f)):

@@ -226,6 +226,20 @@ def test_grad_tol_stops_on_gradient_norm():
     assert res.iterations < 20_000
 
 
+def test_grad_tol_stops_a_boundary_optimum_on_the_gradient_mapping():
+    # Grcar(10,2) has a boundary optimum: the plain gradient norm stays above
+    # 12 there, while the accepted step's gradient mapping ||X+ - Y|| / step
+    # falls to 0.024 within the first 300 iterations
+    pair = grcar(10, 2)
+    res = solve_hurwitz(pair.E, pair.A,
+                        FgmOptions(max_iters=2000, max_time_s=1e9, grad_tol=0.03))
+    assert res.stop_reason == "gradient norm"
+    assert res.converged
+    assert res.iterations < 2000
+    _, iterations, stop_reason, _, _ = fgm_reference(pair.E, pair.A, 2000, grad_tol=0.03)
+    assert (res.iterations, res.stop_reason) == (iterations, stop_reason)
+
+
 def test_small_stall_window_stops_on_objective_stall():
     rng = np.random.default_rng(9)
     E, A = rng.standard_normal((4, 4)), rng.standard_normal((4, 4)) + np.eye(4)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,11 +7,12 @@ import scipy.linalg
 from omegapair import regions as rg
 from omegapair import sdp
 from omegapair.dh import project_psd, skew, sym
-from omegapair.sdp import (ConstraintSet, ConvexSubproblem, InfeasibleStartError, _barrier,
-                           _barrier_grad_hess, _line_merit, _Objective, _step_spectrum,
-                           initial_point, solve_subproblem)
+from omegapair.sdp import (ConvexSubproblem, InfeasibleStartError, _barrier,
+                           _barrier_grad_hess, _line_merit, _Objective, _smat, _step_spectrum,
+                           _svec, initial_point, solve_subproblem)
 
-from _oracles import barrier_blocks, random_well_conditioned, stability_lmi_blocks
+from _oracles import (barrier_blocks, random_well_conditioned, skew_basis,
+                      stability_lmi_blocks, sym_basis)
 
 
 def _composite():
@@ -17,10 +20,27 @@ def _composite():
                         rg.left_parabola(6.0, 1.0), rg.right_parabola(-6.0, 1.0))
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_svec_round_trip_inner_product_and_oracle_basis(n):
+    rng = np.random.default_rng(n)
+    M, N = rng.standard_normal((2, n, n))
+    for sign, part, basis in ((1, sym, sym_basis(n)), (-1, skew, skew_basis(n))):
+        np.testing.assert_allclose(_smat(_svec(M, sign), n, sign), part(M),
+                                   rtol=0.0, atol=1e-15)
+        # the coordinates along the oracle's basis, and the basis itself
+        np.testing.assert_allclose(_svec(M, sign), np.einsum("ij,kij->k", M, basis),
+                                   rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(_smat(np.eye(len(basis)), n, sign), basis,
+                                   rtol=0.0, atol=1e-15)
+    # sym and skew parts are Frobenius-orthogonal, so the two coordinate
+    # inner products add up to <M, N>_F
+    inner = sum(_svec(M, sign) @ _svec(N, sign) for sign in (1, -1))
+    assert inner == pytest.approx(np.sum(M * N), rel=1e-14, abs=1e-14)
+
+
 def test_identity_instance_recovers_exact_quadruple():
-    sp = ConvexSubproblem(np.eye(2), -np.eye(2), np.eye(2), 1.0, rg.hurwitz(),
-                          require_R_psd=True)
-    sol = solve_subproblem(sp)
+    sp = ConvexSubproblem(np.eye(2), -np.eye(2), 1.0, rg.hurwitz(), require_R_psd=True)
+    sol = solve_subproblem(sp, np.eye(2))
     assert sol.converged
     assert sol.objective <= 1e-12
     np.testing.assert_allclose(sol.T, np.eye(2), atol=1e-6)
@@ -31,9 +51,8 @@ def test_identity_instance_recovers_exact_quadruple():
 def test_projection_special_case_matches_clipping_oracle():
     rng = np.random.default_rng(0)
     G = sym(rng.standard_normal((5, 5)))
-    sp = ConvexSubproblem(G, np.zeros((5, 5)), np.eye(5), 1.0, region=None,
-                          require_R_psd=True)
-    sol = solve_subproblem(sp, accuracy=1e-10)
+    sp = ConvexSubproblem(G, np.zeros((5, 5)), 1.0, region=None, require_R_psd=True)
+    sol = solve_subproblem(sp, np.eye(5), accuracy=1e-10)
     np.testing.assert_allclose(sol.T, project_psd(G), atol=1e-6)
 
 
@@ -41,8 +60,8 @@ def test_closed_form_projections_no_region():
     rng = np.random.default_rng(1)
     E = rng.standard_normal((4, 4))
     A = rng.standard_normal((4, 4))
-    sp = ConvexSubproblem(E, A, np.eye(4), 1.0, region=None, require_R_psd=True)
-    sol = solve_subproblem(sp, accuracy=1e-10)
+    sp = ConvexSubproblem(E, A, 1.0, region=None, require_R_psd=True)
+    sol = solve_subproblem(sp, np.eye(4), accuracy=1e-10)
     np.testing.assert_allclose(sol.J, skew(A), atol=1e-6)
     np.testing.assert_allclose(sol.R, project_psd(-sym(A)), atol=1e-6)
     np.testing.assert_allclose(sol.T, project_psd(sym(E)), atol=1e-6)
@@ -57,9 +76,8 @@ def test_disk_instance_beats_grid_search_slice():
     p = rg.disk(0.0, 1.0)
     reg = rg.from_primitive(p)
     delta = 1e-8
-    sp = ConvexSubproblem(E, A, np.eye(2), 1.0, reg, require_R_psd=False,
-                          delta_lmi=delta)
-    sol = solve_subproblem(sp, accuracy=1e-8)
+    sp = ConvexSubproblem(E, A, 1.0, reg, require_R_psd=False, delta_lmi=delta)
+    sol = solve_subproblem(sp, np.eye(2), accuracy=1e-8)
 
     S = np.array([[0.0, 1.0], [-1.0, 0.0]])
     best = np.inf
@@ -78,17 +96,17 @@ def test_disk_instance_beats_grid_search_slice():
 def test_initial_point_examples():
     n = 3
     E, A = np.eye(n), np.zeros((n, n))
-    sp = ConvexSubproblem(E, A, np.eye(n), 1.0, rg.hurwitz(), require_R_psd=True)
-    cs = ConstraintSet(n, rg.hurwitz(), True, sp.delta_lmi)
-    T, J, R = initial_point(sp, cs)
+    sp = ConvexSubproblem(E, A, 1.0, rg.hurwitz(), require_R_psd=True)
+    cs = sp.constraints
+    T, J, R = initial_point(sp)
     assert min(cs.margins(cs.pack(T, J, R))) >= 1.0
 
-    spd = ConvexSubproblem(E, A, np.eye(n), 1.0, rg.schur())
+    spd = ConvexSubproblem(E, A, 1.0, rg.schur())
     T, J, R = initial_point(spd)
     np.testing.assert_allclose(R, 0.0, atol=1e-12)
 
     strip = rg.from_primitive(rg.vertical_strip(-3.0, -1.0))
-    sps = ConvexSubproblem(E, A, np.eye(n), 1.0, strip, require_R_psd=True)
+    sps = ConvexSubproblem(E, A, 1.0, strip, require_R_psd=True)
     T, J, R = initial_point(sps)
     np.testing.assert_allclose(T, np.eye(n))
     np.testing.assert_allclose(R, 2.0 * np.eye(n))
@@ -96,18 +114,18 @@ def test_initial_point_examples():
 
 def test_initial_point_infeasible_intersection():
     reg = rg.intersect(rg.disk(-3.0, 1.0), rg.disk(3.0, 1.0))
-    sp = ConvexSubproblem(np.eye(2), np.zeros((2, 2)), np.eye(2), 1.0, reg)
+    sp = ConvexSubproblem(np.eye(2), np.zeros((2, 2)), 1.0, reg)
     with pytest.raises(InfeasibleStartError):
         initial_point(sp)
     with pytest.raises(InfeasibleStartError):
-        solve_subproblem(sp)
+        solve_subproblem(sp, np.eye(2))
 
 
 def test_stage_objectives_non_increasing():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((4, 4)) * 2
-    sp = ConvexSubproblem(np.eye(4), A, np.eye(4), 1.0, rg.schur())
-    sol = solve_subproblem(sp, accuracy=1e-8)
+    sp = ConvexSubproblem(np.eye(4), A, 1.0, rg.schur())
+    sol = solve_subproblem(sp, np.eye(4), accuracy=1e-8)
     stages = sol.stage_objectives
     for a, b in zip(stages, stages[1:]):
         assert b <= a + 1e-9 * (1 + abs(a))
@@ -116,12 +134,12 @@ def test_stage_objectives_non_increasing():
 def test_stage_newton_sums_to_barrier_iterations():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((4, 4)) * 2
-    sp = ConvexSubproblem(np.eye(4), A, np.eye(4), 1.0, rg.schur())
-    cold = solve_subproblem(sp, accuracy=1e-8)
-    warm = solve_subproblem(sp, init=(cold.T, cold.J, cold.R), accuracy=1e-10,
+    sp = ConvexSubproblem(np.eye(4), A, 1.0, rg.schur())
+    cold = solve_subproblem(sp, np.eye(4), accuracy=1e-8)
+    warm = solve_subproblem(sp, np.eye(4), init=(cold.T, cold.J, cold.R), accuracy=1e-10,
                             gap0=1e-6)
-    free = solve_subproblem(ConvexSubproblem(np.eye(4), A, np.eye(4), 1.0,
-                                             fixed_T=np.eye(4)))
+    free = solve_subproblem(ConvexSubproblem(np.eye(4), A, 1.0, fixed_T=np.eye(4)),
+                            np.eye(4))
     for sol in (cold, warm, free):
         assert len(sol.stage_newton) == len(sol.stage_objectives)
         assert sum(sol.stage_newton) == sol.barrier_iterations
@@ -137,10 +155,10 @@ def _interior_case(case, n):
     psd_R = case == "hurwitz_psd_R"
     T_fixed = (np.eye(n) + 0.3 * sym(rng.standard_normal((n, n)))
                if case == "frozen_T" else None)
-    sp = ConvexSubproblem(np.eye(n), rng.standard_normal((n, n)), np.eye(n), 1.0,
-                          region, require_R_psd=psd_R, fixed_T=T_fixed)
-    cs = ConstraintSet(n, region, psd_R, sp.delta_lmi, T_fixed)
-    x0 = cs.pack(*initial_point(sp, cs))
+    sp = ConvexSubproblem(np.eye(n), rng.standard_normal((n, n)), 1.0, region,
+                          require_R_psd=psd_R, fixed_T=T_fixed)
+    cs = sp.constraints
+    x0 = cs.pack(*initial_point(sp))
 
     def oracle(x, direction=False):
         """G_b at a point x, or dG_b along a direction x."""
@@ -189,12 +207,13 @@ def test_line_merit_matches_dense_oracle(case, n):
     singular."""
     sp, cs, oracle, x, rng = _interior_case(case, n)
     t = 7.0
-    obj = _Objective(sp, cs)
+    Q = np.eye(n)
+    obj = _Objective(sp, Q)
 
     def f(x):
         T, J, R = cs.split(x)
-        res_a = sp.A - (J - R) @ sp.Q
-        res_e = sp.E - T @ sp.Q
+        res_a = sp.A - (J - R) @ Q
+        res_e = sp.E - T @ Q
         return np.sum(res_a * res_a) + sp.mu * np.sum(res_e * res_e)
 
     def logdet(x):
@@ -205,7 +224,7 @@ def test_line_merit_matches_dense_oracle(case, n):
     def definite(x):
         return min(np.linalg.eigvalsh(G)[0] for G in oracle(x)) > 0.0
 
-    _, gf = obj.value_grad(x)
+    gf = obj.grad(x)
     _, _, inverses = _barrier_grad_hess(cs.blocks, x, cs.m)
     for _ in range(3):
         dx = rng.standard_normal(cs.m)
@@ -218,7 +237,7 @@ def test_line_merit_matches_dense_oracle(case, n):
             WdG = [np.linalg.solve(G, dG)
                    for G, dG in zip(oracle(xs), oracle(dx, direction=True))]
             dense = (t * (f(xs) - f(x)) - (logdet(xs) - logdet(x)),
-                     t * (obj.value_grad(xs)[1] @ dx) - sum(np.trace(M) for M in WdG),
+                     t * (obj.grad(xs) @ dx) - sum(np.trace(M) for M in WdG),
                      t * (dx @ obj.H @ dx) + sum(np.trace(M @ M) for M in WdG))
             closed = _line_merit(s, t, gf @ dx, dx @ obj.H @ dx, mu)
             assert closed == pytest.approx(dense, rel=1e-9)
@@ -230,8 +249,8 @@ def test_returned_point_interior_and_gap():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((3, 3))
     eps = 1e-7
-    sp = ConvexSubproblem(np.eye(3), A, np.eye(3), 1.0, rg.schur())
-    sol = solve_subproblem(sp, accuracy=eps)
+    sp = ConvexSubproblem(np.eye(3), A, 1.0, rg.schur())
+    sol = solve_subproblem(sp, np.eye(3), accuracy=eps)
     assert sol.converged
     assert sol.gap_estimate <= eps
     assert all(m > 0 for m in sol.margins)
@@ -239,11 +258,10 @@ def test_returned_point_interior_and_gap():
 
 def test_final_stage_short_of_centering_is_not_converged(monkeypatch):
     rng = np.random.default_rng(4)
-    sp = ConvexSubproblem(np.eye(3), rng.standard_normal((3, 3)), np.eye(3), 1.0,
-                          rg.schur())
-    assert solve_subproblem(sp, accuracy=1e-7).converged
+    sp = ConvexSubproblem(np.eye(3), rng.standard_normal((3, 3)), 1.0, rg.schur())
+    assert solve_subproblem(sp, np.eye(3), accuracy=1e-7).converged
     monkeypatch.setattr(sdp, "MAX_NEWTON_PER_STAGE", 1)
-    sol = solve_subproblem(sp, accuracy=1e-7)
+    sol = solve_subproblem(sp, np.eye(3), accuracy=1e-7)
     assert sol.stage_newton[-1] == 1
     assert sol.gap_estimate <= 1e-7
     assert not sol.converged
@@ -255,17 +273,16 @@ def test_kkt_residual_at_return():
     A = rng.standard_normal((3, 3))
     E = np.eye(3)
     eps = 1e-8 * (1 + np.sum(A * A))
-    sp = ConvexSubproblem(E, A, np.eye(3), 1.0, rg.schur())
-    cs = ConstraintSet(3, sp.region, False, sp.delta_lmi)
-    sol = solve_subproblem(sp, accuracy=eps, constraints=cs)
+    sp = ConvexSubproblem(E, A, 1.0, rg.schur())
+    cs = sp.constraints
+    sol = solve_subproblem(sp, np.eye(3), accuracy=eps)
     # dual feasibility and complementarity come from the final barrier:
     # Z_b = G_b^{-1} / t with sum_b <Z_b, G_b> = nu / t <= eps
     assert sol.gap_estimate <= eps
     # primal stationarity: gradient of f matches the conic multipliers
     x = cs.pack(sol.T, sol.J, sol.R)
     t_final = cs.nu / sol.gap_estimate
-    obj = _Objective(sp, cs)
-    _, gf = obj.value_grad(x)
+    gf = _Objective(sp, np.eye(3)).grad(x)
     gphi, _, _ = _barrier_grad_hess(cs.blocks, x, cs.m)
     resid = np.linalg.norm(gf + gphi / t_final)
     scale = 1.0 + np.linalg.norm(gf) + sol.objective
@@ -281,11 +298,11 @@ def test_orthogonal_change_of_basis_invariance():
     U = scipy.linalg.qr(rng.standard_normal((n, n)))[0]
     reg = rg.from_primitive(rg.disk(0.0, 2.0))
     delta = 1e-6 * (1.0 + np.linalg.norm(A, "fro"))
-    sol = solve_subproblem(
-        ConvexSubproblem(E, A, Q, 1.0, reg, delta_lmi=delta), accuracy=1e-9)
+    sol = solve_subproblem(ConvexSubproblem(E, A, 1.0, reg, delta_lmi=delta), Q,
+                           accuracy=1e-9)
     sol2 = solve_subproblem(
-        ConvexSubproblem(U.T @ E @ U, U.T @ A @ U, U.T @ Q @ U, 1.0, reg,
-                         delta_lmi=delta), accuracy=1e-9)
+        ConvexSubproblem(U.T @ E @ U, U.T @ A @ U, 1.0, reg, delta_lmi=delta),
+        U.T @ Q @ U, accuracy=1e-9)
     assert sol2.objective == pytest.approx(sol.objective, abs=1e-6 * (1 + sol.objective))
     np.testing.assert_allclose(sol2.T, U.T @ sol.T @ U, atol=1e-6)
     np.testing.assert_allclose(sol2.J, U.T @ sol.J @ U, atol=1e-6)
@@ -295,37 +312,44 @@ def test_orthogonal_change_of_basis_invariance():
 def test_warm_start_is_used_and_respected():
     rng = np.random.default_rng(7)
     A = rng.standard_normal((3, 3))
-    sp = ConvexSubproblem(np.eye(3), A, np.eye(3), 1.0, rg.schur())
-    cs = ConstraintSet(3, sp.region, False, sp.delta_lmi)
-    sol = solve_subproblem(sp, constraints=cs)
+    sp = ConvexSubproblem(np.eye(3), A, 1.0, rg.schur())
+    sol = solve_subproblem(sp, np.eye(3))
     assert sol.initial_point_used
-    sol2 = solve_subproblem(sp, init=(sol.T, sol.J, sol.R), constraints=cs,
+    sol2 = solve_subproblem(sp, np.eye(3), init=(sol.T, sol.J, sol.R),
                             gap0=10 * sol.gap_estimate)
     assert not sol2.initial_point_used
     assert sol2.objective <= sol.objective + 1e-9 * (1 + sol.objective)
 
 
-def test_diagnostic_trace_csv(tmp_path):
-    rng = np.random.default_rng(9)
-    A = rng.standard_normal((3, 3))
-    sp = ConvexSubproblem(np.eye(3), A, np.eye(3), 1.0, rg.schur())
-    path = tmp_path / "subproblem_trace.csv"
-    solve_subproblem(sp, trace_path=str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,objective,gap,min_margin"
-    assert len(lines) >= 2
-    last = lines[-1].split(",")
-    assert float(last[3]) > 0  # interior at return
+def _same_solution(a, b):
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in dataclasses.fields(a))
+
+
+def test_one_subproblem_serves_every_Q():
+    """Solving one subproblem at two Q's, in either order, gives the
+    solutions of two fresh subproblems bit for bit: nothing of one Q
+    stays behind in the shared constraint set."""
+    rng = np.random.default_rng(10)
+    n = 3
+    E, A = np.eye(n), rng.standard_normal((n, n))
+    Qs = [np.eye(n), random_well_conditioned(n, rng)]
+    fresh = [solve_subproblem(ConvexSubproblem(E, A, 1.0, _composite()), Q, accuracy=1e-8)
+             for Q in Qs]
+    for order in ([0, 1], [1, 0]):
+        sp = ConvexSubproblem(E, A, 1.0, _composite())
+        for i in order:
+            assert _same_solution(solve_subproblem(sp, Qs[i], accuracy=1e-8), fresh[i])
 
 
 def test_fixed_T_mode_optimizes_J_R_only():
     rng = np.random.default_rng(8)
     A = rng.standard_normal((3, 3))
     E = np.eye(3)
-    sp = ConvexSubproblem(E, A, np.eye(3), 1.0, rg.schur(), fixed_T=np.eye(3))
-    sol = solve_subproblem(sp, accuracy=1e-9)
+    sp = ConvexSubproblem(E, A, 1.0, rg.schur(), fixed_T=np.eye(3))
+    sol = solve_subproblem(sp, np.eye(3), accuracy=1e-9)
     np.testing.assert_allclose(sol.T, np.eye(3))
     # fixed-T optimum cannot beat the free-T optimum
-    sol_free = solve_subproblem(
-        ConvexSubproblem(E, A, np.eye(3), 1.0, rg.schur()), accuracy=1e-9)
+    sol_free = solve_subproblem(ConvexSubproblem(E, A, 1.0, rg.schur()), np.eye(3),
+                                accuracy=1e-9)
     assert sol_free.objective <= sol.objective + 1e-7 * (1 + sol.objective)
