@@ -15,6 +15,12 @@ the two to agree bit for bit.
 `sym_basis` and `skew_basis` build the orthonormal matrix bases of the
 subproblem's coordinates entry by entry; the package's svec gathers are
 checked against them.
+
+`certificate_conditions` evaluates the certificate layer's conditions (the
+quadruple's structure, the certificate matrices and each Kronecker LMI
+B (x) X + C (x) Y + C^T (x) Y^T) with its own symmetrization, assembly,
+eigenvalue margins and condition numbers, importing nothing from
+`omegapair.dh`.
 """
 
 import math
@@ -457,3 +463,82 @@ def fgm_reference(E, A, max_iters, mu=1.0, init_step=None, ls_shrink=2.0,
             stall_anchor = (it, fbest)
     trace.append((fbest, _fgm_relative_error(E, A, best)))
     return trace, it, stop_reason, best, restarts
+
+
+def _asymmetry_row(name, M, tol):
+    """'<name> symmetric' and '<name> PSD' rows of one product M."""
+    M = np.asarray(M, dtype=float)
+    asym = np.linalg.norm(M - M.T) - tol * (1.0 + np.linalg.norm(M))
+    w = np.linalg.eigvalsh((M + M.T) / 2.0)
+    psd = w[0] + tol * (1.0 + np.abs(w).max())
+    return [(f"{name} symmetric", bool(asym <= 0), float(-asym)),
+            (f"{name} PSD", bool(psd >= 0), float(psd))]
+
+
+def _lmi_row(name, M, tol, strict):
+    """Row for 'M negative (semi)definite' with the scaled threshold
+    tol * (1 + max |eigenvalue|): -lambda_max - that when strict, plus it
+    when not."""
+    w = np.linalg.eigvalsh((M + M.T) / 2.0)
+    scale = tol * (1.0 + np.abs(w).max())
+    if strict:
+        m = -w[-1] - scale
+        return [(name, bool(m > 0), float(m))]
+    m = -w[-1] + scale
+    return [(name, bool(m >= 0), float(m))]
+
+
+def _rcond_row(name, M):
+    s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
+    rcond = float(s[-1] / s[0]) if s[0] > 0 else 0.0
+    return [(name, bool(rcond >= M.shape[0] * 1e-12), rcond)]
+
+
+def _kronecker_form(B, C, X, Y):
+    """B (x) X + C (x) Y + C^T (x) Y^T, the region's LMI in (X, Y)."""
+    return np.kron(B, X) + np.kron(C, Y) + np.kron(C.T, Y.T)
+
+
+def certificate_conditions(kind, B, C, E, A=None, J=None, R=None, Q=None,
+                           X=None, P=None, S=None, tol=1e-9):
+    """(name, ok, margin) rows of one certificate check, in the package's order.
+
+    kind "quadruple" is the sufficient admissibility check of (E, (J - R) Q):
+    J skew, R positive definite, Q invertible, Q^T E symmetric PSD and the
+    region LMI of the pair at X = Q strictly negative definite. Kind "X"
+    checks E^T X symmetric PSD and the strict LMI in (E^T X, X^T A); kind
+    "PS" checks E P and E S symmetric PSD, A S + (A S)^T negative definite
+    and the nonstrict LMI in (E P, A P) plus I (x) E S; kind "S" keeps the
+    quadruple's rows but the region LMI, then checks E^T S symmetric PSD,
+    S invertible and the nonstrict region LMI plus I (x) E^T S. Margins are
+    positive (or zero, for nonstrict rows) exactly when the row holds.
+    """
+    B, C, E = (np.asarray(M, dtype=float) for M in (B, C, E))
+    I = np.eye(B.shape[0])
+    if kind == "X":
+        return (_asymmetry_row("E^T X", E.T @ X, tol)
+                + _lmi_row("Kronecker LMI negative definite",
+                            _kronecker_form(B, C, E.T @ X, X.T @ A), tol, True))
+    if kind == "PS":
+        EP, ES, AS = E @ P, E @ S, A @ S
+        return (_asymmetry_row("E P", EP, tol) + _asymmetry_row("E S", ES, tol)
+                + _lmi_row("A S + (A S)^T negative definite", AS + AS.T, tol, True)
+                + _lmi_row("Kronecker LMI negative semidefinite",
+                            _kronecker_form(B, C, EP, A @ P) + np.kron(I, (ES + ES.T) / 2.0),
+                            tol, False))
+    J, R, Q = (np.asarray(M, dtype=float) for M in (J, R, Q))
+    dev = np.linalg.norm(J + J.T) - tol * (1.0 + np.linalg.norm(J))
+    w = np.linalg.eigvalsh((R + R.T) / 2.0)
+    r_margin = w[0] - tol * (1.0 + np.abs(w).max())
+    rows = ([("J skew-symmetric", bool(dev <= 0), float(-dev)),
+             ("R positive definite", bool(r_margin > 0), float(r_margin))]
+            + _rcond_row("Q invertible", Q) + _asymmetry_row("Q^T E", Q.T @ E, tol))
+    pair_lmi = _kronecker_form(B, C, Q.T @ E, Q.T @ ((J - R) @ Q))
+    if kind == "quadruple":
+        return rows + _lmi_row("region LMI negative definite", pair_lmi, tol, True)
+    if kind != "S":
+        raise ValueError(f"unknown certificate kind {kind!r}")
+    ES = E.T @ S
+    return (rows + _asymmetry_row("E^T S", ES, tol) + _rcond_row("S invertible", S)
+            + _lmi_row("shifted Kronecker LMI negative semidefinite",
+                        pair_lmi + np.kron(I, (ES + ES.T) / 2.0), tol, False))

@@ -13,7 +13,7 @@ from omegapair.dh import (Certificate, DhParam, certify_admissibility,
 from omegapair.pencil import MatrixPair, admissibility_check, spectrum
 from omegapair.result import finalize_solution, relative_error
 
-from _oracles import (pencil_admissible, random_well_conditioned, sample_feasible_tjr,
+from _oracles import (certificate_conditions, pencil_admissible, random_well_conditioned, sample_feasible_tjr,
                       standard_primitives)
 
 
@@ -323,6 +323,62 @@ def test_verify_certificate_S_requires_dh_and_passes_on_valid_data():
         verify_certificate(c, realize(d), strip)
     v = verify_certificate(c, realize(d), strip, dh=d)
     assert v.certified, [(cc.name, cc.margin) for cc in v.conditions if not cc.ok]
+
+
+def _certificate_cases():
+    """Twelve random quadruples per region, n = 2..5, R definite and indefinite,
+    with E = T Q and A = (J - R) Q, and each certificate kind's matrices."""
+    rng = np.random.default_rng(12)
+    regions = [rg.hurwitz(), rg.schur(), rg.from_primitive(rg.vertical_strip(-3.0, -0.5)),
+               rg.from_primitive(rg.disk(-1.0, 2.0)),
+               rg.intersect(rg.vertical_strip(-5.0, 5.0), rg.horizontal_strip(3.0),
+                            rg.left_parabola(2.0, 1.0))]
+    for region in regions:
+        for i in range(12):
+            n = 2 + i % 4
+            G = rng.standard_normal((n, n))
+            T = G @ G.T + 0.1 * np.eye(n)
+            J = skew(rng.standard_normal((n, n)))
+            R = sym(rng.standard_normal((n, n)))
+            R = R @ R.T + 0.1 * np.eye(n) if i % 2 == 0 else R
+            Q = random_well_conditioned(n, rng)
+            E, A = T @ Q, (J - R) @ Q
+            Qinv = np.linalg.inv(Q)
+            yield region, E, A, J, R, Q, {
+                "X": (Q, random_well_conditioned(n, rng)),
+                "PS": (Qinv, 0.05 * Qinv), "S": 0.05 * Q}
+
+
+def test_certificate_conditions_match_oracle():
+    """Every condition of certify_admissibility and of verify_certificate's three
+    kinds, by name and flag, equals an independent evaluation; margins agree to
+    1e-12 relative."""
+    verdicts = rows = 0
+    for region, E, A, J, R, Q, certs in _certificate_cases():
+        B, C = region.B, region.C
+        pair = MatrixPair(E, A)
+        X1, X2 = certs["X"]
+        P, S = certs["PS"]
+        checks = [
+            (certify_admissibility(region, E, J, R, Q),
+             certificate_conditions("quadruple", B, C, E, J=J, R=R, Q=Q)),
+            (verify_certificate(Certificate("S", S=certs["S"]), pair, region,
+                                dh=DhParam(T=E @ np.linalg.inv(Q), J=J, R=R, Q=Q)),
+             certificate_conditions("S", B, C, E, J=J, R=R, Q=Q, S=certs["S"])),
+            (verify_certificate(Certificate("PS", P=P, S=S), pair, region),
+             certificate_conditions("PS", B, C, E, A=A, P=P, S=S))]
+        checks += [(verify_certificate(Certificate("X", X=X), pair, region),
+                    certificate_conditions("X", B, C, E, A=A, X=X)) for X in (X1, X2)]
+        for verdict, expected in checks:
+            assert [(c.name, c.ok) for c in verdict.conditions] == \
+                [(name, ok) for name, ok, _ in expected]
+            assert verdict.certified == all(ok for _, ok, _ in expected)
+            for c, (_, _, margin) in zip(verdict.conditions, expected):
+                assert abs(c.margin - margin) <= 1e-12 * max(abs(c.margin), abs(margin)), \
+                    (c.name, c.margin, margin)
+            verdicts += 1
+            rows += len(expected)
+    assert (verdicts, rows) == (300, 1620)
 
 
 def test_certificate_construction_validation():
