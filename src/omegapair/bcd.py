@@ -149,8 +149,7 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
         beta = (k - 1.0) / (k + 2.0) if opts.extrapolate else 0.0
         if beta > 0.0:
             base = (T + beta * (T - prev[0]), J + beta * (J - prev[1]),
-                    R + beta * (R - prev[2]),
-                    Q if opts.fix_Q is not None else Q + beta * (Q - prev[3]))
+                    R + beta * (R - prev[2]), Q + beta * (Q - prev[3]))
         else:
             base = (T, J, R, Q)
         Tn, Jn, Rn, Qn, fn = half_step(*base, eps_k, gap_guess)

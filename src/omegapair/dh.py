@@ -3,10 +3,12 @@
 A quadruple with symmetric T, skew-symmetric J, symmetric R and invertible
 Q realizes the pair (T Q, (J - R) Q). With T positive semidefinite and R
 positive definite the realized pair is automatically regular and
-impulse-free, and the Kronecker-assembled region LMI decides whether its
-finite eigenvalues sit inside a given LMI region. This module holds the
-quadruple type, the LMI assemblies, certificate verification, and the
-conversion from a feasibility certificate X to a quadruple.
+impulse-free, and the region LMI decides whether its finite eigenvalues
+sit inside a given LMI region. Every LMI in this module is the region's
+Kronecker form M(X, Y) = B (x) X + C (x) Y + C^T (x) Y^T, at different
+(X, Y). This module holds the quadruple type, the LMI assemblies,
+certificate verification, and the conversion from a feasibility
+certificate X to a quadruple.
 """
 
 from __future__ import annotations
@@ -54,30 +56,18 @@ def project_psd(M, floor=0.0):
     return (V * np.maximum(w, floor)) @ V.T
 
 
-def _lam_range(M):
+def _definite_margin(M, tol, strict):
+    """(ok, margin) of "M > 0" (strict) or "M >= 0" (not strict).
+
+    The margin is lambda_min(sym M) -/+ tol * (1 + max |lambda|), so ok is
+    margin > 0 when strict and margin >= 0 otherwise. A negative
+    (semi)definite test is the same margin on -M.
+    """
     w = np.linalg.eigvalsh(sym(M))
-    return float(w[0]), float(w[-1])
-
-
-def neg_def_margin(M, tol=DEFAULT_DEF_TOL):
-    """Positive when M < 0 holds with the scaled threshold
-    lambda_max(M) <= -tol * (1 + ||M||)."""
-    lo, hi = _lam_range(M)
-    scale = 1.0 + max(abs(lo), abs(hi))
-    return -hi - tol * scale
-
-
-def pos_def_margin(M, tol=DEFAULT_DEF_TOL):
-    lo, hi = _lam_range(M)
-    scale = 1.0 + max(abs(lo), abs(hi))
-    return lo - tol * scale
-
-
-def psd_margin(M, tol=DEFAULT_DEF_TOL):
-    """Positive when M >= -tol * (1 + ||M||) * I, i.e. PSD up to tolerance."""
-    lo, hi = _lam_range(M)
-    scale = 1.0 + max(abs(lo), abs(hi))
-    return lo + tol * scale
+    lo = float(w[0])
+    scaled = tol * (1.0 + max(abs(lo), abs(float(w[-1]))))
+    m = lo - scaled if strict else lo + scaled
+    return (m > 0 if strict else m >= 0), m
 
 
 @dataclass(frozen=True)
@@ -90,15 +80,11 @@ class DhParam:
     Q: np.ndarray
 
     def __post_init__(self):
-        T = sym(np.asarray(self.T, dtype=float))
-        J = skew(np.asarray(self.J, dtype=float))
-        R = sym(np.asarray(self.R, dtype=float))
-        Q = np.asarray(self.Q, dtype=float)
-        n = T.shape[0]
-        for name, M in (("T", T), ("J", J), ("R", R), ("Q", Q)):
+        n = np.shape(self.T)[0]
+        for name, part in (("T", sym), ("J", skew), ("R", sym), ("Q", np.asarray)):
+            M = part(np.asarray(getattr(self, name), dtype=float))
             if M.shape != (n, n):
                 raise ValueError(f"{name} must be {n}x{n}, got {M.shape}")
-        for name, M in (("T", T), ("J", J), ("R", R), ("Q", Q)):
             object.__setattr__(self, name, M)
 
     @property
@@ -118,36 +104,42 @@ def realize(d: DhParam) -> MatrixPair:
     return MatrixPair(d.T @ d.Q, (d.J - d.R) @ d.Q)
 
 
+def _kron_lmi(region: LmiRegion, X, Y) -> np.ndarray:
+    """sym(B (x) X + C (x) Y + C^T (x) Y^T), the region's LMI at (X, Y)."""
+    B, C = region.B, region.C
+    return sym(np.kron(B, X) + np.kron(C, Y) + np.kron(C.T, Y.T))
+
+
+def _square(n, **named):
+    """The named matrices as float arrays; raises unless each is n x n."""
+    out = []
+    for name, M in named.items():
+        M = np.asarray(M, dtype=float)
+        if M.shape != (n, n):
+            raise ValueError(f"{name} must be {n}x{n}")
+        out.append(M)
+    return out
+
+
 def region_lmi(region: LmiRegion, T, J, R) -> np.ndarray:
-    """Kronecker assembly B (x) T + (C - C^T) (x) J - (C + C^T) (x) R.
+    """M(T, J - R) = B (x) T + (C - C^T) (x) J - (C + C^T) (x) R.
 
     Negative definiteness of this matrix is the region constraint on the
-    reduced variables; it is linear in (T, J, R).
+    reduced variables; it is linear in (T, J, R). The two forms agree
+    because (J - R)^T = -J - R for skew J and symmetric R.
     """
-    B, C = region.B, region.C
-    n = np.asarray(T).shape[0]
-    for name, M in (("T", T), ("J", J), ("R", R)):
-        if np.asarray(M).shape != (n, n):
-            raise ValueError(f"{name} must be {n}x{n}")
-    M = (np.kron(B, T) + np.kron(C - C.T, J) - np.kron(C + C.T, R))
-    return sym(M)
+    T, J, R = _square(np.shape(T)[0], T=T, J=J, R=R)
+    return _kron_lmi(region, T, J - R)
 
 
 def region_lmi_pair(region: LmiRegion, E, J, R, Q) -> np.ndarray:
-    """Assembly B (x) Q^T E + (C-C^T) (x) Q^T J Q - (C+C^T) (x) Q^T R Q.
+    """M(Q^T E, Q^T (J - R) Q), the region LMI of the pair (E, (J - R) Q).
 
     Equals the congruence (I (x) Q)^T region_lmi(region, E Q^{-1}, J, R)
     (I (x) Q) whenever Q^T E is symmetric.
     """
-    B, C = region.B, region.C
-    E = np.asarray(E, dtype=float)
-    n = E.shape[0]
-    for name, M in (("J", J), ("R", R), ("Q", Q)):
-        if np.asarray(M).shape != (n, n):
-            raise ValueError(f"{name} must be {n}x{n}")
-    M = (np.kron(B, Q.T @ E) + np.kron(C - C.T, Q.T @ J @ Q)
-         - np.kron(C + C.T, Q.T @ R @ Q))
-    return sym(M)
+    E, J, R, Q = _square(np.shape(E)[0], E=E, J=J, R=R, Q=Q)
+    return _kron_lmi(region, Q.T @ E, Q.T @ (J - R) @ Q)
 
 
 @dataclass
@@ -167,47 +159,41 @@ class SufficiencyVerdict:
         return [c.name for c in self.conditions if not c.ok]
 
 
+def _symmetric_psd(name, M, tol):
+    """The conditions "<name> symmetric" and "<name> PSD" on a product M,
+    each with the scaled threshold tol * (1 + ||M||)."""
+    asym = np.linalg.norm(M - M.T) - tol * (1.0 + np.linalg.norm(M))
+    return [ConditionResult(f"{name} symmetric", asym <= 0, -asym),
+            ConditionResult(f"{name} PSD", *_definite_margin(M, tol, strict=False))]
+
+
+def _quadruple_conditions(E, J, R, Q, tol):
+    """J skew, R positive definite, Q invertible and Q^T E symmetric PSD."""
+    dev = np.linalg.norm(J + J.T) - tol * (1.0 + np.linalg.norm(J))
+    return ([ConditionResult("J skew-symmetric", dev <= 0, -dev),
+             ConditionResult("R positive definite", *_definite_margin(R, tol, strict=True)),
+             ConditionResult("Q invertible", *invertibility(Q))]
+            + _symmetric_psd("Q^T E", Q.T @ E, tol))
+
+
 def certify_admissibility(region: LmiRegion, E, J, R, Q,
-                          tol: float = DEFAULT_DEF_TOL,
-                          cross_check: bool = True) -> SufficiencyVerdict:
+                          tol: float = DEFAULT_DEF_TOL) -> SufficiencyVerdict:
     """Sufficient-condition check that (E, (J - R) Q) is admissible.
 
     Verifies J skew, R positive definite, Q invertible, Q^T E symmetric
     PSD, and the region LMI negative definite, each with the scaled
     eigenvalue threshold. When all hold the realized pair is certified
     admissible; the verdict also carries an independent spectrum-based
-    admissibility check of the same pair.
+    admissibility check of the same pair when Q is invertible.
     """
-    E = np.asarray(E, dtype=float)
-    J = np.asarray(J, dtype=float)
-    R = np.asarray(R, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    conds = []
-
-    dev = np.linalg.norm(J + J.T) - tol * (1.0 + np.linalg.norm(J))
-    conds.append(ConditionResult("J skew-symmetric", dev <= 0, -dev))
-
-    m = pos_def_margin(R, tol)
-    conds.append(ConditionResult("R positive definite", m > 0, m))
-
-    ok_q, rcond = invertibility(Q)
-    conds.append(ConditionResult("Q invertible", ok_q, rcond))
-
-    QE = Q.T @ E
-    asym = np.linalg.norm(QE - QE.T) - tol * (1.0 + np.linalg.norm(QE))
-    conds.append(ConditionResult("Q^T E symmetric", asym <= 0, -asym))
-    m = psd_margin(sym(QE), tol)
-    conds.append(ConditionResult("Q^T E PSD", m >= 0, m))
-
-    M = region_lmi_pair(region, E, J, R, Q)
-    m = neg_def_margin(M, tol)
-    conds.append(ConditionResult("region LMI negative definite", m > 0, m))
-
-    certified = all(c.ok for c in conds)
+    E, J, R, Q = (np.asarray(M, dtype=float) for M in (E, J, R, Q))
+    conds = _quadruple_conditions(E, J, R, Q, tol)
+    conds.append(ConditionResult("region LMI negative definite", *_definite_margin(
+        -region_lmi_pair(region, E, J, R, Q), tol, strict=True)))
     check = None
-    if cross_check and ok_q:
+    if conds[2].ok:  # Q invertible
         check = admissibility_check(MatrixPair(E, (J - R) @ Q), region)
-    return SufficiencyVerdict(certified, conds, check)
+    return SufficiencyVerdict(all(c.ok for c in conds), conds, check)
 
 
 def dh_from_certificate(A, X) -> tuple:
@@ -260,60 +246,36 @@ def verify_certificate(cert: Certificate, pair: MatrixPair, region: LmiRegion,
     quadruple `dh` whose realized pair is being certified.
     """
     E, A = pair.E, pair.A
-    B, C = region.B, region.C
-    conds = []
-
+    I = np.eye(region.size)
     if cert.kind == "X":
         X = np.asarray(cert.X, dtype=float)
         EX = E.T @ X
-        asym = np.linalg.norm(EX - X.T @ E) - tol * (1.0 + np.linalg.norm(EX))
-        conds.append(ConditionResult("E^T X symmetric", asym <= 0, -asym))
-        conds.append(ConditionResult("E^T X PSD", psd_margin(sym(EX), tol) >= 0,
-                                     psd_margin(sym(EX), tol)))
-        M = np.kron(B, EX) + np.kron(C, X.T @ A) + np.kron(C.T, A.T @ X)
-        m = neg_def_margin(sym(M), tol)
-        conds.append(ConditionResult("Kronecker LMI negative definite", m > 0, m))
+        conds = _symmetric_psd("E^T X", EX, tol)
+        conds.append(ConditionResult("Kronecker LMI negative definite", *_definite_margin(
+            -_kron_lmi(region, EX, X.T @ A), tol, strict=True)))
     elif cert.kind == "PS":
         P = np.asarray(cert.P, dtype=float)
         S = np.asarray(cert.S, dtype=float)
-        EP, ES = E @ P, E @ S
-        for name, M in (("E P", EP), ("E S", ES)):
-            asym = np.linalg.norm(M - M.T) - tol * (1.0 + np.linalg.norm(M))
-            conds.append(ConditionResult(f"{name} symmetric", asym <= 0, -asym))
-            m = psd_margin(sym(M), tol)
-            conds.append(ConditionResult(f"{name} PSD", m >= 0, m))
-        m = neg_def_margin(A @ S + (A @ S).T, tol)
-        conds.append(ConditionResult("A S + (A S)^T negative definite", m > 0, m))
-        AP = A @ P
-        M = (np.kron(B, EP) + np.kron(C, AP) + np.kron(C.T, AP.T)
-             + np.kron(np.eye(region.size), ES))
-        m = psd_margin(-sym(M), tol)
+        EP, ES, AS = E @ P, E @ S, A @ S
+        conds = _symmetric_psd("E P", EP, tol) + _symmetric_psd("E S", ES, tol)
+        conds.append(ConditionResult("A S + (A S)^T negative definite",
+                                     *_definite_margin(-(AS + AS.T), tol, strict=True)))
+        M = _kron_lmi(region, EP, A @ P) + np.kron(I, sym(ES))
         conds.append(ConditionResult("Kronecker LMI negative semidefinite",
-                                     m >= 0, m))
+                                     *_definite_margin(-M, tol, strict=False)))
     else:  # "S"
         if dh is None:
             raise ValueError("certificate kind 'S' needs the structured quadruple dh")
         S = np.asarray(cert.S, dtype=float)
-        J, R, Q = dh.J, dh.R, dh.Q
-        base = certify_admissibility(region, E, J, R, Q, tol, cross_check=False)
-        # The structural conditions on (J, R, Q) carry over; the region LMI
-        # is replaced by its shifted nonstrict variant below.
-        conds.extend(c for c in base.conditions
-                     if c.name != "region LMI negative definite")
         ES = E.T @ S
-        asym = np.linalg.norm(ES - S.T @ E) - tol * (1.0 + np.linalg.norm(ES))
-        conds.append(ConditionResult("E^T S symmetric", asym <= 0, -asym))
-        m = psd_margin(sym(ES), tol)
-        conds.append(ConditionResult("E^T S PSD", m >= 0, m))
-        ok_s, rcond = invertibility(S)
-        conds.append(ConditionResult("S invertible", ok_s, rcond))
-        M = region_lmi_pair(region, E, J, R, Q) + np.kron(np.eye(region.size), sym(ES))
-        m = psd_margin(-sym(M), tol)
+        conds = (_quadruple_conditions(E, dh.J, dh.R, dh.Q, tol)
+                 + _symmetric_psd("E^T S", ES, tol)
+                 + [ConditionResult("S invertible", *invertibility(S))])
+        M = region_lmi_pair(region, E, dh.J, dh.R, dh.Q) + np.kron(I, sym(ES))
         conds.append(ConditionResult("shifted Kronecker LMI negative semidefinite",
-                                     m >= 0, m))
+                                     *_definite_margin(-M, tol, strict=False)))
 
-    ok = all(c.ok for c in conds)
-    return SufficiencyVerdict(ok, conds, None)
+    return SufficiencyVerdict(all(c.ok for c in conds), conds)
 
 
 def dh_to_dict(d: DhParam):

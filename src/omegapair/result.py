@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import time as _time
 from dataclasses import dataclass, field
 
@@ -58,10 +57,6 @@ class SolveResult:
             "A": self.pair.A.tolist(),
             "dh": dh_to_dict(self.dh),
         }
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
 
 
 def write_trace(path, rows):

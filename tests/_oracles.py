@@ -465,7 +465,7 @@ def fgm_reference(E, A, max_iters, mu=1.0, init_step=None, ls_shrink=2.0,
     return trace, it, stop_reason, best, restarts
 
 
-def _asymmetry_row(name, M, tol):
+def _symmetric_psd_rows(name, M, tol):
     """'<name> symmetric' and '<name> PSD' rows of one product M."""
     M = np.asarray(M, dtype=float)
     asym = np.linalg.norm(M - M.T) - tol * (1.0 + np.linalg.norm(M))
@@ -516,12 +516,12 @@ def certificate_conditions(kind, B, C, E, A=None, J=None, R=None, Q=None,
     B, C, E = (np.asarray(M, dtype=float) for M in (B, C, E))
     I = np.eye(B.shape[0])
     if kind == "X":
-        return (_asymmetry_row("E^T X", E.T @ X, tol)
+        return (_symmetric_psd_rows("E^T X", E.T @ X, tol)
                 + _lmi_row("Kronecker LMI negative definite",
                             _kronecker_form(B, C, E.T @ X, X.T @ A), tol, True))
     if kind == "PS":
         EP, ES, AS = E @ P, E @ S, A @ S
-        return (_asymmetry_row("E P", EP, tol) + _asymmetry_row("E S", ES, tol)
+        return (_symmetric_psd_rows("E P", EP, tol) + _symmetric_psd_rows("E S", ES, tol)
                 + _lmi_row("A S + (A S)^T negative definite", AS + AS.T, tol, True)
                 + _lmi_row("Kronecker LMI negative semidefinite",
                             _kronecker_form(B, C, EP, A @ P) + np.kron(I, (ES + ES.T) / 2.0),
@@ -532,13 +532,13 @@ def certificate_conditions(kind, B, C, E, A=None, J=None, R=None, Q=None,
     r_margin = w[0] - tol * (1.0 + np.abs(w).max())
     rows = ([("J skew-symmetric", bool(dev <= 0), float(-dev)),
              ("R positive definite", bool(r_margin > 0), float(r_margin))]
-            + _rcond_row("Q invertible", Q) + _asymmetry_row("Q^T E", Q.T @ E, tol))
+            + _rcond_row("Q invertible", Q) + _symmetric_psd_rows("Q^T E", Q.T @ E, tol))
     pair_lmi = _kronecker_form(B, C, Q.T @ E, Q.T @ ((J - R) @ Q))
     if kind == "quadruple":
         return rows + _lmi_row("region LMI negative definite", pair_lmi, tol, True)
     if kind != "S":
         raise ValueError(f"unknown certificate kind {kind!r}")
     ES = E.T @ S
-    return (rows + _asymmetry_row("E^T S", ES, tol) + _rcond_row("S invertible", S)
+    return (rows + _symmetric_psd_rows("E^T S", ES, tol) + _rcond_row("S invertible", S)
             + _lmi_row("shifted Kronecker LMI negative semidefinite",
                         pair_lmi + np.kron(I, (ES + ES.T) / 2.0), tol, False))

@@ -13,8 +13,8 @@ from omegapair.dh import (Certificate, DhParam, certify_admissibility,
 from omegapair.pencil import MatrixPair, admissibility_check, spectrum
 from omegapair.result import finalize_solution, relative_error
 
-from _oracles import (certificate_conditions, pencil_admissible, random_well_conditioned, sample_feasible_tjr,
-                      standard_primitives)
+from _oracles import (certificate_conditions, pencil_admissible, random_well_conditioned,
+                      sample_feasible_tjr, standard_primitives)
 
 
 def test_realize_identity_examples():
