@@ -114,7 +114,6 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
     fbest = f
     trace = [(elapsed(), fbest, _realized_relative_error(E, A, *best))]
     prev = (T, J, R, Q)
-    fhist = [f]
     k = 1
     stop_reason = "time budget"
     max_outer = opts.max_outer_iters if opts.max_outer_iters is not None else np.inf
@@ -162,10 +161,9 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
         if f < fbest:
             best, fbest = (T, J, R, Q), f
         trace.append((elapsed(), fbest, _realized_relative_error(E, A, *best)))
-        fhist.append(fbest)
-        if len(fhist) > opts.stall_outer:
-            recent = fhist[-(opts.stall_outer + 1):]
-            if recent[0] - recent[-1] <= opts.stall_rel_tol * (1.0 + abs(recent[0])):
+        if len(trace) > opts.stall_outer:
+            first = trace[-(opts.stall_outer + 1)][1]  # best objective then
+            if first - fbest <= opts.stall_rel_tol * (1.0 + abs(first)):
                 stop_reason = "objective stall"
                 break
         last_solve_time = _time.perf_counter() - t_iter

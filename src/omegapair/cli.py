@@ -91,8 +91,8 @@ def _cmd_solve(args):
     if algo == "auto":
         algo = "fgm" if is_hurwitz(region) else "bcd"
     if algo == "fgm" and not is_hurwitz(region):
-        print("note: fgm targets the open left half-plane region only",
-              file=sys.stderr)
+        raise ValueError("--algo fgm solves for the open left half-plane only; "
+                         "use --algo bcd or auto for this region")
     if algo == "fgm":
         opts = FgmOptions(mu=args.mu, max_time_s=args.time,
                           max_iters=args.max_iters, seed=args.seed)

@@ -5,8 +5,11 @@ definite) for a real symmetric B and a real square C. This module builds
 such (B, C) pairs for twelve standard primitives (half-planes, strips,
 disks, conic sectors, ellipses, parabolic and hyperbolic regions),
 composes them by intersection, and evaluates membership of complex
-points. Everything the solvers need from a region (its real-axis section,
-its connected diagonal blocks) is read from (B, C) alone.
+points. One table, `_PRIMITIVES`, holds each kind's parameter names, the
+ones that must be positive, and its (B, C); only the sector's 0 < theta <
+pi/2 and the vertical strip's h < k are checked outside it. Everything the
+solvers need from a region (its real-axis section, its connected diagonal
+blocks) is read from (B, C) alone.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -54,20 +58,80 @@ __all__ = [
 
 DEFAULT_MARGIN_TOL = 1e-9
 
-PRIMITIVE_KINDS = (
-    "left_conic_sector",
-    "right_conic_sector",
-    "disk",
-    "vertical_strip",
-    "left_half_plane",
-    "right_half_plane",
-    "ellipsoid",
-    "left_parabola",
-    "right_parabola",
-    "left_hyperbola",
-    "right_hyperbola",
-    "horizontal_strip",
-)
+
+# The (B, C) of each primitive. A mirror pair shares one formula, with
+# sign +1 for the member that opens left and -1 for the one that opens right.
+
+def _conic_sector(sign, a, theta):
+    s, c = math.sin(theta), math.cos(theta)
+    B = -sign * 2.0 * a * s * np.eye(2)
+    C = np.array([[sign * s, c], [-c, sign * s]])
+    return B, C
+
+
+def _disk(q, r):
+    B = np.array([[-r, q], [q, -r]])
+    C = np.array([[0.0, 0.0], [-1.0, 0.0]])
+    return B, C
+
+
+def _vertical_strip(h, k):
+    B = np.diag([-2.0 * k, 2.0 * h])
+    C = np.diag([1.0, -1.0])
+    return B, C
+
+
+def _half_plane(sign, edge):
+    B = np.array([[-sign * 2.0 * edge]])
+    C = np.array([[sign]])
+    return B, C
+
+
+def _ellipsoid(q, a, b):
+    B = np.array([[-a, -q], [-q, -a]])
+    C = np.array([[0.0, (1.0 + a / b) / 2.0], [(1.0 - a / b) / 2.0, 0.0]])
+    return B, C
+
+
+def _parabola(sign, q, c):
+    g = math.sqrt(c / 2.0)
+    B = np.diag([-1.0, -sign * q])
+    C = np.array([[0.0, g / 2.0], [-g / 2.0, sign * 0.5]])
+    return B, C
+
+
+def _hyperbola(sign, a, b):
+    B = np.array([[0.0, 1.0], [1.0, 0.0]])
+    C = np.array([[sign / (2 * a), 1.0 / (2 * b)], [-1.0 / (2 * b), sign / (2 * a)]])
+    return B, C
+
+
+def _horizontal_strip(w):
+    B = np.diag([-w, -w])
+    C = np.array([[0.0, 0.5], [-0.5, 0.0]])
+    return B, C
+
+
+class _Kind(NamedTuple):
+    params: tuple         # parameter names, in constructor order
+    bc: Callable          # (B, C) from the parameter values, in that order
+    positive: tuple = ()  # parameters that must be positive
+
+
+_PRIMITIVES = {
+    "left_conic_sector": _Kind(("a", "theta"), partial(_conic_sector, 1.0)),
+    "right_conic_sector": _Kind(("a", "theta"), partial(_conic_sector, -1.0)),
+    "disk": _Kind(("q", "r"), _disk, ("r",)),
+    "vertical_strip": _Kind(("h", "k"), _vertical_strip),
+    "left_half_plane": _Kind(("k",), partial(_half_plane, 1.0)),
+    "right_half_plane": _Kind(("h",), partial(_half_plane, -1.0)),
+    "ellipsoid": _Kind(("q_e", "a_e", "b_e"), _ellipsoid, ("a_e", "b_e")),
+    "left_parabola": _Kind(("q_p", "c_p"), partial(_parabola, 1.0), ("c_p",)),
+    "right_parabola": _Kind(("q_p", "c_p"), partial(_parabola, -1.0), ("c_p",)),
+    "left_hyperbola": _Kind(("a_h", "b_h"), partial(_hyperbola, 1.0), ("a_h", "b_h")),
+    "right_hyperbola": _Kind(("a_h", "b_h"), partial(_hyperbola, -1.0), ("a_h", "b_h")),
+    "horizontal_strip": _Kind(("w",), _horizontal_strip, ("w",)),
+}
 
 
 @dataclass(frozen=True)
@@ -78,13 +142,26 @@ class RegionPrimitive:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in PRIMITIVE_KINDS:
-            raise ValueError(f"unknown region kind {self.kind!r}")
-        _validate_params(self.kind, self.params)
+        row = _PRIMITIVES.get(self.kind) if isinstance(self.kind, str) else None
+        _require(row is not None, f"unknown region kind {self.kind!r}")
+        p = self.params
+        _require(set(p) == set(row.params),
+                 f"{self.kind} takes parameters {', '.join(row.params)}")
+        for name in row.positive:
+            _require(p[name] > 0, f"{self.kind} parameter {name} must be positive, "
+                                  f"got {p[name]}")
+        if self.kind in ("left_conic_sector", "right_conic_sector"):
+            _require(0.0 < p["theta"] < math.pi / 2,
+                     f"sector half-angle theta must be in (0, pi/2), got {p['theta']}")
+        if self.kind == "vertical_strip":
+            _require(p["h"] < p["k"],
+                     f"vertical_strip needs h < k, got h={p['h']}, k={p['k']}")
 
     def __getattr__(self, name):
+        # p.r reads params["r"]; through vars(), as copy and pickle look
+        # attributes up before `params` is set
         try:
-            return self.params[name]
+            return vars(self)["params"][name]
         except KeyError:
             raise AttributeError(name) from None
 
@@ -95,40 +172,6 @@ class RegionPrimitive:
 def _require(cond, message):
     if not cond:
         raise ValueError(message)
-
-
-def _validate_params(kind, params):
-    p = params
-    if kind in ("left_conic_sector", "right_conic_sector"):
-        _require(set(p) == {"a", "theta"}, f"{kind} takes parameters a, theta")
-        _require(0.0 < p["theta"] < math.pi / 2,
-                 f"sector half-angle theta must be in (0, pi/2), got {p['theta']}")
-    elif kind == "disk":
-        _require(set(p) == {"q", "r"}, "disk takes parameters q, r")
-        _require(p["r"] > 0, f"disk radius r must be positive, got {p['r']}")
-    elif kind == "vertical_strip":
-        _require(set(p) == {"h", "k"}, "vertical_strip takes parameters h, k")
-        _require(p["h"] < p["k"],
-                 f"vertical_strip needs h < k, got h={p['h']}, k={p['k']}")
-    elif kind == "left_half_plane":
-        _require(set(p) == {"k"}, "left_half_plane takes parameter k")
-    elif kind == "right_half_plane":
-        _require(set(p) == {"h"}, "right_half_plane takes parameter h")
-    elif kind == "ellipsoid":
-        _require(set(p) == {"q_e", "a_e", "b_e"},
-                 "ellipsoid takes parameters q_e, a_e, b_e")
-        _require(p["a_e"] > 0, f"ellipsoid semi-axis a_e must be positive, got {p['a_e']}")
-        _require(p["b_e"] > 0, f"ellipsoid semi-axis b_e must be positive, got {p['b_e']}")
-    elif kind in ("left_parabola", "right_parabola"):
-        _require(set(p) == {"q_p", "c_p"}, f"{kind} takes parameters q_p, c_p")
-        _require(p["c_p"] > 0, f"parabola curvature c_p must be positive, got {p['c_p']}")
-    elif kind in ("left_hyperbola", "right_hyperbola"):
-        _require(set(p) == {"a_h", "b_h"}, f"{kind} takes parameters a_h, b_h")
-        _require(p["a_h"] > 0, f"hyperbola semi-axis a_h must be positive, got {p['a_h']}")
-        _require(p["b_h"] > 0, f"hyperbola semi-axis b_h must be positive, got {p['b_h']}")
-    elif kind == "horizontal_strip":
-        _require(set(p) == {"w"}, "horizontal_strip takes parameter w")
-        _require(p["w"] > 0, f"horizontal_strip half-width w must be positive, got {p['w']}")
 
 
 def left_conic_sector(a, theta):
@@ -191,62 +234,6 @@ def horizontal_strip(w):
     return RegionPrimitive("horizontal_strip", {"w": float(w)})
 
 
-def _primitive_bc(p: RegionPrimitive):
-    """Characteristic matrices (B, C) of one primitive."""
-    k = p.kind
-    if k == "left_conic_sector":
-        a, th = p.a, p.theta
-        s, c = math.sin(th), math.cos(th)
-        B = -2.0 * a * s * np.eye(2)
-        C = np.array([[s, c], [-c, s]])
-    elif k == "right_conic_sector":
-        a, th = p.a, p.theta
-        s, c = math.sin(th), math.cos(th)
-        B = 2.0 * a * s * np.eye(2)
-        C = np.array([[-s, c], [-c, -s]])
-    elif k == "disk":
-        q, r = p.q, p.r
-        B = np.array([[-r, q], [q, -r]])
-        C = np.array([[0.0, 0.0], [-1.0, 0.0]])
-    elif k == "vertical_strip":
-        h, kk = p.h, p.k
-        B = np.diag([-2.0 * kk, 2.0 * h])
-        C = np.diag([1.0, -1.0])
-    elif k == "left_half_plane":
-        B = np.array([[-2.0 * p.k]])
-        C = np.array([[1.0]])
-    elif k == "right_half_plane":
-        B = np.array([[2.0 * p.h]])
-        C = np.array([[-1.0]])
-    elif k == "ellipsoid":
-        q, a, b = p.q_e, p.a_e, p.b_e
-        B = np.array([[-a, -q], [-q, -a]])
-        C = np.array([[0.0, (1.0 + a / b) / 2.0], [(1.0 - a / b) / 2.0, 0.0]])
-    elif k == "left_parabola":
-        g = math.sqrt(p.c_p / 2.0)
-        B = np.diag([-1.0, -p.q_p])
-        C = np.array([[0.0, g / 2.0], [-g / 2.0, 0.5]])
-    elif k == "right_parabola":
-        g = math.sqrt(p.c_p / 2.0)
-        B = np.diag([-1.0, p.q_p])
-        C = np.array([[0.0, g / 2.0], [-g / 2.0, -0.5]])
-    elif k == "left_hyperbola":
-        a, b = p.a_h, p.b_h
-        B = np.array([[0.0, 1.0], [1.0, 0.0]])
-        C = np.array([[1.0 / (2 * a), 1.0 / (2 * b)], [-1.0 / (2 * b), 1.0 / (2 * a)]])
-    elif k == "right_hyperbola":
-        a, b = p.a_h, p.b_h
-        B = np.array([[0.0, 1.0], [1.0, 0.0]])
-        C = np.array([[-1.0 / (2 * a), 1.0 / (2 * b)], [-1.0 / (2 * b), -1.0 / (2 * a)]])
-    elif k == "horizontal_strip":
-        w = p.w
-        B = np.diag([-w, -w])
-        C = np.array([[0.0, 0.5], [-0.5, 0.0]])
-    else:  # pragma: no cover
-        raise ValueError(f"unknown region kind {k!r}")
-    return B, C
-
-
 def _freeze(a):
     a = np.ascontiguousarray(a, dtype=float)
     a.setflags(write=False)
@@ -275,11 +262,17 @@ class LmiRegion:
             raise ValueError("B must be square")
         if C.shape != B.shape:
             raise ValueError("C must match the shape of B")
+        if not (np.isfinite(B).all() and np.isfinite(C).all()):
+            raise ValueError("B and C must be finite")
         object.__setattr__(self, "B", _freeze((B + B.T) / 2.0))
         object.__setattr__(self, "C", _freeze(C))
         object.__setattr__(self, "primitives", tuple(self.primitives))
         object.__setattr__(self, "scale", float(max(np.abs(self.B).max(initial=0.0),
                                                     np.abs(self.C).max(initial=0.0))))
+
+    def __reduce__(self):
+        # rebuild through __init__, which makes (B, C) read-only again
+        return LmiRegion, (self.B, self.C, self.primitives)
 
     @property
     def size(self) -> int:
@@ -293,7 +286,8 @@ class Membership(NamedTuple):
 
 def from_primitive(p: RegionPrimitive) -> LmiRegion:
     """Region for a single primitive; size 1 for half-planes, 2 otherwise."""
-    B, C = _primitive_bc(p)
+    row = _PRIMITIVES[p.kind]
+    B, C = row.bc(*(p.params[name] for name in row.params))
     return LmiRegion(B, C, (p,))
 
 
@@ -460,17 +454,18 @@ def region_from_dict(obj) -> LmiRegion:
     Accepted forms: {"intersect": [primitive, ...]}, {"raw": {"B": ..., "C": ...}},
     or a single primitive object {"kind": ..., ...}.
     """
-    if not isinstance(obj, dict):
-        raise ValueError("region spec must be a JSON object")
+    _require(isinstance(obj, dict), "region spec must be a JSON object")
     if "raw" in obj:
         raw = obj["raw"]
+        _require(isinstance(raw, dict), "region spec 'raw' must be an object")
         return LmiRegion(np.asarray(raw["B"], dtype=float),
                          np.asarray(raw["C"], dtype=float))
     if "intersect" in obj:
-        prims = [_primitive_from_dict(d) for d in obj["intersect"]]
-        if not prims:
-            raise ValueError("region spec 'intersect' list is empty")
-        return intersect(*prims)
+        items = obj["intersect"]
+        _require(isinstance(items, list) and all(isinstance(d, dict) for d in items),
+                 "region spec 'intersect' must be a list of primitive objects")
+        _require(items, "region spec 'intersect' list is empty")
+        return intersect(*[_primitive_from_dict(d) for d in items])
     if "kind" in obj:
         return from_primitive(_primitive_from_dict(obj))
     raise ValueError("region spec needs one of the keys 'intersect', 'raw', 'kind'")
@@ -482,6 +477,9 @@ def _primitive_from_dict(d) -> RegionPrimitive:
         kind = d.pop("kind")
     except KeyError:
         raise ValueError("primitive spec is missing 'kind'") from None
+    for name, value in d.items():
+        _require(isinstance(value, (int, float)),
+                 f"primitive parameter {name!r} must be a number, got {value!r}")
     return RegionPrimitive(kind, {k: float(v) for k, v in d.items()})
 
 

@@ -3,6 +3,8 @@
 Membership oracles evaluate each primitive's defining inequality directly
 from the standard conic equations (branch selection by the sign of Re(z)
 relative to the vertex), never through the (B, C) matrices under test.
+`random_primitives` draws seeded valid parameters for every kind, so the
+membership test reaches beyond the one fixed choice per kind.
 The per-primitive stability blocks and their scalar intervals are the
 paper's closed-form table, written out per kind; the package derives the
 same facts from (B, C), and the tests compare the two.
@@ -221,6 +223,41 @@ def standard_primitives():
         rg.right_hyperbola(1.5, 2.5),
         rg.horizontal_strip(3.0),
     ]
+
+
+def _random_strip(u):
+    h = u(-4.0, 3.0)
+    return {"h": h, "k": h + u(0.3, 4.0)}
+
+
+# Seeded valid parameter draws per kind. Apexes, centres, edges and
+# vertices take either sign, so both members of each mirror pair (left
+# and right half-plane, sector, parabola, hyperbola) meet both signs;
+# radii, semi-axes, curvatures and widths stay away from 0.
+_RANDOM_PARAMS = {
+    "left_conic_sector": lambda u: {"a": u(-4.0, 4.0), "theta": u(0.1, 1.45)},
+    "right_conic_sector": lambda u: {"a": u(-4.0, 4.0), "theta": u(0.1, 1.45)},
+    "disk": lambda u: {"q": u(-4.0, 4.0), "r": u(0.3, 4.0)},
+    "vertical_strip": _random_strip,
+    "left_half_plane": lambda u: {"k": u(-4.0, 4.0)},
+    "right_half_plane": lambda u: {"h": u(-4.0, 4.0)},
+    "ellipsoid": lambda u: {"q_e": u(-4.0, 4.0), "a_e": u(0.3, 4.0), "b_e": u(0.3, 4.0)},
+    "left_parabola": lambda u: {"q_p": u(-4.0, 4.0), "c_p": u(0.2, 3.0)},
+    "right_parabola": lambda u: {"q_p": u(-4.0, 4.0), "c_p": u(0.2, 3.0)},
+    "left_hyperbola": lambda u: {"a_h": u(0.3, 3.0), "b_h": u(0.3, 3.0)},
+    "right_hyperbola": lambda u: {"a_h": u(0.3, 3.0), "b_h": u(0.3, 3.0)},
+    "horizontal_strip": lambda u: {"w": u(0.3, 4.0)},
+}
+
+
+def random_primitives(seed, draws):
+    """`draws` seeded random primitives of each kind, built through the
+    public constructor of the kind's name."""
+    from omegapair import regions as rg
+
+    rng = np.random.default_rng(seed)
+    return [getattr(rg, kind)(**sample(lambda lo, hi: float(rng.uniform(lo, hi))))
+            for kind, sample in _RANDOM_PARAMS.items() for _ in range(draws)]
 
 
 def scalar_start(p, psd_R=False):

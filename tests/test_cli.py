@@ -162,3 +162,27 @@ def test_bench_subcommand(files, capsys):
     out = capsys.readouterr().out
     assert "tiny" in out
     assert (tmp / "bench" / "results.csv").exists()
+
+
+def test_malformed_region_files_exit_1(files, capsys):
+    tmp, write_pair, write_region = files
+    pair = write_pair("p.json", np.eye(2), -np.eye(2))
+    for i, spec in enumerate(({"kind": "disk", "q": None, "r": 1},
+                              {"intersect": 3})):
+        region = write_region(f"r{i}.json", spec)
+        assert main(["check", "--pair", pair, "--region", region]) == 1
+        assert "error" in capsys.readouterr().err
+
+
+def test_solve_fgm_outside_hurwitz_is_a_usage_error(files, capsys):
+    """fgm solves for the left half-plane only; it must not report a pair
+    admissible for a region it never looked at."""
+    tmp, write_pair, write_region = files
+    pair = write_pair("p.json", np.eye(2), [[-0.5, 2.0], [-2.0, -0.5]])
+    region = write_region("r.json", {"kind": "disk", "q": -3.0, "r": 1.0})
+    code = main(["solve", "--pair", pair, "--region", region, "--algo", "fgm",
+                 "--time", "2", "--out", str(tmp / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--algo bcd" in err
+    assert not (tmp / "out").exists()

@@ -1,15 +1,19 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import omegapair
 from omegapair import regions as rg
 from omegapair.dh import region_lmi, skew, sym
 
 from _oracles import (TABLE_BLOCK_SCALE, geometric_membership, initial_scalar_interval,
-                      lam_max_margin, stability_lmi_blocks, standard_primitives)
+                      lam_max_margin, random_primitives, stability_lmi_blocks,
+                      standard_primitives)
 
 
 def test_disk_matrices_match_reference():
@@ -132,8 +136,10 @@ def test_membership_margins_equal_per_point_oracle():
 
 
 def test_membership_agrees_with_geometry():
+    """The standard primitives and seeded random draws of every kind, whose
+    apexes, centres and vertices take both signs."""
     rng = np.random.default_rng(1)
-    for p in standard_primitives():
+    for p in standard_primitives() + random_primitives(seed=11, draws=4):
         r = rg.from_primitive(p)
         for _ in range(1000):
             z = complex(rng.uniform(-8, 8), rng.uniform(-8, 8))
@@ -345,6 +351,49 @@ def test_region_json_rejects_bad_specs():
         rg.region_from_dict({"nope": 1})
     with pytest.raises(ValueError):
         rg.region_from_dict({"intersect": [{"q": 0.0, "r": 1.0}]})
+    with pytest.raises(ValueError, match="q"):
+        rg.region_from_dict({"kind": "disk", "q": None, "r": 1})
+    with pytest.raises(ValueError, match="intersect"):
+        rg.region_from_dict({"intersect": 3})
+    with pytest.raises(ValueError, match="intersect"):
+        rg.region_from_dict({"intersect": [3]})
+    with pytest.raises(ValueError, match="raw"):
+        rg.region_from_dict({"raw": 3})
+    with pytest.raises(ValueError, match="kind"):
+        rg.region_from_dict({"kind": ["disk"], "q": 0.0, "r": 1.0})
+    # a NaN region puts every margin at NaN, which the admissibility check passes
+    with pytest.raises(ValueError, match="finite"):
+        rg.region_from_dict({"raw": {"B": [[None]], "C": [[1.0]]}})
+    with pytest.raises(ValueError, match="finite"):
+        rg.region_from_dict({"kind": "disk", "q": math.nan, "r": 1.0})
+
+
+def test_every_primitive_kind_has_a_public_constructor():
+    for kind in rg._PRIMITIVES:
+        assert kind in rg.__all__ and kind in omegapair.__all__, kind
+        assert getattr(omegapair, kind) is getattr(rg, kind)
+    assert sorted(p.kind for p in standard_primitives()) == sorted(rg._PRIMITIVES)
+
+
+def test_every_primitive_roundtrips_through_json_bit_for_bit():
+    for p in standard_primitives():
+        r = rg.from_primitive(p)
+        back = rg.region_from_dict(json.loads(json.dumps(rg.region_to_dict(r))))
+        assert back.primitives == (p,)
+        assert back.B.tobytes() == r.B.tobytes() and back.C.tobytes() == r.C.tobytes()
+
+
+def test_primitives_and_regions_copy_and_pickle():
+    regions = [rg.from_primitive(p) for p in standard_primitives()] + [_composite()]
+    for r in regions:
+        for p in r.primitives:
+            for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+                assert (q.kind, q.params) == (p.kind, p.params)
+                assert all(getattr(q, name) == value for name, value in p.params.items())
+        for c in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert c.B.tobytes() == r.B.tobytes() and c.C.tobytes() == r.C.tobytes()
+            assert c.primitives == r.primitives
+            assert not (c.B.flags.writeable or c.C.flags.writeable)
 
 
 def test_is_hurwitz_and_closed_left_half_plane():
