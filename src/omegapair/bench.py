@@ -4,6 +4,9 @@ Generators produce the standard test families (banded Toeplitz pairs, a
 damped mass-spring descriptor chain, near-orthogonal matrices); the
 runner executes solver/instance combinations under wall-clock or
 iteration budgets and writes a results table plus one trace CSV per run.
+An instance's algorithm is "fgm", "bcd" or "auto" (the default: fgm for
+the Hurwitz region, bcd otherwise); fgm on any other region is refused
+and gives an error row. Instance names must be unique.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .bcd import BcdOptions, solve_general
 from .dh import DhParam
 from .fgm import FgmOptions, solve_hurwitz
 from .pencil import MatrixPair, spectrum
-from .regions import LmiRegion, membership_margins, region_from_dict
+from .regions import LmiRegion, is_hurwitz, membership_margins, region_from_dict
 from .result import relative_error, write_trace
 
 __all__ = [
@@ -98,7 +101,7 @@ class BenchInstance:
     name: str
     pair: MatrixPair
     region: LmiRegion
-    algorithm: str = "fgm"        # "fgm" | "bcd"
+    algorithm: str = "auto"       # "fgm" | "bcd" | "auto"
     budget_s: float = 30.0
     mu: float = 1.0
     seed: int = 0
@@ -120,23 +123,49 @@ class BenchInstance:
         else:
             raise ValueError(f"unknown generator kind {kind!r}")
         region = region_from_dict(obj.get("region", {"kind": "left_half_plane", "k": 0.0}))
+        max_iters = obj.get("max_iters")
         return cls(name=obj["name"], pair=pair, region=region,
-                   algorithm=obj.get("algorithm", "fgm"),
+                   algorithm=obj.get("algorithm", "auto"),
                    budget_s=float(obj.get("budget_s", 30.0)),
                    mu=float(obj.get("mu", 1.0)), seed=seed,
-                   max_iters=obj.get("max_iters"))
+                   max_iters=None if max_iters is None else int(max_iters))
 
 
-def _run_instance(inst: BenchInstance):
-    if inst.algorithm == "fgm":
-        opts = FgmOptions(mu=inst.mu, max_time_s=inst.budget_s,
-                          max_iters=inst.max_iters, seed=inst.seed)
-        return solve_hurwitz(inst.pair.E, inst.pair.A, opts)
-    if inst.algorithm == "bcd":
-        opts = BcdOptions(mu=inst.mu, max_time_s=inst.budget_s,
-                          max_outer_iters=inst.max_iters)
-        return solve_general(inst.pair.E, inst.pair.A, inst.region, opts)
-    raise ValueError(f"unknown algorithm {inst.algorithm!r}")
+def _solve(pair, region, algorithm, mu, budget_s, max_iters, seed):
+    """Run the solver that `algorithm` ("fgm", "bcd" or "auto") names.
+
+    "auto" picks fgm exactly for the Hurwitz region. fgm solves for the
+    open left half-plane only, so on any other region it is refused rather
+    than report a verdict for a region the solve never looked at.
+    """
+    hurwitz = is_hurwitz(region)
+    if algorithm == "auto":
+        algorithm = "fgm" if hurwitz else "bcd"
+    if algorithm == "fgm":
+        if not hurwitz:
+            raise ValueError("fgm solves for the open left half-plane only; "
+                             "use bcd or auto (--algo bcd) for this region")
+        return solve_hurwitz(pair.E, pair.A, FgmOptions(
+            mu=mu, max_time_s=budget_s, max_iters=max_iters, seed=seed))
+    if algorithm == "bcd":
+        return solve_general(pair.E, pair.A, region, BcdOptions(
+            mu=mu, max_time_s=budget_s, max_outer_iters=max_iters))
+    raise ValueError(f"unknown algorithm {algorithm!r}")
+
+
+_COLUMNS = ("instance", "algorithm", "relative_error_pct", "time_s",
+            "objective", "admissible", "iterations", "seed", "error")
+
+
+def _row(inst, res, error=""):
+    """The results row of one instance; `res` None makes its error row."""
+    nan = float("nan")
+    if res is None:
+        values = (inst.algorithm, nan, nan, nan, False, 0)
+    else:
+        values = (res.algorithm, 100.0 * res.relative_error, res.trace[-1][0],
+                  res.objective, res.admissible, res.iterations)
+    return dict(zip(_COLUMNS, (inst.name, *values, inst.seed, error)))
 
 
 def run_table(instances, out_dir=None, workers=1):
@@ -144,65 +173,43 @@ def run_table(instances, out_dir=None, workers=1):
 
     Returns a list of rows (dict per instance, input order preserved).
     With out_dir set, also writes results.csv, results.json, and one
-    trace_<name>.csv per run. Failures are recorded per instance and do
-    not stop the batch.
+    trace_<name>.csv per run. Failures, a refused algorithm included, are
+    recorded per instance and do not stop the batch. Raises ValueError
+    before any solve when two names share a trace file.
     """
+    safe = ["".join(c if c.isalnum() or c in "-_" else "_" for c in inst.name)
+            for inst in instances]
+    clash = sorted({name for name in safe if safe.count(name) > 1})
+    if clash:
+        raise ValueError(f"instance names must be unique; trace names shared: {clash}")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    results = [None] * len(instances)
 
-    def work(i):
-        inst = instances[i]
+    def work(inst):
         try:
-            res = _run_instance(inst)
-            row = {
-                "instance": inst.name,
-                "algorithm": inst.algorithm,
-                "relative_error_pct": 100.0 * res.relative_error,
-                "time_s": res.trace[-1][0] if res.trace else 0.0,
-                "objective": res.objective,
-                "admissible": res.admissible,
-                "iterations": res.iterations,
-                "seed": inst.seed,
-                "error": "",
-            }
-            return row, res
+            res = _solve(inst.pair, inst.region, inst.algorithm, inst.mu,
+                         inst.budget_s, inst.max_iters, inst.seed)
+            return _row(inst, res), res
         except Exception as exc:  # noqa: BLE001 - batch keeps going by contract
-            return {
-                "instance": inst.name,
-                "algorithm": inst.algorithm,
-                "relative_error_pct": float("nan"),
-                "time_s": float("nan"),
-                "objective": float("nan"),
-                "admissible": False,
-                "iterations": 0,
-                "seed": inst.seed,
-                "error": f"{type(exc).__name__}: {exc}",
-            }, None
+            return _row(inst, None, f"{type(exc).__name__}: {exc}"), None
 
     if workers <= 1:
-        outcome = [work(i) for i in range(len(instances))]
+        outcome = [work(inst) for inst in instances]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcome = list(pool.map(work, range(len(instances))))
-    for i, (row, res) in enumerate(outcome):
-        results[i] = row
-        if out_dir is not None and res is not None:
-            safe = "".join(c if c.isalnum() or c in "-_" else "_"
-                           for c in instances[i].name)
-            trace_path = os.path.join(out_dir, f"trace_{safe}.csv")
-            write_trace(trace_path, res.trace)
-            row["trace"] = trace_path
-
+            outcome = list(pool.map(work, instances))
+    results = [row for row, _ in outcome]
     if out_dir is not None:
+        for name, (row, res) in zip(safe, outcome):
+            if res is not None:
+                row["trace"] = os.path.join(out_dir, f"trace_{name}.csv")
+                write_trace(row["trace"], res.trace)
         with open(os.path.join(out_dir, "results.json"), "w") as fh:
             json.dump(results, fh, indent=1)
-        cols = ["instance", "algorithm", "relative_error_pct", "time_s",
-                "objective", "admissible", "iterations", "seed", "error"]
         with open(os.path.join(out_dir, "results.csv"), "w") as fh:
-            fh.write(",".join(cols) + "\n")
+            fh.write(",".join(_COLUMNS) + "\n")
             for row in results:
-                fh.write(",".join(_csv_cell(row.get(c, "")) for c in cols) + "\n")
+                fh.write(",".join(_csv_cell(row[c]) for c in _COLUMNS) + "\n")
     return results
 
 

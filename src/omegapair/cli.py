@@ -17,11 +17,9 @@ import sys
 
 import numpy as np
 
-from .bcd import BcdOptions, solve_general
-from .bench import BenchInstance, region_plot_data, run_table
-from .fgm import FgmOptions, solve_hurwitz
+from .bench import BenchInstance, _solve, region_plot_data, run_table
 from .pencil import admissibility_check, load_pair, save_pair, spectrum
-from .regions import is_hurwitz, load_region, uniform_part_nonempty
+from .regions import load_region, uniform_part_nonempty
 from .result import write_trace
 from .sdp import InfeasibleStartError
 
@@ -87,20 +85,8 @@ def _parser():
 def _cmd_solve(args):
     pair = load_pair(args.pair)
     region = load_region(args.region)
-    algo = args.algo
-    if algo == "auto":
-        algo = "fgm" if is_hurwitz(region) else "bcd"
-    if algo == "fgm" and not is_hurwitz(region):
-        raise ValueError("--algo fgm solves for the open left half-plane only; "
-                         "use --algo bcd or auto for this region")
-    if algo == "fgm":
-        opts = FgmOptions(mu=args.mu, max_time_s=args.time,
-                          max_iters=args.max_iters, seed=args.seed)
-        res = solve_hurwitz(pair.E, pair.A, opts)
-    else:
-        opts = BcdOptions(mu=args.mu, max_time_s=args.time,
-                          max_outer_iters=args.max_iters)
-        res = solve_general(pair.E, pair.A, region, opts)
+    res = _solve(pair, region, args.algo, args.mu, args.time, args.max_iters,
+                 args.seed)
 
     os.makedirs(args.out, exist_ok=True)
     trace_path = args.trace or os.path.join(args.out, "trace.csv")

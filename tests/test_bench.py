@@ -6,9 +6,9 @@ import pytest
 import scipy.linalg
 
 from omegapair import regions as rg
-from omegapair.bench import (BenchInstance, grcar, msd, near_schur,
+from omegapair.bench import (BenchInstance, _solve, grcar, msd, near_schur,
                              region_plot_data, relative_error, run_table)
-from omegapair.pencil import MatrixPair, spectrum
+from omegapair.pencil import MatrixPair, admissibility_check, spectrum
 from omegapair.result import read_trace
 
 
@@ -140,10 +140,42 @@ def test_run_table_parallel_matches_serial(tmp_path):
     insts = [BenchInstance(name=f"i{k}", pair=MatrixPair(np.eye(2), 0.4 * np.eye(2)),
                            region=rg.hurwitz(), algorithm="fgm",
                            budget_s=30.0, max_iters=40) for k in range(3)]
+    insts.append(BenchInstance(name="i3", pair=grcar(6, 1), region=rg.schur(),
+                               algorithm="bcd", budget_s=60.0, max_iters=3))
     serial = run_table(insts)
     parallel = run_table(insts, workers=3)
     assert [r["objective"] for r in serial] == [r["objective"] for r in parallel]
-    assert [r["instance"] for r in parallel] == ["i0", "i1", "i2"]
+    assert [r["instance"] for r in parallel] == ["i0", "i1", "i2", "i3"]
+    assert [r["algorithm"] for r in parallel] == ["fgm", "fgm", "fgm", "bcd"]
+    assert all(r["error"] == "" for r in parallel)
+
+
+# Eigenvalues -0.5 +- 2i: in the left half-plane, outside disk(-3, 1).
+_DISK_CASE = {"name": "disk", "region": {"kind": "disk", "q": -3.0, "r": 1.0},
+              "generator": {"kind": "pair", "E": [[1.0, 0.0], [0.0, 1.0]],
+                            "A": [[-0.5, 2.0], [-2.0, -0.5]]},
+              "budget_s": 60.0, "max_iters": 3}
+
+
+def test_run_table_refuses_fgm_outside_hurwitz():
+    """fgm never reports a verdict for a region it did not solve for."""
+    inst = BenchInstance.from_dict({**_DISK_CASE, "algorithm": "fgm"})
+    assert not admissibility_check(inst.pair, inst.region).admissible
+    row, = run_table([inst])
+    assert row["admissible"] is False
+    assert row["algorithm"] == "fgm"
+    assert row["error"].startswith("ValueError") and "--algo bcd" in row["error"]
+
+
+def test_instance_without_algorithm_runs_bcd():
+    inst = BenchInstance.from_dict(_DISK_CASE)
+    assert inst.algorithm == "auto" and inst.max_iters == 3
+    row, = run_table([inst])
+    assert row["error"] == "" and row["algorithm"] == "bcd"
+    res = _solve(inst.pair, inst.region, inst.algorithm, inst.mu,
+                 inst.budget_s, inst.max_iters, inst.seed)
+    assert res.objective == row["objective"]
+    assert row["admissible"] == admissibility_check(res.pair, inst.region).admissible
 
 
 def test_instance_from_dict_roundtrip():

@@ -186,3 +186,32 @@ def test_solve_fgm_outside_hurwitz_is_a_usage_error(files, capsys):
     err = capsys.readouterr().err
     assert "--algo bcd" in err
     assert not (tmp / "out").exists()
+
+
+def test_bench_fgm_outside_hurwitz_is_an_error_row(files, capsys):
+    tmp, write_pair, write_region = files
+    spec = [{"name": "disk", "generator": {"kind": "pair", "E": np.eye(2).tolist(),
+                                           "A": [[-0.5, 2.0], [-2.0, -0.5]]},
+             "region": {"kind": "disk", "q": -3.0, "r": 1.0},
+             "algorithm": "fgm", "budget_s": 2.0, "max_iters": 60}]
+    spec_path = tmp / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out_dir = tmp / "bench"
+    assert main(["bench", "--spec", str(spec_path), "--out", str(out_dir)]) == 0
+    header, line = (out_dir / "results.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), line.split(",", 8)))
+    assert row["admissible"] == "False"
+    assert row["error"].startswith("ValueError") and "--algo bcd" in row["error"]
+
+
+def test_bench_duplicate_instance_names_exit_1(files, capsys):
+    tmp, write_pair, write_region = files
+    entry = {"generator": {"kind": "grcar", "n": 4, "k": 1},
+             "algorithm": "fgm", "budget_s": 2.0, "max_iters": 5}
+    for names in (["a b", "a_b"], ["x", "x"]):
+        spec_path = tmp / "spec.json"
+        spec_path.write_text(json.dumps([{**entry, "name": n} for n in names]))
+        out_dir = tmp / "bench"
+        assert main(["bench", "--spec", str(spec_path), "--out", str(out_dir)]) == 1
+        assert "unique" in capsys.readouterr().err
+        assert not out_dir.exists()
