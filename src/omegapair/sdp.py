@@ -162,7 +162,9 @@ class _Block:
 
     Only the variables whose coefficient slice is nonzero are stored, so
     blocks touching a single matrix variable stay cheap inside the Newton
-    assembly.
+    assembly. They are a union of whole variable groups (T, J, R), listed
+    in `runs` as contiguous stretches: pairs (slice of x, slice of the
+    stored rows).
     """
 
     def __init__(self, G0, K):
@@ -171,6 +173,10 @@ class _Block:
         active = np.flatnonzero(np.abs(K).max(axis=(1, 2)) > 0.0)
         self.active = active
         self.K = np.ascontiguousarray(K[active])  # (m_active, d, d)
+        starts = np.flatnonzero(np.diff(active, prepend=-2) != 1).tolist()
+        ends = starts[1:] + [len(active)]
+        self.runs = [(slice(int(active[a]), int(active[e - 1]) + 1), slice(a, e))
+                     for a, e in zip(starts, ends)]
 
     def value(self, x):
         return self.G0 + np.einsum("k,kij->ij", x[self.active], self.K)
@@ -324,9 +330,13 @@ def _barrier_grad_hess(blocks, x, m, factors=None):
         # Ghat_j = L^-1 K_j L^-T (K_j symmetric), so traces and Gram
         # products below are exact
         Ghat = Li @ b.K @ Li.T
-        g[b.active] -= np.trace(Ghat, axis1=1, axis2=2)
+        tr = np.trace(Ghat, axis1=1, axis2=2)
         V = Ghat.reshape(len(b.active), -1)
-        H[np.ix_(b.active, b.active)] += V @ V.T
+        S = V @ V.T
+        for xi, ri in b.runs:
+            g[xi] -= tr[ri]
+            for xj, rj in b.runs:
+                H[xi, xj] += S[ri, rj]
     return g, H, inverses
 
 
@@ -343,14 +353,18 @@ def _step_spectrum(blocks, inverses, dx):
         for b, Li in zip(blocks, inverses)])
 
 
+def _line_slopes(s, t, slope_f, curv_f, mu):
+    """The first and second derivative in s of `_line_merit`."""
+    w = mu / (1.0 + s * mu)
+    return t * (slope_f + s * curv_f) - float(np.sum(w)), t * curv_f + float(w @ w)
+
+
 def _line_merit(s, t, slope_f, curv_f, mu):
     """psi(x + s dx) - psi(x) for psi = t f - sum logdet G_b, and its first
     and second derivative in s, from slope_f = gf.dx, curv_f = dx'H_f dx
     and the step spectrum mu."""
-    w = mu / (1.0 + s * mu)
     return (t * (s * slope_f + 0.5 * s * s * curv_f) - float(np.sum(np.log1p(s * mu))),
-            t * (slope_f + s * curv_f) - float(np.sum(w)),
-            t * curv_f + float(w @ w))
+            *_line_slopes(s, t, slope_f, curv_f, mu))
 
 
 def _line_step(t, slope_f, curv_f, mu):
@@ -365,7 +379,7 @@ def _line_step(t, slope_f, curv_f, mu):
     cap = 0.99 / -worst if worst < 0.0 else math.inf
     s = 0.0
     for _ in range(MAX_LINE_NEWTON):
-        _, d1, d2 = _line_merit(s, t, slope_f, curv_f, mu)
+        d1, d2 = _line_slopes(s, t, slope_f, curv_f, mu)
         lam = abs(d1) / math.sqrt(d2)
         step = -d1 / d2
         if lam >= 0.25:
@@ -444,15 +458,17 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
     cs = sp.constraints
     obj = _Objective(sp, np.asarray(Q, dtype=float))
 
-    used_default = False
-    x = None
+    # block factors at x, kept from the accepted point for the next step
+    x = factors = None
     if init is not None:
         xi = cs.pack(*init)
-        if cs.strictly_feasible(xi):
+        factors = _barrier(cs.blocks, xi)
+        if factors is not None:
             x = xi
-    if x is None:
+    used_default = x is None
+    if used_default:
         x = cs.pack(*initial_point(sp))
-        used_default = True
+        factors = _barrier(cs.blocks, x)
 
     f0 = obj.value(x)
     eps = accuracy if accuracy is not None else 1e-8 * (1.0 + f0)
@@ -472,8 +488,6 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
     gap_guess = gap0 if gap0 is not None else f0
     t = max(1e-2, min(1e8, nu / max(gap_guess, eps)))
     converged = False
-    # block factors at x, kept from the accepted point for the next step
-    factors = _barrier(cs.blocks, x)
     while total_newton < MAX_TOTAL_NEWTON:
         # centering at the current t; intermediate stages only need to be
         # roughly central for the x10 growth, the final stage is tightened

@@ -197,6 +197,50 @@ def test_barrier_derivatives_match_dense_oracle(case, n):
         assert dx @ H @ dx == pytest.approx(second, rel=1e-10)
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_barrier_hessian_entries_match_dense_oracle(case):
+    """H_ij = sum tr(G^-1 dG_i G^-1 dG_j), dG_i the change of G_b along
+    the coordinate direction e_i, entry by entry: a run pair added to the
+    wrong slice of H shows here even where a quadratic form hides it."""
+    sp, cs, oracle, x, _ = _interior_case(case, 3)
+    _, H, _ = _barrier_grad_hess(cs.blocks, x, cs.m)
+    # WdG[b][i] = G_b^-1 dG_b along e_i
+    WdG = [np.linalg.solve(Gb, np.stack(dGb))
+           for Gb, *dGb in zip(oracle(x), *(oracle(e, direction=True) for e in np.eye(cs.m)))]
+    dense = sum(np.einsum("iab,jba->ij", W, W) for W in WdG)
+    assert H == pytest.approx(dense, rel=1e-10)
+
+
+def test_block_runs_cover_active_variables_in_order():
+    """Each block lists its active variables as contiguous runs (slice of
+    x, slice of the block's rows), one run per stretch of whole variable
+    groups."""
+    n = 4
+    A = np.random.default_rng(0).standard_normal((n, n))
+    full = ConvexSubproblem(np.eye(n), A, 1.0, _composite(), require_R_psd=True).constraints
+    frozen = ConvexSubproblem(np.eye(n), A, 1.0, _composite(),
+                              fixed_T=np.eye(n)).constraints
+    schur = ConvexSubproblem(np.eye(n), A, 1.0, rg.schur()).constraints
+    for cs in (full, frozen, schur):
+        for b in cs.blocks:
+            np.testing.assert_array_equal(
+                np.concatenate([np.arange(cs.m)[xs] for xs, _ in b.runs]), b.active)
+            np.testing.assert_array_equal(
+                np.concatenate([np.arange(len(b.active))[rs] for _, rs in b.runs]),
+                np.arange(len(b.active)))
+    # the schur() region block: every variable, one run
+    assert schur.blocks[-1].runs == [(slice(0, schur.m), slice(0, schur.m))]
+    # a vertical-strip part couples T and R but not J: two runs
+    T, R = slice(0, full.nT), slice(full.nT + full.nJ, full.m)
+    strip = full.blocks[2]
+    assert strip.runs == [(T, slice(0, full.nT)), (R, slice(full.nT, full.nT + full.nR))]
+    # with T frozen, T is no variable: the strip part is R alone, and no
+    # block has a T run
+    assert frozen.nT == 0
+    assert frozen.blocks[0].runs == [(slice(frozen.nJ, frozen.m), slice(0, frozen.nR))]
+    assert all(xs.start >= frozen.nT for b in frozen.blocks for xs, _ in b.runs)
+
+
 @pytest.mark.parametrize("n", [3, 5])
 @pytest.mark.parametrize("case", CASES)
 def test_line_merit_matches_dense_oracle(case, n):
