@@ -22,6 +22,15 @@ because f is quadratic. The step s minimizes this scalar function on
 [0, 0.99 s_max], s_max = 1 / max(-mu) being where the first block turns
 singular; the blocks are factored once, at the accepted point.
 
+The barrier Hessian is sum_b V_b V_b^T, where row j of V_b is
+vec(L_b^-1 K_j L_b^-T) for each variable j that block b touches. Those
+variables are whole variable groups, because a region block's coefficient
+on group g is M_g (x) S_j with one M_g per group (-B, -(C - C^T) or
+C + C^T), so they lie in at most three contiguous runs of x: one run over
+all of x for the unit disk, two (T and R) for a vertical-strip part.
+Each pair of runs of the block's Gram product is added into the Hessian
+by basic slicing, and the gradient run by run.
+
 The variables are x = (svec T, svec J, svec R): the upper triangle of
 each matrix, off-diagonal entries scaled by sqrt(2) (the strict upper
 triangle for the skew J), so that x.y is the Frobenius inner product of
@@ -173,6 +182,7 @@ class _Block:
         active = np.flatnonzero(np.abs(K).max(axis=(1, 2)) > 0.0)
         self.active = active
         self.K = np.ascontiguousarray(K[active])  # (m_active, d, d)
+        # a run starts wherever an index does not follow its predecessor
         starts = np.flatnonzero(np.diff(active, prepend=-2) != 1).tolist()
         ends = starts[1:] + [len(active)]
         self.runs = [(slice(int(active[a]), int(active[e - 1]) + 1), slice(a, e))
