@@ -163,7 +163,8 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
         trace.append((elapsed(), fbest, _realized_relative_error(E, A, *best)))
         if len(trace) > opts.stall_outer:
             first = trace[-(opts.stall_outer + 1)][1]  # best objective then
-            if first - fbest <= opts.stall_rel_tol * (1.0 + abs(first)):
+            # a decrease within this sweep's subproblem gap bound is noise
+            if first - fbest <= max(opts.stall_rel_tol * (1.0 + abs(first)), eps_k):
                 stop_reason = "objective stall"
                 break
         last_solve_time = _time.perf_counter() - t_iter

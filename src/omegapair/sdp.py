@@ -65,6 +65,7 @@ BARRIER_GROWTH = 10.0
 MAX_NEWTON_PER_STAGE = 60
 MAX_TOTAL_NEWTON = 4000
 MAX_LINE_NEWTON = 50  # scalar Newton steps per line search
+FINAL_STAGE_SNAP = 1e-6  # relative distance below nu / eps taken as the last stage
 
 
 class InfeasibleStartError(RuntimeError):
@@ -188,8 +189,14 @@ class _Block:
         self.runs = [(slice(int(active[a]), int(active[e - 1]) + 1), slice(a, e))
                      for a, e in zip(starts, ends)]
 
+    def combine(self, x):
+        """sum_k x_k K_k over the active variables, as one matrix-vector
+        product."""
+        m = len(self.active)
+        return (x[self.active] @ self.K.reshape(m, self.d * self.d)).reshape(self.d, self.d)
+
     def value(self, x):
-        return self.G0 + np.einsum("k,kij->ij", x[self.active], self.K)
+        return self.G0 + self.combine(x)
 
     def chol(self, x):
         G = self.value(x)
@@ -359,7 +366,7 @@ def _step_spectrum(blocks, inverses, dx):
     s < 1 / max(-mu).
     """
     return np.concatenate([
-        np.linalg.eigvalsh(Li @ np.einsum("k,kij->ij", dx[b.active], b.K) @ Li.T)
+        np.linalg.eigvalsh(Li @ b.combine(dx) @ Li.T)
         for b, Li in zip(blocks, inverses)])
 
 
@@ -495,14 +502,24 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
                                   [obj.value(x)], used_default, [1])
 
     nu = cs.nu
+    # the last stage runs at t >= t_final, where the gap bound nu / t meets
+    # eps; it is chosen by comparing t with t_final, not by testing
+    # nu / t <= eps, which a x10 growth landing on nu / eps decides by one ulp
+    t_final = nu / eps
+    if nu / t_final > eps:
+        t_final = math.nextafter(t_final, math.inf)
     gap_guess = gap0 if gap0 is not None else f0
     t = max(1e-2, min(1e8, nu / max(gap_guess, eps)))
     converged = False
     while total_newton < MAX_TOTAL_NEWTON:
+        # a t just below t_final (a start at nu / eps, or a growth onto it)
+        # is raised to t_final, so that stage is the last
+        is_final = t >= t_final * (1.0 - FINAL_STAGE_SNAP)
+        if is_final:
+            t = max(t, t_final)
         # centering at the current t; intermediate stages only need to be
         # roughly central for the x10 growth, the final stage is tightened
         # so the gap bound holds and must meet it to count as converged
-        is_final = nu / t <= eps
         center_tol = 1e-9 if is_final else 1e-4
         centered = False
         stage_start = total_newton
@@ -538,7 +555,7 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
                 break
         stage_newton.append(total_newton - stage_start)
         stage_objectives.append(obj.value(x))
-        if nu / t <= eps:
+        if is_final:
             converged = centered
             break
         t *= BARRIER_GROWTH

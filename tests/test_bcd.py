@@ -1,7 +1,13 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import omegapair
 from omegapair import bcd, sdp
 from omegapair import regions as rg
 from omegapair.bcd import BcdDiagnostics, BcdOptions, solve_general, update_Q
@@ -113,6 +119,48 @@ def test_grcar_disk_subproblems_converge_inside_the_stage_cap(monkeypatch):
     assert solutions
     assert all(sol.converged for sol in solutions)
     assert max(max(sol.stage_newton) for sol in solutions) < sdp.MAX_NEWTON_PER_STAGE
+
+
+def test_grcar_disk_stop_survives_one_ulp_of_A():
+    """The stall stop on the paper's Grcar(10,1) disk does not hang on
+    rounding: moving A[1,0] or A[2,1] up by one ulp gives the same sweep
+    count and stop reason as A itself."""
+    pair = grcar(10, 1)
+    inputs = [pair.A]
+    for i in (1, 2):
+        nudged = pair.A.copy()
+        nudged[i, i - 1] = np.nextafter(nudged[i, i - 1], np.inf)
+        inputs.append(nudged)
+    opts = BcdOptions(max_outer_iters=20, max_time_s=120.0)
+    stops = {(res.iterations, res.stop_reason)
+             for res in (solve_general(pair.E, A, rg.schur(), opts) for A in inputs)}
+    assert len(stops) == 1
+    assert stops.pop()[1] == "objective stall"
+
+
+_DISK_SOLVE = """
+from omegapair import regions as rg
+from omegapair.bcd import BcdOptions, solve_general
+from omegapair.bench import grcar
+pair = grcar(10, 1)
+res = solve_general(pair.E, pair.A, rg.schur(), BcdOptions(max_outer_iters=20, max_time_s=120.0))
+print(res.iterations, res.stop_reason)
+"""
+
+
+def test_grcar_disk_stop_does_not_depend_on_blas_threads():
+    """The same disk solve with one and with two OpenBLAS threads stops
+    after the same number of sweeps for the same reason."""
+    src = str(pathlib.Path(omegapair.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _DISK_SOLVE], env=env, capture_output=True,
+                             text=True, timeout=300, check=True)
+        outputs.append(run.stdout.strip())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].endswith("objective stall")
 
 
 def test_left_half_plane_region_forces_psd_R():

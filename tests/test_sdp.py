@@ -79,17 +79,21 @@ def test_disk_instance_beats_grid_search_slice():
     sp = ConvexSubproblem(E, A, 1.0, reg, require_R_psd=False, delta_lmi=delta)
     sol = solve_subproblem(sp, np.eye(2), accuracy=1e-8)
 
+    # the block is affine in (T, J, R): its value at the origin plus its
+    # change along each of the three unit points, broadcast over the grid
     S = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    best = np.inf
-    for t in np.linspace(0.0, 1.5, 40):
-        for j in np.linspace(-1.0, 1.0, 40):
-            for r in np.linspace(-1.0, 1.0, 40):
-                T, J, R = t * np.eye(2), j * S, r * np.eye(2)
-                if t < 0 or np.linalg.eigvalsh(
-                        stability_lmi_blocks(p, T, J, R))[0] <= delta:
-                    continue
-                val = (np.sum((A - (J - R)) ** 2) + np.sum((E - T) ** 2))
-                best = min(best, val)
+    I, Z = np.eye(2), np.zeros((2, 2))
+    origin = stability_lmi_blocks(p, Z, Z, Z)
+    unit = [stability_lmi_blocks(p, *tjr) - origin
+            for tjr in ((I, Z, Z), (Z, S, Z), (Z, Z, I))]
+    t, j, r = np.meshgrid(np.linspace(0.0, 1.5, 40), np.linspace(-1.0, 1.0, 40),
+                          np.linspace(-1.0, 1.0, 40), indexing="ij")
+    grid = (origin + t[..., None, None] * unit[0] + j[..., None, None] * unit[1]
+            + r[..., None, None] * unit[2])
+    feasible = np.linalg.eigvalsh(grid)[..., 0] > delta
+    vals = (np.sum((A - (j[..., None, None] * S - r[..., None, None] * I)) ** 2, axis=(-2, -1))
+            + np.sum((E - t[..., None, None] * I) ** 2, axis=(-2, -1)))
+    best = vals[feasible].min()
     assert sol.objective <= best + 1e-4
 
 
@@ -297,6 +301,26 @@ def test_returned_point_interior_and_gap():
     assert sol.converged
     assert sol.gap_estimate <= eps
     assert all(m > 0 for m in sol.margins)
+
+
+def test_warm_start_one_growth_from_the_final_stage_runs_two_stages():
+    """A warm start with gap0 = 10 eps starts at t0 = nu / (10 eps), and
+    one x10 growth lands on nu / eps up to rounding. Where that rounding
+    leaves nu / t above eps, the growth is still the last stage: two
+    stages, not a third at 10 nu / eps."""
+    rng = np.random.default_rng(4)
+    sp = ConvexSubproblem(np.eye(3), rng.standard_normal((3, 3)), 1.0, rg.schur())
+    nu = sp.constraints.nu
+    cold = solve_subproblem(sp, np.eye(3), accuracy=1e-7)
+    racing = [eps for eps in (1e-7 * (1.0 + np.arange(100) / 1000.0)).tolist()
+              if nu / (nu / (10.0 * eps) * sdp.BARRIER_GROWTH) > eps]
+    assert len(racing) >= 5
+    for eps in racing:
+        sol = solve_subproblem(sp, np.eye(3), init=(cold.T, cold.J, cold.R), accuracy=eps,
+                               gap0=10.0 * eps)
+        assert len(sol.stage_newton) == 2
+        assert sol.gap_estimate <= eps
+        assert sol.converged
 
 
 def test_final_stage_short_of_centering_is_not_converged(monkeypatch):
