@@ -34,6 +34,9 @@ class BcdOptions:
     eps_decay: float = 4.0
     eps_floor: float = 1e-8
     extrapolate: bool = True
+    # stop on "objective stall" when the best objective fell by at most
+    # max(stall_rel_tol (1 + |f|), eps_k) over the last stall_outer sweeps,
+    # eps_k being the duality gap the sweep's subproblem is solved to
     stall_outer: int = 5
     stall_rel_tol: float = 1e-10
     fix_T: np.ndarray | None = None   # freeze the E-side (baseline mode)
@@ -163,7 +166,6 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
         trace.append((elapsed(), fbest, _realized_relative_error(E, A, *best)))
         if len(trace) > opts.stall_outer:
             first = trace[-(opts.stall_outer + 1)][1]  # best objective then
-            # a decrease within this sweep's subproblem gap bound is noise
             if first - fbest <= max(opts.stall_rel_tol * (1.0 + abs(first)), eps_k):
                 stop_reason = "objective stall"
                 break

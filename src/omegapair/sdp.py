@@ -10,7 +10,13 @@ is a convex quadratic over the symmetric/skew/symmetric triple (T, J, R)
 with affine semidefinite constraints. It is solved by path-following:
 Newton steps on  psi(x) = t*f(x) - sum_b logdet(G_b(x))  with the barrier
 parameter t increased by a fixed factor until the duality-gap bound
-nu / t drops below the requested accuracy.
+nu / t drops below the requested accuracy eps. The last stage is chosen
+by comparing t with t_final = nu / eps (rounded up one ulp if nu / t_final
+would exceed eps): a t at or above t_final, or within a relative
+FINAL_STAGE_SNAP below it, is run as the last stage at max(t, t_final).
+A warm start at nu / (10 eps) thus takes two stages whichever way the
+x10 growth rounds, where a test of nu / t <= eps would take a third
+stage when the growth lands one ulp short.
 
 Each Newton direction dx is followed by an exact line search. With
 L_b L_b^T = G_b(x) and mu the eigenvalues of L_b^-1 dG_b L_b^-T over all
@@ -502,9 +508,6 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
                                   [obj.value(x)], used_default, [1])
 
     nu = cs.nu
-    # the last stage runs at t >= t_final, where the gap bound nu / t meets
-    # eps; it is chosen by comparing t with t_final, not by testing
-    # nu / t <= eps, which a x10 growth landing on nu / eps decides by one ulp
     t_final = nu / eps
     if nu / t_final > eps:
         t_final = math.nextafter(t_final, math.inf)
@@ -513,7 +516,7 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
     converged = False
     while total_newton < MAX_TOTAL_NEWTON:
         # a t just below t_final (a start at nu / eps, or a growth onto it)
-        # is raised to t_final, so that stage is the last
+        # is raised to t_final, so the gap bound nu / t meets eps
         is_final = t >= t_final * (1.0 - FINAL_STAGE_SNAP)
         if is_final:
             t = max(t, t_final)
