@@ -94,6 +94,7 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
     diag = diagnostics if diagnostics is not None else BcdDiagnostics()
     E = np.asarray(E, dtype=float)
     A = np.asarray(A, dtype=float)
+    EA = np.stack([E, A])
     n = E.shape[0]
     mu = opts.mu
 
@@ -125,9 +126,9 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
     def half_step(base_T, base_J, base_R, base_Q, eps, gap_guess):
         """One [Q update; (T, J, R) update] sweep from the given base."""
         if opts.fix_Q is None:
-            f_before = _objective_value(E, A, base_T, base_J, base_R, base_Q, mu)
+            f_before = _objective_value(EA, (base_T, base_J, base_R, base_Q), mu)
             Qn, fell_back = update_Q(E, A, base_T, base_J, base_R, mu)
-            f_after = _objective_value(E, A, base_T, base_J, base_R, Qn, mu)
+            f_after = _objective_value(EA, (base_T, base_J, base_R, Qn), mu)
             diag.q_updates.append((f_before, f_after))
             if fell_back:
                 diag.q_fallbacks += 1
@@ -136,7 +137,7 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
         warm = ((base_T, base_J, base_R)
                 if cs.strictly_feasible(cs.pack(base_T, base_J, base_R))
                 else (T, J, R))
-        f_warm = _objective_value(E, A, *warm, Qn, mu)
+        f_warm = _objective_value(EA, (*warm, Qn), mu)
         soln = solve_subproblem(sp, Qn, init=warm, accuracy=eps, gap0=gap_guess)
         diag.tjr_updates.append((f_warm, soln.objective, eps))
         return soln.T, soln.J, soln.R, Qn, soln.objective
@@ -164,13 +165,13 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
         if f < fbest:
             best, fbest = (T, J, R, Q), f
         trace.append((elapsed(), fbest, _realized_relative_error(E, A, *best)))
+        last_solve_time = _time.perf_counter() - t_iter
+        k += 1  # sweeps run: k - 1, whichever way the loop ends
         if len(trace) > opts.stall_outer:
             first = trace[-(opts.stall_outer + 1)][1]  # best objective then
             if first - fbest <= max(opts.stall_rel_tol * (1.0 + abs(first)), eps_k):
                 stop_reason = "objective stall"
                 break
-        last_solve_time = _time.perf_counter() - t_iter
-        k += 1
     else:
         stop_reason = "iteration budget"
 

@@ -13,6 +13,14 @@ one `eigh` call on the stacked T and R, and one objective evaluation. The
 stacked operations do the same floating-point operations as the
 per-matrix ones, so the iterates are those of the per-matrix loop bit for
 bit (`tests/_oracles.py` keeps that loop as the reference).
+
+A solve allocates its arrays once, in a `_Workspace`: the constants
+[E, A] and [2 mu, 2, -2], the gradient, the trial point and one scratch
+set that `gradient`, `objective` and `project` share, since they never run
+at once. The loop still calls those three public functions, `gradient`
+once per iteration and `project` and `objective` once per line-search
+trial, so a tracer that wraps them times the same calls; only `project`'s
+result, which may become the next iterate, is a new array.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import numpy as np
 from .dh import DhParam, project_psd, skew as skew_part, sym as sym_part
 from .regions import hurwitz
 from .result import (SolveResult, _objective_value, _realized_relative_error,
-                     finalize_solution)
+                     _residuals, finalize_solution)
 
 __all__ = ["FgmOptions", "objective", "gradient", "project", "solve_hurwitz",
            "estimate_lipschitz"]
@@ -71,47 +79,67 @@ def _structure(Z, out):
     return out
 
 
-def objective(E, A, X, mu=1.0) -> float:
-    """||A - (J - R) Q||_F^2 + mu ||E - T Q||_F^2 at X = [T, J, R, Q]."""
-    return _objective_value(E, A, X[0], X[1], X[2], X[3], mu)
+class _Workspace:
+    """The arrays one solve reuses, allocated once as one block: the
+    constants [E, A] and [2 mu, 2, -2], one scratch set shared by
+    `gradient`, `objective` and `project` (they never run at once:
+    P = [T, J - R], the residuals `res` and the (3, n, n) stack K), the
+    gradient G and the line-search trial point Z = Y - step G."""
+
+    def __init__(self, E, A, mu=1.0):
+        n = E.shape[0]
+        self.mu = mu
+        self.scale = np.array([2.0 * mu, 2.0, -2.0])[:, None, None]
+        block = np.empty((13, n, n))
+        self.EA, self.P, self.res, self.K, self.G = np.split(block, [2, 4, 6, 9])
+        # Z shares memory with P and res: `project` reads all of Z before it
+        # writes P, and nothing else writes P or res while Z is live
+        self.Z = block[2:6]
+        self.EA[0] = E
+        self.EA[1] = A
 
 
-def gradient(E, A, X, mu=1.0):
+def objective(E, A, X, mu=1.0, work=None) -> float:
+    """||A - (J - R) Q||_F^2 + mu ||E - T Q||_F^2 at X = [T, J, R, Q].
+
+    `work` is a `_Workspace` built for (E, A, mu), fresh when omitted."""
+    ws = work if work is not None else _Workspace(E, A, mu)
+    return _objective_value(ws.EA, X, ws.mu, ws.P, ws.res)
+
+
+def gradient(E, A, X, mu=1.0, work=None):
     """Structured gradient [dT, dJ, dR, dQ] of the objective at X = [T, J, R, Q].
 
     The T and R blocks are symmetric, the J block skew-symmetric, matching
-    directional derivatives along the structured subspaces.
+    directional derivatives along the structured subspaces. The result is
+    `work.G`, so the next call with the same `work` overwrites it.
     """
-    Q = X[3]
-    P = X[:2].copy()                  # [T, J - R]
-    JR = P[1]
-    JR -= X[2]
-    res = P @ Q                       # [T Q - E, (J - R) Q - A]
-    res_e = res[0]
-    res_e -= E
-    res_a = res[1]
-    res_a -= A
-    K = (res @ Q.T)[[0, 1, 1]]        # [res_e Q^T, res_a Q^T, res_a Q^T]
-    scale = np.array([2.0 * mu, 2.0, -2.0])[:, None, None]
-    G = np.empty_like(X)
+    ws = work if work is not None else _Workspace(E, A, mu)
+    P, K, G = ws.P, ws.K, ws.G
+    res = _residuals(ws.EA, X, P, ws.res)  # [T Q - E, (J - R) Q - A]
+    np.matmul(res, X[3].T, out=K[:2])
+    K[2] = K[1]                            # [res_e Q^T, res_a Q^T, res_a Q^T]
     GS = _structure(K, out=G[:3])
-    GS *= scale
-    P *= scale[:2]                    # [2 mu T, 2 (J - R)]
-    C = P.mT @ res
-    np.add(C[1], C[0], out=G[3])
+    GS *= ws.scale
+    P *= ws.scale[:2]                      # [2 mu T, 2 (J - R)]
+    np.matmul(P.mT, res, out=K[:2])
+    np.add(K[1], K[0], out=G[3])
     return G
 
 
-def project(Z):
+def project(Z, work=None):
     """Project Z = [T, J, R, Q] onto the feasible set: T, R onto the PSD cone,
-    J onto skew; Q unchanged. One `eigh` call covers T and R."""
+    J onto skew; Q unchanged. One `eigh` call covers T and R. The result
+    is a new array; `work` lends scratch only."""
+    ws = work if work is not None else _Workspace(Z[3], Z[3])  # only its scratch is read
     X = np.empty_like(Z)
     _structure(Z, out=X[:3])
     X[3] = Z[3]
     TR = X[::2]
     w, V = np.linalg.eigh(TR)
-    P = (V * np.maximum(w, 0.0)[:, None]) @ V.mT
-    np.divide(P + P.mT, 2.0, out=TR)
+    VW = np.multiply(V, np.maximum(w, 0.0, out=w)[:, None], out=ws.K[:2])
+    P = np.matmul(VW, V.mT, out=ws.P)
+    np.divide(np.add(P, P.mT, out=VW), 2.0, out=TR)
     return X
 
 
@@ -172,13 +200,27 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
     opts = opts if opts is not None else FgmOptions()
     E = np.asarray(E, dtype=float)
     A = np.asarray(A, dtype=float)
-    mu = opts.mu
     t0 = _time.perf_counter()
+    best, it, stop_reason, trace = _descend(E, A, opts, t0)
+    # DhParam copies T, J and R when it symmetrizes them; copying Q too
+    # keeps the result from holding the whole (4, n, n) stack
+    return finalize_solution(E, A, DhParam(*best[:3], best[3].copy()), hurwitz(), opts.mu,
+                             algorithm="fgm", iterations=it, stop_reason=stop_reason,
+                             trace=trace, t0=t0)
 
+
+def _descend(E, A, opts: FgmOptions, t0):
+    """The iterations of `solve_hurwitz`: (best quadruple, iteration count,
+    stop reason, trace). The workspace is freed on return, before the
+    finish allocates its own arrays."""
+    mu = opts.mu
     X = initial_quadruple(E, A)
-    fX = objective(E, A, X, mu)
     L = (1.0 / opts.init_step if opts.init_step is not None
          else estimate_lipschitz(E, A, X, mu, seed=opts.seed))
+    # allocated after the curvature estimate, so that its temporaries and
+    # the workspace are not held at once
+    work = _Workspace(E, A, mu)
+    fX = objective(E, A, X, mu, work)
     step = 1.0 / L
     step_accept = step
 
@@ -197,13 +239,15 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
         if _time.perf_counter() - t0 >= opts.max_time_s:
             stop_reason = "time budget"
             break
-        G = gradient(E, A, Y, mu)
+        G = gradient(E, A, Y, mu, work)
         step *= opts.ls_grow
         accepted = None
         ls_budget = 100 if it == 0 else opts.ls_max
         for _ in range(ls_budget):
-            cand = project(Y - step * G)
-            fc = objective(E, A, cand, mu)
+            Z = np.multiply(G, step, out=work.Z)
+            np.subtract(Y, Z, out=Z)
+            cand = project(Z, work)
+            fc = objective(E, A, cand, mu, work)
             if not math.isfinite(fc):
                 raise FloatingPointError(
                     "objective overflowed during line search; the problem data "
@@ -235,9 +279,12 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
             # optimum, where the gradient itself need not
             stationary = (opts.grad_tol > 0.0
                           and np.linalg.norm(Xn - Y) / step <= opts.grad_tol)
-            alpha_next = (np.sqrt(alpha ** 4 + 4 * alpha ** 2) - alpha ** 2) / 2.0
+            alpha_next = (math.sqrt(alpha ** 4 + 4 * alpha ** 2) - alpha ** 2) / 2.0
             beta = alpha * (1.0 - alpha) / (alpha ** 2 + alpha_next)
-            Y = Xn + beta * (Xn - X)
+            # Y is a new array: the old one may be X, which stays the last iterate
+            Y = Xn - X
+            Y *= beta
+            Y += Xn
             X, fX = Xn, fXn
             alpha = alpha_next
             if fX < fbest:
@@ -257,8 +304,4 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
                 break
             stall_anchor = (it, fbest)
 
-    # DhParam copies T, J and R when it symmetrizes them; copying Q too
-    # keeps the result from holding the whole (4, n, n) stack
-    return finalize_solution(E, A, DhParam(*best[:3], best[3].copy()), hurwitz(), mu,
-                             algorithm="fgm", iterations=it, stop_reason=stop_reason,
-                             trace=trace, t0=t0)
+    return best, it, stop_reason, trace

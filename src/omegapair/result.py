@@ -78,11 +78,27 @@ def read_trace(path):
     return rows
 
 
-def _objective_value(E, A, T, J, R, Q, mu):
-    """||A - (J - R) Q||_F^2 + mu ||E - T Q||_F^2."""
-    res_a = A - (J - R) @ Q
-    res_e = E - T @ Q
-    return float((res_a * res_a).sum() + mu * (res_e * res_e).sum())
+def _residuals(EA, X, P, res):
+    """res = [T Q - E, (J - R) Q - A] at X = [T, J, R, Q], with P = [T, J - R]
+    on the way. EA = [E, A], P and res are (2, n, n) arrays; X is a
+    (4, n, n) stack or any sequence of four n x n arrays."""
+    np.copyto(P[0], X[0])
+    np.subtract(X[1], X[2], out=P[1])
+    np.matmul(P, X[3], out=res)
+    res -= EA
+    return res
+
+
+def _objective_value(EA, X, mu, P=None, res=None):
+    """||A - (J - R) Q||_F^2 + mu ||E - T Q||_F^2 at X = [T, J, R, Q], for
+    EA = [E, A]. P and res are (2, n, n) scratch arrays, fresh when omitted;
+    res is left holding the squared residuals."""
+    if P is None:
+        P, res = np.empty_like(EA), np.empty_like(EA)
+    sq = _residuals(EA, X, P, res)
+    sq *= sq
+    s = sq.sum(axis=(1, 2))
+    return float(s[1] + mu * s[0])
 
 
 def relative_error(E, A, Et, At) -> float:
@@ -103,7 +119,7 @@ def _realized_relative_error(E, A, T, J, R, Q) -> float:
 
 def _fit(E, A, d: DhParam, mu):
     """(objective, relative error) of a quadruple."""
-    return (_objective_value(E, A, d.T, d.J, d.R, d.Q, mu),
+    return (_objective_value(np.stack([E, A]), (d.T, d.J, d.R, d.Q), mu),
             _realized_relative_error(E, A, d.T, d.J, d.R, d.Q))
 
 

@@ -287,6 +287,7 @@ class _Objective:
         self.sp = sp
         self.cs = cs = sp.constraints
         self.Q = Q
+        self.EA = np.stack([sp.E, sp.A])
         n = sp.n
         # rows are vec(S_k Q) for each basis slice
         PJ = (cs.SJ @ Q).reshape(cs.nJ, n * n)
@@ -305,8 +306,7 @@ class _Objective:
         self.H = H
 
     def value(self, x):
-        sp = self.sp
-        return _objective_value(sp.E, sp.A, *self.cs.split(x), self.Q, sp.mu)
+        return _objective_value(self.EA, (*self.cs.split(x), self.Q), self.sp.mu)
 
     def grad(self, x):
         T, J, R = self.cs.split(x)
@@ -514,6 +514,9 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
     gap_guess = gap0 if gap0 is not None else f0
     t = max(1e-2, min(1e8, nu / max(gap_guess, eps)))
     converged = False
+    # f's gradient and the barrier derivatives at x, kept until x moves: a
+    # stage that ends centered or without progress leaves x to the next
+    derivs = None
     while total_newton < MAX_TOTAL_NEWTON:
         # a t just below t_final (a start at nu / eps, or a growth onto it)
         # is raised to t_final, so the gap bound nu / t meets eps
@@ -527,10 +530,11 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
         centered = False
         stage_start = total_newton
         for _ in range(MAX_NEWTON_PER_STAGE):
-            gf = obj.grad(x)
-            gphi, Hphi, inverses = _barrier_grad_hess(cs.blocks, x, cs.m, factors)
-            if gphi is None:
-                raise RuntimeError("iterate left the interior; this is a bug")
+            if derivs is None:
+                derivs = (obj.grad(x), *_barrier_grad_hess(cs.blocks, x, cs.m, factors))
+                if derivs[1] is None:
+                    raise RuntimeError("iterate left the interior; this is a bug")
+            gf, gphi, Hphi, inverses = derivs
             g = t * gf + gphi
             H = t * obj.H + Hphi
             try:
@@ -553,7 +557,7 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
                 factors_n = _barrier(cs.blocks, xn)
             if np.array_equal(xn, x):
                 break  # no progress possible at this t
-            x, factors = xn, factors_n
+            x, factors, derivs = xn, factors_n, None
             if total_newton >= MAX_TOTAL_NEWTON:
                 break
         stage_newton.append(total_newton - stage_start)

@@ -138,6 +138,17 @@ def test_grcar_disk_stop_survives_one_ulp_of_A():
     assert stops.pop()[1] == "objective stall"
 
 
+def test_iterations_count_the_sweeps_that_ran_on_every_exit():
+    # the trace has the start row, one row per sweep and the closing row
+    pair = grcar(10, 1)
+    for stop, opts in (("objective stall", BcdOptions(max_outer_iters=20, max_time_s=120.0)),
+                       ("iteration budget", BcdOptions(max_outer_iters=2, max_time_s=120.0)),
+                       ("time budget", BcdOptions(max_time_s=0.0))):
+        res = solve_general(pair.E, pair.A, rg.schur(), opts)
+        assert res.stop_reason == stop
+        assert res.iterations == len(res.trace) - 2
+
+
 _DISK_SOLVE = """
 from omegapair import regions as rg
 from omegapair.bcd import BcdOptions, solve_general

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from _oracles import fgm_reference
+from _oracles import _fgm_gradient, _fgm_objective, fgm_reference
 from omegapair import regions as rg
 from omegapair.bench import grcar
 from omegapair.dh import project_psd, skew, sym
-from omegapair.fgm import (FgmOptions, estimate_lipschitz, gradient,
+from omegapair.fgm import (FgmOptions, _Workspace, estimate_lipschitz, gradient,
                            initial_quadruple, objective, project, solve_hurwitz)
 from omegapair.pencil import admissibility_check
 
@@ -84,6 +84,24 @@ def test_gradient_mu_linearity():
     # subtracting the A-residual part (mu-independent)
     gQ_a = 2.0 * (J - R).T @ ((J - R) @ Q - A)
     np.testing.assert_allclose(gQ2 - gQ_a, 2.0 * (gQ1 - gQ_a), atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [3, 10, 50, 200])
+def test_workspace_calls_match_fresh_calls_and_per_matrix_formulas_bit_for_bit(n):
+    # the sizes span small and blocked matmuls and short and pairwise sums
+    rng = np.random.default_rng(n)
+    E, A = rng.standard_normal((2, n, n))
+    for mu in (1.0, 0.37):
+        ws = _Workspace(E, A, mu)
+        project(_random_point(rng, n), ws)  # leave the scratch dirty
+        for _ in range(2):
+            X = _random_point(rng, n)
+            f = objective(E, A, X, mu, ws)
+            assert f == objective(E, A, X, mu) == _fgm_objective(E, A, X, mu)
+            G = gradient(E, A, X, mu, ws)
+            assert np.array_equal(G, gradient(E, A, X, mu))
+            for g, ref in zip(G, _fgm_gradient(E, A, X, mu)):
+                assert np.array_equal(g, ref)
 
 
 def test_project_examples():
@@ -204,14 +222,34 @@ def _assert_matches_reference(E, A, opts):
 
 def test_stacked_loop_matches_per_matrix_reference_on_grcar():
     pair = grcar(10, 2)
-    _assert_matches_reference(pair.E, pair.A, FgmOptions(max_iters=300, max_time_s=1e9))
+    # at mu = 0.37 the finish lifts the best quadruple of 100 to 400
+    # iterations, and the reference has no finish to compare that with
+    for mu, iters in ((1.0, 300), (0.37, 500)):
+        _assert_matches_reference(pair.E, pair.A,
+                                  FgmOptions(mu=mu, max_iters=iters, max_time_s=1e9))
 
 
 def test_stacked_loop_matches_per_matrix_reference_through_a_restart():
     rng = np.random.default_rng(1)
     E, A = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
-    restarts = _assert_matches_reference(E, A, FgmOptions(max_iters=300, max_time_s=1e9))
-    assert restarts >= 1
+    for mu in (1.0, 0.37):
+        restarts = _assert_matches_reference(
+            E, A, FgmOptions(mu=mu, max_iters=300, max_time_s=1e9))
+        assert restarts >= 1
+
+
+def test_result_survives_a_later_solve():
+    # the loop's scratch is per solve: a second solve of the same size must
+    # not write into the first one's quadruple, pair or trace
+    first_pair, second_pair = grcar(10, 1), grcar(10, 2)
+    opts = FgmOptions(max_iters=200, max_time_s=1e9)
+    res = solve_hurwitz(first_pair.E, first_pair.A, opts)
+    kept = [M.copy() for M in (res.dh.T, res.dh.J, res.dh.R, res.dh.Q, res.pair.E, res.pair.A)]
+    trace = list(res.trace)
+    solve_hurwitz(second_pair.E, second_pair.A, opts)
+    for M, copy in zip((res.dh.T, res.dh.J, res.dh.R, res.dh.Q, res.pair.E, res.pair.A), kept):
+        assert np.array_equal(M, copy)
+    assert res.trace == trace
 
 
 def test_grad_tol_stops_on_gradient_norm():

@@ -135,6 +135,28 @@ def test_stage_objectives_non_increasing():
         assert b <= a + 1e-9 * (1 + abs(a))
 
 
+def test_barrier_derivatives_are_not_recomputed_at_an_unmoved_point(monkeypatch):
+    # a stage that ends centered leaves x to the next stage, whose first
+    # Newton step must reuse the derivatives taken there
+    points = []
+
+    def recording(blocks, x, m, factors=None):
+        points.append(x.copy())
+        return _barrier_grad_hess(blocks, x, m, factors)
+
+    monkeypatch.setattr(sdp, "_barrier_grad_hess", recording)
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((4, 4)) * 2
+    sp = ConvexSubproblem(np.eye(4), A, 1.0, rg.schur())
+    cold = solve_subproblem(sp, np.eye(4), accuracy=1e-8)
+    n_cold = len(points)
+    warm = solve_subproblem(sp, np.eye(4), init=(cold.T, cold.J, cold.R), accuracy=1e-10,
+                            gap0=1e-6)
+    for sol, xs in ((cold, points[:n_cold]), (warm, points[n_cold:])):
+        assert len(sol.stage_newton) >= 2
+        assert not any(np.array_equal(a, b) for a, b in zip(xs, xs[1:]))
+
+
 def test_stage_newton_sums_to_barrier_iterations():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((4, 4)) * 2
