@@ -18,8 +18,7 @@ import numpy as np
 
 from .dh import DhParam
 from .regions import LmiRegion, in_closed_left_half_plane
-from .result import (SolveResult, _objective_value, _realized_relative_error,
-                     finalize_solution)
+from .result import SolveResult, _fit, _objective_value, finalize_solution
 from .sdp import ConvexSubproblem, solve_subproblem
 
 __all__ = ["BcdOptions", "BcdDiagnostics", "update_Q", "solve_general"]
@@ -116,7 +115,7 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
 
     best = (T, J, R, Q)
     fbest = f
-    trace = [(elapsed(), fbest, _realized_relative_error(E, A, *best))]
+    trace = [(elapsed(), *_fit(EA, best, mu))]
     prev = (T, J, R, Q)
     k = 1
     stop_reason = "time budget"
@@ -164,7 +163,7 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
         T, J, R, Q, f = Tn, Jn, Rn, Qn, fn
         if f < fbest:
             best, fbest = (T, J, R, Q), f
-        trace.append((elapsed(), fbest, _realized_relative_error(E, A, *best)))
+        trace.append((elapsed(), *_fit(EA, best, mu)))
         last_solve_time = _time.perf_counter() - t_iter
         k += 1  # sweeps run: k - 1, whichever way the loop ends
         if len(trace) > opts.stall_outer:

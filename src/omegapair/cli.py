@@ -187,7 +187,7 @@ def main(argv=None):
     except InfeasibleStartError as exc:
         print(f"error: infeasible region: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, FloatingPointError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -33,8 +33,7 @@ import numpy as np
 
 from .dh import DhParam, project_psd, skew as skew_part, sym as sym_part
 from .regions import hurwitz
-from .result import (SolveResult, _objective_value, _realized_relative_error,
-                     _residuals, finalize_solution)
+from .result import SolveResult, _fit, _objective_value, _residuals, finalize_solution
 
 __all__ = ["FgmOptions", "objective", "gradient", "project", "solve_hurwitz",
            "estimate_lipschitz"]
@@ -226,7 +225,7 @@ def _descend(E, A, opts: FgmOptions, t0):
 
     best = X
     fbest = fX
-    trace = [(0.0, fbest, _realized_relative_error(E, A, *best))]
+    trace = [(0.0, *_fit(work.EA, best, mu))]
     Y = X
     alpha = opts.alpha0
     fail_streak = 0
@@ -292,8 +291,7 @@ def _descend(E, A, opts: FgmOptions, t0):
 
         it += 1
         if it % opts.trace_every == 0:
-            trace.append((_time.perf_counter() - t0, fbest,
-                          _realized_relative_error(E, A, *best)))
+            trace.append((_time.perf_counter() - t0, *_fit(work.EA, best, mu)))
         if stationary:
             stop_reason = "gradient norm"
             break

@@ -260,21 +260,26 @@ def eigenvalue_parts(E, J, R, Q, x):
 
 
 def load_pair(path) -> MatrixPair:
-    """Read a pair from JSON {"E": ..., "A": ...} or CSV (E block stacked on A)."""
+    """Read a pair from JSON {"E": ..., "A": ...} or CSV (E block stacked on
+    A). A malformed file or a non-finite entry raises ValueError."""
     path = str(path)
     if path.endswith(".json"):
         with open(path) as fh:
             obj = json.load(fh)
         try:
-            return MatrixPair(np.asarray(obj["E"], float), np.asarray(obj["A"], float))
+            pair = MatrixPair(np.asarray(obj["E"], float), np.asarray(obj["A"], float))
         except KeyError as exc:
             raise ValueError(f"pair file {path} is missing field {exc}") from None
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
-    rows, n = data.shape
-    if rows != 2 * n:
-        raise ValueError(
-            f"CSV pair file must hold two stacked n x n blocks, got shape {data.shape}")
-    return MatrixPair(data[:n], data[n:])
+    else:
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+        rows, n = data.shape
+        if rows != 2 * n:
+            raise ValueError(
+                f"CSV pair file must hold two stacked n x n blocks, got shape {data.shape}")
+        pair = MatrixPair(data[:n], data[n:])
+    if not (np.isfinite(pair.E).all() and np.isfinite(pair.A).all()):
+        raise ValueError(f"pair file {path} holds a non-finite entry")
+    return pair
 
 
 def save_pair(path, pair: MatrixPair):

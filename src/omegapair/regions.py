@@ -458,6 +458,7 @@ def region_from_dict(obj) -> LmiRegion:
     if "raw" in obj:
         raw = obj["raw"]
         _require(isinstance(raw, dict), "region spec 'raw' must be an object")
+        _require("B" in raw and "C" in raw, "region spec 'raw' needs matrices 'B' and 'C'")
         return LmiRegion(np.asarray(raw["B"], dtype=float),
                          np.asarray(raw["C"], dtype=float))
     if "intersect" in obj:

@@ -89,15 +89,19 @@ def _residuals(EA, X, P, res):
     return res
 
 
-def _objective_value(EA, X, mu, P=None, res=None):
-    """||A - (J - R) Q||_F^2 + mu ||E - T Q||_F^2 at X = [T, J, R, Q], for
-    EA = [E, A]. P and res are (2, n, n) scratch arrays, fresh when omitted;
-    res is left holding the squared residuals."""
+def _squared_norms(EA, X, P=None, res=None):
+    """[||T Q - E||_F^2, ||(J - R) Q - A||_F^2] at X = [T, J, R, Q], for
+    EA = [E, A]; P and res are (2, n, n) scratch arrays, fresh when omitted."""
     if P is None:
         P, res = np.empty_like(EA), np.empty_like(EA)
     sq = _residuals(EA, X, P, res)
     sq *= sq
-    s = sq.sum(axis=(1, 2))
+    return sq.sum(axis=(1, 2))
+
+
+def _objective_value(EA, X, mu, P=None, res=None):
+    """||A - (J - R) Q||_F^2 + mu ||E - T Q||_F^2 (see `_squared_norms`)."""
+    s = _squared_norms(EA, X, P, res)
     return float(s[1] + mu * s[0])
 
 
@@ -112,15 +116,13 @@ def relative_error(E, A, Et, At) -> float:
     return float(np.sqrt(num / denom))
 
 
-def _realized_relative_error(E, A, T, J, R, Q) -> float:
-    """Relative error of the pair (T Q, (J - R) Q) realized by a quadruple."""
-    return relative_error(E, A, T @ Q, (J - R) @ Q)
-
-
-def _fit(E, A, d: DhParam, mu):
-    """(objective, relative error) of a quadruple."""
-    return (_objective_value(np.stack([E, A]), (d.T, d.J, d.R, d.Q), mu),
-            _realized_relative_error(E, A, d.T, d.J, d.R, d.Q))
+def _fit(EA, X, mu):
+    """(objective, relative error) at X = [T, J, R, Q], for EA = [E, A], from
+    one residual evaluation; the error is `relative_error` of (T Q, (J - R) Q)."""
+    s, scale = _squared_norms(EA, X), (EA * EA).sum(axis=(1, 2))
+    if scale[1] + scale[0] == 0.0:
+        raise ValueError("relative error undefined for E = A = 0")
+    return float(s[1] + mu * s[0]), float(np.sqrt((s[1] + s[0]) / (scale[1] + scale[0])))
 
 
 def _lifted(d: DhParam) -> DhParam:
@@ -150,7 +152,8 @@ def finalize_solution(E, A, d: DhParam, region: LmiRegion, mu, *, algorithm,
     the pair (T Q, (J - R) Q) flagged, with Q's reciprocal condition as
     the reason.
     """
-    closing = _fit(E, A, d, mu)
+    EA = np.stack([E, A])
+    closing = _fit(EA, (d.T, d.J, d.R, d.Q), mu)
     shifted = False
     try:
         pair = realize(d)
@@ -166,7 +169,7 @@ def finalize_solution(E, A, d: DhParam, region: LmiRegion, mu, *, algorithm,
             verdict_l = admissibility_check(pair_l, region, margin_tol=VERIFY_MARGIN)
             if verdict_l.admissible:
                 d, pair, verdict, shifted = lifted, pair_l, verdict_l, True
-    obj, rel = _fit(E, A, d, mu) if shifted else closing
+    obj, rel = _fit(EA, (d.T, d.J, d.R, d.Q), mu) if shifted else closing
     trace.append((_time.perf_counter() - t0, *closing))
     return SolveResult(dh=d, pair=pair, objective=obj, relative_error=rel,
                        iterations=iterations, admissible=verdict.admissible,

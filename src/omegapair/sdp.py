@@ -28,27 +28,29 @@ because f is quadratic. The step s minimizes this scalar function on
 [0, 0.99 s_max], s_max = 1 / max(-mu) being where the first block turns
 singular; the blocks are factored once, at the accepted point.
 
-The barrier Hessian is sum_b V_b V_b^T, where row j of V_b is
-vec(L_b^-1 K_j L_b^-T) for each variable j that block b touches. Those
-variables are whole variable groups, because a region block's coefficient
-on group g is M_g (x) S_j with one M_g per group (-B, -(C - C^T) or
-C + C^T), so they lie in at most three contiguous runs of x: one run over
-all of x for the unit disk, two (T and R) for a vertical-strip part.
-Each pair of runs of the block's Gram product is added into the Hessian
-by basic slicing, and the gradient run by run.
-
 The variables are x = (svec T, svec J, svec R): the upper triangle of
 each matrix, off-diagonal entries scaled by sqrt(2) (the strict upper
 triangle for the skew J), so that x.y is the Frobenius inner product of
-the matrices. A `ConvexSubproblem` states everything but Q and compiles
-its constraint blocks once; `solve_subproblem` takes Q per call, so one
-subproblem serves every Q update of a BCD solve.
+the matrices. They form a table of groups (no T when it is frozen), each
+a slice of x with its sign and svec basis S_j. A constraint block is
+built from terms (group, M_g): coordinate j of group g has the coefficient
+M_g (x) S_j, with M_g = [1] in the T >= 0 and R >= 0 blocks and -B, C^T - C
+and C + C^T in a region part. Groups with M_g = 0 are left out, and
+adjacent ones form a run of x: one over all of x for the unit disk, T and
+R for a vertical-strip part. The barrier Hessian is sum_b V_b V_b^T, row j
+of V_b being vec(L_b^-1 K_j L_b^-T); each run pair of V_b V_b^T is added
+into it by basic slicing, and the gradient run by run.
+
+A `ConvexSubproblem` states everything but Q and compiles its constraint
+blocks once; `solve_subproblem` takes Q per call, so one subproblem serves
+every Q update of a BCD solve.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,13 +116,6 @@ def _smat(v, n, sign):
     return out.reshape(*v.shape[:-1], n, n)
 
 
-def _batch_kron(B, S):
-    """kron(B, S[k]) for every slice of the tensor S."""
-    s = B.shape[0]
-    m, n, _ = S.shape
-    return np.einsum("ab,kcd->kacbd", B, S).reshape(m, s * n, s * n)
-
-
 # ---------------------------------------------------------------------------
 # Problem statement and compiled form
 
@@ -173,27 +168,39 @@ class SubproblemSolution:
     stage_newton: list = field(default_factory=list)  # Newton steps per barrier stage
 
 
-class _Block:
-    """One affine semidefinite constraint G(x) = G0 + sum x_j K_j >= 0.
+# a free variable group: its slice of x, sign (+1 sym, -1 skew) and svec basis S_j
+_Group = namedtuple("_Group", "sl sign S")
 
-    Only the variables whose coefficient slice is nonzero are stored, so
-    blocks touching a single matrix variable stay cheap inside the Newton
-    assembly. They are a union of whole variable groups (T, J, R), listed
-    in `runs` as contiguous stretches: pairs (slice of x, slice of the
-    stored rows).
+
+class _Block:
+    """One affine semidefinite constraint G(x) = G0 + sum x_j K_j >= 0,
+    built from its terms, (group, M_g) pairs in x order: K_j = M_g (x) S_j.
+
+    Groups whose M_g is zero are left out. `K` stacks the coefficients of
+    the others, whose coordinates are `active`; `runs` lists the stretches
+    of adjacent groups as pairs (slice of x, slice of the rows of K).
     """
 
-    def __init__(self, G0, K):
+    def __init__(self, G0, terms):
         self.G0 = G0
-        self.d = G0.shape[0]
-        active = np.flatnonzero(np.abs(K).max(axis=(1, 2)) > 0.0)
-        self.active = active
-        self.K = np.ascontiguousarray(K[active])  # (m_active, d, d)
-        # a run starts wherever an index does not follow its predecessor
-        starts = np.flatnonzero(np.diff(active, prepend=-2) != 1).tolist()
-        ends = starts[1:] + [len(active)]
-        self.runs = [(slice(int(active[a]), int(active[e - 1]) + 1), slice(a, e))
-                     for a, e in zip(starts, ends)]
+        self.d = d = G0.shape[0]
+        self.terms = [(g, M) for g, M in terms if np.any(M)]
+        self.active = np.array([j for g, _ in self.terms for j in range(g.sl.start, g.sl.stop)],
+                               dtype=np.intp)
+        self.K = np.empty((len(self.active), d, d))
+        self.runs = []
+        row = 0
+        for g, M in self.terms:
+            k, n, _ = g.S.shape
+            rows = slice(row, row + k)
+            # K_j = kron(M, S_j) for every basis slice S_j
+            np.einsum("ab,kcd->kacbd", M, g.S, out=self.K[rows].reshape(k, len(M), n, len(M), n))
+            if self.runs and self.runs[-1][0].stop == g.sl.start:  # g extends the last run
+                xs, rs = self.runs.pop()
+                self.runs.append((slice(xs.start, g.sl.stop), slice(rs.start, rows.stop)))
+            else:
+                self.runs.append((g.sl, rows))
+            row = rows.stop
 
     def combine(self, x):
         """sum_k x_k K_k over the active variables, as one matrix-vector
@@ -213,65 +220,51 @@ class _Block:
 
 
 class ConstraintSet:
-    """Constraint blocks and variable layout of a `ConvexSubproblem`."""
+    """Constraint blocks and variable layout of a `ConvexSubproblem`:
+    `groups`, the free variable groups by name in x order: T (unless
+    frozen), J and R."""
 
     def __init__(self, n, region, require_R_psd, delta_lmi, fixed_T):
         self.n = n
         self.fixed_T = fixed_T
-        # the basis matrices of the coordinates, one slice per variable
-        self.ST = _smat(np.eye(n * (n + 1) // 2), n, 1)
-        self.SJ = _smat(np.eye(n * (n - 1) // 2), n, -1)
-        self.SR = self.ST
-        self.nT = 0 if fixed_T is not None else self.ST.shape[0]
-        self.nJ = self.SJ.shape[0]
-        self.nR = self.SR.shape[0]
-        self.m = self.nT + self.nJ + self.nR
-
-        blocks = []
+        sym = _smat(np.eye(n * (n + 1) // 2), n, 1)
+        layout = [("J", -1, _smat(np.eye(n * (n - 1) // 2), n, -1)), ("R", 1, sym)]
         if fixed_T is None:
-            K = np.zeros((self.m, n, n))
-            K[: self.nT] = self.ST
-            blocks.append(_Block(np.zeros((n, n)), K))
-        if require_R_psd:
-            K = np.zeros((self.m, n, n))
-            K[self.nT + self.nJ:] = self.SR
-            blocks.append(_Block(np.zeros((n, n)), K))
+            layout.insert(0, ("T", 1, sym))
+        self.groups, self.m = {}, 0
+        for name, sign, S in layout:
+            self.groups[name] = _Group(slice(self.m, self.m + len(S)), sign, S)
+            self.m += len(S)
+        self.nT, self.nJ, self.nR = (len(self.groups[k].S) if k in self.groups else 0
+                                     for k in "TJR")
+
+        psd = ("T", "R") if require_R_psd else ("T",)
+        blocks = [_Block(np.zeros((n, n)), [(self.groups[k], np.ones((1, 1)))])
+                  for k in psd if k in self.groups]
         if region is not None:
-            # one barrier block per connected diagonal block of (B, C): the
-            # barrier is the same as for the whole region, at a fraction of
-            # the Cholesky cost
+            # one barrier block per connected diagonal block of (B, C), the same
+            # barrier as the whole region's at a fraction of the Cholesky cost:
+            # -(B (x) T + (C-C^T) (x) J - (C+C^T) (x) R) - delta I >= 0
             for part in connected_blocks(region):
-                blocks.append(self._region_block(part, delta_lmi))
+                B, C = part.B, part.C
+                G0 = -delta_lmi * np.eye(B.shape[0] * n)
+                if fixed_T is not None:
+                    G0 = np.kron(-B, fixed_T) + G0
+                terms = (("T", -B), ("J", C.T - C), ("R", C + C.T))
+                blocks.append(_Block(G0, [(self.groups[k], M) for k, M in terms
+                                          if k in self.groups]))
         self.blocks = blocks
         self.nu = sum(b.d for b in blocks)
 
-    def _region_block(self, part, delta):
-        """-(B (x) T + (C-C^T) (x) J - (C+C^T) (x) R) - delta I >= 0."""
-        B, C = part.B, part.C
-        s = B.shape[0]
-        n = self.n
-        Cm, Cp = C - C.T, C + C.T
-        K = np.zeros((self.m, s * n, s * n))
-        if self.fixed_T is None:
-            K[: self.nT] = -_batch_kron(B, self.ST)
-            G0 = -delta * np.eye(s * n)
-        else:
-            G0 = -np.kron(B, self.fixed_T) - delta * np.eye(s * n)
-        K[self.nT: self.nT + self.nJ] = -_batch_kron(Cm, self.SJ)
-        K[self.nT + self.nJ:] = _batch_kron(Cp, self.SR)
-        return _Block(G0, K)
-
     def split(self, x):
-        n, nT = self.n, self.nT
-        T = self.fixed_T if self.fixed_T is not None else _smat(x[:nT], n, 1)
-        J = _smat(x[nT: nT + self.nJ], n, -1)
-        R = _smat(x[nT + self.nJ:], n, 1)
-        return T, J, R
+        """(T, J, R) at x; a frozen T is its fixed value."""
+        M = {"T": self.fixed_T}
+        M.update((k, _smat(x[g.sl], self.n, g.sign)) for k, g in self.groups.items())
+        return M["T"], M["J"], M["R"]
 
     def pack(self, T, J, R):
-        parts = [] if self.fixed_T is not None else [_svec(T, 1)]
-        parts += [_svec(J, -1), _svec(R, 1)]
-        return np.concatenate(parts)
+        M = {"T": T, "J": J, "R": R}
+        return np.concatenate([_svec(M[k], g.sign) for k, g in self.groups.items()])
 
     def margins(self, x):
         return [float(np.linalg.eigvalsh(b.value(x))[0]) for b in self.blocks]
@@ -290,20 +283,18 @@ class _Objective:
         self.EA = np.stack([sp.E, sp.A])
         n = sp.n
         # rows are vec(S_k Q) for each basis slice
-        PJ = (cs.SJ @ Q).reshape(cs.nJ, n * n)
-        PR = (cs.SR @ Q).reshape(cs.nR, n * n)
+        P = {k: (g.S @ Q).reshape(len(g.S), n * n) for k, g in cs.groups.items()}
+        weight = {"T": sp.mu, "J": 1.0, "R": 1.0}
         H = np.zeros((cs.m, cs.m))
-        iJ = slice(cs.nT, cs.nT + cs.nJ)
-        iR = slice(cs.nT + cs.nJ, cs.m)
-        H[iJ, iJ] = 2.0 * (PJ @ PJ.T)
-        H[iR, iR] = 2.0 * (PR @ PR.T)
-        cross = -2.0 * (PJ @ PR.T)
+        for k, g in cs.groups.items():
+            H[g.sl, g.sl] = 2.0 * weight[k] * (P[k] @ P[k].T)
+        iJ, iR = cs.groups["J"].sl, cs.groups["R"].sl
+        cross = -2.0 * (P["J"] @ P["R"].T)
         H[iJ, iR] = cross
         H[iR, iJ] = cross.T
-        if cs.fixed_T is None:
-            PT = (cs.ST @ Q).reshape(cs.nT, n * n)
-            H[: cs.nT, : cs.nT] = 2.0 * sp.mu * (PT @ PT.T)
         self.H = H
+        # f's gradient on a group is scale * svec(D Q^T), D the residual it enters
+        self.scale = {"T": -2.0 * sp.mu, "J": -2.0, "R": 2.0}
 
     def value(self, x):
         return _objective_value(self.EA, (*self.cs.split(x), self.Q), self.sp.mu)
@@ -312,11 +303,9 @@ class _Objective:
         T, J, R = self.cs.split(x)
         sp, Q = self.sp, self.Q
         GA = (sp.A - (J - R) @ Q) @ Q.T
-        parts = []
-        if self.cs.fixed_T is None:
-            parts.append(-2.0 * sp.mu * _svec((sp.E - T @ Q) @ Q.T, 1))
-        parts += [-2.0 * _svec(GA, -1), 2.0 * _svec(GA, 1)]
-        return np.concatenate(parts)
+        return np.concatenate([
+            self.scale[k] * _svec((sp.E - T @ Q) @ Q.T if k == "T" else GA, g.sign)
+            for k, g in self.cs.groups.items()])
 
 
 def _barrier(blocks, x):

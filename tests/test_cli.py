@@ -114,6 +114,22 @@ def test_solve_malformed_pair_file(files, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("E, A", [
+    (np.eye(2), [[np.nan, 0.0], [0.0, -1.0]]),
+    (1e300 * np.eye(2), [[-1e300, 1e300], [0.0, -1e300]]),
+], ids=["nan", "1e300"])
+def test_solve_non_finite_or_overflowing_pair_exits_1(files, capsys, E, A):
+    tmp, write_pair, write_region = files
+    pair = write_pair("p.json", E, A)
+    region = write_region("r.json", HURWITZ)
+    code = main(["solve", "--pair", pair, "--region", region, "--max-iters", "50",
+                 "--out", str(tmp / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_solve_infeasible_region(files, capsys):
     tmp, write_pair, write_region = files
     pair = write_pair("p.json", np.eye(2), -np.eye(2))
@@ -168,10 +184,12 @@ def test_malformed_region_files_exit_1(files, capsys):
     tmp, write_pair, write_region = files
     pair = write_pair("p.json", np.eye(2), -np.eye(2))
     for i, spec in enumerate(({"kind": "disk", "q": None, "r": 1},
-                              {"intersect": 3})):
+                              {"intersect": 3}, {"raw": {"C": [[1.0]]}})):
         region = write_region(f"r{i}.json", spec)
         assert main(["check", "--pair", pair, "--region", region]) == 1
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err
+    assert "needs matrices 'B' and 'C'" in err  # the raw spec without B
 
 
 def test_solve_fgm_outside_hurwitz_is_a_usage_error(files, capsys):

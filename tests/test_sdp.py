@@ -261,6 +261,10 @@ def test_block_runs_cover_active_variables_in_order():
     T, R = slice(0, full.nT), slice(full.nT + full.nJ, full.m)
     strip = full.blocks[2]
     assert strip.runs == [(T, slice(0, full.nT)), (R, slice(full.nT, full.nT + full.nR))]
+    # a horizontal-strip part has C + C^T = 0, so it leaves R out: T and J
+    # form one run
+    TJ = slice(0, full.nT + full.nJ)
+    assert full.blocks[4].runs == [(TJ, TJ)]
     # with T frozen, T is no variable: the same strip part is R alone
     assert frozen.nT == 0
     assert frozen.blocks[0].runs == [(slice(frozen.nJ, frozen.m), slice(0, frozen.nR))]
