@@ -109,6 +109,8 @@ class BenchInstance:
 
     @classmethod
     def from_dict(cls, obj):
+        if not isinstance(obj, dict):
+            raise ValueError(f"bench instance {obj!r} is not a JSON object")
         gen = obj["generator"]
         kind = gen["kind"]
         seed = int(obj.get("seed", 0))

@@ -133,6 +133,8 @@ def _cmd_check(args):
 def _cmd_bench(args):
     with open(args.spec) as fh:
         spec = json.load(fh)
+    if not isinstance(spec, list):
+        raise ValueError(f"bench spec {args.spec} must hold a JSON list of instances")
     instances = [BenchInstance.from_dict(obj) for obj in spec]
     rows = run_table(instances, out_dir=args.out, workers=args.workers)
     for row in rows:
@@ -187,7 +189,7 @@ def main(argv=None):
     except InfeasibleStartError as exc:
         print(f"error: infeasible region: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError, KeyError, FloatingPointError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

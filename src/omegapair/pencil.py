@@ -266,6 +266,8 @@ def load_pair(path) -> MatrixPair:
     if path.endswith(".json"):
         with open(path) as fh:
             obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError(f"pair file {path} must hold a JSON object with fields E and A")
         try:
             pair = MatrixPair(np.asarray(obj["E"], float), np.asarray(obj["A"], float))
         except KeyError as exc:

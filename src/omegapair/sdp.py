@@ -32,14 +32,13 @@ The variables are x = (svec T, svec J, svec R): the upper triangle of
 each matrix, off-diagonal entries scaled by sqrt(2) (the strict upper
 triangle for the skew J), so that x.y is the Frobenius inner product of
 the matrices. They form a table of groups (no T when it is frozen), each
-a slice of x with its sign and svec basis S_j. A constraint block is
-built from terms (group, M_g): coordinate j of group g has the coefficient
-M_g (x) S_j, with M_g = [1] in the T >= 0 and R >= 0 blocks and -B, C^T - C
-and C + C^T in a region part. Groups with M_g = 0 are left out, and
-adjacent ones form a run of x: one over all of x for the unit disk, T and
-R for a vertical-strip part. The barrier Hessian is sum_b V_b V_b^T, row j
-of V_b being vec(L_b^-1 K_j L_b^-T); each run pair of V_b V_b^T is added
-into it by basic slicing, and the gradient run by run.
+a slice of x with its sign. A constraint block is held as its Kronecker
+terms: G = G0 + sum_g M_g (x) smat(x_g), with M_g = [1] in the T >= 0 and
+R >= 0 blocks and -B, C^T - C and C + C^T in a region part (a zero M_g is
+left out). With W = G^-1 in s x s blocks of size n x n, U_g = W (M_g (x) I)
+and S_i the svec basis, the barrier gradient on group g is
+-svec(sum_a (U_g)_aa^T) and its Hessian on the group pair (g, h) is
+H_ij = sum_ac tr((U_g)_ac S_i (U_h)_ca S_j), O(s^2 n^4) work per pair.
 
 A `ConvexSubproblem` states everything but Q and compiles its constraint
 blocks once; `solve_subproblem` takes Q per call, so one subproblem serves
@@ -81,39 +80,42 @@ class InfeasibleStartError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# svec coordinates of the symmetric (sign +1) and skew (sign -1) matrices
+# svec coordinates of the symmetric (sign +1) and skew (sign -1) matrices:
+# basis matrix S_i is c[i, 0] e_u e_v^T + c[i, 1] e_v e_u^T for (u, v) = uv[i]
+# in the upper triangle (with the diagonal for sign +1), at the flat indices
+# `upper` and, mirrored, `lower`; entry e of smat(x) is coef[e] * x[at[e]]
 
 _ROOT_HALF = 1.0 / math.sqrt(2.0)
+_SvecIndex = namedtuple("_SvecIndex", "upper lower uv c at coef")
 
 
 @functools.cache
 def _svec_index(n, sign):
-    """Flat indices of the upper triangle of an n x n matrix (with the
-    diagonal for sign +1, without it for sign -1), of their mirror images,
-    and the weights `_svec` and `_smat` apply there."""
-    i, j = np.triu_indices(n, 0 if sign > 0 else 1)
-    diag = i == j
-    return (i * n + j, j * n + i, np.where(diag, 0.5, _ROOT_HALF),
-            np.where(diag, 1.0, _ROOT_HALF))
+    u, v = np.triu_indices(n, 0 if sign > 0 else 1)
+    w = np.where(u == v, 0.5, _ROOT_HALF)
+    upper, lower = u * n + v, v * n + u
+    at, coef = np.zeros(n * n, dtype=np.intp), np.zeros(n * n)
+    at[upper] = at[lower] = np.arange(len(u))
+    coef[lower] = sign * _ROOT_HALF
+    coef[upper] = np.where(u == v, 1.0, _ROOT_HALF)  # last, so the diagonal reads 1
+    return _SvecIndex(upper, lower, np.stack([u, v], 1), np.stack([w, sign * w], 1), at, coef)
 
 
 def _svec(M, sign):
     """The coordinates of sym(M) (sign +1) or skew(M) (sign -1), for one
     matrix or a stack."""
-    upper, lower, w, _ = _svec_index(M.shape[-1], sign)
+    ix = _svec_index(M.shape[-1], sign)
     flat = M.reshape(*M.shape[:-2], -1)
-    return (flat[..., upper] + sign * flat[..., lower]) * w
+    return (flat.take(ix.upper, axis=-1) + sign * flat.take(ix.lower, axis=-1)) * ix.c[:, 0]
 
 
 def _smat(v, n, sign):
     """The symmetric (sign +1) or skew (sign -1) n x n matrix with
     coordinates v, or a stack of them for a stack of coordinate rows."""
-    upper, lower, _, w = _svec_index(n, sign)
-    out = np.zeros((*v.shape[:-1], n * n))
-    c = v * w
-    out[..., lower] = sign * c
-    out[..., upper] = c  # last, so the diagonal reads c for sign +1
-    return out.reshape(*v.shape[:-1], n, n)
+    if v.shape[-1] == 0:  # the skew part of a 1 x 1 matrix
+        return np.zeros((*v.shape[:-1], n, n))
+    ix = _svec_index(n, sign)
+    return (v.take(ix.at, axis=-1) * ix.coef).reshape(*v.shape[:-1], n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -168,55 +170,46 @@ class SubproblemSolution:
     stage_newton: list = field(default_factory=list)  # Newton steps per barrier stage
 
 
-# a free variable group: its slice of x, sign (+1 sym, -1 skew) and svec basis S_j
-_Group = namedtuple("_Group", "sl sign S")
+# a free variable group: its slice of x and sign (+1 sym, -1 skew)
+_Group = namedtuple("_Group", "sl sign")
+
+
+def _trace_pairs(U, V, si, sj):
+    """[sum_x tr(U_x S_i V_x S_j)]_ij over the svec bases S_i of sign si and
+    S_j of sign sj, for two stacks (or two matrices) U and V of n x n."""
+    n = U.shape[-1]
+    U, V, ix = U.reshape(-1, n, n), V.reshape(-1, n, n), _svec_index(n, si)
+    # (U_x S_i V_x)^T = c_i0 V_x[v]^T U_x[:, u]^T + c_i1 V_x[u]^T U_x[:, v]^T:
+    # one batch over i of products over the two terms t and x
+    left = V.transpose(1, 2, 0)[ix.uv[:, ::-1]]  # [i, t, s, x] = V_x[(v, u)_t, s]
+    right = U.transpose(2, 0, 1)[ix.uv] * ix.c[..., None, None]  # c_it U_x[p, (u, v)_t]
+    k = len(ix.uv)
+    SVU = left.transpose(0, 2, 1, 3).reshape(k, n, -1) @ right.reshape(k, -1, n)
+    return _svec(SVU, sj)  # tr(X S_j) = <X^T, S_j>
 
 
 class _Block:
-    """One affine semidefinite constraint G(x) = G0 + sum x_j K_j >= 0,
-    built from its terms, (group, M_g) pairs in x order: K_j = M_g (x) S_j.
-
-    Groups whose M_g is zero are left out. `K` stacks the coefficients of
-    the others, whose coordinates are `active`; `runs` lists the stretches
-    of adjacent groups as pairs (slice of x, slice of the rows of K).
-    """
+    """One affine semidefinite constraint G(x) = G0 + sum_g M_g (x) smat(x_g)
+    >= 0, held as its terms, (group, M_g) pairs in x order, M_g nonzero.
+    With W = G^-1 and U_g = W (M_g (x) I) in s x s blocks (U_g)_ac of size
+    n x n, -logdet G has the gradient -svec(sum_a (U_g)_aa^T) on group g and
+    the Hessian H_ij = sum_ac tr((U_g)_ac S_i (U_h)_ca S_j) on (g, h)."""
 
     def __init__(self, G0, terms):
         self.G0 = G0
-        self.d = d = G0.shape[0]
         self.terms = [(g, M) for g, M in terms if np.any(M)]
-        self.active = np.array([j for g, _ in self.terms for j in range(g.sl.start, g.sl.stop)],
-                               dtype=np.intp)
-        self.K = np.empty((len(self.active), d, d))
-        self.runs = []
-        row = 0
-        for g, M in self.terms:
-            k, n, _ = g.S.shape
-            rows = slice(row, row + k)
-            # K_j = kron(M, S_j) for every basis slice S_j
-            np.einsum("ab,kcd->kacbd", M, g.S, out=self.K[rows].reshape(k, len(M), n, len(M), n))
-            if self.runs and self.runs[-1][0].stop == g.sl.start:  # g extends the last run
-                xs, rs = self.runs.pop()
-                self.runs.append((slice(xs.start, g.sl.stop), slice(rs.start, rows.stop)))
-            else:
-                self.runs.append((g.sl, rows))
-            row = rows.stop
 
     def combine(self, x):
-        """sum_k x_k K_k over the active variables, as one matrix-vector
-        product."""
-        m = len(self.active)
-        return (x[self.active] @ self.K.reshape(m, self.d * self.d)).reshape(self.d, self.d)
+        """sum_g M_g (x) smat(x_g), one broadcast product per term."""
+        d = len(self.G0)
+        out = np.zeros((d, d))
+        for g, M in self.terms:
+            X = _smat(x[g.sl], d // len(M), g.sign)
+            out += (M[:, None, :, None] * X[:, None, :]).reshape(d, d)
+        return out
 
     def value(self, x):
         return self.G0 + self.combine(x)
-
-    def chol(self, x):
-        G = self.value(x)
-        try:
-            return np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            return None
 
 
 class ConstraintSet:
@@ -227,16 +220,12 @@ class ConstraintSet:
     def __init__(self, n, region, require_R_psd, delta_lmi, fixed_T):
         self.n = n
         self.fixed_T = fixed_T
-        sym = _smat(np.eye(n * (n + 1) // 2), n, 1)
-        layout = [("J", -1, _smat(np.eye(n * (n - 1) // 2), n, -1)), ("R", 1, sym)]
-        if fixed_T is None:
-            layout.insert(0, ("T", 1, sym))
         self.groups, self.m = {}, 0
-        for name, sign, S in layout:
-            self.groups[name] = _Group(slice(self.m, self.m + len(S)), sign, S)
-            self.m += len(S)
-        self.nT, self.nJ, self.nR = (len(self.groups[k].S) if k in self.groups else 0
-                                     for k in "TJR")
+        for name in ("JR" if fixed_T is not None else "TJR"):
+            sign = -1 if name == "J" else 1
+            k = n * (n + sign) // 2
+            self.groups[name] = _Group(slice(self.m, self.m + k), sign)
+            self.m += k
 
         psd = ("T", "R") if require_R_psd else ("T",)
         blocks = [_Block(np.zeros((n, n)), [(self.groups[k], np.ones((1, 1)))])
@@ -254,7 +243,7 @@ class ConstraintSet:
                 blocks.append(_Block(G0, [(self.groups[k], M) for k, M in terms
                                           if k in self.groups]))
         self.blocks = blocks
-        self.nu = sum(b.d for b in blocks)
+        self.nu = sum(len(b.G0) for b in blocks)
 
     def split(self, x):
         """(T, J, R) at x; a frozen T is its fixed value."""
@@ -281,17 +270,17 @@ class _Objective:
         self.cs = cs = sp.constraints
         self.Q = Q
         self.EA = np.stack([sp.E, sp.A])
-        n = sp.n
-        # rows are vec(S_k Q) for each basis slice
-        P = {k: (g.S @ Q).reshape(len(g.S), n * n) for k, g in cs.groups.items()}
+        # <S_i Q, S_j Q> = sign_i tr(Q Q^T S_i S_j): the trace pairs of U = Q Q^T, V = I
+        QQ = Q @ Q.T
+        gram = {(si, sj): si * _trace_pairs(QQ, np.eye(sp.n), si, sj)
+                for si, sj in ((1, 1), (-1, -1), (-1, 1))}
         weight = {"T": sp.mu, "J": 1.0, "R": 1.0}
         H = np.zeros((cs.m, cs.m))
         for k, g in cs.groups.items():
-            H[g.sl, g.sl] = 2.0 * weight[k] * (P[k] @ P[k].T)
+            H[g.sl, g.sl] = 2.0 * weight[k] * gram[g.sign, g.sign]
         iJ, iR = cs.groups["J"].sl, cs.groups["R"].sl
-        cross = -2.0 * (P["J"] @ P["R"].T)
-        H[iJ, iR] = cross
-        H[iR, iJ] = cross.T
+        H[iJ, iR] = -2.0 * gram[-1, 1]
+        H[iR, iJ] = H[iJ, iR].T
         self.H = H
         # f's gradient on a group is scale * svec(D Q^T), D the residual it enters
         self.scale = {"T": -2.0 * sp.mu, "J": -2.0, "R": 2.0}
@@ -313,8 +302,11 @@ def _barrier(blocks, x):
     interior."""
     factors = []
     for b in blocks:
-        L = b.chol(x)
-        if L is None or np.any(np.diag(L) <= 0.0):
+        try:
+            L = np.linalg.cholesky(b.value(x))
+        except np.linalg.LinAlgError:
+            return None
+        if np.any(np.diag(L) <= 0.0):
             return None
         factors.append(L)
     return factors
@@ -331,24 +323,24 @@ def _barrier_grad_hess(blocks, x, m, factors=None):
         factors = _barrier(blocks, x)
         if factors is None:
             return None, None, None
-    g = np.zeros(m)
-    H = np.zeros((m, m))
-    inverses = []
+    g, H, inverses = np.zeros(m), np.zeros((m, m)), []
     for b, L in zip(blocks, factors):
         Li, info = dtrtri(L, lower=1)
         if info != 0:
             return None, None, None
         inverses.append(Li)
-        # Ghat_j = L^-1 K_j L^-T (K_j symmetric), so traces and Gram
-        # products below are exact
-        Ghat = Li @ b.K @ Li.T
-        tr = np.trace(Ghat, axis1=1, axis2=2)
-        V = Ghat.reshape(len(b.active), -1)
-        S = V @ V.T
-        for xi, ri in b.runs:
-            g[xi] -= tr[ri]
-            for xj, rj in b.runs:
-                H[xi, xj] += S[ri, rj]
+        W = Li.T @ Li  # G^-1
+        # U_g = W (M_g (x) I) as U[a, c] = (U_g)_ac, one per term
+        U = [np.einsum("apbq,bc->acpq", W.reshape(len(M), -1, len(M), len(W) // len(M)), M)
+             for _, M in b.terms]
+        for i, ((gi, _), Ug) in enumerate(zip(b.terms, U)):
+            g[gi.sl] -= _svec(np.trace(Ug).T, gi.sign)
+            for (gh, _), Uh in zip(b.terms[i:], U[i:]):
+                # over the pairs ((U_g)_ac, (U_h)_ca)
+                Hgh = _trace_pairs(Ug, Uh.swapaxes(0, 1), gi.sign, gh.sign)
+                H[gi.sl, gh.sl] += Hgh
+                if gh is not gi:  # the mirror block, (h, g)
+                    H[gh.sl, gi.sl] += Hgh.T
     return g, H, inverses
 
 

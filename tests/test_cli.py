@@ -130,6 +130,28 @@ def test_solve_non_finite_or_overflowing_pair_exits_1(files, capsys, E, A):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, text", [
+    ("check", "[[1.0]]"),
+    ("bench", "[1]"),
+    ("bench", "{}"),
+], ids=["pair-list", "bench-entry-number", "bench-spec-object"])
+def test_malformed_input_files_exit_1_without_traceback(files, capsys, command, text):
+    """A pair file that is no JSON object, a bench spec that is no JSON
+    list, or a bench entry that is no object is an input error."""
+    tmp, write_pair, write_region = files
+    path = tmp / "input.json"
+    path.write_text(text)
+    if command == "check":
+        argv = ["check", "--pair", str(path), "--region", write_region("r.json", HURWITZ)]
+    else:
+        argv = ["bench", "--spec", str(path), "--out", str(tmp / "bench")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert not (tmp / "bench").exists()
+
+
 def test_solve_infeasible_region(files, capsys):
     tmp, write_pair, write_region = files
     pair = write_pair("p.json", np.eye(2), -np.eye(2))

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.linalg
 
 from omegapair import regions as rg
 from omegapair import sdp
+from omegapair.bench import grcar
 from omegapair.dh import project_psd, skew, sym
 from omegapair.sdp import (ConvexSubproblem, InfeasibleStartError, _barrier,
                            _barrier_grad_hess, _line_merit, _Objective, _smat, _step_spectrum,
@@ -238,36 +240,59 @@ def test_barrier_hessian_entries_match_dense_oracle(case):
     assert H == pytest.approx(dense, rel=1e-10)
 
 
-def test_block_runs_cover_active_variables_in_order():
-    """Each block lists its active variables as contiguous runs (slice of
-    x, slice of the block's rows), one run per stretch of whole variable
-    groups."""
+def test_block_terms_follow_nonzero_groups_in_x_order():
+    """Each block holds its terms, (group, M_g) pairs in x order, one per
+    variable group with a nonzero M_g; a group whose M_g is zero is left
+    out."""
     n = 4
     A = np.random.default_rng(0).standard_normal((n, n))
     full = ConvexSubproblem(np.eye(n), A, 1.0, _composite(), require_R_psd=True).constraints
     frozen = ConvexSubproblem(np.eye(n), A, 1.0, _composite(),
                               fixed_T=np.eye(n)).constraints
     schur = ConvexSubproblem(np.eye(n), A, 1.0, rg.schur()).constraints
+
+    def names(cs, b):
+        return [k for g, _ in b.terms for k, h in cs.groups.items() if h is g]
+
     for cs in (full, frozen, schur):
+        # the groups tile x in the order T, J, R with their svec sizes
+        sizes = {"T": n * (n + 1) // 2, "J": n * (n - 1) // 2, "R": n * (n + 1) // 2}
+        stops = np.cumsum([sizes[k] for k in cs.groups])
+        assert [g.sl.stop for g in cs.groups.values()] == list(stops)
+        assert cs.m == stops[-1]
         for b in cs.blocks:
-            np.testing.assert_array_equal(
-                np.concatenate([np.arange(cs.m)[xs] for xs, _ in b.runs]), b.active)
-            np.testing.assert_array_equal(
-                np.concatenate([np.arange(len(b.active))[rs] for _, rs in b.runs]),
-                np.arange(len(b.active)))
-    # the schur() region block: every variable, one run
-    assert schur.blocks[-1].runs == [(slice(0, schur.m), slice(0, schur.m))]
-    # a vertical-strip part couples T and R but not J: two runs
-    T, R = slice(0, full.nT), slice(full.nT + full.nJ, full.m)
-    strip = full.blocks[2]
-    assert strip.runs == [(T, slice(0, full.nT)), (R, slice(full.nT, full.nT + full.nR))]
-    # a horizontal-strip part has C + C^T = 0, so it leaves R out: T and J
-    # form one run
-    TJ = slice(0, full.nT + full.nJ)
-    assert full.blocks[4].runs == [(TJ, TJ)]
+            starts = [g.sl.start for g, _ in b.terms]
+            assert starts == sorted(set(starts))
+            assert len(names(cs, b)) == len(b.terms)
+            for _, M in b.terms:
+                assert np.any(M)
+                assert len(M) * n == len(b.G0)
+    # the schur() region block: every group
+    assert names(schur, schur.blocks[-1]) == ["T", "J", "R"]
+    # a vertical-strip part couples T and R but not J
+    assert names(full, full.blocks[2]) == ["T", "R"]
+    # a horizontal-strip part has C + C^T = 0, so it leaves R out
+    assert names(full, full.blocks[4]) == ["T", "J"]
     # with T frozen, T is no variable: the same strip part is R alone
-    assert frozen.nT == 0
-    assert frozen.blocks[0].runs == [(slice(frozen.nJ, frozen.m), slice(0, frozen.nR))]
+    assert "T" not in frozen.groups
+    assert names(frozen, frozen.blocks[0]) == ["R"]
+
+
+def test_constraint_blocks_hold_no_expanded_basis():
+    """Building the n = 30 composite subproblem keeps each block as its
+    Kronecker terms: the coefficients M_g (x) S_j of its m = 1365
+    variables, expanded, would take about 81 MB."""
+    pair = grcar(30, 1)
+    region = rg.intersect(rg.disk(0.0, 3.0), rg.left_conic_sector(0.0, 0.8),
+                          rg.left_half_plane(-0.1))
+    tracemalloc.start()
+    try:
+        sp = ConvexSubproblem(pair.E, pair.A, 1.0, region, require_R_psd=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sp.constraints.m == 1365
+    assert peak < 2e6
 
 
 @pytest.mark.parametrize("n", [3, 5])
