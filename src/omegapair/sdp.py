@@ -38,7 +38,8 @@ R >= 0 blocks and -B, C^T - C and C + C^T in a region part (a zero M_g is
 left out). With W = G^-1 in s x s blocks of size n x n, U_g = W (M_g (x) I)
 and S_i the svec basis, the barrier gradient on group g is
 -svec(sum_a (U_g)_aa^T) and its Hessian on the group pair (g, h) is
-H_ij = sum_ac tr((U_g)_ac S_i (U_h)_ca S_j), O(s^2 n^4) work per pair.
+H_ij = sum_ac tr((U_g)_ac S_i (U_h)_ca S_j), O(s^2 n^4) work per pair;
+the terms of every block on one group pair are summed in one product.
 
 A `ConvexSubproblem` states everything but Q and compiles its constraint
 blocks once; `solve_subproblem` takes Q per call, so one subproblem serves
@@ -105,7 +106,7 @@ def _svec(M, sign):
     """The coordinates of sym(M) (sign +1) or skew(M) (sign -1), for one
     matrix or a stack."""
     ix = _svec_index(M.shape[-1], sign)
-    flat = M.reshape(*M.shape[:-2], -1)
+    flat = M.reshape(*M.shape[:-2], M.shape[-2] * M.shape[-1])  # also an empty stack
     return (flat.take(ix.upper, axis=-1) + sign * flat.take(ix.lower, axis=-1)) * ix.c[:, 0]
 
 
@@ -183,8 +184,8 @@ def _trace_pairs(U, V, si, sj):
     # one batch over i of products over the two terms t and x
     left = V.transpose(1, 2, 0)[ix.uv[:, ::-1]]  # [i, t, s, x] = V_x[(v, u)_t, s]
     right = U.transpose(2, 0, 1)[ix.uv] * ix.c[..., None, None]  # c_it U_x[p, (u, v)_t]
-    k = len(ix.uv)
-    SVU = left.transpose(0, 2, 1, 3).reshape(k, n, -1) @ right.reshape(k, -1, n)
+    k, w = len(ix.uv), 2 * len(U)  # a 1 x 1 skew part has k = 0: no -1 to infer
+    SVU = left.transpose(0, 2, 1, 3).reshape(k, n, w) @ right.reshape(k, w, n)
     return _svec(SVU, sj)  # tr(X S_j) = <X^T, S_j>
 
 
@@ -324,6 +325,9 @@ def _barrier_grad_hess(blocks, x, m, factors=None):
         if factors is None:
             return None, None, None
     g, H, inverses = np.zeros(m), np.zeros((m, m)), []
+    # the pairs ((U_g)_ac, (U_h)_ca) of every block, by group pair (g, h) with
+    # g not after h: their traces add up, so one helper call covers all blocks
+    pairs = {}
     for b, L in zip(blocks, factors):
         Li, info = dtrtri(L, lower=1)
         if info != 0:
@@ -336,11 +340,14 @@ def _barrier_grad_hess(blocks, x, m, factors=None):
         for i, ((gi, _), Ug) in enumerate(zip(b.terms, U)):
             g[gi.sl] -= _svec(np.trace(Ug).T, gi.sign)
             for (gh, _), Uh in zip(b.terms[i:], U[i:]):
-                # over the pairs ((U_g)_ac, (U_h)_ca)
-                Hgh = _trace_pairs(Ug, Uh.swapaxes(0, 1), gi.sign, gh.sign)
-                H[gi.sl, gh.sl] += Hgh
-                if gh is not gi:  # the mirror block, (h, g)
-                    H[gh.sl, gi.sl] += Hgh.T
+                _, _, left, right = pairs.setdefault((id(gi), id(gh)), (gi, gh, [], []))
+                left.append(Ug.reshape(-1, *Ug.shape[2:]))
+                right.append(Uh.swapaxes(0, 1).reshape(left[-1].shape))
+    for gi, gh, left, right in pairs.values():
+        Hgh = _trace_pairs(np.concatenate(left), np.concatenate(right), gi.sign, gh.sign)
+        H[gi.sl, gh.sl] = Hgh
+        if gh is not gi:  # the mirror block, (h, g)
+            H[gh.sl, gi.sl] = Hgh.T
     return g, H, inverses
 
 

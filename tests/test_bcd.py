@@ -184,6 +184,15 @@ def test_left_half_plane_region_forces_psd_R():
     assert np.linalg.eigvalsh(res.dh.R)[0] >= -1e-9
 
 
+@pytest.mark.parametrize("region", [rg.from_primitive(rg.disk(-1.0, 0.5)), rg.hurwitz()],
+                         ids=["disk", "hurwitz"])
+def test_one_by_one_pair_is_solved(region):
+    res = solve_general(np.eye(1), np.array([[0.7]]), region,
+                        BcdOptions(max_time_s=20.0, max_outer_iters=20))
+    assert res.admissible
+    assert res.relative_error < 1.0
+
+
 def test_fixed_blocks_baseline_mode():
     rng = np.random.default_rng(5)
     n = 4

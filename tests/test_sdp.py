@@ -460,6 +460,22 @@ def test_one_subproblem_serves_every_Q():
             assert _same_solution(solve_subproblem(sp, Qs[i], accuracy=1e-8), fresh[i])
 
 
+@pytest.mark.parametrize("psd_R", [False, True])
+@pytest.mark.parametrize("region, T, R", [(rg.from_primitive(rg.disk(-1.0, 0.5)), 0.52, 0.26),
+                                          (rg.hurwitz(), 1.0, 0.0)], ids=["disk", "hurwitz"])
+def test_one_by_one_pair_reaches_the_closed_form_optimum(region, T, R, psd_R):
+    """At n = 1 the skew J has no coordinates, and at Q = 1 the pencil's
+    eigenvalue is -R / T: the nearest (T, R) to (1, -0.7) with it in
+    disk(-1, 0.5) lies on the ray R = T / 2, and in the left half-plane
+    at R = 0."""
+    sp = ConvexSubproblem(np.eye(1), np.array([[0.7]]), 1.0, region, require_R_psd=psd_R)
+    sol = solve_subproblem(sp, np.eye(1))
+    assert sol.converged
+    assert sol.J.shape == (1, 1) and not np.any(sol.J)
+    np.testing.assert_allclose([sol.T[0, 0], sol.R[0, 0]], [T, R], rtol=0.0, atol=1e-5)
+    assert sol.objective == pytest.approx((0.7 + R) ** 2 + (1.0 - T) ** 2, rel=1e-5)
+
+
 def test_fixed_T_mode_optimizes_J_R_only():
     rng = np.random.default_rng(8)
     A = rng.standard_normal((3, 3))
