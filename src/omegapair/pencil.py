@@ -46,8 +46,8 @@ class MatrixPair:
     def __post_init__(self):
         E = np.atleast_2d(np.asarray(self.E, dtype=float))
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        if E.shape[0] != E.shape[1]:
-            raise ValueError(f"E must be square, got {E.shape}")
+        if E.ndim != 2 or E.shape[0] != E.shape[1]:
+            raise ValueError(f"E must be a square matrix, got shape {E.shape}")
         if A.shape != E.shape:
             raise ValueError(f"E and A must share dimension, got {E.shape} and {A.shape}")
         object.__setattr__(self, "E", E)

@@ -39,7 +39,18 @@ left out). With W = G^-1 in s x s blocks of size n x n, U_g = W (M_g (x) I)
 and S_i the svec basis, the barrier gradient on group g is
 -svec(sum_a (U_g)_aa^T) and its Hessian on the group pair (g, h) is
 H_ij = sum_ac tr((U_g)_ac S_i (U_h)_ca S_j), O(s^2 n^4) work per pair;
-the terms of every block on one group pair are summed in one product.
+the terms of every block on one group pair are summed in one product,
+and the traces of every block's terms on one group take one svec. Each
+point forms smat(x_g) once per group for all blocks.
+
+The Newton system (t H_f + H_phi) dx = -g is formed in one m x m buffer
+per `solve_subproblem` call and factored there in place by LAPACK
+`dpotrf`, then solved by `dpotrs`; each block is factored by `dpotrf`
+too, a nonzero `info` meaning the point is outside the interior. A
+Newton system that is not numerically positive definite is formed again,
+since the failed `dpotrf` has overwritten the buffer, and shifted by
+1e-12 (1 + tr / m) on its diagonal before the second factorization. A
+direction that is not finite raises ValueError.
 
 A `ConvexSubproblem` states everything but Q and compiles its constraint
 blocks once; `solve_subproblem` takes Q per call, so one subproblem serves
@@ -54,8 +65,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .regions import LmiRegion, connected_blocks, real_section
 from .result import _objective_value
@@ -200,17 +210,28 @@ class _Block:
         self.G0 = G0
         self.terms = [(g, M) for g, M in terms if np.any(M)]
 
-    def combine(self, x):
-        """sum_g M_g (x) smat(x_g), one broadcast product per term."""
+    def combine(self, X):
+        """sum_g M_g (x) X_g, one broadcast product per term, from the
+        matrices X_g = smat(x_g) by group id (see `_group_matrices`)."""
         d = len(self.G0)
         out = np.zeros((d, d))
         for g, M in self.terms:
-            X = _smat(x[g.sl], d // len(M), g.sign)
-            out += (M[:, None, :, None] * X[:, None, :]).reshape(d, d)
+            out += (M[:, None, :, None] * X[id(g)][:, None, :]).reshape(d, d)
         return out
 
-    def value(self, x):
-        return self.G0 + self.combine(x)
+    def value(self, X):
+        return self.G0 + self.combine(X)
+
+
+def _group_matrices(blocks, x):
+    """smat(x_g) of every group the blocks read, by group id: formed once
+    per point for all blocks."""
+    X = {}
+    for b in blocks:
+        for g, M in b.terms:
+            if id(g) not in X:
+                X[id(g)] = _smat(x[g.sl], len(b.G0) // len(M), g.sign)
+    return X
 
 
 class ConstraintSet:
@@ -257,7 +278,8 @@ class ConstraintSet:
         return np.concatenate([_svec(M[k], g.sign) for k, g in self.groups.items()])
 
     def margins(self, x):
-        return [float(np.linalg.eigvalsh(b.value(x))[0]) for b in self.blocks]
+        X = _group_matrices(self.blocks, x)
+        return [float(np.linalg.eigvalsh(b.value(X))[0]) for b in self.blocks]
 
     def strictly_feasible(self, x):
         return _barrier(self.blocks, x) is not None
@@ -301,13 +323,11 @@ class _Objective:
 def _barrier(blocks, x):
     """The Cholesky factor of every block G_b(x), or None outside the
     interior."""
+    X = _group_matrices(blocks, x)
     factors = []
     for b in blocks:
-        try:
-            L = np.linalg.cholesky(b.value(x))
-        except np.linalg.LinAlgError:
-            return None
-        if np.any(np.diag(L) <= 0.0):
+        L, info = dpotrf(b.value(X), lower=1)
+        if info != 0:
             return None
         factors.append(L)
     return factors
@@ -325,9 +345,11 @@ def _barrier_grad_hess(blocks, x, m, factors=None):
         if factors is None:
             return None, None, None
     g, H, inverses = np.zeros(m), np.zeros((m, m)), []
-    # the pairs ((U_g)_ac, (U_h)_ca) of every block, by group pair (g, h) with
-    # g not after h: their traces add up, so one helper call covers all blocks
-    pairs = {}
+    # the traces sum_a (U_g)_aa of every block's terms on g, by group, and
+    # the pairs ((U_g)_ac, (U_h)_ca) of every block, by group pair (g, h)
+    # with g not after h: both add up over blocks, so one `_svec` per group
+    # and one helper call per group pair cover all blocks
+    traces, pairs = {}, {}
     for b, L in zip(blocks, factors):
         Li, info = dtrtri(L, lower=1)
         if info != 0:
@@ -338,11 +360,13 @@ def _barrier_grad_hess(blocks, x, m, factors=None):
         U = [np.einsum("apbq,bc->acpq", W.reshape(len(M), -1, len(M), len(W) // len(M)), M)
              for _, M in b.terms]
         for i, ((gi, _), Ug) in enumerate(zip(b.terms, U)):
-            g[gi.sl] -= _svec(np.trace(Ug).T, gi.sign)
+            traces.setdefault(id(gi), [gi]).append(np.trace(Ug))
             for (gh, _), Uh in zip(b.terms[i:], U[i:]):
                 _, _, left, right = pairs.setdefault((id(gi), id(gh)), (gi, gh, [], []))
                 left.append(Ug.reshape(-1, *Ug.shape[2:]))
                 right.append(Uh.swapaxes(0, 1).reshape(left[-1].shape))
+    for gi, *D in traces.values():
+        g[gi.sl] = -_svec(sum(D).T, gi.sign)
     for gi, gh, left, right in pairs.values():
         Hgh = _trace_pairs(np.concatenate(left), np.concatenate(right), gi.sign, gh.sign)
         H[gi.sl, gh.sl] = Hgh
@@ -359,8 +383,9 @@ def _step_spectrum(blocks, inverses, dx):
     changes by -sum log(1 + s mu) and x + s dx stays interior exactly for
     s < 1 / max(-mu).
     """
+    dX = _group_matrices(blocks, dx)
     return np.concatenate([
-        np.linalg.eigvalsh(Li @ b.combine(dx) @ Li.T)
+        np.linalg.eigvalsh(Li @ b.combine(dX) @ Li.T)
         for b, Li in zip(blocks, inverses)])
 
 
@@ -401,6 +426,34 @@ def _line_step(t, slope_f, curv_f, mu):
         if done:
             break
     return s
+
+
+def _newton_direction(buf, t, Hf, Hphi, g):
+    """The solution of (t Hf + Hphi) y = g, formed and factored in the
+    m x m buffer `buf`, which it overwrites.
+
+    A system that is not numerically positive definite is formed again
+    (a failed `dpotrf` leaves `buf` part factored) and shifted by
+    1e-12 (1 + tr / m) on the diagonal; a non-finite solution raises
+    ValueError.
+    """
+    m = len(buf)
+    for shifted in (False, True):
+        np.multiply(Hf, t, out=buf)
+        buf += Hphi
+        if shifted:
+            buf.flat[::m + 1] += 1e-12 * (1.0 + np.trace(buf) / m)
+        # buf.T is the symmetric system in the Fortran order that LAPACK
+        # factors in place, without a copy
+        L, info = dpotrf(buf.T, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            break
+    else:
+        raise np.linalg.LinAlgError("the SDP Newton system is not positive definite")
+    y, _ = dpotrs(L, g, lower=1)
+    if not np.isfinite(y).all():
+        raise ValueError("the SDP Newton system has infs or NaNs")
+    return y
 
 
 def initial_point(sp: ConvexSubproblem):
@@ -505,6 +558,7 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
     # f's gradient and the barrier derivatives at x, kept until x moves: a
     # stage that ends centered or without progress leaves x to the next
     derivs = None
+    newton = np.empty((cs.m, cs.m))  # t H_f + H_phi, formed and factored in place
     while total_newton < MAX_TOTAL_NEWTON:
         # a t just below t_final (a start at nu / eps, or a growth onto it)
         # is raised to t_final, so the gap bound nu / t meets eps
@@ -524,13 +578,7 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
                     raise RuntimeError("iterate left the interior; this is a bug")
             gf, gphi, Hphi, inverses = derivs
             g = t * gf + gphi
-            H = t * obj.H + Hphi
-            try:
-                L = np.linalg.cholesky(H)
-            except np.linalg.LinAlgError:
-                H = H + (1e-12 * (1.0 + np.trace(H) / cs.m)) * np.eye(cs.m)
-                L = np.linalg.cholesky(H)
-            dx = -scipy.linalg.cho_solve((L, True), g)
+            dx = -_newton_direction(newton, t, obj.H, Hphi, g)
             total_newton += 1
             if -float(g @ dx) / 2.0 <= center_tol:
                 centered = True

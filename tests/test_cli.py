@@ -134,22 +134,28 @@ def test_solve_non_finite_or_overflowing_pair_exits_1(files, capsys, E, A):
     ("check", "[[1.0]]"),
     ("bench", "[1]"),
     ("bench", "{}"),
-], ids=["pair-list", "bench-entry-number", "bench-spec-object"])
+    ("check", '{"E": [[[1]]], "A": [[[1]]]}'),
+    ("solve", '{"E": [[[1]]], "A": [[[1]]]}'),
+], ids=["pair-list", "bench-entry-number", "bench-spec-object", "check-pair-3d",
+        "solve-pair-3d"])
 def test_malformed_input_files_exit_1_without_traceback(files, capsys, command, text):
-    """A pair file that is no JSON object, a bench spec that is no JSON
-    list, or a bench entry that is no object is an input error."""
+    """A pair file that is no JSON object or holds no matrices, a bench spec
+    that is no JSON list, or a bench entry that is no object is an input
+    error."""
     tmp, write_pair, write_region = files
     path = tmp / "input.json"
     path.write_text(text)
-    if command == "check":
-        argv = ["check", "--pair", str(path), "--region", write_region("r.json", HURWITZ)]
-    else:
-        argv = ["bench", "--spec", str(path), "--out", str(tmp / "bench")]
+    region = write_region("r.json", HURWITZ)
+    argv = {"check": ["check", "--pair", str(path), "--region", region],
+            "solve": ["solve", "--pair", str(path), "--region", region,
+                      "--out", str(tmp / "out")],
+            "bench": ["bench", "--spec", str(path), "--out", str(tmp / "bench")]}[command]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "error:" in err
     assert "Traceback" not in err
     assert not (tmp / "bench").exists()
+    assert not (tmp / "out").exists()
 
 
 def test_solve_infeasible_region(files, capsys):

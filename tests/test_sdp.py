@@ -159,6 +159,23 @@ def test_barrier_derivatives_are_not_recomputed_at_an_unmoved_point(monkeypatch)
         assert not any(np.array_equal(a, b) for a, b in zip(xs, xs[1:]))
 
 
+def test_non_finite_newton_system_raises_value_error(monkeypatch):
+    grad = sdp._Objective.grad
+    calls = []
+
+    def nan_on_second_call(self, x):
+        calls.append(x)
+        return grad(self, x) * (np.nan if len(calls) == 2 else 1.0)
+
+    monkeypatch.setattr(sdp._Objective, "grad", nan_on_second_call)
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((4, 4)) * 2
+    sp = ConvexSubproblem(np.eye(4), A, 1.0, rg.schur())
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_subproblem(sp, np.eye(4), accuracy=1e-8)
+    assert len(calls) == 2
+
+
 def test_stage_newton_sums_to_barrier_iterations():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((4, 4)) * 2
