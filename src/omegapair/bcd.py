@@ -44,8 +44,8 @@ class BcdOptions:
     delta_lmi: float | None = None
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        if not 0.0 < self.mu < np.inf:  # also false for NaN
+            raise ValueError(f"mu must be finite and positive, got {self.mu!r}")
         if self.eps_decay <= 1.0:
             raise ValueError("eps_decay must exceed 1")
 

@@ -56,8 +56,8 @@ class FgmOptions:
     seed: int = 0                      # power-iteration start
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        if not 0.0 < self.mu < np.inf:  # also false for NaN
+            raise ValueError(f"mu must be finite and positive, got {self.mu!r}")
         if self.ls_shrink <= 1.0 or self.ls_grow < 1.0:
             raise ValueError("line-search factors must satisfy shrink > 1, grow >= 1")
         if not 0.0 < self.alpha0 < 1.0:

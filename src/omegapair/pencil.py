@@ -201,7 +201,11 @@ def admissibility_check(pair: MatrixPair, region: LmiRegion,
 
     Eigenvalues are accepted when their membership margin is >= 0 at the
     given margin_tol (boundary points within margin_tol count as inside).
+    A margin_tol that is negative, infinite or NaN raises ValueError: an
+    infinite or NaN one would accept every eigenvalue.
     """
+    if not 0.0 <= margin_tol < np.inf:
+        raise ValueError(f"margin_tol must be finite and non-negative, got {margin_tol!r}")
     rep = report if report is not None else spectrum(pair)
     reasons = []
     if not rep.is_regular:

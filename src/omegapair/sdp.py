@@ -38,10 +38,17 @@ R >= 0 blocks and -B, C^T - C and C + C^T in a region part (a zero M_g is
 left out). With W = G^-1 in s x s blocks of size n x n, U_g = W (M_g (x) I)
 and S_i the svec basis, the barrier gradient on group g is
 -svec(sum_a (U_g)_aa^T) and its Hessian on the group pair (g, h) is
-H_ij = sum_ac tr((U_g)_ac S_i (U_h)_ca S_j), O(s^2 n^4) work per pair;
-the terms of every block on one group pair are summed in one product,
-and the traces of every block's terms on one group take one svec. Each
-point forms smat(x_g) once per group for all blocks.
+H_ij = sum_ac tr((U_g)_ac S_i (U_h)_ca S_j), O(s^2 n^4) work per pair.
+`ConstraintSet` compiles once where these sums read, as its barrier plan:
+each block writes its U_g, by one einsum over its stacked M_g, into one
+stack U of n x n sub-blocks, and the plan holds the indices in U of each
+group's (U_g)_aa and each group pair's (U_g)_ac and (U_h)_ca over all
+blocks. Per point, a group's gradient is then one gather, sum and svec,
+and a group pair's Hessian block one gather of each side and one call of
+`_trace_pairs`, which forms every (U_x S_i V_x)^T as one batched product
+of the gathered columns of U_x (the second half negated for a skew S_i)
+and rows of V_x, then scales the k x k result by the svec weights
+c_i0 c_j0 once. Each point forms smat(x_g) once per group for all blocks.
 
 The Newton system (t H_f + H_phi) dx = -g is formed in one m x m buffer
 per `solve_subproblem` call and factored there in place by LAPACK
@@ -189,14 +196,28 @@ def _trace_pairs(U, V, si, sj):
     """[sum_x tr(U_x S_i V_x S_j)]_ij over the svec bases S_i of sign si and
     S_j of sign sj, for two stacks (or two matrices) U and V of n x n."""
     n = U.shape[-1]
-    U, V, ix = U.reshape(-1, n, n), V.reshape(-1, n, n), _svec_index(n, si)
-    # (U_x S_i V_x)^T = c_i0 V_x[v]^T U_x[:, u]^T + c_i1 V_x[u]^T U_x[:, v]^T:
-    # one batch over i of products over the two terms t and x
-    left = V.transpose(1, 2, 0)[ix.uv[:, ::-1]]  # [i, t, s, x] = V_x[(v, u)_t, s]
-    right = U.transpose(2, 0, 1)[ix.uv] * ix.c[..., None, None]  # c_it U_x[p, (u, v)_t]
+    U, V = U.reshape(-1, n, n), V.reshape(-1, n, n)
+    ix, jx = _svec_index(n, si), _svec_index(n, sj)
+    # S_i = c_i0 (e_u e_v^T + si e_v e_u^T), so (U_x S_i V_x)^T / c_i0 is
+    # V_x[v]^T U_x[:, u]^T + si V_x[u]^T U_x[:, v]^T: one batch over i of
+    # products over the two terms t and x
     k, w = len(ix.uv), 2 * len(U)  # a 1 x 1 skew part has k = 0: no -1 to infer
-    SVU = left.transpose(0, 2, 1, 3).reshape(k, n, w) @ right.reshape(k, w, n)
-    return _svec(SVU, sj)  # tr(X S_j) = <X^T, S_j>
+    right = U.transpose(2, 0, 1).take(ix.uv, axis=0)  # [i, t, x, p] = U_x[p, (u, v)_t]
+    if si < 0:
+        np.negative(right[:, 1], out=right[:, 1])
+    # [i, s, (t, x)] = V_x[(v, u)_t, s], the gather freed once reordered
+    left = V.transpose(1, 2, 0).take(ix.uv[:, ::-1], axis=0).transpose(0, 2, 1, 3).reshape(k, n, w)
+    SVU = (left @ right.reshape(k, w, n)).reshape(k, n * n)
+    # tr(X S_j) = c_j0 (X^T[u, v] + sj X^T[v, u]), formed in place after the
+    # operands are freed: a higher peak can take the free top of glibc's heap
+    # past twice its largest recent block (the m x m Hessian), so that it is
+    # returned to the system and every page faults again in the next call
+    del left, right
+    H = SVU.take(jx.upper, axis=1)
+    (np.add if sj > 0 else np.subtract)(H, SVU.take(jx.lower, axis=1), out=H)
+    H *= ix.c[:, :1]
+    H *= jx.c[:, 0]
+    return H
 
 
 class _Block:
@@ -234,10 +255,43 @@ def _group_matrices(blocks, x):
     return X
 
 
+# where `_barrier_grad_hess` reads the sub-blocks it needs from U, the
+# (size, n, n) stack of every block's (U_g)_ac in the order [block, term, a, c]:
+# `stacks` the offset in U and the stacked (terms, s, s) M_g of each block,
+# `traces` each group's diagonal sub-blocks (U_g)_aa over all blocks, `pairs`
+# each group pair's (U_g)_ac and (U_h)_ca over all blocks having both
+_BarrierPlan = namedtuple("_BarrierPlan", "size stacks traces pairs")
+
+
+def _barrier_plan(blocks, groups, n):
+    """The `_BarrierPlan` of the blocks over the groups, given in x order."""
+    stacks, index, size = [], [], 0
+    for b in blocks:
+        s = len(b.G0) // n
+        Ms = np.array([M for _, M in b.terms]).reshape(-1, s, s)  # (0, s, s) with no terms
+        t = len(Ms)
+        stacks.append((size, Ms))
+        # by group id: the s x s array of U indices of (U_g)_ac
+        ac = size + np.arange(Ms.size).reshape(t, s, s)
+        index.append({id(g): ac[i] for i, (g, _) in enumerate(b.terms)})
+        size += Ms.size
+    traces, pairs = [], []
+    for i, gi in enumerate(groups):
+        sub = [ix[id(gi)] for ix in index if id(gi) in ix]
+        if sub:
+            traces.append((gi, np.concatenate([a.diagonal() for a in sub])))
+        for gh in groups[i:]:
+            both = [(ix[id(gi)], ix[id(gh)]) for ix in index if id(gi) in ix and id(gh) in ix]
+            if both:
+                pairs.append((gi, gh, np.concatenate([a.ravel() for a, _ in both]),
+                              np.concatenate([c.T.ravel() for _, c in both])))
+    return _BarrierPlan(size, stacks, traces, pairs)
+
+
 class ConstraintSet:
     """Constraint blocks and variable layout of a `ConvexSubproblem`:
     `groups`, the free variable groups by name in x order: T (unless
-    frozen), J and R."""
+    frozen), J and R; `blocks`; and `plan`, the blocks' `_BarrierPlan`."""
 
     def __init__(self, n, region, require_R_psd, delta_lmi, fixed_T):
         self.n = n
@@ -266,6 +320,7 @@ class ConstraintSet:
                                           if k in self.groups]))
         self.blocks = blocks
         self.nu = sum(len(b.G0) for b in blocks)
+        self.plan = _barrier_plan(blocks, list(self.groups.values()), n)
 
     def split(self, x):
         """(T, J, R) at x; a frozen T is its fixed value."""
@@ -333,42 +388,32 @@ def _barrier(blocks, x):
     return factors
 
 
-def _barrier_grad_hess(blocks, x, m, factors=None):
-    """Gradient and Hessian of -sum logdet G_b at x, and the inverses of
-    the blocks' Cholesky factors.
+def _barrier_grad_hess(cs, x, factors=None):
+    """Gradient and Hessian of -sum logdet G_b at x over the blocks of the
+    constraint set `cs`, and the inverses of the blocks' Cholesky factors.
 
     `factors` are the blocks' Cholesky factors at x, as `_barrier` returns
     them; they are computed here when not given.
     """
+    blocks, plan, n = cs.blocks, cs.plan, cs.n
     if factors is None:
         factors = _barrier(blocks, x)
         if factors is None:
             return None, None, None
-    g, H, inverses = np.zeros(m), np.zeros((m, m)), []
-    # the traces sum_a (U_g)_aa of every block's terms on g, by group, and
-    # the pairs ((U_g)_ac, (U_h)_ca) of every block, by group pair (g, h)
-    # with g not after h: both add up over blocks, so one `_svec` per group
-    # and one helper call per group pair cover all blocks
-    traces, pairs = {}, {}
-    for b, L in zip(blocks, factors):
+    g, H, U, inverses = np.zeros(cs.m), np.zeros((cs.m, cs.m)), np.empty((plan.size, n, n)), []
+    for L, (at, Ms) in zip(factors, plan.stacks):
         Li, info = dtrtri(L, lower=1)
         if info != 0:
             return None, None, None
         inverses.append(Li)
         W = Li.T @ Li  # G^-1
-        # U_g = W (M_g (x) I) as U[a, c] = (U_g)_ac, one per term
-        U = [np.einsum("apbq,bc->acpq", W.reshape(len(M), -1, len(M), len(W) // len(M)), M)
-             for _, M in b.terms]
-        for i, ((gi, _), Ug) in enumerate(zip(b.terms, U)):
-            traces.setdefault(id(gi), [gi]).append(np.trace(Ug))
-            for (gh, _), Uh in zip(b.terms[i:], U[i:]):
-                _, _, left, right = pairs.setdefault((id(gi), id(gh)), (gi, gh, [], []))
-                left.append(Ug.reshape(-1, *Ug.shape[2:]))
-                right.append(Uh.swapaxes(0, 1).reshape(left[-1].shape))
-    for gi, *D in traces.values():
-        g[gi.sl] = -_svec(sum(D).T, gi.sign)
-    for gi, gh, left, right in pairs.values():
-        Hgh = _trace_pairs(np.concatenate(left), np.concatenate(right), gi.sign, gh.sign)
+        t, s = Ms.shape[:2]
+        np.einsum("apbq,tbc->tacpq", W.reshape(s, n, s, n), Ms,
+                  out=U[at:at + Ms.size].reshape(t, s, s, n, n))
+    for gi, diagonal in plan.traces:
+        g[gi.sl] = -_svec(U[diagonal].sum(0).T, gi.sign)
+    for gi, gh, left, right in plan.pairs:
+        Hgh = _trace_pairs(U[left], U[right], gi.sign, gh.sign)
         H[gi.sl, gh.sl] = Hgh
         if gh is not gi:  # the mirror block, (h, g)
             H[gh.sl, gi.sl] = Hgh.T
@@ -392,7 +437,7 @@ def _step_spectrum(blocks, inverses, dx):
 def _line_slopes(s, t, slope_f, curv_f, mu):
     """The first and second derivative in s of `_line_merit`."""
     w = mu / (1.0 + s * mu)
-    return t * (slope_f + s * curv_f) - float(np.sum(w)), t * curv_f + float(w @ w)
+    return t * (slope_f + s * curv_f) - float(w.sum()), t * curv_f + float(w @ w)
 
 
 def _line_merit(s, t, slope_f, curv_f, mu):
@@ -573,7 +618,7 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
         stage_start = total_newton
         for _ in range(MAX_NEWTON_PER_STAGE):
             if derivs is None:
-                derivs = (obj.grad(x), *_barrier_grad_hess(cs.blocks, x, cs.m, factors))
+                derivs = (obj.grad(x), *_barrier_grad_hess(cs, x, factors))
                 if derivs[1] is None:
                     raise RuntimeError("iterate left the interior; this is a bug")
             gf, gphi, Hphi, inverses = derivs

@@ -72,6 +72,38 @@ def test_solve_stable_input_and_roundtrip(files, capsys):
     assert trace[0] == "time_s,objective,relative_error"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_check_non_finite_margin_tolerance_exits_1(files, capsys, tol):
+    """The eigenvalue 5 lies outside the disk of radius 3: a margin
+    tolerance that would accept it is an input error."""
+    tmp, write_pair, write_region = files
+    pair = write_pair("p.json", np.eye(2), [[5.0, 1.0], [0.0, -2.0]])
+    region = write_region("r.json", {"intersect": [{"kind": "disk", "q": 0.0, "r": 3.0}]})
+    argv = ["check", "--pair", pair, "--region", region, "--tol-margin"]
+    assert main(argv + ["1e-9"]) == 3
+    capsys.readouterr()
+    assert main(argv + [tol]) == 1
+    captured = capsys.readouterr()
+    assert "admissible: True" not in captured.out
+    assert "error: margin_tol" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("mu", ["nan", "inf"])
+@pytest.mark.parametrize("algo", ["fgm", "bcd"])
+def test_solve_non_finite_mu_exits_1(files, capsys, algo, mu):
+    tmp, write_pair, write_region = files
+    pair = write_pair("p.json", np.eye(2), -np.eye(2))
+    region = write_region("r.json", HURWITZ)
+    code = main(["solve", "--pair", pair, "--region", region, "--algo", algo, "--mu", mu,
+                 "--max-iters", "5", "--out", str(tmp / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: mu must be finite and positive" in err
+    assert "Traceback" not in err
+    assert not (tmp / "out").exists()
+
+
 def test_solve_auto_picks_bcd_for_disk(files):
     tmp, write_pair, write_region = files
     pair = write_pair("p.json", np.eye(2), 0.4 * np.eye(2))

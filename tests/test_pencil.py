@@ -127,6 +127,17 @@ def test_admissibility_examples():
     assert v2.spectrum.is_impulse_free
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
+def test_admissibility_rejects_a_margin_tol_not_finite_and_non_negative(tol):
+    """An infinite or NaN margin_tol would pass every eigenvalue: here 5,
+    outside the disk of radius 3."""
+    pair = MatrixPair(np.eye(2), np.array([[5.0, 1.0], [0.0, -2.0]]))
+    disk = rg.from_primitive(rg.disk(0.0, 3.0))
+    assert not admissibility_check(pair, disk, margin_tol=1e-9).admissible
+    with pytest.raises(ValueError, match="margin_tol"):
+        admissibility_check(pair, disk, margin_tol=tol)
+
+
 def test_admissibility_does_not_depend_on_region_scale():
     pair = MatrixPair(np.eye(2), np.diag([-1.0, 1.0]))
     tiny = rg.LmiRegion(np.zeros((1, 1)), [[3e-61]])  # the open left half-plane

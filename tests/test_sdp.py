@@ -40,6 +40,23 @@ def test_svec_round_trip_inner_product_and_oracle_basis(n):
     assert inner == pytest.approx(np.sum(M * N), rel=1e-14, abs=1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("si, sj", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_trace_pairs_match_dense_sum(si, sj, n):
+    """[sum_x tr(U_x S_i V_x S_j)]_ij for non-symmetric stacks U and V, the
+    S_i and S_j from the oracle's bases (the skew one empty at n = 1)."""
+    rng = np.random.default_rng(n)
+    U, V = rng.standard_normal((2, 3, n, n))
+    basis = {1: sym_basis(n), -1: skew_basis(n)}
+    dense = np.array([[sum(np.trace(Ux @ Si @ Vx @ Sj) for Ux, Vx in zip(U, V))
+                       for Sj in basis[sj]] for Si in basis[si]])
+    dense = dense.reshape(len(basis[si]), len(basis[sj]))
+    got = sdp._trace_pairs(U, V, si, sj)
+    assert got.shape == dense.shape
+    np.testing.assert_allclose(got, dense, rtol=1e-13,
+                               atol=1e-13 * np.abs(dense).max(initial=0.0))
+
+
 def test_identity_instance_recovers_exact_quadruple():
     sp = ConvexSubproblem(np.eye(2), -np.eye(2), 1.0, rg.hurwitz(), require_R_psd=True)
     sol = solve_subproblem(sp, np.eye(2))
@@ -142,9 +159,9 @@ def test_barrier_derivatives_are_not_recomputed_at_an_unmoved_point(monkeypatch)
     # Newton step must reuse the derivatives taken there
     points = []
 
-    def recording(blocks, x, m, factors=None):
+    def recording(cs, x, factors=None):
         points.append(x.copy())
-        return _barrier_grad_hess(blocks, x, m, factors)
+        return _barrier_grad_hess(cs, x, factors)
 
     monkeypatch.setattr(sdp, "_barrier_grad_hess", recording)
     rng = np.random.default_rng(3)
@@ -229,8 +246,8 @@ def test_barrier_derivatives_match_dense_oracle(case, n):
     """g.dx = -sum tr(G^-1 dG) and dx'H dx = sum tr(G^-1 dG G^-1 dG)."""
     sp, cs, oracle, x, rng = _interior_case(case, n)
     G = oracle(x)
-    g, H, _ = _barrier_grad_hess(cs.blocks, x, cs.m)
-    g2, H2, _ = _barrier_grad_hess(cs.blocks, x, cs.m, _barrier(cs.blocks, x))
+    g, H, _ = _barrier_grad_hess(cs, x)
+    g2, H2, _ = _barrier_grad_hess(cs, x, _barrier(cs.blocks, x))
     np.testing.assert_array_equal(g, g2)
     np.testing.assert_array_equal(H, H2)
     for _ in range(3):
@@ -248,7 +265,7 @@ def test_barrier_hessian_entries_match_dense_oracle(case):
     the coordinate direction e_i, entry by entry: a run pair added to the
     wrong slice of H shows here even where a quadratic form hides it."""
     _, cs, oracle, x, _ = _interior_case(case, 3)
-    _, H, _ = _barrier_grad_hess(cs.blocks, x, cs.m)
+    _, H, _ = _barrier_grad_hess(cs, x)
     dense = np.zeros((cs.m, cs.m))
     for b, Gb in enumerate(oracle(x)):
         # W[i] = G_b^-1 dG_b along e_i
@@ -340,7 +357,7 @@ def test_line_merit_matches_dense_oracle(case, n):
         return min(np.linalg.eigvalsh(G)[0] for G in oracle(x)) > 0.0
 
     gf = obj.grad(x)
-    _, _, inverses = _barrier_grad_hess(cs.blocks, x, cs.m)
+    _, _, inverses = _barrier_grad_hess(cs, x)
     for _ in range(3):
         dx = rng.standard_normal(cs.m)
         mu = _step_spectrum(cs.blocks, inverses, dx)
@@ -418,7 +435,7 @@ def test_kkt_residual_at_return():
     x = cs.pack(sol.T, sol.J, sol.R)
     t_final = cs.nu / sol.gap_estimate
     gf = _Objective(sp, np.eye(3)).grad(x)
-    gphi, _, _ = _barrier_grad_hess(cs.blocks, x, cs.m)
+    gphi, _, _ = _barrier_grad_hess(cs, x)
     resid = np.linalg.norm(gf + gphi / t_final)
     scale = 1.0 + np.linalg.norm(gf) + sol.objective
     assert resid <= np.sqrt(eps) * scale
