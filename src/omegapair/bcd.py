@@ -147,7 +147,9 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
             break
         t_iter = _time.perf_counter()
         eps_k = max(opts.eps_floor, opts.eps_init * opts.eps_decay ** (-k)) * scale
-        gap_guess = max(10.0 * eps_k, 4.0 * abs(last_decrease))
+        # the warm start is about one sweep's decrease from the optimum: start
+        # the barrier at t = nu / |decrease| (Boyd and Vandenberghe, sec. 11.3)
+        gap_guess = max(10.0 * eps_k, abs(last_decrease))
         beta = (k - 1.0) / (k + 2.0) if opts.extrapolate else 0.0
         if beta > 0.0:
             base = (T + beta * (T - prev[0]), J + beta * (J - prev[1]),

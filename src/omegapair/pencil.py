@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .regions import DEFAULT_MARGIN_TOL, LmiRegion, membership_margins
+from .regions import DEFAULT_MARGIN_TOL, LmiRegion, _json_matrix, membership_margins
 
 __all__ = [
     "MatrixPair",
@@ -273,9 +273,11 @@ def load_pair(path) -> MatrixPair:
         if not isinstance(obj, dict):
             raise ValueError(f"pair file {path} must hold a JSON object with fields E and A")
         try:
-            pair = MatrixPair(np.asarray(obj["E"], float), np.asarray(obj["A"], float))
+            E, A = obj["E"], obj["A"]
         except KeyError as exc:
             raise ValueError(f"pair file {path} is missing field {exc}") from None
+        pair = MatrixPair(_json_matrix(E, f"pair file {path} field 'E'"),
+                          _json_matrix(A, f"pair file {path} field 'A'"))
     else:
         data = np.loadtxt(path, delimiter=",", ndmin=2)
         rows, n = data.shape

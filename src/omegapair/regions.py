@@ -459,8 +459,8 @@ def region_from_dict(obj) -> LmiRegion:
         raw = obj["raw"]
         _require(isinstance(raw, dict), "region spec 'raw' must be an object")
         _require("B" in raw and "C" in raw, "region spec 'raw' needs matrices 'B' and 'C'")
-        return LmiRegion(np.asarray(raw["B"], dtype=float),
-                         np.asarray(raw["C"], dtype=float))
+        return LmiRegion(_json_matrix(raw["B"], "region spec 'raw' field 'B'"),
+                         _json_matrix(raw["C"], "region spec 'raw' field 'C'"))
     if "intersect" in obj:
         items = obj["intersect"]
         _require(isinstance(items, list) and all(isinstance(d, dict) for d in items),
@@ -479,9 +479,18 @@ def _primitive_from_dict(d) -> RegionPrimitive:
     except KeyError:
         raise ValueError("primitive spec is missing 'kind'") from None
     for name, value in d.items():
-        _require(isinstance(value, (int, float)),
+        _require(isinstance(value, (int, float)) and not isinstance(value, bool),
                  f"primitive parameter {name!r} must be a number, got {value!r}")
     return RegionPrimitive(kind, {k: float(v) for k, v in d.items()})
+
+
+def _json_matrix(value, what):
+    """A JSON matrix field as a float array; a value that is no array of
+    numbers (an object, a string, ragged rows) raises a ValueError naming it."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a matrix of numbers") from None
 
 
 def region_to_dict(region: LmiRegion):

@@ -119,6 +119,13 @@ def _svec_index(n, sign):
     return _SvecIndex(upper, lower, np.stack([u, v], 1), np.stack([w, sign * w], 1), at, coef)
 
 
+@functools.cache
+def _skew_pick(n):
+    """`uv` of the skew basis with v shifted by n, for a gather from the
+    columns of U stacked on those of -U."""
+    return _svec_index(n, -1).uv + (0, n)
+
+
 def _svec(M, sign):
     """The coordinates of sym(M) (sign +1) or skew(M) (sign -1), for one
     matrix or a stack."""
@@ -202,9 +209,13 @@ def _trace_pairs(U, V, si, sj):
     # V_x[v]^T U_x[:, u]^T + si V_x[u]^T U_x[:, v]^T: one batch over i of
     # products over the two terms t and x
     k, w = len(ix.uv), 2 * len(U)  # a 1 x 1 skew part has k = 0: no -1 to infer
-    right = U.transpose(2, 0, 1).take(ix.uv, axis=0)  # [i, t, x, p] = U_x[p, (u, v)_t]
-    if si < 0:
-        np.negative(right[:, 1], out=right[:, 1])
+    cols, pick = U.transpose(2, 0, 1), ix.uv  # cols[c, x, p] = U_x[p, c]
+    if si < 0:  # the t = 1 half from -U, a copy about n / 2 times smaller than `right`
+        cols, plain = np.empty((2 * n, len(U), n)), cols
+        cols[:n] = plain
+        np.negative(cols[:n], out=cols[n:])
+        pick = _skew_pick(n)
+    right = cols.take(pick, axis=0)  # [i, t, x, p] = U_x[p, (u, v)_t], times si for t = 1
     # [i, s, (t, x)] = V_x[(v, u)_t, s], the gather freed once reordered
     left = V.transpose(1, 2, 0).take(ix.uv[:, ::-1], axis=0).transpose(0, 2, 1, 3).reshape(k, n, w)
     SVU = (left @ right.reshape(k, w, n)).reshape(k, n * n)
@@ -212,7 +223,7 @@ def _trace_pairs(U, V, si, sj):
     # operands are freed: a higher peak can take the free top of glibc's heap
     # past twice its largest recent block (the m x m Hessian), so that it is
     # returned to the system and every page faults again in the next call
-    del left, right
+    del cols, left, right
     H = SVU.take(jx.upper, axis=1)
     (np.add if sj > 0 else np.subtract)(H, SVU.take(jx.lower, axis=1), out=H)
     H *= ix.c[:, :1]

@@ -121,6 +121,27 @@ def test_grcar_disk_subproblems_converge_inside_the_stage_cap(monkeypatch):
     assert max(max(sol.stage_newton) for sol in solutions) < sdp.MAX_NEWTON_PER_STAGE
 
 
+def test_warm_barrier_starts_at_the_last_sweep_decrease(monkeypatch):
+    """Each warm subproblem starts its barrier at t = nu / |last decrease|,
+    so it skips the stage a larger gap guess would add: Grcar(6,1) in the
+    unit disk takes 97 Newton steps over 8 sweeps (126 with four times the
+    decrease)."""
+    steps = []
+
+    def counting(*args, **kwargs):
+        sol = sdp.solve_subproblem(*args, **kwargs)
+        steps.append(sol.barrier_iterations)
+        return sol
+
+    monkeypatch.setattr(bcd, "solve_subproblem", counting)
+    pair = grcar(6, 1)
+    res = solve_general(pair.E, pair.A, rg.schur(),
+                        BcdOptions(max_outer_iters=8, max_time_s=120.0))
+    assert res.iterations == 8
+    assert sum(steps) <= 110
+    assert res.admissible
+
+
 def test_grcar_disk_stop_survives_one_ulp_of_A():
     """The stall stop on the paper's Grcar(10,1) disk does not hang on
     rounding: moving A[1,0] or A[2,1] up by one ulp gives the same sweep

@@ -168,19 +168,30 @@ def test_solve_non_finite_or_overflowing_pair_exits_1(files, capsys, E, A):
     ("bench", "{}"),
     ("check", '{"E": [[[1]]], "A": [[[1]]]}'),
     ("solve", '{"E": [[[1]]], "A": [[[1]]]}'),
+    ("check", '{"E": {"a": 1}, "A": [[1]]}'),
+    ("solve", '{"E": [[1]], "A": {"a": 1}}'),
+    ("region-info", '{"raw": {"B": {"a": 1}, "C": [[1]]}}'),
+    ("solve-region", '{"raw": {"B": [[0]], "C": {"a": 1}}}'),
+    ("solve-region", '{"kind": "disk", "q": 0, "r": true}'),
 ], ids=["pair-list", "bench-entry-number", "bench-spec-object", "check-pair-3d",
-        "solve-pair-3d"])
+        "solve-pair-3d", "check-pair-E-object", "solve-pair-A-object",
+        "region-info-raw-B-object", "solve-raw-C-object", "solve-disk-r-boolean"])
 def test_malformed_input_files_exit_1_without_traceback(files, capsys, command, text):
     """A pair file that is no JSON object or holds no matrices, a bench spec
-    that is no JSON list, or a bench entry that is no object is an input
+    that is no JSON list, a bench entry that is no object, a region whose
+    (B, C) is no matrix or a primitive with a boolean parameter is an input
     error."""
     tmp, write_pair, write_region = files
     path = tmp / "input.json"
     path.write_text(text)
     region = write_region("r.json", HURWITZ)
+    pair = write_pair("p.json", np.eye(2), -np.eye(2))
     argv = {"check": ["check", "--pair", str(path), "--region", region],
             "solve": ["solve", "--pair", str(path), "--region", region,
                       "--out", str(tmp / "out")],
+            "region-info": ["region-info", "--region", str(path)],
+            "solve-region": ["solve", "--pair", pair, "--region", str(path),
+                             "--out", str(tmp / "out")],
             "bench": ["bench", "--spec", str(path), "--out", str(tmp / "bench")]}[command]
     assert main(argv) == 1
     err = capsys.readouterr().err
