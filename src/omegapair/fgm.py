@@ -14,13 +14,22 @@ stacked operations do the same floating-point operations as the
 per-matrix ones, so the iterates are those of the per-matrix loop bit for
 bit (`tests/_oracles.py` keeps that loop as the reference).
 
+Every stack the loop forms is exactly structured: T and R symmetric and J
+skew to the last bit. The start is built with `sym` and `skew`, `project`
+writes (P + P^T) / 2, the gradient's blocks are formed as M + M^T and
+M - M^T, and the extrapolation Y = X+ + beta (X+ - X) and the trial point
+Y - step G are elementwise, where IEEE rounding treats x and -x alike. So
+`project` needs no symmetrizing pass: it projects T and R onto the PSD
+cone in place and leaves J and Q as they are.
+
 A solve allocates its arrays once, in a `_Workspace`: the constants
-[E, A] and [2 mu, 2, -2], the gradient, the trial point and one scratch
-set that `gradient`, `objective` and `project` share, since they never run
-at once. The loop still calls those three public functions, `gradient`
-once per iteration and `project` and `objective` once per line-search
-trial, so a tracer that wraps them times the same calls; only `project`'s
-result, which may become the next iterate, is a new array.
+[E, A] and [2 mu, 2, -2], the gradient and one scratch set that
+`gradient`, `objective` and `project` share, since they never run at
+once. The loop still calls those three public functions, `gradient` once
+per iteration and `project` and `objective` once per line-search trial,
+so a tracer that wraps them times the same calls. Each trial point
+Y - step G is a new array, projected in place, since it may become the
+next iterate.
 """
 
 from __future__ import annotations
@@ -68,32 +77,20 @@ class FgmOptions:
 _STRUCTURE_SIGNS = np.array([1.0, -1.0, 1.0])[:, None, None]
 
 
-def _structure(Z, out):
-    """Write sym(T), skew(J), sym(R) of a stack Z = [T, J, R, ...] into the
-    (3, n, n) array `out`; bitwise the per-matrix `sym` and `skew`."""
-    Z3 = Z[:3]
-    np.multiply(Z3.mT, _STRUCTURE_SIGNS, out=out)
-    out += Z3
-    out /= 2.0
-    return out
-
-
 class _Workspace:
     """The arrays one solve reuses, allocated once as one block: the
-    constants [E, A] and [2 mu, 2, -2], one scratch set shared by
-    `gradient`, `objective` and `project` (they never run at once:
-    P = [T, J - R], the residuals `res` and the (3, n, n) stack K), the
-    gradient G and the line-search trial point Z = Y - step G."""
+    constants [E, A], the gradient's factors `scale` [2 mu, 2, -2] and
+    their halves, one scratch set shared by `gradient`, `objective` and
+    `project` (they never run at once: P = [T, J - R], the residuals `res`
+    and the (3, n, n) stack K) and the gradient G."""
 
     def __init__(self, E, A, mu=1.0):
         n = E.shape[0]
         self.mu = mu
         self.scale = np.array([2.0 * mu, 2.0, -2.0])[:, None, None]
+        self.half_scale = self.scale / 2.0
         block = np.empty((13, n, n))
         self.EA, self.P, self.res, self.K, self.G = np.split(block, [2, 4, 6, 9])
-        # Z shares memory with P and res: `project` reads all of Z before it
-        # writes P, and nothing else writes P or res while Z is live
-        self.Z = block[2:6]
         self.EA[0] = E
         self.EA[1] = A
 
@@ -118,8 +115,10 @@ def gradient(E, A, X, mu=1.0, work=None):
     res = _residuals(ws.EA, X, P, ws.res)  # [T Q - E, (J - R) Q - A]
     np.matmul(res, X[3].T, out=K[:2])
     K[2] = K[1]                            # [res_e Q^T, res_a Q^T, res_a Q^T]
-    GS = _structure(K, out=G[:3])
-    GS *= ws.scale
+    # ((M + s M^T) / 2) c and (M + s M^T) (c / 2) round alike: halving is exact
+    GS = np.multiply(K.mT, _STRUCTURE_SIGNS, out=G[:3])
+    GS += K
+    GS *= ws.half_scale
     P *= ws.scale[:2]                      # [2 mu T, 2 (J - R)]
     np.matmul(P.mT, res, out=K[:2])
     np.add(K[1], K[0], out=G[3])
@@ -127,19 +126,18 @@ def gradient(E, A, X, mu=1.0, work=None):
 
 
 def project(Z, work=None):
-    """Project Z = [T, J, R, Q] onto the feasible set: T, R onto the PSD cone,
-    J onto skew; Q unchanged. One `eigh` call covers T and R. The result
-    is a new array; `work` lends scratch only."""
+    """Project a structured Z = [T, J, R, Q] onto the feasible set in place
+    and return it: T and R onto the PSD cone, by one `eigh` call on both,
+    and symmetrized; J and Q unchanged. T and R must be exactly symmetric
+    and J exactly skew, as every stack the FGM loop forms is; `work` lends
+    scratch only."""
     ws = work if work is not None else _Workspace(Z[3], Z[3])  # only its scratch is read
-    X = np.empty_like(Z)
-    _structure(Z, out=X[:3])
-    X[3] = Z[3]
-    TR = X[::2]
+    TR = Z[::2]
     w, V = np.linalg.eigh(TR)
     VW = np.multiply(V, np.maximum(w, 0.0, out=w)[:, None], out=ws.K[:2])
     P = np.matmul(VW, V.mT, out=ws.P)
     np.divide(np.add(P, P.mT, out=VW), 2.0, out=TR)
-    return X
+    return Z
 
 
 def estimate_lipschitz(E, A, X, mu=1.0, iters=25, seed=0):
@@ -243,9 +241,10 @@ def _descend(E, A, opts: FgmOptions, t0):
         accepted = None
         ls_budget = 100 if it == 0 else opts.ls_max
         for _ in range(ls_budget):
-            Z = np.multiply(G, step, out=work.Z)
-            np.subtract(Y, Z, out=Z)
-            cand = project(Z, work)
+            # a new array: it may become the iterate and the best quadruple
+            cand = np.multiply(G, step)
+            np.subtract(Y, cand, out=cand)
+            project(cand, work)
             fc = objective(E, A, cand, mu, work)
             if not math.isfinite(fc):
                 raise FloatingPointError(

@@ -486,7 +486,16 @@ def _primitive_from_dict(d) -> RegionPrimitive:
 
 def _json_matrix(value, what):
     """A JSON matrix field as a float array; a value that is no array of
-    numbers (an object, a string, ragged rows) raises a ValueError naming it."""
+    numbers (an object, a string, a boolean, ragged rows) raises a
+    ValueError naming it. Booleans are looked for entry by entry, since
+    numpy reads true and false as 1 and 0."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif isinstance(item, bool):
+            raise ValueError(f"{what} must be a matrix of numbers, got a boolean entry")
     try:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError):

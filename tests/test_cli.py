@@ -173,14 +173,18 @@ def test_solve_non_finite_or_overflowing_pair_exits_1(files, capsys, E, A):
     ("region-info", '{"raw": {"B": {"a": 1}, "C": [[1]]}}'),
     ("solve-region", '{"raw": {"B": [[0]], "C": {"a": 1}}}'),
     ("solve-region", '{"kind": "disk", "q": 0, "r": true}'),
+    ("check", '{"E": [[true, false], [false, true]], "A": [[-1, 0], [0, -1]]}'),
+    ("region-info", '{"raw": {"B": [[false]], "C": [[true]]}}'),
+    ("check", '{"E": [[1, true], [0, 1]], "A": [[-1, 0], [0, -1]]}'),
 ], ids=["pair-list", "bench-entry-number", "bench-spec-object", "check-pair-3d",
         "solve-pair-3d", "check-pair-E-object", "solve-pair-A-object",
-        "region-info-raw-B-object", "solve-raw-C-object", "solve-disk-r-boolean"])
+        "region-info-raw-B-object", "solve-raw-C-object", "solve-disk-r-boolean",
+        "check-pair-E-boolean", "region-info-raw-boolean", "check-pair-E-mixed-boolean"])
 def test_malformed_input_files_exit_1_without_traceback(files, capsys, command, text):
     """A pair file that is no JSON object or holds no matrices, a bench spec
     that is no JSON list, a bench entry that is no object, a region whose
-    (B, C) is no matrix or a primitive with a boolean parameter is an input
-    error."""
+    (B, C) is no matrix, a matrix with a boolean entry or a primitive with
+    a boolean parameter is an input error."""
     tmp, write_pair, write_region = files
     path = tmp / "input.json"
     path.write_text(text)

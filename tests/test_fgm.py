@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from _oracles import _fgm_gradient, _fgm_objective, fgm_reference
+from _oracles import _fgm_gradient, _fgm_objective, _psd, _sym, fgm_reference
+from omegapair import fgm
 from omegapair import regions as rg
-from omegapair.bench import grcar
+from omegapair.bench import grcar, msd
 from omegapair.dh import project_psd, skew, sym
 from omegapair.fgm import (FgmOptions, _Workspace, estimate_lipschitz, gradient,
                            initial_quadruple, objective, project, solve_hurwitz)
@@ -102,6 +103,44 @@ def test_workspace_calls_match_fresh_calls_and_per_matrix_formulas_bit_for_bit(n
             assert np.array_equal(G, gradient(E, A, X, mu))
             for g, ref in zip(G, _fgm_gradient(E, A, X, mu)):
                 assert np.array_equal(g, ref)
+
+
+@pytest.mark.parametrize("n", [3, 10, 50, 200])
+def test_project_works_in_place_and_matches_per_matrix_psd_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    ws = _Workspace(*rng.standard_normal((2, n, n)))
+    for work in (None, ws, ws):
+        Z = _random_point(rng, n)
+        T, J, R, Q = Z.copy()
+        assert project(Z, work) is Z
+        assert np.array_equal(Z[0], _sym(_psd(T)))
+        assert np.array_equal(Z[2], _sym(_psd(R)))
+        assert np.array_equal(Z[1], J)
+        assert np.array_equal(Z[3], Q)
+
+
+@pytest.mark.parametrize("pair, mu, iters, stop", [
+    (grcar(10, 2), 1.0, 300, "iteration budget"),
+    (grcar(10, 2), 0.37, 300, "iteration budget"),
+    (msd(10, 0.05)[0], 1.0, 300, "iteration budget"),
+    # stops at 56 after failed line searches, through the momentum-dropping restarts
+    (grcar(10, 1), 1.0, 20_000, "converged (no descent after restarts)")],
+    ids=["grcar-10-2", "grcar-10-2-mu-0.37", "msd-10-0.05", "grcar-10-1-restarts"])
+def test_every_trial_point_is_exactly_structured(monkeypatch, pair, mu, iters, stop):
+    # `project` relies on it: it does not symmetrize its input
+    calls = []
+
+    def spy(Z, work=None):
+        T, J, R, _ = Z
+        assert np.array_equal(T, T.T) and np.array_equal(R, R.T)
+        assert np.array_equal(J, -J.T)
+        calls.append(None)
+        return project(Z, work)
+
+    monkeypatch.setattr(fgm, "project", spy)
+    res = solve_hurwitz(pair.E, pair.A, FgmOptions(mu=mu, max_iters=iters, max_time_s=1e9))
+    assert res.stop_reason == stop
+    assert len(calls) > res.iterations
 
 
 def test_project_examples():
