@@ -9,18 +9,30 @@ step halved whenever the objective fails to decrease.
 
 The iterate, the extrapolated point and the gradient are each one stacked
 (4, n, n) array [T, J, R, Q], so a line-search trial is one array update,
-one `eigh` call on the stacked T and R, and one objective evaluation. The
-stacked operations do the same floating-point operations as the
-per-matrix ones, so the iterates are those of the per-matrix loop bit for
-bit (`tests/_oracles.py` keeps that loop as the reference).
+one projection of T and R, and one objective evaluation. The stacked
+gradient and objective do the same floating-point operations as the
+per-matrix ones (`tests/_oracles.py` keeps the per-matrix loop as the
+reference).
+
+The projection takes, for each of T and R, only the eigenpairs on the
+short side of zero: T - V- diag(w-) V-^T when the negative eigenvalues are
+few, V+ diag(w+) V+^T when the positive ones are. The FGM trial points are
+nearly one-sided (at Grcar(200,3), T has about 5 negative eigenvalues and
+R about 50 positive ones), so the subset driver `dsyevx` computes a few
+pairs where a full decomposition computes n. When the short side holds
+more than `SUBSET_FRACTION` n pairs, the block takes one full `dsyevd` and
+is still rebuilt from its short side. The previous trial's count picks
+the side; the first trial of a solve takes `dsyevd`, which counts exactly.
+The guess changes only the rounding, and it lives in the solve's
+workspace, so a solve is deterministic.
 
 Every stack the loop forms is exactly structured: T and R symmetric and J
 skew to the last bit. The start is built with `sym` and `skew`, `project`
 writes (P + P^T) / 2, the gradient's blocks are formed as M + M^T and
 M - M^T, and the extrapolation Y = X+ + beta (X+ - X) and the trial point
 Y - step G are elementwise, where IEEE rounding treats x and -x alike. So
-`project` needs no symmetrizing pass: it projects T and R onto the PSD
-cone in place and leaves J and Q as they are.
+`project` needs no symmetrizing pass on its input: it projects T and R
+onto the PSD cone in place and leaves J and Q as they are.
 
 A solve allocates its arrays once, in a `_Workspace`: the constants
 [E, A] and [2 mu, 2, -2], the gradient and one scratch set that
@@ -39,6 +51,7 @@ import time as _time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dsyevd, dsyevx
 
 from .dh import DhParam, project_psd, skew as skew_part, sym as sym_part
 from .regions import hurwitz
@@ -73,6 +86,13 @@ class FgmOptions:
             raise ValueError("alpha0 must be in (0, 1)")
 
 
+# The largest short side, as a fraction of n (at least one pair), that
+# `project` takes with the subset driver `dsyevx`. At n = 200 on one thread
+# (2-CPU Xeon, OpenBLAS) a k-pair `dsyevx` took 1.4, 1.8, 3.3 and 6.5 ms
+# for k = 1, 5, 20 and 50 against 4.4 ms for `dsyevd`; at n = 10 one pair
+# took 13 us against 17 us.
+SUBSET_FRACTION = 0.1
+
 # Signs that turn M + s M^T into 2 sym(M), 2 skew(M), 2 sym(M) along (T, J, R).
 _STRUCTURE_SIGNS = np.array([1.0, -1.0, 1.0])[:, None, None]
 
@@ -82,7 +102,9 @@ class _Workspace:
     constants [E, A], the gradient's factors `scale` [2 mu, 2, -2] and
     their halves, one scratch set shared by `gradient`, `objective` and
     `project` (they never run at once: P = [T, J - R], the residuals `res`
-    and the (3, n, n) stack K) and the gradient G."""
+    and the (3, n, n) stack K) and the gradient G. `nonpos` holds the count
+    of nonpositive eigenvalues of T and R at the last projection, None
+    before the first, which picks the side the next projection takes."""
 
     def __init__(self, E, A, mu=1.0):
         n = E.shape[0]
@@ -93,6 +115,7 @@ class _Workspace:
         self.EA, self.P, self.res, self.K, self.G = np.split(block, [2, 4, 6, 9])
         self.EA[0] = E
         self.EA[1] = A
+        self.nonpos = [None, None]
 
 
 def objective(E, A, X, mu=1.0, work=None) -> float:
@@ -127,17 +150,57 @@ def gradient(E, A, X, mu=1.0, work=None):
 
 def project(Z, work=None):
     """Project a structured Z = [T, J, R, Q] onto the feasible set in place
-    and return it: T and R onto the PSD cone, by one `eigh` call on both,
-    and symmetrized; J and Q unchanged. T and R must be exactly symmetric
-    and J exactly skew, as every stack the FGM loop forms is; `work` lends
-    scratch only."""
+    and return it: T and R onto the PSD cone, each rebuilt from the
+    eigenpairs on the short side of zero and symmetrized; J and Q
+    unchanged. T and R must be exactly symmetric and J exactly skew, as
+    every stack the FGM loop forms is. `work` lends scratch and the side
+    guesses of the last call; without it both blocks take `dsyevd`.
+
+    A T or R that is not finite is left as it is, so that no eigensolver
+    sees it and the objective at Z reads as not finite."""
     ws = work if work is not None else _Workspace(Z[3], Z[3])  # only its scratch is read
     TR = Z[::2]
-    w, V = np.linalg.eigh(TR)
-    VW = np.multiply(V, np.maximum(w, 0.0, out=w)[:, None], out=ws.K[:2])
-    P = np.matmul(VW, V.mT, out=ws.P)
-    np.divide(np.add(P, P.mT, out=VW), 2.0, out=TR)
+    if not np.isfinite(TR).all():
+        return Z
+    P, nonpos = ws.P, ws.nonpos
+    for b in (0, 1):
+        nonpos[b] = _clip_psd(TR[b], nonpos[b], ws.K, P[b])
+    np.divide(np.add(P, P.mT, out=ws.K[:2]), 2.0, out=TR)
     return Z
+
+
+def _clip_psd(M, guess, K, out):
+    """Write the projection of the exactly symmetric M onto the PSD cone,
+    before symmetrizing, into `out` and return M's count of nonpositive
+    eigenvalues. `guess`, that count at the last call or None, picks the
+    short side; K is (3, n, n) scratch."""
+    n = M.shape[0]
+    info = 1  # nonzero until dsyevx succeeds
+    if guess is not None and min(guess, n - guess) <= max(1, int(SUBSET_FRACTION * n)):
+        negative = 2 * guess <= n
+        vl, vu = (-np.inf, 0.0) if negative else (0.0, np.inf)  # (vl, vu]
+        # M.T is M in Fortran order; the wrapper copies it
+        w, V, m, _, info = dsyevx(M.T, range="V", vl=vl, vu=vu)
+        if info == 0:  # else some eigenvectors did not converge
+            nonpos = m if negative else n - m
+            w, V = w[:m], V[:, :m]
+    if info != 0:
+        np.copyto(K[0], M)
+        w, V, info = dsyevd(K[0].T, overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        nonpos = int(np.searchsorted(w, 0.0, side="right"))
+        negative = 2 * nonpos <= n
+        w, V = (w[:nonpos], V[:, :nonpos]) if negative else (w[nonpos:], V[:, nonpos:])
+    k = w.shape[0]
+    if k == (0 if negative else n):  # no nonpositive eigenvalue: M is PSD
+        np.copyto(out, M)
+        return nonpos
+    VW = np.multiply(V, w, out=K[1][:, :k])
+    np.matmul(VW, V.T, out=out)
+    if negative:
+        np.subtract(M, out, out=out)
+    return nonpos
 
 
 def estimate_lipschitz(E, A, X, mu=1.0, iters=25, seed=0):

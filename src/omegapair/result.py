@@ -128,13 +128,12 @@ def _fit(EA, X, mu):
 def _lifted(d: DhParam) -> DhParam:
     """d with T, and R unless it is clearly indefinite, lifted to PSD with
     every eigenvalue at least LIFT_DELTA * max(1, lambda_max)."""
-    def lift(M):
-        return project_psd(M, LIFT_DELTA * max(1.0, np.linalg.eigvalsh(M)[-1]))
+    def lift(M, w):  # w: the eigenvalues of M, ascending
+        return project_psd(M, LIFT_DELTA * max(1.0, w[-1]))
 
-    R = d.R
-    if np.linalg.eigvalsh(R)[0] > -1e-12 * (1.0 + np.linalg.norm(R)):
-        R = lift(R)
-    return DhParam(lift(d.T), d.J, R, d.Q)
+    wR = np.linalg.eigvalsh(d.R)
+    R = lift(d.R, wR) if wR[0] > -1e-12 * (1.0 + np.linalg.norm(d.R)) else d.R
+    return DhParam(lift(d.T, np.linalg.eigvalsh(d.T)), d.J, R, d.Q)
 
 
 def finalize_solution(E, A, d: DhParam, region: LmiRegion, mu, *, algorithm,

@@ -105,18 +105,145 @@ def test_workspace_calls_match_fresh_calls_and_per_matrix_formulas_bit_for_bit(n
                 assert np.array_equal(g, ref)
 
 
-@pytest.mark.parametrize("n", [3, 10, 50, 200])
-def test_project_works_in_place_and_matches_per_matrix_psd_bit_for_bit(n):
+def _one_sided_point(rng, n, k):
+    """A structured [T, J, R, Q] whose T has k negative eigenvalues and R k
+    positive ones, all at least 0.1 from zero."""
+    def block(sign):
+        U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        w = rng.uniform(0.1, 2.0, n)
+        w[:k] *= -1.0
+        return sym((U * (sign * w)) @ U.T)
+    return np.stack([block(1.0), skew(rng.standard_normal((n, n))), block(-1.0),
+                     rng.standard_normal((n, n))])
+
+
+@pytest.fixture
+def drivers(monkeypatch):
+    """The LAPACK drivers `fgm.project` calls, in order."""
+    calls = []
+    for name in ("dsyevx", "dsyevd"):
+        def spy(*args, _name=name, _real=getattr(fgm, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(fgm, name, spy)
+    return calls
+
+
+# |project(M) - psd(M)| <= PROJECT_TOL n eps ||M||_2 elementwise, with psd
+# from the oracle's eigh. Over the points of the test below at seeds 0-199
+# (n = 1, 3, 10), 0-59 (n = 50) and 0-5 (n = 200), the worst case is 3.2 at
+# n = 3, 1.7 at n = 10, 0.2 at n = 50 and 0.03 at n = 200.
+PROJECT_TOL = 8.0
+
+
+def _assert_projected(Z, before, work):
+    T, J, R, Q = before
+    assert project(Z, work) is Z
+    eps = np.finfo(float).eps
+    for M, ref in ((Z[0], T), (Z[2], R)):
+        assert np.array_equal(M, M.T)
+        tol = PROJECT_TOL * M.shape[0] * eps * np.linalg.norm(ref, 2)
+        assert np.abs(M - _psd(ref)).max() <= tol
+    assert np.array_equal(Z[1], J)
+    assert np.array_equal(Z[3], Q)
+
+
+@pytest.mark.parametrize("n", [1, 3, 10, 50, 200])
+def test_project_works_in_place_and_matches_per_matrix_psd(n, drivers):
     rng = np.random.default_rng(100 + n)
     ws = _Workspace(*rng.standard_normal((2, n, n)))
-    for work in (None, ws, ws):
-        Z = _random_point(rng, n)
-        T, J, R, Q = Z.copy()
-        assert project(Z, work) is Z
-        assert np.array_equal(Z[0], _sym(_psd(T)))
-        assert np.array_equal(Z[2], _sym(_psd(R)))
-        assert np.array_equal(Z[1], J)
-        assert np.array_equal(Z[3], Q)
+    k = max(1, n // 20)  # a short side within the crossover of n / 10
+    # (workspace, side guesses set before the call, point, drivers expected)
+    long_side = "dsyevd" if n >= 10 else "dsyevx"  # n // 2 pairs, past n / 10 from n = 10
+    cases = [
+        (None, None, _one_sided_point(rng, n, k), ["dsyevd"] * 2),  # no guesses
+        (ws, None, _one_sided_point(rng, n, k), ["dsyevd"] * 2),    # the first trial
+        (ws, [k, n - k], _one_sided_point(rng, n, k), ["dsyevx"] * 2),
+        (ws, [n, 0], _one_sided_point(rng, n, k), ["dsyevx"] * 2),  # both sides guessed wrong
+        (ws, [n // 2, n // 2], _random_point(rng, n), [long_side] * 2)]
+    for work, guess, Z, expected in cases:
+        if guess is not None:
+            ws.nonpos = list(guess)
+        before = Z.copy()
+        drivers.clear()
+        _assert_projected(Z, before, work)
+        assert drivers == expected
+        counts = [int(np.sum(np.linalg.eigvalsh(M) <= 0.0)) for M in before[::2]]
+        assert work is None or ws.nonpos == counts
+
+
+@pytest.mark.parametrize("n", [1, 10, 200])
+def test_project_leaves_a_psd_block_unchanged_bit_for_bit(n, drivers):
+    rng = np.random.default_rng(n)
+    B = rng.standard_normal((2, n, n))
+    BB = B @ B.mT
+    Z = _random_point(rng, n)
+    Z[::2] = (BB + BB.mT) / 2.0 + np.eye(n)  # exactly symmetric, eigenvalues at least 1
+    before = Z.copy()
+    # no guess, then the negative side and the positive side by dsyevx
+    for guess, expected in ((None, "dsyevd"), ([0, 0], "dsyevx"), ([n, n], "dsyevx")):
+        ws = _Workspace(Z[3], Z[3])
+        if guess is not None:
+            ws.nonpos = guess
+        drivers.clear()
+        assert np.array_equal(project(Z, ws), before)
+        assert drivers == [expected] * 2
+
+
+def test_project_hands_no_non_finite_block_to_lapack(monkeypatch, capfd):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver was called on a non-finite matrix")
+
+    monkeypatch.setattr(fgm, "dsyevx", refuse)
+    monkeypatch.setattr(fgm, "dsyevd", refuse)
+    rng = np.random.default_rng(7)
+    n = 10
+    E, A = rng.standard_normal((2, n, n))
+    ws = _Workspace(E, A)
+    for bad in (np.inf, -np.inf, np.nan):
+        for b in (0, 2):
+            Z = _one_sided_point(rng, n, 1)
+            Z[b, 3, 4] = Z[b, 4, 3] = bad
+            before = Z.copy()
+            ws.nonpos = [1, n - 1]
+            assert project(Z, ws) is Z
+            assert np.array_equal(Z, before, equal_nan=True)
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert not np.isfinite(objective(E, A, Z, 1.0, ws))
+    assert capfd.readouterr().err == ""
+
+
+def test_a_non_finite_trial_point_ends_in_the_overflow_error(capfd):
+    # a first step of 2e308 overflows: the first trial point is +-inf and NaN
+    pair = grcar(10, 2)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            FloatingPointError, match="objective overflowed during line search"):
+        solve_hurwitz(pair.E, pair.A, FgmOptions(init_step=1e308, max_iters=5, max_time_s=1e9))
+    assert capfd.readouterr().err == ""
+
+
+def test_project_recomputes_an_unconverged_block_with_dsyevd(monkeypatch, drivers, capfd):
+    subset = fgm.dsyevx
+
+    def unconverged(*args, **kwargs):
+        w, V, m, ifail, _ = subset(*args, **kwargs)
+        return w, V, m, ifail, 1  # info > 0: some eigenvectors did not converge
+
+    monkeypatch.setattr(fgm, "dsyevx", unconverged)
+    rng = np.random.default_rng(8)
+    n = 10
+    ws = _Workspace(*rng.standard_normal((2, n, n)))
+    ws.nonpos = [1, n - 1]
+    Z = _one_sided_point(rng, n, 1)
+    drivers.clear()
+    _assert_projected(Z, Z.copy(), ws)
+    assert drivers == ["dsyevx", "dsyevd", "dsyevx", "dsyevd"]
+    assert ws.nonpos == [1, n - 1]
+
+    monkeypatch.setattr(fgm, "dsyevd", lambda a, **kwargs: (np.zeros(n), a, 1))
+    with pytest.raises(np.linalg.LinAlgError):
+        project(_one_sided_point(rng, n, 1))
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("pair, mu, iters, stop", [
@@ -244,7 +371,19 @@ def test_option_validation():
         FgmOptions(ls_shrink=1.0)
 
 
-def _assert_matches_reference(E, A, opts):
+def _per_matrix_project(Z, work=None):
+    """`fgm.project` as the reference loop projects: one `eigh` per block,
+    full rebuild, symmetrized."""
+    Z[0] = _sym(_psd(Z[0]))
+    Z[2] = _sym(_psd(Z[2]))
+    return Z
+
+
+def _assert_matches_reference(monkeypatch, E, A, opts):
+    # the loop's own projection rounds differently from the oracle's `eigh`;
+    # with the oracle's projection in its place, the gradient, momentum, line
+    # search, restarts and trace must match the reference bit for bit
+    monkeypatch.setattr(fgm, "project", _per_matrix_project)
     res = solve_hurwitz(E, A, opts)
     trace, iterations, stop_reason, best, restarts = fgm_reference(
         E, A, opts.max_iters, mu=opts.mu, trace_every=opts.trace_every, seed=opts.seed)
@@ -259,21 +398,21 @@ def _assert_matches_reference(E, A, opts):
     return restarts
 
 
-def test_stacked_loop_matches_per_matrix_reference_on_grcar():
+def test_stacked_loop_matches_per_matrix_reference_on_grcar(monkeypatch):
     pair = grcar(10, 2)
     # at mu = 0.37 the finish lifts the best quadruple of 100 to 400
     # iterations, and the reference has no finish to compare that with
     for mu, iters in ((1.0, 300), (0.37, 500)):
-        _assert_matches_reference(pair.E, pair.A,
+        _assert_matches_reference(monkeypatch, pair.E, pair.A,
                                   FgmOptions(mu=mu, max_iters=iters, max_time_s=1e9))
 
 
-def test_stacked_loop_matches_per_matrix_reference_through_a_restart():
+def test_stacked_loop_matches_per_matrix_reference_through_a_restart(monkeypatch):
     rng = np.random.default_rng(1)
     E, A = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
     for mu in (1.0, 0.37):
         restarts = _assert_matches_reference(
-            E, A, FgmOptions(mu=mu, max_iters=300, max_time_s=1e9))
+            monkeypatch, E, A, FgmOptions(mu=mu, max_iters=300, max_time_s=1e9))
         assert restarts >= 1
 
 
@@ -289,6 +428,21 @@ def test_result_survives_a_later_solve():
     for M, copy in zip((res.dh.T, res.dh.J, res.dh.R, res.dh.Q, res.pair.E, res.pair.A), kept):
         assert np.array_equal(M, copy)
     assert res.trace == trace
+
+
+def test_a_solve_does_not_depend_on_the_solves_before_it():
+    # the side guesses of the projection live in the solve's workspace
+    pair, other = grcar(10, 2), grcar(12, 3)
+    opts = FgmOptions(max_iters=300, max_time_s=1e9)
+    first = solve_hurwitz(pair.E, pair.A, opts)
+    solve_hurwitz(other.E, other.A, opts)
+    again = solve_hurwitz(pair.E, pair.A, opts)
+    assert (again.objective, again.relative_error, again.iterations, again.stop_reason) == \
+        (first.objective, first.relative_error, first.iterations, first.stop_reason)
+    assert [row[1:] for row in again.trace] == [row[1:] for row in first.trace]
+    for M, ref in zip((again.dh.T, again.dh.J, again.dh.R, again.dh.Q, again.pair.E, again.pair.A),
+                      (first.dh.T, first.dh.J, first.dh.R, first.dh.Q, first.pair.E, first.pair.A)):
+        assert (M == ref).all()
 
 
 def test_grad_tol_stops_on_gradient_norm():
