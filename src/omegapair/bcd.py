@@ -23,6 +23,15 @@ from .sdp import ConvexSubproblem, solve_subproblem
 
 __all__ = ["BcdOptions", "BcdDiagnostics", "update_Q", "solve_general"]
 
+# Sweep k >= 2 solves its subproblem to a duality gap of
+# max(eps_k, ACCURACY_KAPPA |last sweep's decrease|), not eps_k alone: a
+# subproblem need not be solved far below the progress a sweep makes
+# (inexact block coordinate descent: Tseng and Yun, Math. Program. 117,
+# 2009; Bonettini, IMA J. Numer. Anal. 31, 2011). A warm subproblem starts
+# its barrier at t = nu / |decrease| and grows it x10 per stage, so 0.1
+# gives two stages where eps_k alone gave up to seven late in a solve.
+ACCURACY_KAPPA = 0.1
+
 
 @dataclass
 class BcdOptions:
@@ -35,7 +44,9 @@ class BcdOptions:
     extrapolate: bool = True
     # stop on "objective stall" when the best objective fell by at most
     # max(stall_rel_tol (1 + |f|), eps_k) over the last stall_outer sweeps,
-    # eps_k being the duality gap the sweep's subproblem is solved to
+    # eps_k = max(eps_floor, eps_init eps_decay^-k) scale being the sweep's
+    # accuracy target; the subproblem is solved to eps_k or, from the second
+    # sweep on, to ACCURACY_KAPPA |last decrease| when that is larger
     stall_outer: int = 5
     stall_rel_tol: float = 1e-10
     fix_T: np.ndarray | None = None   # freeze the E-side (baseline mode)
@@ -46,8 +57,13 @@ class BcdOptions:
     def __post_init__(self):
         if not 0.0 < self.mu < np.inf:  # also false for NaN
             raise ValueError(f"mu must be finite and positive, got {self.mu!r}")
-        if self.eps_decay <= 1.0:
-            raise ValueError("eps_decay must exceed 1")
+        if not self.eps_decay > 1.0:  # also false for NaN
+            raise ValueError(f"eps_decay must exceed 1, got {self.eps_decay!r}")
+        for name in ("eps_init", "eps_floor"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
+        if not self.stall_outer >= 1:
+            raise ValueError(f"stall_outer must be at least 1, got {self.stall_outer!r}")
 
 
 @dataclass
@@ -55,7 +71,7 @@ class BcdDiagnostics:
     """Per-update objective bookkeeping used by the invariant tests."""
 
     q_updates: list = field(default_factory=list)    # (f_before, f_after)
-    tjr_updates: list = field(default_factory=list)  # (f_before, f_after, eps)
+    tjr_updates: list = field(default_factory=list)  # (f_before, f_after, accuracy)
     q_fallbacks: int = 0
     restarts: int = 0
 
@@ -122,7 +138,7 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
     max_outer = opts.max_outer_iters if opts.max_outer_iters is not None else np.inf
     last_solve_time = 0.0
 
-    def half_step(base_T, base_J, base_R, base_Q, eps, gap_guess):
+    def half_step(base_T, base_J, base_R, base_Q, accuracy, gap_guess):
         """One [Q update; (T, J, R) update] sweep from the given base."""
         if opts.fix_Q is None:
             f_before = _objective_value(EA, (base_T, base_J, base_R, base_Q), mu)
@@ -137,8 +153,8 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
                 if cs.strictly_feasible(cs.pack(base_T, base_J, base_R))
                 else (T, J, R))
         f_warm = _objective_value(EA, (*warm, Qn), mu)
-        soln = solve_subproblem(sp, Qn, init=warm, accuracy=eps, gap0=gap_guess)
-        diag.tjr_updates.append((f_warm, soln.objective, eps))
+        soln = solve_subproblem(sp, Qn, init=warm, accuracy=accuracy, gap0=gap_guess)
+        diag.tjr_updates.append((f_warm, soln.objective, accuracy))
         return soln.T, soln.J, soln.R, Qn, soln.objective
 
     last_decrease = f
@@ -150,16 +166,18 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
         # the warm start is about one sweep's decrease from the optimum: start
         # the barrier at t = nu / |decrease| (Boyd and Vandenberghe, sec. 11.3)
         gap_guess = max(10.0 * eps_k, abs(last_decrease))
+        # the first sweep's "decrease" is the start's objective: it keeps eps_k
+        acc_k = eps_k if k == 1 else max(eps_k, ACCURACY_KAPPA * abs(last_decrease))
         beta = (k - 1.0) / (k + 2.0) if opts.extrapolate else 0.0
         if beta > 0.0:
             base = (T + beta * (T - prev[0]), J + beta * (J - prev[1]),
                     R + beta * (R - prev[2]), Q + beta * (Q - prev[3]))
         else:
             base = (T, J, R, Q)
-        Tn, Jn, Rn, Qn, fn = half_step(*base, eps_k, gap_guess)
+        Tn, Jn, Rn, Qn, fn = half_step(*base, acc_k, gap_guess)
         if fn > f and beta > 0.0:
             diag.restarts += 1
-            Tn, Jn, Rn, Qn, fn = half_step(T, J, R, Q, eps_k, gap_guess)
+            Tn, Jn, Rn, Qn, fn = half_step(T, J, R, Q, acc_k, gap_guess)
         prev = (T, J, R, Q)
         last_decrease = f - fn
         T, J, R, Q, f = Tn, Jn, Rn, Qn, fn

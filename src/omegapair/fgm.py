@@ -39,9 +39,13 @@ A solve allocates its arrays once, in a `_Workspace`: the constants
 `gradient`, `objective` and `project` share, since they never run at
 once. The loop still calls those three public functions, `gradient` once
 per iteration and `project` and `objective` once per line-search trial,
-so a tracer that wraps them times the same calls. Each trial point
-Y - step G is a new array, projected in place, since it may become the
-next iterate.
+so a tracer that wraps them times the same calls. The iterate, the
+extrapolated point and the trial point are three (4, n, n) arrays that
+trade roles: each trial point Y - step G is written into the trial array
+and projected in place, an accepted one becomes the iterate, the next
+extrapolated point is written over the old iterate, and the old
+extrapolated point takes the next trials. A line search accepts only a
+decrease, so the last iterate is the best one.
 """
 
 from __future__ import annotations
@@ -80,10 +84,18 @@ class FgmOptions:
     def __post_init__(self):
         if not 0.0 < self.mu < np.inf:  # also false for NaN
             raise ValueError(f"mu must be finite and positive, got {self.mu!r}")
-        if self.ls_shrink <= 1.0 or self.ls_grow < 1.0:
-            raise ValueError("line-search factors must satisfy shrink > 1, grow >= 1")
+        if not self.ls_shrink > 1.0:  # also false for NaN
+            raise ValueError(f"ls_shrink must exceed 1, got {self.ls_shrink!r}")
+        if not self.ls_grow >= 1.0:
+            raise ValueError(f"ls_grow must be at least 1, got {self.ls_grow!r}")
         if not 0.0 < self.alpha0 < 1.0:
             raise ValueError("alpha0 must be in (0, 1)")
+        if self.init_step is not None and not 0.0 < self.init_step < np.inf:
+            raise ValueError(f"init_step must be None or finite and positive, "
+                             f"got {self.init_step!r}")
+        for name in ("ls_max", "stall_window", "trace_every"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
 
 
 # The largest short side, as a fraction of n (at least one pair), that
@@ -261,18 +273,18 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
     E = np.asarray(E, dtype=float)
     A = np.asarray(A, dtype=float)
     t0 = _time.perf_counter()
-    best, it, stop_reason, trace = _descend(E, A, opts, t0)
+    X, it, stop_reason, trace = _descend(E, A, opts, t0)
     # DhParam copies T, J and R when it symmetrizes them; copying Q too
     # keeps the result from holding the whole (4, n, n) stack
-    return finalize_solution(E, A, DhParam(*best[:3], best[3].copy()), hurwitz(), opts.mu,
+    return finalize_solution(E, A, DhParam(*X[:3], X[3].copy()), hurwitz(), opts.mu,
                              algorithm="fgm", iterations=it, stop_reason=stop_reason,
                              trace=trace, t0=t0)
 
 
 def _descend(E, A, opts: FgmOptions, t0):
-    """The iterations of `solve_hurwitz`: (best quadruple, iteration count,
-    stop reason, trace). The workspace is freed on return, before the
-    finish allocates its own arrays."""
+    """The iterations of `solve_hurwitz`: (last iterate, which is the best,
+    iteration count, stop reason, trace). The workspace and the other two
+    loop arrays are freed on return, before the finish allocates its own."""
     mu = opts.mu
     X = initial_quadruple(E, A)
     L = (1.0 / opts.init_step if opts.init_step is not None
@@ -280,18 +292,18 @@ def _descend(E, A, opts: FgmOptions, t0):
     # allocated after the curvature estimate, so that its temporaries and
     # the workspace are not held at once
     work = _Workspace(E, A, mu)
+    # the iterate X, the extrapolated point Y and the trial point C are three
+    # separate (4, n, n) arrays that trade roles as the loop runs
+    Y, C = X.copy(), np.empty_like(X)
     fX = objective(E, A, X, mu, work)
     step = 1.0 / L
     step_accept = step
 
-    best = X
-    fbest = fX
-    trace = [(0.0, *_fit(work.EA, best, mu))]
-    Y = X
+    trace = [(0.0, *_fit(work.EA, X, mu))]
     alpha = opts.alpha0
     fail_streak = 0
     it = 0
-    stall_anchor = (0, fbest)
+    stall_anchor = (0, fX)
     max_iters = opts.max_iters if opts.max_iters is not None else np.inf
     stop_reason = "iteration budget"
 
@@ -301,32 +313,31 @@ def _descend(E, A, opts: FgmOptions, t0):
             break
         G = gradient(E, A, Y, mu, work)
         step *= opts.ls_grow
-        accepted = None
+        accepted = False
         ls_budget = 100 if it == 0 else opts.ls_max
         for _ in range(ls_budget):
-            # a new array: it may become the iterate and the best quadruple
-            cand = np.multiply(G, step)
-            np.subtract(Y, cand, out=cand)
-            project(cand, work)
-            fc = objective(E, A, cand, mu, work)
+            np.multiply(G, step, out=C)
+            np.subtract(Y, C, out=C)
+            project(C, work)
+            fc = objective(E, A, C, mu, work)
             if not math.isfinite(fc):
                 raise FloatingPointError(
                     "objective overflowed during line search; the problem data "
                     "may be badly scaled")
             if fc < fX:
-                accepted = (cand, fc)
+                accepted = True
                 break
             step /= opts.ls_shrink
 
         stationary = False
-        if accepted is None:
+        if not accepted:
             fail_streak += 1
             if fail_streak >= 3:
                 stop_reason = "converged (no descent after restarts)"
                 break
             # drop momentum and retry from the last iterate; first with half
             # the last working step, then from a fresh curvature estimate
-            Y = X
+            np.copyto(Y, X)
             alpha = opts.alpha0
             if fail_streak == 1:
                 step = step_accept / 2.0
@@ -335,33 +346,31 @@ def _descend(E, A, opts: FgmOptions, t0):
         else:
             fail_streak = 0
             step_accept = step
-            Xn, fXn = accepted
             # the gradient mapping ||X+ - Y|| / step vanishes at a constrained
             # optimum, where the gradient itself need not
             stationary = (opts.grad_tol > 0.0
-                          and np.linalg.norm(Xn - Y) / step <= opts.grad_tol)
+                          and np.linalg.norm(C - Y) / step <= opts.grad_tol)
             alpha_next = (math.sqrt(alpha ** 4 + 4 * alpha ** 2) - alpha ** 2) / 2.0
             beta = alpha * (1.0 - alpha) / (alpha ** 2 + alpha_next)
-            # Y is a new array: the old one may be X, which stays the last iterate
-            Y = Xn - X
-            Y *= beta
-            Y += Xn
-            X, fX = Xn, fXn
+            # Y+ = X+ + beta (X+ - X) goes where X was; the old Y takes the trials
+            np.subtract(C, X, out=X)
+            X *= beta
+            X += C
+            X, Y, C = C, X, Y
+            fX = fc
             alpha = alpha_next
-            if fX < fbest:
-                best, fbest = X, fX
 
         it += 1
         if it % opts.trace_every == 0:
-            trace.append((_time.perf_counter() - t0, *_fit(work.EA, best, mu)))
+            trace.append((_time.perf_counter() - t0, *_fit(work.EA, X, mu)))
         if stationary:
             stop_reason = "gradient norm"
             break
         anchor_it, anchor_f = stall_anchor
         if it - anchor_it >= opts.stall_window:
-            if anchor_f - fbest <= opts.stall_rel_tol * (1.0 + abs(anchor_f)):
+            if anchor_f - fX <= opts.stall_rel_tol * (1.0 + abs(anchor_f)):
                 stop_reason = "objective stall"
                 break
-            stall_anchor = (it, fbest)
+            stall_anchor = (it, fX)
 
-    return best, it, stop_reason, trace
+    return X, it, stop_reason, trace

@@ -124,7 +124,8 @@ def test_grcar_disk_subproblems_converge_inside_the_stage_cap(monkeypatch):
 def test_warm_barrier_starts_at_the_last_sweep_decrease(monkeypatch):
     """Each warm subproblem starts its barrier at t = nu / |last decrease|,
     so it skips the stage a larger gap guess would add: Grcar(6,1) in the
-    unit disk takes 97 Newton steps over 8 sweeps (126 with four times the
+    unit disk takes 103 Newton steps over 8 sweeps, one of them restarted
+    (97 with every sweep solved to eps_k, and 126 then with four times the
     decrease)."""
     steps = []
 
@@ -140,6 +141,36 @@ def test_warm_barrier_starts_at_the_last_sweep_decrease(monkeypatch):
     assert res.iterations == 8
     assert sum(steps) <= 110
     assert res.admissible
+
+
+def test_late_sweeps_are_solved_to_a_fraction_of_the_last_decrease():
+    """Sweep 1 is solved to eps_1, and sweep k >= 2 and its restart to
+    max(eps_k, ACCURACY_KAPPA |last decrease|), as `tjr_updates` records.
+    The stall still reads eps_k: the Grcar(10,1) disk still stops on
+    "objective stall" after 14 sweeps."""
+    pair = grcar(10, 1)
+    opts = BcdOptions(max_outer_iters=20, max_time_s=120.0)
+    diag = BcdDiagnostics()
+    res = solve_general(pair.E, pair.A, rg.schur(), opts, diagnostics=diag)
+    assert (res.iterations, res.stop_reason) == (14, "objective stall")
+    f = res.trace[0][1]  # the objective after the cold start
+    scale = 1.0 + f
+    updates = iter(diag.tjr_updates)
+    restarts = looser = 0
+    for k in range(1, res.iterations + 1):
+        eps_k = max(opts.eps_floor, opts.eps_init * opts.eps_decay ** (-k)) * scale
+        wanted = eps_k if k == 1 else max(eps_k, bcd.ACCURACY_KAPPA * abs(decrease))
+        _, fn, accuracy = next(updates)
+        if k > 1 and fn > f:  # the extrapolated half-step rose: restarted
+            restarts += 1
+            _, fn, restart_accuracy = next(updates)
+            assert restart_accuracy == accuracy
+        assert accuracy == pytest.approx(wanted, rel=1e-9)
+        looser += accuracy > eps_k
+        decrease, f = f - fn, fn
+    assert next(updates, None) is None
+    assert restarts == diag.restarts
+    assert looser  # some sweep is solved looser than eps_k, or this shows nothing
 
 
 def test_grcar_disk_stop_survives_one_ulp_of_A():
