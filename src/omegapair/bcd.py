@@ -64,6 +64,11 @@ class BcdOptions:
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
         if not self.stall_outer >= 1:
             raise ValueError(f"stall_outer must be at least 1, got {self.stall_outer!r}")
+        # a NaN budget or tolerance would switch its stop off: elapsed >= nan
+        # and every other comparison with NaN is false
+        for name in ("max_time_s", "stall_rel_tol"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)!r}")
 
 
 @dataclass

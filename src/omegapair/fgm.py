@@ -96,6 +96,11 @@ class FgmOptions:
         for name in ("ls_max", "stall_window", "trace_every"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        # a NaN budget or tolerance would switch its stop off: elapsed >= nan
+        # and every other comparison with NaN is false
+        for name in ("max_time_s", "stall_rel_tol", "grad_tol"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)!r}")
 
 
 # The largest short side, as a fraction of n (at least one pair), that

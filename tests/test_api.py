@@ -31,6 +31,10 @@ def test_every_exported_name_resolves(name):
     (FgmOptions, "init_step", math.nan),
     (FgmOptions, "ls_shrink", math.nan),  # "objective overflowed" mid-solve
     (FgmOptions, "ls_grow", math.nan),
+    (FgmOptions, "max_time_s", math.nan),  # elapsed >= nan: no time budget
+    (FgmOptions, "max_time_s", -1.0),
+    (FgmOptions, "grad_tol", math.nan),   # the gradient-mapping stop never fires
+    (FgmOptions, "stall_rel_tol", math.nan),  # nor the stall stop
     (BcdOptions, "eps_init", 0.0),       # ZeroDivisionError
     (BcdOptions, "eps_init", math.nan),  # NaNs in the SDP Newton system
     (BcdOptions, "eps_init", math.inf),
@@ -39,7 +43,18 @@ def test_every_exported_name_resolves(name):
     (BcdOptions, "eps_floor", math.nan),
     (BcdOptions, "eps_decay", math.nan),  # runs at eps_floor from the start
     (BcdOptions, "stall_outer", 0),
+    (BcdOptions, "max_time_s", math.nan),
+    (BcdOptions, "stall_rel_tol", math.nan),
 ])
 def test_options_refuse_values_a_solve_cannot_run_with(options, field, value):
     with pytest.raises(ValueError, match=field):
         options(**{field: value})
+
+
+@pytest.mark.parametrize("options, field", [
+    (FgmOptions, "grad_tol"),   # the gradient-mapping stop off
+    (FgmOptions, "max_time_s"),
+    (BcdOptions, "max_time_s"),
+])
+def test_options_accept_zero_budgets_and_tolerances(options, field):
+    assert getattr(options(**{field: 0.0}), field) == 0.0

@@ -419,6 +419,35 @@ def test_final_stage_short_of_centering_is_not_converged(monkeypatch):
     assert not sol.converged
 
 
+@pytest.mark.parametrize("region", [rg.schur(), _composite()], ids=["schur", "composite"])
+def test_stage_centering_changes_the_work_not_the_answer(region, monkeypatch):
+    """Intermediate stages ended at Newton decrement 1 (STAGE_CENTERING) and
+    at the former 1e-4 give, cold and warm, converged solutions whose
+    objectives agree within eps, the loose stages in no more Newton steps."""
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((4, 4)) * 2
+    sp = ConvexSubproblem(np.eye(4), A, 1.0, region)
+    Q = np.eye(4) + 0.05 * rng.standard_normal((4, 4))
+    eps = 1e-8 * (1.0 + np.sum(A * A))
+    start = solve_subproblem(sp, np.eye(4), accuracy=eps)
+    init = (start.T, start.J, start.R)
+    # the warm barrier sized by how much the change of Q raised the start's objective
+    gap0 = _Objective(sp, Q).value(sp.constraints.pack(*init)) - start.objective
+    runs = {}
+    for tol in (sdp.STAGE_CENTERING, 1e-4):
+        monkeypatch.setattr(sdp, "STAGE_CENTERING", tol)
+        runs[tol] = (solve_subproblem(sp, np.eye(4), accuracy=eps),
+                     solve_subproblem(sp, Q, init=init, accuracy=eps, gap0=gap0))
+    loose, tight = runs.values()
+    for a, b in zip(loose, tight):
+        assert a.converged and b.converged
+        assert a.gap_estimate <= eps and b.gap_estimate <= eps
+        assert a.objective == pytest.approx(b.objective, rel=0.0, abs=eps)
+        assert len(a.stage_newton) == len(b.stage_newton) >= 3
+        assert a.barrier_iterations <= b.barrier_iterations
+    assert sum(a.barrier_iterations for a in loose) < sum(b.barrier_iterations for b in tight)
+
+
 def test_kkt_residual_at_return():
     """Scaled stationarity of the barrier-augmented objective at return."""
     rng = np.random.default_rng(5)
