@@ -18,23 +18,49 @@ A warm start at nu / (10 eps) thus takes two stages whichever way the
 x10 growth rounds, where a test of nu / t <= eps would take a third
 stage when the growth lands one ulp short.
 
-A stage ends once lambda^2 / 2 = -g.dx / 2 is at most its centering
-tolerance, lambda being the Newton decrement of psi at x. Only the last
-stage's centering enters the gap bound, so it is held to 1e-9; an
-intermediate stage only hands the next stage its start, and approximate
-centering is enough (Boyd and Vandenberghe, Convex Optimization, sec.
-11.3). psi is self-concordant (f is a convex quadratic, the barrier a sum
-of -logdet), so lambda is affine invariant and means the same at every t,
-and at lambda < 1 the full Newton step stays inside the Dikin ellipsoid,
-hence interior (Nesterov and Nemirovski, 1994). After the x10 growth the
-next stage's first decrement is at most 9 sqrt(nu) + 10 lambda (the
-gradient becomes 10 g - 9 g_phi, and the Hessian only grows), so
-centering below lambda = 1 saves that stage little. An intermediate stage
-therefore ends at lambda^2 / 2 <= STAGE_CENTERING = 1/2. On the
-benchmark's Grcar(10,1) disk and composite BCD solves that takes 247
-Newton steps against 303 at 1e-4, with the same sweeps, subproblems and
-barrier stages, and objectives within the requested accuracy
-(`BENCH_centering.json` has the sweep over the tolerance).
+An intermediate stage ends once lambda^2 / 2 = -g.dx / 2 is at most
+STAGE_CENTERING, lambda being the Newton decrement of psi at x. It only
+hands the next stage its start, and approximate centering is enough (Boyd
+and Vandenberghe, Convex Optimization, sec. 11.3). psi is self-concordant
+(f is a convex quadratic, the barrier a sum of -logdet), so lambda is
+affine invariant and means the same at every t, and at lambda < 1 the
+full Newton step stays inside the Dikin ellipsoid, hence interior
+(Nesterov and Nemirovski, 1994). After the x10 growth the next stage's
+first decrement is at most 9 sqrt(nu) + 10 lambda (the gradient becomes
+10 g - 9 g_phi, and the Hessian only grows), so centering below lambda = 1
+saves that stage little. STAGE_CENTERING is therefore 1/2 (lambda <= 1);
+on the benchmark's Grcar(10,1) disk and composite BCD solves that took
+303 Newton steps to 247 (`BENCH_centering.json`).
+
+The final stage ends on a dual certificate that every Newton step yields,
+not on centering. Write G_b(x) = G0_b + A_b(x), A_b linear with adjoint
+A_b*, W_b = G_b(x)^-1 and dG_b = A_b(dx) along the Newton direction dx.
+The barrier's gradient is -sum A_b*(W_b) and its Hessian maps dx to
+sum A_b*(W_b dG_b W_b), so, f being quadratic, the Newton equation
+t (gf + H_f dx) = -(g_phi + H_phi dx) reads
+
+    grad f(x + dx) = sum_b A_b*(Z_b),   Z_b = (W_b - W_b dG_b W_b) / t.
+
+With L_b L_b^T = G_b(x) and the step matrix M_b = L_b^-1 dG_b L_b^-T,
+whose eigenvalues mu the line search computes anyway,
+Z_b = L_b^-T (I - M_b) L_b^-1 / t and G_b(x + dx) = L_b (I + M_b) L_b^T.
+Where max |mu| < 1, each Z_b is positive definite and x + dx strictly
+interior; x + dx minimizes the Lagrangian f - sum <Z_b, G_b> over x, so
+weak duality bounds its gap to the optimum p*:
+
+    f(x + dx) - p* <= sum_b <Z_b, G_b(x + dx)>
+                    = sum_b tr((I - M_b)(I + M_b)) / t = (nu - sum mu^2) / t.
+
+The final stage thus ends at its first direction with max |mu| < 1 and
+(nu - sum mu^2) / t <= eps, returning x + dx once `_barrier` confirms it
+interior (where rounding breaks that, the line search goes on). At
+t >= nu / eps the bound meets eps whenever max |mu| < 1, and since
+sum mu^2 = dx'H_phi dx <= lambda^2 that holds from lambda < 1 on at the
+latest (Boyd and Vandenberghe, sec. 11.2.2). The 1e-9 centering it
+replaces took 247 Newton steps per pass of those solves, this 185
+(`BENCH_dual_certificate.json`). `converged` means the certificate was
+met: `gap_estimate` is then its bound and `multipliers` its Z_b; an
+unconverged solve reports nu / t and no multipliers.
 
 Each Newton direction dx is followed by an exact line search. With
 L_b L_b^T = G_b(x) and mu the eigenvalues of L_b^-1 dG_b L_b^-T over all
@@ -201,6 +227,14 @@ class ConvexSubproblem:
 
 @dataclass
 class SubproblemSolution:
+    """A `solve_subproblem` result. When `converged`, `gap_estimate` bounds
+    objective - optimum by the final Newton step's dual certificate
+    (nu - sum mu^2) / t <= accuracy, and `multipliers` holds its Z_b >= 0,
+    one per constraint block in `ConstraintSet.blocks` order, with
+    grad f = sum_b A_b*(Z_b) at the returned point (module docstring).
+    Otherwise `gap_estimate` is nu / t of the last barrier parameter, no
+    bound, and `multipliers` is empty."""
+
     T: np.ndarray
     J: np.ndarray
     R: np.ndarray
@@ -212,6 +246,7 @@ class SubproblemSolution:
     stage_objectives: list = field(default_factory=list)
     initial_point_used: bool = False
     stage_newton: list = field(default_factory=list)  # Newton steps per barrier stage
+    multipliers: list = field(default_factory=list)
 
 
 # a free variable group: its slice of x and sign (+1 sym, -1 skew)
@@ -450,18 +485,31 @@ def _barrier_grad_hess(cs, x, factors=None):
     return g, H, inverses
 
 
+def _step_matrices(blocks, inverses, dx):
+    """L_b^-1 dG_b L_b^-T of every block, where dG_b is the change of G_b
+    along dx and L_b^-1 the block's inverse factor at x."""
+    dX = _group_matrices(blocks, dx)
+    return [Li @ b.combine(dX) @ Li.T for b, Li in zip(blocks, inverses)]
+
+
 def _step_spectrum(blocks, inverses, dx):
-    """Eigenvalues mu of L_b^-1 dG_b L_b^-T over all blocks, where dG_b is
-    the change of G_b along dx and L_b^-1 the block's inverse factor at x.
+    """Eigenvalues mu of the `_step_matrices` L_b^-1 dG_b L_b^-T over all
+    blocks.
 
     G_b(x + s dx) = L_b (I + s L_b^-1 dG_b L_b^-T) L_b^T, so the barrier
     changes by -sum log(1 + s mu) and x + s dx stays interior exactly for
     s < 1 / max(-mu).
     """
-    dX = _group_matrices(blocks, dx)
-    return np.concatenate([
-        np.linalg.eigvalsh(Li @ b.combine(dX) @ Li.T)
-        for b, Li in zip(blocks, inverses)])
+    return np.concatenate([np.linalg.eigvalsh(M) for M in _step_matrices(blocks, inverses, dx)])
+
+
+def _multipliers(blocks, inverses, dx, t):
+    """The dual point Z_b = (G_b^-1 - G_b^-1 dG_b G_b^-1) / t of the Newton
+    step dx at barrier parameter t, one per block: L_b^-T (I - M_b) L_b^-1 / t
+    with M_b its step matrix, symmetrized."""
+    Z = [Li.T @ (np.eye(len(M)) - M) @ Li
+         for Li, M in zip(inverses, _step_matrices(blocks, inverses, dx))]
+    return [(Zb + Zb.T) / (2.0 * t) for Zb in Z]
 
 
 def _line_slopes(s, t, slope_f, curv_f, mu):
@@ -590,10 +638,15 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
     `init` may supply a warm-start triple (T, J, R); it is used only when
     strictly feasible. `gap0` estimates the warm start's suboptimality and
     sets the initial barrier parameter (default: the objective value
-    itself, the right scale for a cold start). The returned point is
-    strictly feasible and its objective is within `accuracy` (gap
-    estimate) of the optimum.
+    itself, the right scale for a cold start). Both must be finite and
+    positive when given; `accuracy` defaults to 1e-8 (1 + f) at the start.
+    The returned point is strictly feasible and, when `converged`, its
+    objective is within the certified `gap_estimate` <= `accuracy` of the
+    optimum.
     """
+    for name, value in (("accuracy", accuracy), ("gap0", gap0)):
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     cs = sp.constraints
     obj = _Objective(sp, np.asarray(Q, dtype=float))
 
@@ -629,7 +682,7 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
         t_final = math.nextafter(t_final, math.inf)
     gap_guess = gap0 if gap0 is not None else f0
     t = max(1e-2, min(1e8, nu / max(gap_guess, eps)))
-    converged = False
+    converged, multipliers = False, []
     # f's gradient and the barrier derivatives at x, kept until x moves: a
     # stage that ends centered or without progress leaves x to the next
     derivs = None
@@ -640,12 +693,9 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
         is_final = t >= t_final * (1.0 - FINAL_STAGE_SNAP)
         if is_final:
             t = max(t, t_final)
-        # centering at the current t: an intermediate stage ends at Newton
-        # decrement 1, which is central enough to start the next stage from;
-        # the final stage is tightened so the gap bound holds and must meet
-        # it to count as converged
-        center_tol = 1e-9 if is_final else STAGE_CENTERING
-        centered = False
+        # an intermediate stage ends at Newton decrement 1, which is central
+        # enough to start the next stage from; the final stage ends on the
+        # first Newton step whose dual certificate meets eps
         stage_start = total_newton
         for _ in range(MAX_NEWTON_PER_STAGE):
             if derivs is None:
@@ -656,11 +706,18 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
             g = t * gf + gphi
             dx = -_newton_direction(newton, t, obj.H, Hphi, g)
             total_newton += 1
-            if -float(g @ dx) / 2.0 <= center_tol:
-                centered = True
+            if not is_final and -float(g @ dx) / 2.0 <= STAGE_CENTERING:
                 break
-            s = _line_step(t, float(gf @ dx), float(dx @ obj.H @ dx),
-                           _step_spectrum(cs.blocks, inverses, dx))
+            mu = _step_spectrum(cs.blocks, inverses, dx)
+            if is_final and float(np.abs(mu).max()) < 1.0:
+                # x + dx is interior and the step's dual point bounds its
+                # gap; where rounding breaks either, the line search goes on
+                gap, xn = (nu - float(mu @ mu)) / t, x + dx
+                if gap <= eps and cs.strictly_feasible(xn):
+                    multipliers = _multipliers(cs.blocks, inverses, dx, t)
+                    x, converged = xn, True
+                    break
+            s = _line_step(t, float(gf @ dx), float(dx @ obj.H @ dx), mu)
             xn = x + s * dx
             factors_n = _barrier(cs.blocks, xn)
             while factors_n is None:  # a block lost definiteness to rounding
@@ -675,11 +732,11 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
         stage_newton.append(total_newton - stage_start)
         stage_objectives.append(obj.value(x))
         if is_final:
-            converged = centered
             break
         t *= BARRIER_GROWTH
 
     T, J, R = cs.split(x)
-    return SubproblemSolution(T, J, R, obj.value(x), total_newton, nu / t,
+    return SubproblemSolution(T, J, R, obj.value(x), total_newton,
+                              gap if converged else nu / t,
                               cs.margins(x), converged, stage_objectives,
-                              used_default, stage_newton)
+                              used_default, stage_newton, multipliers)

@@ -448,26 +448,111 @@ def test_stage_centering_changes_the_work_not_the_answer(region, monkeypatch):
     assert sum(a.barrier_iterations for a in loose) < sum(b.barrier_iterations for b in tight)
 
 
+def _dense_problem(sp):
+    """The subproblem of `sp` from the oracle's dense matrices: f and its
+    gradient at (T, J, R, Q) over the coordinates x, the blocks G_b at
+    (T, J, R) in the solver's block order (the region LMI split into its
+    connected diagonal blocks, as the solver splits it), and the adjoint
+    map Z -> [sum_b <Z_b, dG_b(e_i)>]_i of the blocks' linear part."""
+    n, psd_T = sp.n, sp.fixed_T is None
+    parts = rg.connected_blocks(sp.region)
+    basis = {"T": sym_basis(n), "J": skew_basis(n), "R": sym_basis(n)}
+    directions = []  # (dT, dJ, dR) of each coordinate, in x order
+    for k in ("TJR" if psd_T else "JR"):
+        for S in basis[k]:
+            directions.append(tuple(S if k == name else np.zeros((n, n)) for name in "TJR"))
+
+    def blocks(T, J, R, delta):
+        psd = barrier_blocks(parts[0].B, parts[0].C, T, J, R, 0.0, psd_T, sp.require_R_psd)
+        return psd[:-1] + [barrier_blocks(p.B, p.C, T, J, R, delta, psd_T=False)[-1]
+                           for p in parts]
+
+    def grad(T, J, R, Q):
+        res_a, res_e = sp.A - (J - R) @ Q, sp.E - T @ Q
+        return np.array([-2.0 * np.sum(res_a * ((dJ - dR) @ Q))
+                         - 2.0 * sp.mu * np.sum(res_e * (dT @ Q)) for dT, dJ, dR in directions])
+
+    def adjoint(Z):
+        return np.array([sum(np.sum(Zb * dG) for Zb, dG in zip(Z, blocks(*d, 0.0)))
+                         for d in directions])
+
+    return grad, blocks, adjoint
+
+
 def test_kkt_residual_at_return():
-    """Scaled stationarity of the barrier-augmented objective at return."""
+    """The SDP optimality conditions at return, with the multipliers Z_b of
+    the solution's certificate: stationarity grad f(x) = sum_b A_b*(Z_b),
+    dual feasibility Z_b >= 0, and the duality gap
+    sum_b <Z_b, G_b(x)> = gap_estimate <= eps, so f(x) is within eps of
+    the optimum. A_b* and G_b are formed from B, C and the oracle's bases,
+    cold and warm, over four constraint layouts."""
     rng = np.random.default_rng(5)
-    A = rng.standard_normal((3, 3))
-    E = np.eye(3)
-    eps = 1e-8 * (1 + np.sum(A * A))
-    sp = ConvexSubproblem(E, A, 1.0, rg.schur())
-    cs = sp.constraints
-    sol = solve_subproblem(sp, np.eye(3), accuracy=eps)
-    # dual feasibility and complementarity come from the final barrier:
-    # Z_b = G_b^{-1} / t with sum_b <Z_b, G_b> = nu / t <= eps
-    assert sol.gap_estimate <= eps
-    # primal stationarity: gradient of f matches the conic multipliers
-    x = cs.pack(sol.T, sol.J, sol.R)
-    t_final = cs.nu / sol.gap_estimate
-    gf = _Objective(sp, np.eye(3)).grad(x)
-    gphi, _, _ = _barrier_grad_hess(cs, x)
-    resid = np.linalg.norm(gf + gphi / t_final)
-    scale = 1.0 + np.linalg.norm(gf) + sol.objective
-    assert resid <= np.sqrt(eps) * scale
+    for case in CASES:
+        region = {"schur": rg.schur(), "hurwitz_psd_R": rg.hurwitz()}.get(case, _composite())
+        T_fixed = (np.eye(3) + 0.2 * sym(rng.standard_normal((3, 3)))
+                   if case == "frozen_T" else None)
+        A = rng.standard_normal((3, 3))
+        sp = ConvexSubproblem(np.eye(3), A, 1.0, region, require_R_psd=case == "hurwitz_psd_R",
+                              fixed_T=T_fixed)
+        grad, blocks, adjoint = _dense_problem(sp)
+        eps = 1e-8 * (1 + np.sum(A * A))
+        cold = solve_subproblem(sp, np.eye(3), accuracy=eps)
+        Q = random_well_conditioned(3, rng)
+        warm = solve_subproblem(sp, Q, init=(cold.T, cold.J, cold.R), accuracy=10.0 * eps,
+                                gap0=1.0)
+        for sol, Qs, acc in ((cold, np.eye(3), eps), (warm, Q, 10.0 * eps)):
+            assert sol.converged
+            Z = sol.multipliers
+            G = blocks(sol.T, sol.J, sol.R, sp.delta_lmi)
+            assert [len(Zb) for Zb in Z] == [len(Gb) for Gb in G]
+            for Zb in Z:
+                np.testing.assert_array_equal(Zb, Zb.T)
+                assert np.linalg.eigvalsh(Zb)[0] >= -1e-12 * np.abs(Zb).max()
+            gf = grad(sol.T, sol.J, sol.R, Qs)
+            assert np.linalg.norm(gf - adjoint(Z)) <= 1e-9 * (1.0 + np.linalg.norm(gf))
+            gap = sum(np.sum(Zb * Gb) for Zb, Gb in zip(Z, G))
+            assert gap == pytest.approx(sol.gap_estimate, rel=1e-8)
+            assert 0.0 < sol.gap_estimate <= acc
+
+
+@pytest.mark.parametrize("accuracy", [1e-2, 1e-4, 1e-6])
+@pytest.mark.parametrize("case", CASES)
+def test_objective_is_within_accuracy_of_a_tight_solve(case, accuracy):
+    """Cold and warm solves at `accuracy` return converged, with objectives
+    at most `accuracy` above a solve to 1e-11, over seeded instances of
+    four constraint layouts. The warm start is a solution at another Q,
+    its gap guess its true suboptimality."""
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        region = {"schur": rg.schur(), "hurwitz_psd_R": rg.hurwitz()}.get(case, _composite())
+        T_fixed = (np.eye(4) + 0.2 * sym(rng.standard_normal((4, 4)))
+                   if case == "frozen_T" else None)
+        sp = ConvexSubproblem(np.eye(4), 2.0 * rng.standard_normal((4, 4)), 1.0, region,
+                              require_R_psd=case == "hurwitz_psd_R", fixed_T=T_fixed)
+        Q = np.eye(4) + 0.1 * rng.standard_normal((4, 4))
+        start = solve_subproblem(sp, np.eye(4), accuracy=1e-3)
+        init = (start.T, start.J, start.R)
+        for Qs, warm in ((np.eye(4), False), (Q, True)):
+            tight = solve_subproblem(sp, Qs, accuracy=1e-11)
+            kwargs = {}
+            if warm:
+                gap0 = _Objective(sp, Qs).value(sp.constraints.pack(*init)) - tight.objective
+                kwargs = {"init": init, "gap0": max(gap0, accuracy)}
+            sol = solve_subproblem(sp, Qs, accuracy=accuracy, **kwargs)
+            assert tight.converged and sol.converged
+            assert sol.gap_estimate <= accuracy
+            assert tight.objective - 1e-11 <= sol.objective <= tight.objective + accuracy
+
+
+@pytest.mark.parametrize("name, value", [("accuracy", 0.0), ("accuracy", -1e-6),
+                                         ("accuracy", np.inf), ("accuracy", np.nan),
+                                         ("gap0", 0.0), ("gap0", -1.0), ("gap0", np.inf),
+                                         ("gap0", np.nan)])
+def test_accuracy_and_gap_guess_must_be_finite_and_positive(name, value):
+    rng = np.random.default_rng(4)
+    sp = ConvexSubproblem(np.eye(3), rng.standard_normal((3, 3)), 1.0, rg.schur())
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        solve_subproblem(sp, np.eye(3), **{name: value})
 
 
 def test_orthogonal_change_of_basis_invariance():
@@ -502,9 +587,14 @@ def test_warm_start_is_used_and_respected():
     assert sol2.objective <= sol.objective + 1e-9 * (1 + sol.objective)
 
 
+def _same(a, b):
+    if isinstance(a, list):  # the multipliers: matrices of several sizes
+        return len(a) == len(b) and all(map(_same, a, b))
+    return np.array_equal(a, b)
+
+
 def _same_solution(a, b):
-    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
-               for f in dataclasses.fields(a))
+    return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
 
 
 def test_one_subproblem_serves_every_Q():
