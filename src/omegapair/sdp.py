@@ -32,6 +32,15 @@ saves that stage little. STAGE_CENTERING is therefore 1/2 (lambda <= 1);
 on the benchmark's Grcar(10,1) disk and composite BCD solves that took
 303 Newton steps to 247 (`BENCH_centering.json`).
 
+A stage that spends MAX_NEWTON_PER_STAGE steps short of its end does not
+raise t. Before any stage has ended centered, t is too large for x (a
+gap guess far below the warm start's suboptimality), and it falls by
+BARRIER_GROWTH^2, though not below nu / f(x) (f >= 0 bounds the gap by
+f(x)): an overshoot costs a growth stage of a few steps, an undershoot
+another stage of MAX_NEWTON_PER_STAGE. Afterwards the next stage runs at
+the same t, and a final stage short of its certificate ends the solve
+unconverged.
+
 The final stage ends on a dual certificate that every Newton step yields,
 not on centering. Write G_b(x) = G0_b + A_b(x), A_b linear with adjoint
 A_b*, W_b = G_b(x)^-1 and dG_b = A_b(dx) along the Newton direction dx.
@@ -72,6 +81,24 @@ because f is quadratic. The step s minimizes this scalar function on
 [0, 0.99 s_max], s_max = 1 / max(-mu) being where the first block turns
 singular; the blocks are factored once, at the accepted point.
 
+f is quadratic and each G_b affine, so along an accepted step
+x -> x + s dx the gradient grad f moves by s H_f dx and G_b by s dG_b,
+exactly. Both are kept with the iterate and moved so, from the H_f dx
+that also gives the line search dx'H_f dx and the dG_b that
+`_step_spectrum` forms for mu; `_barrier` factors the values it is given.
+They are formed from x itself at the start of `solve_subproblem` and at
+the first accepted step of each barrier stage. Rounding carried across
+stages builds up where a block shrinks by orders of magnitude along the
+path (R >= 0 near a zero R): on solves to 1e-11, values carried from the
+start drifted from those formed from x by up to 8e-5 of their size, and
+by 4e-11 when each stage's first step forms them anew. The certificate's
+point is confirmed interior on G_b formed from it; an unconverged solve
+confirms its returned point so too, and returns the last point whose G_b
+were formed from it where that fails. Every eigenvalues-only
+decomposition (mu, and `ConstraintSet.margins`) calls LAPACK `dsyevd`
+without eigenvectors directly, as the factorizations below call their
+routines.
+
 The variables are x = (svec T, svec J, svec R): the upper triangle of
 each matrix, off-diagonal entries scaled by sqrt(2) (the strict upper
 triangle for the skew J), so that x.y is the Frobenius inner product of
@@ -92,7 +119,8 @@ and a group pair's Hessian block one gather of each side and one call of
 `_trace_pairs`, which forms every (U_x S_i V_x)^T as one batched product
 of the gathered columns of U_x (the second half negated for a skew S_i)
 and rows of V_x, then scales the k x k result by the svec weights
-c_i0 c_j0 once. Each point forms smat(x_g) once per group for all blocks.
+c_i0 c_j0 once. Each direction forms smat(dx_g) once per group for all
+blocks.
 
 The Newton system (t H_f + H_phi) dx = -g is formed in one m x m buffer
 per `solve_subproblem` call and factored there in place by LAPACK
@@ -116,7 +144,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
+from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd, dtrtri
 
 from .regions import LmiRegion, connected_blocks, real_section
 from .result import _objective_value
@@ -397,12 +425,16 @@ class ConstraintSet:
         M = {"T": T, "J": J, "R": R}
         return np.concatenate([_svec(M[k], g.sign) for k, g in self.groups.items()])
 
-    def margins(self, x):
+    def values(self, x):
+        """The block values G_b(x), formed from x."""
         X = _group_matrices(self.blocks, x)
-        return [float(np.linalg.eigvalsh(b.value(X))[0]) for b in self.blocks]
+        return [b.value(X) for b in self.blocks]
+
+    def margins(self, x):
+        return [float(_eigenvalues(G)[0]) for G in self.values(x)]
 
     def strictly_feasible(self, x):
-        return _barrier(self.blocks, x) is not None
+        return _barrier(self.values(x)) is not None
 
 
 class _Objective:
@@ -440,13 +472,23 @@ class _Objective:
             for k, g in self.cs.groups.items()])
 
 
-def _barrier(blocks, x):
-    """The Cholesky factor of every block G_b(x), or None outside the
-    interior."""
-    X = _group_matrices(blocks, x)
+def _eigenvalues(M):
+    """The eigenvalues of the symmetric matrix M in ascending order, from
+    its lower triangle by LAPACK `dsyevd` without eigenvectors; M is
+    overwritten."""
+    # M.T is M in the Fortran order LAPACK reads, its upper triangle M's lower
+    w, _, info = dsyevd(M.T, compute_v=0, lower=0, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+    return w
+
+
+def _barrier(values):
+    """The Cholesky factor of every block value G_b, or None when one is
+    not positive definite (the point is outside the interior)."""
     factors = []
-    for b in blocks:
-        L, info = dpotrf(b.value(X), lower=1)
+    for G in values:
+        L, info = dpotrf(G, lower=1)
         if info != 0:
             return None
         factors.append(L)
@@ -458,11 +500,11 @@ def _barrier_grad_hess(cs, x, factors=None):
     constraint set `cs`, and the inverses of the blocks' Cholesky factors.
 
     `factors` are the blocks' Cholesky factors at x, as `_barrier` returns
-    them; they are computed here when not given.
+    them; they are computed here from x when not given.
     """
     blocks, plan, n = cs.blocks, cs.plan, cs.n
     if factors is None:
-        factors = _barrier(blocks, x)
+        factors = _barrier(cs.values(x))
         if factors is None:
             return None, None, None
     g, H, U, inverses = np.zeros(cs.m), np.zeros((cs.m, cs.m)), np.empty((plan.size, n, n)), []
@@ -485,30 +527,26 @@ def _barrier_grad_hess(cs, x, factors=None):
     return g, H, inverses
 
 
-def _step_matrices(blocks, inverses, dx):
-    """L_b^-1 dG_b L_b^-T of every block, where dG_b is the change of G_b
-    along dx and L_b^-1 the block's inverse factor at x."""
-    dX = _group_matrices(blocks, dx)
-    return [Li @ b.combine(dX) @ Li.T for b, Li in zip(blocks, inverses)]
-
-
 def _step_spectrum(blocks, inverses, dx):
-    """Eigenvalues mu of the `_step_matrices` L_b^-1 dG_b L_b^-T over all
-    blocks.
+    """Eigenvalues mu of the step matrices L_b^-1 dG_b L_b^-T over all
+    blocks, and the dG_b, the change of each G_b along dx (L_b^-1 the
+    block's inverse factor at x).
 
     G_b(x + s dx) = L_b (I + s L_b^-1 dG_b L_b^-T) L_b^T, so the barrier
     changes by -sum log(1 + s mu) and x + s dx stays interior exactly for
     s < 1 / max(-mu).
     """
-    return np.concatenate([np.linalg.eigvalsh(M) for M in _step_matrices(blocks, inverses, dx)])
+    dX = _group_matrices(blocks, dx)
+    dG = [b.combine(dX) for b in blocks]
+    mu = np.concatenate([_eigenvalues(Li @ dGb @ Li.T) for Li, dGb in zip(inverses, dG)])
+    return mu, dG
 
 
-def _multipliers(blocks, inverses, dx, t):
+def _multipliers(inverses, dG, t):
     """The dual point Z_b = (G_b^-1 - G_b^-1 dG_b G_b^-1) / t of the Newton
-    step dx at barrier parameter t, one per block: L_b^-T (I - M_b) L_b^-1 / t
-    with M_b its step matrix, symmetrized."""
-    Z = [Li.T @ (np.eye(len(M)) - M) @ Li
-         for Li, M in zip(inverses, _step_matrices(blocks, inverses, dx))]
+    step at barrier parameter t, one per block, from the step's dG_b:
+    L_b^-T (I - M_b) L_b^-1 / t with M_b = L_b^-1 dG_b L_b^-T, symmetrized."""
+    Z = [Li.T @ (np.eye(len(Li)) - Li @ dGb @ Li.T) @ Li for Li, dGb in zip(inverses, dG)]
     return [(Zb + Zb.T) / (2.0 * t) for Zb in Z]
 
 
@@ -650,19 +688,23 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
     cs = sp.constraints
     obj = _Objective(sp, np.asarray(Q, dtype=float))
 
-    # block factors at x, kept from the accepted point for the next step
-    x = factors = None
+    # the block values G_b(x) and their factors, formed from x here and at
+    # each stage's first step, and carried along the other steps
+    x = None
     if init is not None:
         xi = cs.pack(*init)
-        factors = _barrier(cs.blocks, xi)
+        G = cs.values(xi)
+        factors = _barrier(G)
         if factors is not None:
             x = xi
     used_default = x is None
     if used_default:
         x = cs.pack(*initial_point(sp))
-        factors = _barrier(cs.blocks, x)
+        G = cs.values(x)
+        factors = _barrier(G)
+    formed = x  # the last point whose G_b were formed from it and factored
 
-    f0 = obj.value(x)
+    f0, gf = obj.value(x), obj.grad(x)  # gf, f's gradient, carried like G
     eps = accuracy if accuracy is not None else 1e-8 * (1.0 + f0)
 
     total_newton = 0
@@ -671,7 +713,7 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
 
     if not cs.blocks:
         # Unconstrained convex quadratic: one exact Newton solve.
-        x = x - np.linalg.solve(obj.H + 1e-14 * np.eye(cs.m), obj.grad(x))
+        x = x - np.linalg.solve(obj.H + 1e-14 * np.eye(cs.m), gf)
         T, J, R = cs.split(x)
         return SubproblemSolution(T, J, R, obj.value(x), 1, 0.0, [], True,
                                   [obj.value(x)], used_default, [1])
@@ -683,8 +725,9 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
     gap_guess = gap0 if gap0 is not None else f0
     t = max(1e-2, min(1e8, nu / max(gap_guess, eps)))
     converged, multipliers = False, []
-    # f's gradient and the barrier derivatives at x, kept until x moves: a
-    # stage that ends centered or without progress leaves x to the next
+    on_path = False  # whether a stage has ended centered
+    # the barrier derivatives at x, kept until x moves: a stage that ends
+    # centered or without progress leaves x to the next
     derivs = None
     newton = np.empty((cs.m, cs.m))  # t H_f + H_phi, formed and factored in place
     while total_newton < MAX_TOTAL_NEWTON:
@@ -696,45 +739,72 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
         # an intermediate stage ends at Newton decrement 1, which is central
         # enough to start the next stage from; the final stage ends on the
         # first Newton step whose dual certificate meets eps
-        stage_start = total_newton
+        stage_start, short = total_newton, False
         for _ in range(MAX_NEWTON_PER_STAGE):
             if derivs is None:
-                derivs = (obj.grad(x), *_barrier_grad_hess(cs, x, factors))
-                if derivs[1] is None:
+                derivs = _barrier_grad_hess(cs, x, factors)
+                if derivs[0] is None:
                     raise RuntimeError("iterate left the interior; this is a bug")
-            gf, gphi, Hphi, inverses = derivs
+            gphi, Hphi, inverses = derivs
             g = t * gf + gphi
             dx = -_newton_direction(newton, t, obj.H, Hphi, g)
             total_newton += 1
             if not is_final and -float(g @ dx) / 2.0 <= STAGE_CENTERING:
+                on_path = True
                 break
-            mu = _step_spectrum(cs.blocks, inverses, dx)
+            mu, dG = _step_spectrum(cs.blocks, inverses, dx)
             if is_final and float(np.abs(mu).max()) < 1.0:
                 # x + dx is interior and the step's dual point bounds its
                 # gap; where rounding breaks either, the line search goes on
                 gap, xn = (nu - float(mu @ mu)) / t, x + dx
                 if gap <= eps and cs.strictly_feasible(xn):
-                    multipliers = _multipliers(cs.blocks, inverses, dx, t)
+                    multipliers = _multipliers(inverses, dG, t)
                     x, converged = xn, True
                     break
-            s = _line_step(t, float(gf @ dx), float(dx @ obj.H @ dx), mu)
-            xn = x + s * dx
-            factors_n = _barrier(cs.blocks, xn)
-            while factors_n is None:  # a block lost definiteness to rounding
-                s *= 0.5
+            Hdx = obj.H @ dx
+            s = _line_step(t, float(gf @ dx), float(dx @ Hdx), mu)
+            # f is quadratic and G_b affine, so both move exactly along the
+            # step; the stage's first step forms them from x anew, so that
+            # rounding carried from earlier, larger values does not build up
+            fresh = total_newton == stage_start + 1
+            while True:  # halved where a block lost definiteness to rounding
                 xn = x + s * dx
-                factors_n = _barrier(cs.blocks, xn)
+                if np.array_equal(xn, x):
+                    break
+                G_n = cs.values(xn) if fresh else [Gb + s * dGb for Gb, dGb in zip(G, dG)]
+                factors_n = _barrier(G_n)
+                if factors_n is not None:
+                    break
+                s *= 0.5
             if np.array_equal(xn, x):
                 break  # no progress possible at this t
-            x, factors, derivs = xn, factors_n, None
+            if fresh:
+                gf, formed = obj.grad(xn), xn
+            else:
+                gf = gf + s * Hdx
+            x, G, factors, derivs = xn, G_n, factors_n, None
             if total_newton >= MAX_TOTAL_NEWTON:
                 break
+        else:
+            short = True  # the stage ran out of Newton steps short of its end
         stage_newton.append(total_newton - stage_start)
         stage_objectives.append(obj.value(x))
-        if is_final:
+        if short and not on_path:
+            # no stage has ended centered yet: t is too large for x (a gap
+            # guess below the warm start's suboptimality). A smaller t is
+            # nearer to centering x; an overshoot costs a growth stage of a
+            # few steps, an undershoot another stage short of its end. f >= 0
+            # bounds the gap by f(x), so t need not fall below nu / f(x)
+            t = min(t, max(t / BARRIER_GROWTH ** 2, nu / max(stage_objectives[-1], eps)))
+        elif is_final:
             break
-        t *= BARRIER_GROWTH
+        elif not short:  # a stage short of centering keeps its t
+            t *= BARRIER_GROWTH
 
+    if not converged and not cs.strictly_feasible(x):
+        # rounding carried along the stage left x outside the interior of
+        # the G_b formed from it: fall back to the last point formed so
+        x = formed
     T, J, R = cs.split(x)
     return SubproblemSolution(T, J, R, obj.value(x), total_newton,
                               gap if converged else nu / t,

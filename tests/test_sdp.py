@@ -177,14 +177,16 @@ def test_barrier_derivatives_are_not_recomputed_at_an_unmoved_point(monkeypatch)
 
 
 def test_non_finite_newton_system_raises_value_error(monkeypatch):
-    grad = sdp._Objective.grad
+    # the barrier gradient is taken anew at every accepted point; a NaN in
+    # it at the second point must end the solve with a clear error
     calls = []
 
-    def nan_on_second_call(self, x):
+    def nan_on_second_call(cs, x, factors=None):
         calls.append(x)
-        return grad(self, x) * (np.nan if len(calls) == 2 else 1.0)
+        g, H, inverses = _barrier_grad_hess(cs, x, factors)
+        return g * (np.nan if len(calls) == 2 else 1.0), H, inverses
 
-    monkeypatch.setattr(sdp._Objective, "grad", nan_on_second_call)
+    monkeypatch.setattr(sdp, "_barrier_grad_hess", nan_on_second_call)
     rng = np.random.default_rng(3)
     A = rng.standard_normal((4, 4)) * 2
     sp = ConvexSubproblem(np.eye(4), A, 1.0, rg.schur())
@@ -247,7 +249,7 @@ def test_barrier_derivatives_match_dense_oracle(case, n):
     sp, cs, oracle, x, rng = _interior_case(case, n)
     G = oracle(x)
     g, H, _ = _barrier_grad_hess(cs, x)
-    g2, H2, _ = _barrier_grad_hess(cs, x, _barrier(cs.blocks, x))
+    g2, H2, _ = _barrier_grad_hess(cs, x, _barrier(cs.values(x)))
     np.testing.assert_array_equal(g, g2)
     np.testing.assert_array_equal(H, H2)
     for _ in range(3):
@@ -336,7 +338,8 @@ def test_line_merit_matches_dense_oracle(case, n):
     minus the change of sum logdet G_b, its s-derivatives equal
     t gf.dx - sum tr(G^-1 dG) and t dx'H_f dx + sum tr(G^-1 dG G^-1 dG)
     at x + s dx, and s_max = 1 / max(-mu) is where the first block turns
-    singular."""
+    singular. The dG_b returned with mu are the dense blocks' change
+    along dx."""
     sp, cs, oracle, x, rng = _interior_case(case, n)
     t = 7.0
     Q = np.eye(n)
@@ -357,10 +360,16 @@ def test_line_merit_matches_dense_oracle(case, n):
         return min(np.linalg.eigvalsh(G)[0] for G in oracle(x)) > 0.0
 
     gf = obj.grad(x)
+    _, split_blocks, _ = _dense_problem(sp)
     _, _, inverses = _barrier_grad_hess(cs, x)
     for _ in range(3):
         dx = rng.standard_normal(cs.m)
-        mu = _step_spectrum(cs.blocks, inverses, dx)
+        mu, dG = _step_spectrum(cs.blocks, inverses, dx)
+        dT, dJ, dR = cs.split(dx)
+        if sp.fixed_T is not None:
+            dT = np.zeros((n, n))  # a direction does not move a frozen T
+        for dGb, dense in zip(dG, split_blocks(dT, dJ, dR, 0.0), strict=True):
+            np.testing.assert_allclose(dGb, dense, rtol=0.0, atol=1e-12 * np.abs(dense).max())
         assert mu.min() < 0.0
         s_max = 1.0 / -mu.min()
         for frac in (0.1, 0.5, 0.9):
@@ -417,6 +426,113 @@ def test_final_stage_short_of_centering_is_not_converged(monkeypatch):
     assert sol.stage_newton[-1] == 1
     assert sol.gap_estimate <= 1e-7
     assert not sol.converged
+
+
+def test_gap_guess_below_the_warm_start_suboptimality_still_converges():
+    """A warm start whose gap0 (1e-2) is far below its true suboptimality
+    starts the barrier at a t too large to centre x in
+    MAX_NEWTON_PER_STAGE steps. Such a stage must not raise t: the solve
+    converges within its accuracy of a tight solve, in far fewer than the
+    6 x 60 = 360 steps that growing t x10 after each short stage takes."""
+    rng = np.random.default_rng(4)
+    A = 2.0 * rng.standard_normal((4, 4))
+    sp = ConvexSubproblem(np.eye(4), A, 1.0, rg.schur())
+    start = solve_subproblem(sp, np.eye(4))
+    Q = np.eye(4) + 0.1 * rng.standard_normal((4, 4))
+    init = (start.T, start.J, start.R)
+    f_warm = _Objective(sp, Q).value(sp.constraints.pack(*init))
+    eps = 1e-8 * (1.0 + f_warm)  # the default accuracy
+    tight = solve_subproblem(sp, Q, accuracy=1e-11)
+    assert f_warm - tight.objective > 100.0 * 1e-2
+    sol = solve_subproblem(sp, Q, init=init, gap0=1e-2)
+    assert sol.stage_newton[0] == sdp.MAX_NEWTON_PER_STAGE  # the first stage ran short
+    assert sol.converged and sol.gap_estimate <= eps
+    assert tight.objective - 1e-11 <= sol.objective <= tight.objective + eps
+    assert sol.barrier_iterations <= 120  # 100 measured
+
+
+def test_carried_gradient_and_blocks_match_those_formed_from_x(monkeypatch):
+    """The solver carries grad f and the block values G_b along its Newton
+    steps (f quadratic, G_b affine). At every point where it takes the
+    barrier derivatives, over full cold solves to 1e-11 and warm solves,
+    they match _Objective.grad(x) and the G_b formed from x: relative to
+    |grad f| + |g_phi| / t and to |G_b|, the worst differences measured
+    over these solves are 3e-11 and 4e-11, and 1e-9 is allowed. Every
+    returned (T, J, R) is strictly feasible."""
+    points, directions = [], []  # (x, carried G_b, g_phi); (t, g, index in points)
+    barrier_grad_hess, newton_direction = sdp._barrier_grad_hess, sdp._newton_direction
+
+    def recording_derivs(cs, x, factors=None):
+        out = barrier_grad_hess(cs, x, factors)
+        points.append((x.copy(), [L @ L.T for L in factors], out[0]))
+        return out
+
+    def recording_direction(buf, t, Hf, Hphi, g):
+        directions.append((t, g.copy(), len(points) - 1))
+        return newton_direction(buf, t, Hf, Hphi, g)
+
+    monkeypatch.setattr(sdp, "_barrier_grad_hess", recording_derivs)
+    monkeypatch.setattr(sdp, "_newton_direction", recording_direction)
+    checked = 0
+    for case in CASES:
+        for seed in range(2):
+            rng = np.random.default_rng(seed)
+            region = {"schur": rg.schur(), "hurwitz_psd_R": rg.hurwitz()}.get(case, _composite())
+            T_fixed = (np.eye(4) + 0.2 * sym(rng.standard_normal((4, 4)))
+                       if case == "frozen_T" else None)
+            sp = ConvexSubproblem(np.eye(4), 2.0 * rng.standard_normal((4, 4)), 1.0, region,
+                                  require_R_psd=case == "hurwitz_psd_R", fixed_T=T_fixed)
+            cs = sp.constraints
+            Q = np.eye(4) + 0.1 * rng.standard_normal((4, 4))
+            start = solve_subproblem(sp, np.eye(4), accuracy=1e-3)
+            init = (start.T, start.J, start.R)
+            for Qs, kwargs in ((np.eye(4), {"accuracy": 1e-11}),
+                               (Q, {"init": init, "accuracy": 1e-11, "gap0": 1e-3}),
+                               (Q, {"init": init, "gap0": 1.0})):
+                points.clear()
+                directions.clear()
+                sol = solve_subproblem(sp, Qs, **kwargs)
+                assert cs.strictly_feasible(cs.pack(sol.T, sol.J, sol.R))
+                obj = _Objective(sp, Qs)
+                for x, G, _ in points:
+                    for Gb, formed in zip(G, cs.values(x), strict=True):
+                        assert np.linalg.norm(Gb - formed) <= 1e-9 * np.linalg.norm(formed)
+                for t, g, i in directions:
+                    x, _, gphi = points[i]
+                    gf, gf_carried = obj.grad(x), (g - gphi) / t
+                    scale = np.linalg.norm(gf) + np.linalg.norm(gphi) / t
+                    assert np.linalg.norm(gf_carried - gf) <= 1e-9 * scale
+                checked += len(directions)
+    assert checked > 500
+
+
+def test_return_falls_back_to_a_point_formed_from_x(monkeypatch):
+    """Where rounding carried along a stage leaves the last point outside
+    the interior of the G_b formed from it, the solve returns the last
+    point whose G_b were formed from x and factored. The drift is forced
+    here by halving the step spectrum and every dG_b, so that the line
+    search steps past the boundary the carried G_b do not see."""
+    rng = np.random.default_rng(4)
+    sp = ConvexSubproblem(np.eye(3), 2.0 * rng.standard_normal((3, 3)), 1.0, rg.schur())
+    cs = sp.constraints
+    step_spectrum, strictly_feasible = sdp._step_spectrum, sdp.ConstraintSet.strictly_feasible
+    checks = []
+
+    def halved(blocks, inverses, dx):
+        mu, dG = step_spectrum(blocks, inverses, dx)
+        return 0.5 * mu, [0.5 * dGb for dGb in dG]
+
+    def recording(self, x):
+        checks.append(strictly_feasible(self, x))
+        return checks[-1]
+
+    monkeypatch.setattr(sdp, "_step_spectrum", halved)
+    monkeypatch.setattr(sdp.ConstraintSet, "strictly_feasible", recording)
+    sol = solve_subproblem(sp, np.eye(3), accuracy=1e-7)
+    assert not sol.converged
+    assert checks[-1] is False  # the last point was outside
+    assert strictly_feasible(cs, cs.pack(sol.T, sol.J, sol.R))
+    assert min(sol.margins) > 0.0
 
 
 @pytest.mark.parametrize("region", [rg.schur(), _composite()], ids=["schur", "composite"])
