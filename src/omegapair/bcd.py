@@ -28,8 +28,9 @@ __all__ = ["BcdOptions", "BcdDiagnostics", "update_Q", "solve_general"]
 # subproblem need not be solved far below the progress a sweep makes
 # (inexact block coordinate descent: Tseng and Yun, Math. Program. 117,
 # 2009; Bonettini, IMA J. Numer. Anal. 31, 2011). A warm subproblem starts
-# its barrier at t = nu / |decrease| and grows it x10 per stage, so 0.1
-# gives two stages where eps_k alone gave up to seven late in a solve.
+# its barrier at t = nu / |decrease| or above and grows it x10 per stage,
+# so 0.1 gives at most two stages where eps_k alone gave up to seven late
+# in a solve.
 ACCURACY_KAPPA = 0.1
 
 

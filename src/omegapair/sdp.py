@@ -14,9 +14,24 @@ nu / t drops below the requested accuracy eps. The last stage is chosen
 by comparing t with t_final = nu / eps (rounded up one ulp if nu / t_final
 would exceed eps): a t at or above t_final, or within a relative
 FINAL_STAGE_SNAP below it, is run as the last stage at max(t, t_final).
-A warm start at nu / (10 eps) thus takes two stages whichever way the
-x10 growth rounds, where a test of nu / t <= eps would take a third
-stage when the growth lands one ulp short.
+A start at nu / (10 eps) thus takes two stages whichever way the x10
+growth rounds, where a test of nu / t <= eps would take a third stage
+when the growth lands one ulp short.
+
+The first stage runs where the start point x is most nearly central. The
+caller's estimate gap0 of the start's suboptimality (f(x) by default)
+gives t0 = nu / max(gap0, eps), clamped to [1e-2, 1e8]. K0 = t0 H_f +
+H_phi is factored at x once and solved for y_f = K0^-1 gf and
+y_phi = K0^-1 g_phi (gf and g_phi the gradients of f and of the
+barrier). The t minimizing ||t gf + g_phi|| in the K0^-1 norm, the
+Newton decrement of psi at x measured in the metric of t0, is
+t* = -gf.y_phi / gf.y_f, and the solve starts at max(t0, min(t*,
+t_final)): gap0 is the floor of the start, and t0 is kept where there
+is no positive minimizer (gf.y_f <= 0 or gf.y_phi >= 0).
+FINAL_STAGE_SNAP then decides whether the start is already the last
+stage, so a warm start near its optimum begins there. A start that stays
+at t0 takes its first Newton direction from the same factor; only a
+start that rises pays a factorization at its t.
 
 An intermediate stage ends once lambda^2 / 2 = -g.dx / 2 is at most
 STAGE_CENTERING, lambda being the Newton decrement of psi at x. It only
@@ -28,9 +43,7 @@ full Newton step stays inside the Dikin ellipsoid, hence interior
 (Nesterov and Nemirovski, 1994). After the x10 growth the next stage's
 first decrement is at most 9 sqrt(nu) + 10 lambda (the gradient becomes
 10 g - 9 g_phi, and the Hessian only grows), so centering below lambda = 1
-saves that stage little. STAGE_CENTERING is therefore 1/2 (lambda <= 1);
-on the benchmark's Grcar(10,1) disk and composite BCD solves that took
-303 Newton steps to 247 (`BENCH_centering.json`).
+saves that stage little. STAGE_CENTERING is therefore 1/2 (lambda <= 1).
 
 A stage that spends MAX_NEWTON_PER_STAGE steps short of its end does not
 raise t. Before any stage has ended centered, t is too large for x (a
@@ -65,11 +78,9 @@ The final stage thus ends at its first direction with max |mu| < 1 and
 interior (where rounding breaks that, the line search goes on). At
 t >= nu / eps the bound meets eps whenever max |mu| < 1, and since
 sum mu^2 = dx'H_phi dx <= lambda^2 that holds from lambda < 1 on at the
-latest (Boyd and Vandenberghe, sec. 11.2.2). The 1e-9 centering it
-replaces took 247 Newton steps per pass of those solves, this 185
-(`BENCH_dual_certificate.json`). `converged` means the certificate was
-met: `gap_estimate` is then its bound and `multipliers` its Z_b; an
-unconverged solve reports nu / t and no multipliers.
+latest (Boyd and Vandenberghe, sec. 11.2.2). `converged` means the
+certificate was met: `gap_estimate` is then its bound and `multipliers`
+its Z_b; an unconverged solve reports nu / t and no multipliers.
 
 Each Newton direction dx is followed by an exact line search. With
 L_b L_b^T = G_b(x) and mu the eigenvalues of L_b^-1 dG_b L_b^-T over all
@@ -79,13 +90,18 @@ blocks (dG_b the change of G_b along dx),
 
 because f is quadratic. The step s minimizes this scalar function on
 [0, 0.99 s_max], s_max = 1 / max(-mu) being where the first block turns
-singular; the blocks are factored once, at the accepted point.
+singular; the blocks are factored once, at the accepted point. The
+curvature dx'H_f dx is formed as 2 (||(dJ - dR) Q||_F^2 + mu ||dT Q||_F^2)
+(no dT term for a frozen T), nonnegative by construction; dx'(H_f dx)
+computed from the Gram matrix H_f is not once cond(Q)^2 passes 1 / machine
+eps. A second derivative that rounding still leaves nonpositive ends the
+search where it is.
 
 f is quadratic and each G_b affine, so along an accepted step
 x -> x + s dx the gradient grad f moves by s H_f dx and G_b by s dG_b,
-exactly. Both are kept with the iterate and moved so, from the H_f dx
-that also gives the line search dx'H_f dx and the dG_b that
-`_step_spectrum` forms for mu; `_barrier` factors the values it is given.
+exactly. Both are kept with the iterate and moved so, from H_f dx and
+the dG_b that `_step_spectrum` forms for mu; `_barrier` factors the
+values it is given.
 They are formed from x itself at the start of `solve_subproblem` and at
 the first accepted step of each barrier stage. Rounding carried across
 stages builds up where a block shrinks by orders of magnitude along the
@@ -124,7 +140,8 @@ blocks.
 
 The Newton system (t H_f + H_phi) dx = -g is formed in one m x m buffer
 per `solve_subproblem` call and factored there in place by LAPACK
-`dpotrf`, then solved by `dpotrs`; each block is factored by `dpotrf`
+`dpotrf` (`_newton_factor`), then solved by `dpotrs` (`_newton_solve`);
+the factor is kept until x or t moves. Each block is factored by `dpotrf`
 too, a nonzero `info` meaning the point is outside the interior. A
 Newton system that is not numerically positive definite is formed again,
 since the failed `dpotrf` has overwritten the buffer, and shifted by
@@ -471,6 +488,17 @@ class _Objective:
             self.scale[k] * _svec((sp.E - T @ Q) @ Q.T if k == "T" else GA, g.sign)
             for k, g in self.cs.groups.items()])
 
+    def curvature(self, dx):
+        """dx'H_f dx as 2 (||(dJ - dR) Q||_F^2 + mu ||dT Q||_F^2), which is
+        nonnegative however ill-conditioned Q is: the computed dx'(H_f dx)
+        is not once cond(Q)^2 passes 1 / machine eps."""
+        groups, n = self.cs.groups, self.sp.n
+        dJR = _smat(dx[groups["J"].sl], n, -1) - _smat(dx[groups["R"].sl], n, 1)
+        curv = np.linalg.norm(dJR @ self.Q) ** 2
+        if "T" in groups:
+            curv += self.sp.mu * np.linalg.norm(_smat(dx[groups["T"].sl], n, 1) @ self.Q) ** 2
+        return 2.0 * float(curv)
+
 
 def _eigenvalues(M):
     """The eigenvalues of the symmetric matrix M in ascending order, from
@@ -570,13 +598,16 @@ def _line_step(t, slope_f, curv_f, mu):
     The merit is self-concordant in s, so Newton steps damped by
     1 / (1 + lambda) (lambda the scalar Newton decrement) stay inside the
     interior and turn quadratic once lambda < 1/4. Needs a descent
-    direction: t slope_f - sum mu < 0.
+    direction: t slope_f - sum mu < 0. A second derivative that is not
+    positive (convexity lost to rounding) ends the search where it is.
     """
     worst = float(mu.min())
     cap = 0.99 / -worst if worst < 0.0 else math.inf
     s = 0.0
     for _ in range(MAX_LINE_NEWTON):
         d1, d2 = _line_slopes(s, t, slope_f, curv_f, mu)
+        if not d2 > 0.0:
+            break
         lam = abs(d1) / math.sqrt(d2)
         step = -d1 / d2
         if lam >= 0.25:
@@ -589,14 +620,13 @@ def _line_step(t, slope_f, curv_f, mu):
     return s
 
 
-def _newton_direction(buf, t, Hf, Hphi, g):
-    """The solution of (t Hf + Hphi) y = g, formed and factored in the
-    m x m buffer `buf`, which it overwrites.
+def _newton_factor(buf, t, Hf, Hphi):
+    """The Cholesky factor of the Newton matrix t Hf + Hphi, formed and
+    factored in the m x m buffer `buf`, which it overwrites.
 
-    A system that is not numerically positive definite is formed again
+    A matrix that is not numerically positive definite is formed again
     (a failed `dpotrf` leaves `buf` part factored) and shifted by
-    1e-12 (1 + tr / m) on the diagonal; a non-finite solution raises
-    ValueError.
+    1e-12 (1 + tr / m) on the diagonal.
     """
     m = len(buf)
     for shifted in (False, True):
@@ -604,14 +634,19 @@ def _newton_direction(buf, t, Hf, Hphi, g):
         buf += Hphi
         if shifted:
             buf.flat[::m + 1] += 1e-12 * (1.0 + np.trace(buf) / m)
-        # buf.T is the symmetric system in the Fortran order that LAPACK
+        # buf.T is the symmetric matrix in the Fortran order that LAPACK
         # factors in place, without a copy
         L, info = dpotrf(buf.T, lower=1, clean=0, overwrite_a=1)
         if info == 0:
-            break
-    else:
-        raise np.linalg.LinAlgError("the SDP Newton system is not positive definite")
-    y, _ = dpotrs(L, g, lower=1)
+            return L
+    raise np.linalg.LinAlgError("the SDP Newton system is not positive definite")
+
+
+def _newton_solve(L, rhs):
+    """The solution y of (t Hf + Hphi) y = rhs from its factor L, for one
+    right-hand side or the columns of several; a non-finite solution raises
+    ValueError."""
+    y, _ = dpotrs(L, rhs, lower=1)
     if not np.isfinite(y).all():
         raise ValueError("the SDP Newton system has infs or NaNs")
     return y
@@ -675,12 +710,13 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
 
     `init` may supply a warm-start triple (T, J, R); it is used only when
     strictly feasible. `gap0` estimates the warm start's suboptimality and
-    sets the initial barrier parameter (default: the objective value
-    itself, the right scale for a cold start). Both must be finite and
-    positive when given; `accuracy` defaults to 1e-8 (1 + f) at the start.
-    The returned point is strictly feasible and, when `converged`, its
-    objective is within the certified `gap_estimate` <= `accuracy` of the
-    optimum.
+    sets the floor nu / gap0 of the initial barrier parameter (default:
+    the objective value itself, the right scale for a cold start); the
+    solve starts above it where the start is more central there. Both
+    must be finite and positive when given; `accuracy` defaults to
+    1e-8 (1 + f) at the start. The returned point is strictly feasible
+    and, when `converged`, its objective is within the certified
+    `gap_estimate` <= `accuracy` of the optimum.
     """
     for name, value in (("accuracy", accuracy), ("gap0", gap0)):
         if value is not None and not (math.isfinite(value) and value > 0.0):
@@ -724,12 +760,22 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
         t_final = math.nextafter(t_final, math.inf)
     gap_guess = gap0 if gap0 is not None else f0
     t = max(1e-2, min(1e8, nu / max(gap_guess, eps)))
+    # the barrier derivatives at x, kept until x moves (a stage that ends
+    # centered or without progress leaves x to the next), and the Newton
+    # factor, kept until x or t moves
+    derivs = _barrier_grad_hess(cs, x, factors)
+    if derivs[0] is None:
+        raise RuntimeError("iterate left the interior; this is a bug")
+    newton = np.empty((cs.m, cs.m))  # t H_f + H_phi, formed and factored in place
+    L, factored_at = _newton_factor(newton, t, obj.H, derivs[1]), t
+    # start at the t >= nu / gap0 where x is most nearly central: the
+    # minimizer of ||t gf + g_phi|| in the norm of that factor's inverse
+    yf, yphi = _newton_solve(L, np.stack([gf, derivs[0]], axis=1)).T
+    gyf, gyphi = float(gf @ yf), float(gf @ yphi)
+    if gyf > 0.0 and gyphi < 0.0:
+        t = max(t, min(-gyphi / gyf, t_final))
     converged, multipliers = False, []
     on_path = False  # whether a stage has ended centered
-    # the barrier derivatives at x, kept until x moves: a stage that ends
-    # centered or without progress leaves x to the next
-    derivs = None
-    newton = np.empty((cs.m, cs.m))  # t H_f + H_phi, formed and factored in place
     while total_newton < MAX_TOTAL_NEWTON:
         # a t just below t_final (a start at nu / eps, or a growth onto it)
         # is raised to t_final, so the gap bound nu / t meets eps
@@ -742,12 +788,14 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
         stage_start, short = total_newton, False
         for _ in range(MAX_NEWTON_PER_STAGE):
             if derivs is None:
-                derivs = _barrier_grad_hess(cs, x, factors)
+                derivs, factored_at = _barrier_grad_hess(cs, x, factors), None
                 if derivs[0] is None:
                     raise RuntimeError("iterate left the interior; this is a bug")
             gphi, Hphi, inverses = derivs
+            if factored_at != t:
+                L, factored_at = _newton_factor(newton, t, obj.H, Hphi), t
             g = t * gf + gphi
-            dx = -_newton_direction(newton, t, obj.H, Hphi, g)
+            dx = -_newton_solve(L, g)
             total_newton += 1
             if not is_final and -float(g @ dx) / 2.0 <= STAGE_CENTERING:
                 on_path = True
@@ -761,8 +809,7 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
                     multipliers = _multipliers(inverses, dG, t)
                     x, converged = xn, True
                     break
-            Hdx = obj.H @ dx
-            s = _line_step(t, float(gf @ dx), float(dx @ Hdx), mu)
+            s = _line_step(t, float(gf @ dx), obj.curvature(dx), mu)
             # f is quadratic and G_b affine, so both move exactly along the
             # step; the stage's first step forms them from x anew, so that
             # rounding carried from earlier, larger values does not build up
@@ -781,7 +828,7 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
             if fresh:
                 gf, formed = obj.grad(xn), xn
             else:
-                gf = gf + s * Hdx
+                gf = gf + s * (obj.H @ dx)
             x, G, factors, derivs = xn, G_n, factors_n, None
             if total_newton >= MAX_TOTAL_NEWTON:
                 break

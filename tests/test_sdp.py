@@ -10,8 +10,8 @@ from omegapair import sdp
 from omegapair.bench import grcar
 from omegapair.dh import project_psd, skew, sym
 from omegapair.sdp import (ConvexSubproblem, InfeasibleStartError, _barrier,
-                           _barrier_grad_hess, _line_merit, _Objective, _smat, _step_spectrum,
-                           _svec, initial_point, solve_subproblem)
+                           _barrier_grad_hess, _line_merit, _line_step, _Objective, _smat,
+                           _step_spectrum, _svec, initial_point, solve_subproblem)
 
 from _oracles import (barrier_blocks, random_well_conditioned, skew_basis,
                       stability_lmi_blocks, sym_basis)
@@ -380,10 +380,51 @@ def test_line_merit_matches_dense_oracle(case, n):
             dense = (t * (f(xs) - f(x)) - (logdet(xs) - logdet(x)),
                      t * (obj.grad(xs) @ dx) - sum(np.trace(M) for M in WdG),
                      t * (dx @ obj.H @ dx) + sum(np.trace(M @ M) for M in WdG))
-            closed = _line_merit(s, t, gf @ dx, dx @ obj.H @ dx, mu)
+            closed = _line_merit(s, t, gf @ dx, obj.curvature(dx), mu)
             assert closed == pytest.approx(dense, rel=1e-9)
         assert definite(x + 0.999 * s_max * dx)
         assert not definite(x + 1.001 * s_max * dx)
+
+
+def test_line_search_survives_a_negative_computed_curvature():
+    """With cond(Q) = 1e9, cond(Q)^2 is past 1 / machine eps, and along some
+    eigenvector dx of the computed H_f the computed dx'(H_f dx) is negative,
+    so the line merit's computed second derivative t dx'H_f dx + sum mu^2
+    at s = 0 is too at a large t. `_Objective.curvature` forms dx'H_f dx
+    from (dJ - dR) Q and dT Q, nonnegative by construction, and
+    `_line_step` fed the negative value returns a step in [0, s_max)
+    rather than raising."""
+    found = None
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        U, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        Q = U @ np.diag(np.logspace(4, -5, 3)) @ V.T
+        sp = ConvexSubproblem(np.eye(3), rng.standard_normal((3, 3)), 1.0, rg.hurwitz())
+        obj = _Objective(sp, Q)
+        _, vectors = np.linalg.eigh(obj.H)
+        negative = [dx for dx in vectors[:, :5].T if float(dx @ (obj.H @ dx)) < 0.0]
+        if negative:
+            found = (sp, obj, negative[0])
+            break
+    assert found is not None
+    sp, obj, dx = found
+    cs = sp.constraints
+    x = cs.pack(*initial_point(sp))
+    if obj.grad(x) @ dx > 0.0:
+        dx = -dx  # a descent direction for t f at a large t
+    computed, curv = float(dx @ (obj.H @ dx)), obj.curvature(dx)
+    dT, dJ, dR = (_smat(dx[g.sl], 3, g.sign) for g in cs.groups.values())
+    dense = 2.0 * (np.linalg.norm((dJ - dR) @ Q) ** 2 + sp.mu * np.linalg.norm(dT @ Q) ** 2)
+    assert computed < 0.0 <= curv
+    assert curv == pytest.approx(dense, rel=1e-12)
+    _, _, inverses = _barrier_grad_hess(cs, x)
+    mu, _ = _step_spectrum(cs.blocks, inverses, dx)
+    t = 10.0 * float(mu @ mu) / -computed  # t dx'H_f dx + sum mu^2 < 0 at s = 0
+    cap = 1.0 / -mu.min()
+    slope = float(obj.grad(x) @ dx)
+    assert 0.0 <= _line_step(t, slope, computed, mu) < cap
+    assert 0.0 < _line_step(t, slope, curv, mu) < cap
 
 
 def test_returned_point_interior_and_gap():
@@ -397,24 +438,93 @@ def test_returned_point_interior_and_gap():
     assert all(m > 0 for m in sol.margins)
 
 
+def _most_central_t(sp, Q, init, t0):
+    """The t minimizing ||t gf + g_phi|| in the norm of (t0 H_f + H_phi)^-1
+    at the point `init`, by dense solves: where the start is most central."""
+    cs, obj = sp.constraints, _Objective(sp, Q)
+    x = cs.pack(*init)
+    gphi, Hphi, _ = _barrier_grad_hess(cs, x)
+    gf = obj.grad(x)
+    K = t0 * obj.H + Hphi
+    return -(gf @ np.linalg.solve(K, gphi)) / (gf @ np.linalg.solve(K, gf))
+
+
+def _racing_accuracies(nu):
+    """Accuracies eps near 1e-7 at which the x10 growth from nu / (10 eps)
+    lands one ulp short of nu / eps."""
+    racing = [eps for eps in (1e-7 * (1.0 + np.arange(100) / 1000.0)).tolist()
+              if nu / (nu / (10.0 * eps) * sdp.BARRIER_GROWTH) > eps]
+    assert len(racing) >= 5
+    return racing
+
+
 def test_warm_start_one_growth_from_the_final_stage_runs_two_stages():
-    """A warm start with gap0 = 10 eps starts at t0 = nu / (10 eps), and
-    one x10 growth lands on nu / eps up to rounding. Where that rounding
-    leaves nu / t above eps, the growth is still the last stage: two
-    stages, not a third at 10 nu / eps."""
+    """A warm start with gap0 = 10 eps that is most central below
+    t0 = nu / (10 eps) (a point solved to 1e-5) starts at t0, and one x10
+    growth lands on nu / eps up to rounding. Where that rounding leaves
+    nu / t above eps, the growth is still the last stage: two stages, not
+    a third at 10 nu / eps."""
+    rng = np.random.default_rng(4)
+    sp = ConvexSubproblem(np.eye(3), rng.standard_normal((3, 3)), 1.0, rg.schur())
+    nu = sp.constraints.nu
+    loose = solve_subproblem(sp, np.eye(3), accuracy=1e-5)
+    init = (loose.T, loose.J, loose.R)
+    for eps in _racing_accuracies(nu):
+        t0 = nu / (10.0 * eps)
+        assert _most_central_t(sp, np.eye(3), init, t0) <= t0
+        sol = solve_subproblem(sp, np.eye(3), init=init, accuracy=eps, gap0=10.0 * eps)
+        assert len(sol.stage_newton) == 2
+        assert sol.gap_estimate <= eps
+        assert sol.converged
+
+
+def test_warm_start_at_the_optimum_begins_in_the_final_stage():
+    """A warm start already optimal at its Q (solved to 1e-7) is most
+    central far above t0 = nu / (10 eps): the solve starts in the final
+    stage, whose first Newton step certifies the gap."""
     rng = np.random.default_rng(4)
     sp = ConvexSubproblem(np.eye(3), rng.standard_normal((3, 3)), 1.0, rg.schur())
     nu = sp.constraints.nu
     cold = solve_subproblem(sp, np.eye(3), accuracy=1e-7)
-    racing = [eps for eps in (1e-7 * (1.0 + np.arange(100) / 1000.0)).tolist()
-              if nu / (nu / (10.0 * eps) * sdp.BARRIER_GROWTH) > eps]
-    assert len(racing) >= 5
-    for eps in racing:
-        sol = solve_subproblem(sp, np.eye(3), init=(cold.T, cold.J, cold.R), accuracy=eps,
-                               gap0=10.0 * eps)
-        assert len(sol.stage_newton) == 2
+    init = (cold.T, cold.J, cold.R)
+    for eps in _racing_accuracies(nu):
+        t0 = nu / (10.0 * eps)
+        assert _most_central_t(sp, np.eye(3), init, t0) >= nu / eps
+        sol = solve_subproblem(sp, np.eye(3), init=init, accuracy=eps, gap0=10.0 * eps)
+        assert sol.stage_newton == [1]
         assert sol.gap_estimate <= eps
         assert sol.converged
+
+
+# the stage schedules of the cold solves below before the start rose to the
+# most central t, when every solve started at t0
+_T0_SCHEDULES = {
+    "schur": [2, 4, 3, 4, 3, 2, 3, 4, 3],
+    "hurwitz_psd_R": [3, 3, 3, 4, 3, 3, 3, 2, 3],
+    "composite": [3, 2, 3, 3, 3, 2, 3, 2, 2],
+    "frozen_T": [2, 2, 2, 1, 2, 1, 1, 1, 1],
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_start_most_central_below_t0_keeps_its_stage_schedule(case):
+    """A cold start most central at or below its t0 = nu / f(x) starts at
+    t0 and takes the stage schedule every solve took when the barrier
+    always started at t0."""
+    rng = np.random.default_rng(0)
+    region = {"schur": rg.schur(), "hurwitz_psd_R": rg.hurwitz()}.get(case, _composite())
+    T_fixed = (np.eye(4) + 0.2 * sym(rng.standard_normal((4, 4)))
+               if case == "frozen_T" else None)
+    sp = ConvexSubproblem(np.eye(4), 2.0 * rng.standard_normal((4, 4)), 1.0, region,
+                          require_R_psd=case == "hurwitz_psd_R", fixed_T=T_fixed)
+    cs = sp.constraints
+    start = initial_point(sp)
+    t0 = cs.nu / _Objective(sp, np.eye(4)).value(cs.pack(*start))
+    assert 1e-2 < t0 < 1e8
+    assert _most_central_t(sp, np.eye(4), start, t0) <= t0
+    sol = solve_subproblem(sp, np.eye(4))
+    assert sol.stage_newton == _T0_SCHEDULES[case]
+    assert sol.converged
 
 
 def test_final_stage_short_of_centering_is_not_converged(monkeypatch):
@@ -460,19 +570,27 @@ def test_carried_gradient_and_blocks_match_those_formed_from_x(monkeypatch):
     over these solves are 3e-11 and 4e-11, and 1e-9 is allowed. Every
     returned (T, J, R) is strictly feasible."""
     points, directions = [], []  # (x, carried G_b, g_phi); (t, g, index in points)
-    barrier_grad_hess, newton_direction = sdp._barrier_grad_hess, sdp._newton_direction
+    factored = []  # the t of each Newton factor
+    barrier_grad_hess = sdp._barrier_grad_hess
+    newton_factor, newton_solve = sdp._newton_factor, sdp._newton_solve
 
     def recording_derivs(cs, x, factors=None):
         out = barrier_grad_hess(cs, x, factors)
         points.append((x.copy(), [L @ L.T for L in factors], out[0]))
         return out
 
-    def recording_direction(buf, t, Hf, Hphi, g):
-        directions.append((t, g.copy(), len(points) - 1))
-        return newton_direction(buf, t, Hf, Hphi, g)
+    def recording_factor(buf, t, Hf, Hphi):
+        factored.append(t)
+        return newton_factor(buf, t, Hf, Hphi)
+
+    def recording_direction(L, g):
+        if g.ndim == 1:  # a Newton direction, not the start's two solves
+            directions.append((factored[-1], g.copy(), len(points) - 1))
+        return newton_solve(L, g)
 
     monkeypatch.setattr(sdp, "_barrier_grad_hess", recording_derivs)
-    monkeypatch.setattr(sdp, "_newton_direction", recording_direction)
+    monkeypatch.setattr(sdp, "_newton_factor", recording_factor)
+    monkeypatch.setattr(sdp, "_newton_solve", recording_direction)
     checked = 0
     for case in CASES:
         for seed in range(2):
