@@ -3,10 +3,13 @@
 Alternates an exact least-squares update of Q with the convex
 interior-point subproblem over (T, J, R), with joint momentum on all four
 blocks and a monotone safeguard that redoes an iteration without momentum
-whenever the objective would increase. When the region sits in the closed
-left half-plane the dissipation R is kept PSD, which makes the final pair
-certifiably admissible; otherwise R is only symmetric and admissibility
-is verified on the realized pair.
+whenever the objective would increase. A (T, J, R) update keeps its warm
+start where the subproblem returns above it, so that it never raises the
+objective, as inexact block coordinate descent needs (Tseng and Yun, Math.
+Program. 117, 2009). When the region sits in the closed left half-plane
+the dissipation R is kept PSD, which makes the final pair certifiably
+admissible; otherwise R is only symmetric and admissibility is verified
+on the realized pair.
 """
 
 from __future__ import annotations
@@ -161,6 +164,11 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
         f_warm = _objective_value(EA, (*warm, Qn), mu)
         soln = solve_subproblem(sp, Qn, init=warm, accuracy=accuracy, gap0=gap_guess)
         diag.tjr_updates.append((f_warm, soln.objective, accuracy))
+        if soln.objective > f_warm:
+            # the strictly feasible warm start is as near the optimum as the
+            # certified point, f_warm < f(soln) <= p* + gap: keep it, so that
+            # the sweep keeps its descent and the safeguard does not restart it
+            return *warm, Qn, f_warm
         return soln.T, soln.J, soln.R, Qn, soln.objective
 
     last_decrease = f

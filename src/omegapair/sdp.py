@@ -90,30 +90,31 @@ blocks (dG_b the change of G_b along dx),
 
 because f is quadratic. The step s minimizes this scalar function on
 [0, 0.99 s_max], s_max = 1 / max(-mu) being where the first block turns
-singular; the blocks are factored once, at the accepted point. The
-curvature dx'H_f dx is formed as 2 (||(dJ - dR) Q||_F^2 + mu ||dT Q||_F^2)
-(no dT term for a frozen T), nonnegative by construction; dx'(H_f dx)
-computed from the Gram matrix H_f is not once cond(Q)^2 passes 1 / machine
-eps. A second derivative that rounding still leaves nonpositive ends the
-search where it is.
+singular, by Newton's method in 1 / (s_max - s), where the merit's
+derivative is concave (`_line_step`); the blocks are factored once, at
+the accepted point. The curvature dx'H_f dx is formed as
+2 (||(dJ - dR) Q||_F^2 + mu ||dT Q||_F^2) (no dT term for a frozen T),
+nonnegative by construction; dx'(H_f dx) computed from the Gram matrix
+H_f is not once cond(Q)^2 passes 1 / machine eps. A second derivative
+that rounding still leaves nonpositive ends the search where it is.
 
 f is quadratic and each G_b affine, so along an accepted step
 x -> x + s dx the gradient grad f moves by s H_f dx and G_b by s dG_b,
-exactly. Both are kept with the iterate and moved so, from H_f dx and
-the dG_b that `_step_spectrum` forms for mu; `_barrier` factors the
-values it is given.
-They are formed from x itself at the start of `solve_subproblem` and at
-the first accepted step of each barrier stage. Rounding carried across
-stages builds up where a block shrinks by orders of magnitude along the
-path (R >= 0 near a zero R): on solves to 1e-11, values carried from the
-start drifted from those formed from x by up to 8e-5 of their size, and
-by 4e-11 when each stage's first step forms them anew. The certificate's
-point is confirmed interior on G_b formed from it; an unconverged solve
-confirms its returned point so too, and returns the last point whose G_b
-were formed from it where that fails. Every eigenvalues-only
-decomposition (mu, and `ConstraintSet.margins`) calls LAPACK `dsyevd`
-without eigenvectors directly, as the factorizations below call their
-routines.
+exactly. Both are kept with the iterate and moved so, from H_f dx and the
+dG_b that `_step_spectrum` forms for mu: all blocks' values are one flat
+array, each G_b a view of it, so the move is one axpy on that array;
+`_barrier` factors the values it is given. They are formed from x itself
+at the start of `solve_subproblem` and at the first accepted step of each
+barrier stage. Rounding carried across stages builds up where a block
+shrinks by orders of magnitude along the path (R >= 0 near a zero R): on
+solves to 1e-11, values carried from the start drifted from those formed
+from x by up to 8e-5 of their size, and by 4e-11 when each stage's first
+step forms them anew. The certificate's point is confirmed interior on
+G_b formed from it; an unconverged solve confirms its returned point so
+too, and returns the last point whose G_b were formed from it where that
+fails. Every eigenvalues-only decomposition (mu, and
+`ConstraintSet.margins`) calls LAPACK `dsyevd` without eigenvectors
+directly, as the factorizations below call their routines.
 
 The variables are x = (svec T, svec J, svec R): the upper triangle of
 each matrix, off-diagonal entries scaled by sqrt(2) (the strict upper
@@ -135,8 +136,17 @@ and a group pair's Hessian block one gather of each side and one call of
 `_trace_pairs`, which forms every (U_x S_i V_x)^T as one batched product
 of the gathered columns of U_x (the second half negated for a skew S_i)
 and rows of V_x, then scales the k x k result by the svec weights
-c_i0 c_j0 once. Each direction forms smat(dx_g) once per group for all
-blocks.
+c_i0 c_j0 once.
+
+`ConstraintSet` also compiles where each entry of each block's linear part
+reads x: one (k, N) array of indices into x extended by a zero slot, and
+the matching coefficients M_g[a, c] coef_g[i, j], the N entries of all
+blocks end to end, k at most the number of groups (`_value_gather`).
+Entry (a n + i, c n + j) of a block sums its terms in x order, each term
+that does not reach it read as the zero slot, never as 0 times a live
+entry of x. The block values G_b(x) are then one gather, one
+multiply-sum and one add of the G0_b, and their change dG_b along dx the
+same gather of dx without G0_b, with no Python loop over blocks or terms.
 
 The Newton system (t H_f + H_phi) dx = -g is formed in one m x m buffer
 per `solve_subproblem` call and factored there in place by LAPACK
@@ -286,7 +296,6 @@ class SubproblemSolution:
     objective: float
     barrier_iterations: int
     gap_estimate: float
-    margins: list
     converged: bool
     stage_objectives: list = field(default_factory=list)
     initial_point_used: bool = False
@@ -330,39 +339,49 @@ def _trace_pairs(U, V, si, sj):
     return H
 
 
-class _Block:
-    """One affine semidefinite constraint G(x) = G0 + sum_g M_g (x) smat(x_g)
-    >= 0, held as its terms, (group, M_g) pairs in x order, M_g nonzero.
-    With W = G^-1 and U_g = W (M_g (x) I) in s x s blocks (U_g)_ac of size
-    n x n, -logdet G has the gradient -svec(sum_a (U_g)_aa^T) on group g and
-    the Hessian H_ij = sum_ac tr((U_g)_ac S_i (U_h)_ca S_j) on (g, h)."""
-
-    def __init__(self, G0, terms):
-        self.G0 = G0
-        self.terms = [(g, M) for g, M in terms if np.any(M)]
-
-    def combine(self, X):
-        """sum_g M_g (x) X_g, one broadcast product per term, from the
-        matrices X_g = smat(x_g) by group id (see `_group_matrices`)."""
-        d = len(self.G0)
-        out = np.zeros((d, d))
-        for g, M in self.terms:
-            out += (M[:, None, :, None] * X[id(g)][:, None, :]).reshape(d, d)
-        return out
-
-    def value(self, X):
-        return self.G0 + self.combine(X)
+# One affine semidefinite constraint G(x) = G0 + sum_g M_g (x) smat(x_g) >= 0,
+# held as its terms, (group, M_g) pairs in x order, M_g nonzero. With
+# W = G^-1 and U_g = W (M_g (x) I) in s x s blocks (U_g)_ac of size n x n,
+# -logdet G has the gradient -svec(sum_a (U_g)_aa^T) on group g and the
+# Hessian H_ij = sum_ac tr((U_g)_ac S_i (U_h)_ca S_j) on (g, h).
+_Block = namedtuple("_Block", "G0 terms")
 
 
-def _group_matrices(blocks, x):
-    """smat(x_g) of every group the blocks read, by group id: formed once
-    per point for all blocks."""
-    X = {}
+# how `ConstraintSet` forms its block values from x, all blocks end to end in
+# one flat array (see `_value_gather`): `spans` the (start, stop, d_b) of
+# each block's d_b x d_b entries in it, row-major
+_ValueGather = namedtuple("_ValueGather", "at coef G0 spans")
+
+
+def _value_gather(blocks, n, m):
+    """The `_ValueGather` of the blocks over an x of length m. Entry
+    (a n + i, c n + j) of a block's linear part sum_g M_g (x) smat(x_g)
+    is sum_r coef[r] x[at[r]], with `at` a (k, N) array of indices into x
+    extended by a zero slot at m and `coef` the matching (k, N) array of
+    M_g[a, c] coef_g[i n + j]: row r holds each entry's r-th term that
+    reaches it, in x order, k being the most any entry has, and an entry
+    with fewer reads the zero slot, never 0 times a live entry of x."""
+    spans, size = [], 0
     for b in blocks:
-        for g, M in b.terms:
-            if id(g) not in X:
-                X[id(g)] = _smat(x[g.sl], len(b.G0) // len(M), g.sign)
-    return X
+        d = len(b.G0)
+        spans.append((size, size + d * d, d))
+        size += d * d
+    rows = max((len(b.terms) for b in blocks), default=0)
+    at, coef = np.zeros((rows, size), dtype=np.intp), np.zeros((rows, size))
+    for b, (start, stop, _) in zip(blocks, spans):
+        for r, (g, M) in enumerate(b.terms):
+            ix = _svec_index(n, g.sign)
+            coef[r, start:stop] = (M[:, None, :, None] * ix.coef.reshape(n, 1, n)).ravel()
+            at[r, start:stop] = np.tile(g.sl.start + ix.at.reshape(n, n), M.shape).ravel()
+    # each entry's live terms moved up to the first rows, in x order
+    live = coef != 0.0
+    r, e = np.nonzero(live)
+    row = np.cumsum(live, axis=0)[r, e] - 1
+    k = int(live.sum(0).max(initial=0))
+    gather = _ValueGather(np.full((k, size), m, dtype=np.intp), np.zeros((k, size)),
+                          np.concatenate([np.zeros(0)] + [b.G0.ravel() for b in blocks]), spans)
+    gather.at[row, e], gather.coef[row, e] = at[r, e], coef[r, e]
+    return gather
 
 
 # where `_barrier_grad_hess` reads the sub-blocks it needs from U, the
@@ -401,7 +420,9 @@ def _barrier_plan(blocks, groups, n):
 class ConstraintSet:
     """Constraint blocks and variable layout of a `ConvexSubproblem`:
     `groups`, the free variable groups by name in x order: T (unless
-    frozen), J and R; `blocks`; and `plan`, the blocks' `_BarrierPlan`."""
+    frozen), J and R; `blocks`; `plan`, the blocks' `_BarrierPlan`; and
+    `gather`, their `_ValueGather`: block values are one flat array, the
+    blocks end to end, each a matrix in `views`."""
 
     def __init__(self, n, region, require_R_psd, delta_lmi, fixed_T):
         self.n = n
@@ -427,10 +448,11 @@ class ConstraintSet:
                     G0 = np.kron(-B, fixed_T) + G0
                 terms = (("T", -B), ("J", C.T - C), ("R", C + C.T))
                 blocks.append(_Block(G0, [(self.groups[k], M) for k, M in terms
-                                          if k in self.groups]))
+                                          if k in self.groups and np.any(M)]))
         self.blocks = blocks
         self.nu = sum(len(b.G0) for b in blocks)
         self.plan = _barrier_plan(blocks, list(self.groups.values()), n)
+        self.gather = _value_gather(blocks, n, self.m)
 
     def split(self, x):
         """(T, J, R) at x; a frozen T is its fixed value."""
@@ -442,16 +464,28 @@ class ConstraintSet:
         M = {"T": T, "J": J, "R": R}
         return np.concatenate([_svec(M[k], g.sign) for k, g in self.groups.items()])
 
+    def change(self, dx):
+        """The change dG_b of every block value along dx, all blocks end to
+        end in one flat array: the blocks' linear parts at dx."""
+        v = np.append(dx, 0.0).take(self.gather.at)  # with the zero slot
+        v *= self.gather.coef
+        return v.sum(0)
+
     def values(self, x):
-        """The block values G_b(x), formed from x."""
-        X = _group_matrices(self.blocks, x)
-        return [b.value(X) for b in self.blocks]
+        """The block values G_b(x), formed from x, in one flat array."""
+        G = self.change(x)
+        G += self.gather.G0
+        return G
+
+    def views(self, G):
+        """Each block's d_b x d_b matrix in the flat array G of all blocks."""
+        return [G[start:stop].reshape(d, d) for start, stop, d in self.gather.spans]
 
     def margins(self, x):
-        return [float(_eigenvalues(G)[0]) for G in self.values(x)]
+        return [float(_eigenvalues(G)[0]) for G in self.views(self.values(x))]
 
     def strictly_feasible(self, x):
-        return _barrier(self.values(x)) is not None
+        return _barrier(self, self.values(x)) is not None
 
 
 class _Objective:
@@ -511,12 +545,13 @@ def _eigenvalues(M):
     return w
 
 
-def _barrier(values):
-    """The Cholesky factor of every block value G_b, or None when one is
-    not positive definite (the point is outside the interior)."""
+def _barrier(cs, G):
+    """The Cholesky factor of every block value G_b in the flat array G of
+    the constraint set `cs`, or None when one is not positive definite (the
+    point is outside the interior)."""
     factors = []
-    for G in values:
-        L, info = dpotrf(G, lower=1)
+    for Gb in cs.views(G):
+        L, info = dpotrf(Gb, lower=1)
         if info != 0:
             return None
         factors.append(L)
@@ -532,7 +567,7 @@ def _barrier_grad_hess(cs, x, factors=None):
     """
     blocks, plan, n = cs.blocks, cs.plan, cs.n
     if factors is None:
-        factors = _barrier(cs.values(x))
+        factors = _barrier(cs, cs.values(x))
         if factors is None:
             return None, None, None
     g, H, U, inverses = np.zeros(cs.m), np.zeros((cs.m, cs.m)), np.empty((plan.size, n, n)), []
@@ -555,18 +590,18 @@ def _barrier_grad_hess(cs, x, factors=None):
     return g, H, inverses
 
 
-def _step_spectrum(blocks, inverses, dx):
+def _step_spectrum(cs, inverses, dx):
     """Eigenvalues mu of the step matrices L_b^-1 dG_b L_b^-T over all
-    blocks, and the dG_b, the change of each G_b along dx (L_b^-1 the
-    block's inverse factor at x).
+    blocks of the constraint set `cs`, and the dG_b, the change of each G_b
+    along dx, flat (L_b^-1 the block's inverse factor at x).
 
     G_b(x + s dx) = L_b (I + s L_b^-1 dG_b L_b^-T) L_b^T, so the barrier
     changes by -sum log(1 + s mu) and x + s dx stays interior exactly for
     s < 1 / max(-mu).
     """
-    dX = _group_matrices(blocks, dx)
-    dG = [b.combine(dX) for b in blocks]
-    mu = np.concatenate([_eigenvalues(Li @ dGb @ Li.T) for Li, dGb in zip(inverses, dG)])
+    dG = cs.change(dx)
+    mu = np.concatenate([_eigenvalues(Li @ dGb @ Li.T)
+                         for Li, dGb in zip(inverses, cs.views(dG))])
     return mu, dG
 
 
@@ -595,28 +630,31 @@ def _line_merit(s, t, slope_f, curv_f, mu):
 def _line_step(t, slope_f, curv_f, mu):
     """The minimizer of `_line_merit` over s in [0, 0.99 s_max].
 
-    The merit is self-concordant in s, so Newton steps damped by
-    1 / (1 + lambda) (lambda the scalar Newton decrement) stay inside the
-    interior and turn quadratic once lambda < 1/4. Needs a descent
-    direction: t slope_f - sum mu < 0. A second derivative that is not
-    positive (convexity lost to rounding) ends the search where it is.
+    Newton's method on the merit's derivative phi'(s) in the variable
+    v = 1 / (s_max - s) (in s itself where no mu is negative). phi' is
+    increasing and, in v, concave: the worst block's log term contributes
+    v itself, and every other log term and the quadratic a concave
+    increasing function of v. Started left of the root, at s = 0 along a
+    descent direction (t slope_f - sum mu < 0), the iterates rise to it
+    monotonically and converge quadratically, with no damping to keep them
+    interior: in s the step is -d1 / (d2 - d1 / (s_max - s)), which never
+    reaches s_max. The search ends at a scalar Newton decrement
+    |d1| / sqrt(d2) below 1e-6, the merit then within about 1e-12 of its
+    minimum, or at the cap. A derivative that rounding leaves nonnegative,
+    or a second derivative that is not positive (convexity lost to
+    rounding), ends it where it is.
     """
     worst = float(mu.min())
-    cap = 0.99 / -worst if worst < 0.0 else math.inf
-    s = 0.0
+    s_max = 1.0 / -worst if worst < 0.0 else math.inf
+    cap, s = 0.99 * s_max, 0.0
     for _ in range(MAX_LINE_NEWTON):
         d1, d2 = _line_slopes(s, t, slope_f, curv_f, mu)
-        if not d2 > 0.0:
+        if not (d2 > 0.0 and d1 < 0.0) or d1 * d1 < 1e-12 * d2:
             break
-        lam = abs(d1) / math.sqrt(d2)
-        step = -d1 / d2
-        if lam >= 0.25:
-            step /= 1.0 + lam
-        s_next = min(s + step, cap)
-        done = s_next == s or lam < 1e-10
+        s_next = min(s - d1 / (d2 - d1 / (s_max - s)), cap)
+        if s_next == s:
+            break
         s = s_next
-        if done:
-            break
     return s
 
 
@@ -730,14 +768,14 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
     if init is not None:
         xi = cs.pack(*init)
         G = cs.values(xi)
-        factors = _barrier(G)
+        factors = _barrier(cs, G)
         if factors is not None:
             x = xi
     used_default = x is None
     if used_default:
         x = cs.pack(*initial_point(sp))
         G = cs.values(x)
-        factors = _barrier(G)
+        factors = _barrier(cs, G)
     formed = x  # the last point whose G_b were formed from it and factored
 
     f0, gf = obj.value(x), obj.grad(x)  # gf, f's gradient, carried like G
@@ -751,7 +789,7 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
         # Unconstrained convex quadratic: one exact Newton solve.
         x = x - np.linalg.solve(obj.H + 1e-14 * np.eye(cs.m), gf)
         T, J, R = cs.split(x)
-        return SubproblemSolution(T, J, R, obj.value(x), 1, 0.0, [], True,
+        return SubproblemSolution(T, J, R, obj.value(x), 1, 0.0, True,
                                   [obj.value(x)], used_default, [1])
 
     nu = cs.nu
@@ -800,13 +838,13 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
             if not is_final and -float(g @ dx) / 2.0 <= STAGE_CENTERING:
                 on_path = True
                 break
-            mu, dG = _step_spectrum(cs.blocks, inverses, dx)
+            mu, dG = _step_spectrum(cs, inverses, dx)
             if is_final and float(np.abs(mu).max()) < 1.0:
                 # x + dx is interior and the step's dual point bounds its
                 # gap; where rounding breaks either, the line search goes on
                 gap, xn = (nu - float(mu @ mu)) / t, x + dx
                 if gap <= eps and cs.strictly_feasible(xn):
-                    multipliers = _multipliers(inverses, dG, t)
+                    multipliers = _multipliers(inverses, cs.views(dG), t)
                     x, converged = xn, True
                     break
             s = _line_step(t, float(gf @ dx), obj.curvature(dx), mu)
@@ -818,8 +856,8 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
                 xn = x + s * dx
                 if np.array_equal(xn, x):
                     break
-                G_n = cs.values(xn) if fresh else [Gb + s * dGb for Gb, dGb in zip(G, dG)]
-                factors_n = _barrier(G_n)
+                G_n = cs.values(xn) if fresh else G + s * dG
+                factors_n = _barrier(cs, G_n)
                 if factors_n is not None:
                     break
                 s *= 0.5
@@ -854,6 +892,5 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
         x = formed
     T, J, R = cs.split(x)
     return SubproblemSolution(T, J, R, obj.value(x), total_newton,
-                              gap if converged else nu / t,
-                              cs.margins(x), converged, stage_objectives,
+                              gap if converged else nu / t, converged, stage_objectives,
                               used_default, stage_newton, multipliers)

@@ -146,35 +146,72 @@ def test_warm_barrier_starts_at_the_last_sweep_decrease(monkeypatch):
     assert res.admissible
 
 
+def _sweeps(res, diag):
+    """(objective, accuracies) of each sweep of `res`, from `tjr_updates`.
+    An update keeps the better of its warm start and the subproblem's
+    point, min(f_before, f_after), exactly. A sweep whose extrapolated
+    (T, J, R) update ends above the last sweep's objective is restarted
+    from the last iterate, and the restart's update is the next one."""
+    updates = iter(diag.tjr_updates)
+
+    def kept():
+        before, after, accuracy = next(updates)
+        return min(before, after), accuracy
+
+    f, sweeps = res.trace[0][1], []  # the objective after the cold start
+    for k in range(1, res.iterations + 1):
+        f_next, accuracy = kept()
+        accuracies = [accuracy]
+        if k > 1 and f_next > f:  # restarted
+            f_next, accuracy = kept()
+            accuracies.append(accuracy)
+        sweeps.append((f_next, accuracies))
+        f = f_next
+    assert next(updates, None) is None
+    return sweeps
+
+
 def test_late_sweeps_are_solved_to_a_fraction_of_the_last_decrease():
     """Sweep 1 is solved to eps_1, and sweep k >= 2 and its restart to
     max(eps_k, ACCURACY_KAPPA |last decrease|), as `tjr_updates` records.
     The stall still reads eps_k: the Grcar(10,1) disk still stops on
-    "objective stall", after 13 sweeps (14 with every warm barrier started
-    at nu / |last decrease|)."""
+    "objective stall", after 14 sweeps (13 while a subproblem's point was
+    taken where it was above its warm start, 14 before the most-central
+    barrier start)."""
     pair = grcar(10, 1)
     opts = BcdOptions(max_outer_iters=20, max_time_s=120.0)
     diag = BcdDiagnostics()
     res = solve_general(pair.E, pair.A, rg.schur(), opts, diagnostics=diag)
-    assert (res.iterations, res.stop_reason) == (13, "objective stall")
+    assert (res.iterations, res.stop_reason) == (14, "objective stall")
     f = res.trace[0][1]  # the objective after the cold start
     scale = 1.0 + f
-    updates = iter(diag.tjr_updates)
     restarts = looser = 0
-    for k in range(1, res.iterations + 1):
+    for k, (fn, accuracies) in enumerate(_sweeps(res, diag), start=1):
         eps_k = max(opts.eps_floor, opts.eps_init * opts.eps_decay ** (-k)) * scale
         wanted = eps_k if k == 1 else max(eps_k, bcd.ACCURACY_KAPPA * abs(decrease))
-        _, fn, accuracy = next(updates)
-        if k > 1 and fn > f:  # the extrapolated half-step rose: restarted
-            restarts += 1
-            _, fn, restart_accuracy = next(updates)
-            assert restart_accuracy == accuracy
-        assert accuracy == pytest.approx(wanted, rel=1e-9)
-        looser += accuracy > eps_k
+        assert accuracies == pytest.approx([wanted] * len(accuracies), rel=1e-9)
+        restarts += len(accuracies) - 1
+        looser += accuracies[0] > eps_k
         decrease, f = f - fn, fn
-    assert next(updates, None) is None
     assert restarts == diag.restarts
     assert looser  # some sweep is solved looser than eps_k, or this shows nothing
+
+
+def test_no_sweep_raises_the_objective_on_the_grcar_disk():
+    """A (T, J, R) update keeps its warm start where the subproblem returns
+    above it, so on the Grcar(10,1) disk the objective each sweep ends on,
+    not only the best so far, never rises (taking the subproblem's point
+    there, sweep 2 rose from 2.7832217 to 2.7837850). Each sweep's objective
+    is then the best so far, which the trace records from the iterate
+    itself (the last row is the closing one): that confirms the objectives
+    read from `tjr_updates`."""
+    pair = grcar(10, 1)
+    diag = BcdDiagnostics()
+    res = solve_general(pair.E, pair.A, rg.schur(),
+                        BcdOptions(max_outer_iters=20, max_time_s=120.0), diagnostics=diag)
+    objectives = [res.trace[0][1]] + [f for f, _ in _sweeps(res, diag)]
+    assert all(b <= a for a, b in zip(objectives, objectives[1:]))
+    assert [row[1] for row in res.trace[:-1]] == pytest.approx(objectives, rel=1e-12)
 
 
 def test_grcar_disk_stop_survives_one_ulp_of_A():
