@@ -125,7 +125,6 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
     require_R_psd = (opts.require_R_psd if opts.require_R_psd is not None
                      else in_closed_left_half_plane(region))
     sp = ConvexSubproblem(E, A, mu, region, require_R_psd, opts.delta_lmi, opts.fix_T)
-    cs = sp.constraints
 
     t_start = _time.perf_counter()
 
@@ -158,17 +157,17 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
                 diag.q_fallbacks += 1
         else:
             Qn = base_Q
-        warm = ((base_T, base_J, base_R)
-                if cs.strictly_feasible(cs.pack(base_T, base_J, base_R))
-                else (T, J, R))
-        f_warm = _objective_value(EA, (*warm, Qn), mu)
-        soln = solve_subproblem(sp, Qn, init=warm, accuracy=accuracy, gap0=gap_guess)
+        # warm-started from the base where it is strictly feasible, else
+        # from the current (T, J, R)
+        soln = solve_subproblem(sp, Qn, init=[(base_T, base_J, base_R), (T, J, R)],
+                                accuracy=accuracy, gap0=gap_guess)
+        f_warm = _objective_value(EA, (*soln.start, Qn), mu)
         diag.tjr_updates.append((f_warm, soln.objective, accuracy))
         if soln.objective > f_warm:
             # the strictly feasible warm start is as near the optimum as the
             # certified point, f_warm < f(soln) <= p* + gap: keep it, so that
             # the sweep keeps its descent and the safeguard does not restart it
-            return *warm, Qn, f_warm
+            return *soln.start, Qn, f_warm
         return soln.T, soln.J, soln.R, Qn, soln.objective
 
     last_decrease = f

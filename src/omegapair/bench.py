@@ -23,7 +23,7 @@ from .bcd import BcdOptions, solve_general
 from .dh import DhParam
 from .fgm import FgmOptions, solve_hurwitz
 from .pencil import MatrixPair, spectrum
-from .regions import LmiRegion, is_hurwitz, membership_margins, region_from_dict
+from .regions import LmiRegion, _json_matrix, is_hurwitz, membership_margins, region_from_dict
 from .result import relative_error, write_trace
 
 __all__ = [
@@ -109,28 +109,42 @@ class BenchInstance:
 
     @classmethod
     def from_dict(cls, obj):
+        """The instance of a bench spec entry; a field of the wrong JSON type
+        raises ValueError before any solve."""
         if not isinstance(obj, dict):
             raise ValueError(f"bench instance {obj!r} is not a JSON object")
-        gen = obj["generator"]
-        kind = gen["kind"]
-        seed = int(obj.get("seed", 0))
+        gen = _field(obj, "generator", dict)
+        kind = _field(gen, "kind", str)
+        seed = _field(obj, "seed", int, 0)
         if kind == "grcar":
-            pair = grcar(int(gen["n"]), int(gen.get("k", 1)))
+            pair = grcar(_field(gen, "n", int), _field(gen, "k", int, 1))
         elif kind == "msd":
-            pair, _ = msd(int(gen["n"]), float(gen.get("eps", 0.0)))
+            pair, _ = msd(_field(gen, "n", int), float(_field(gen, "eps", float, 0.0)))
         elif kind == "near_schur":
-            pair = near_schur(int(gen["n"]), float(gen.get("eps", 0.0)), seed)
+            pair = near_schur(_field(gen, "n", int), float(_field(gen, "eps", float, 0.0)), seed)
         elif kind == "pair":
-            pair = MatrixPair(np.asarray(gen["E"], float), np.asarray(gen["A"], float))
+            pair = MatrixPair(*(_json_matrix(gen[k], f"bench generator field {k!r}") for k in "EA"))
         else:
             raise ValueError(f"unknown generator kind {kind!r}")
         region = region_from_dict(obj.get("region", {"kind": "left_half_plane", "k": 0.0}))
-        max_iters = obj.get("max_iters")
-        return cls(name=obj["name"], pair=pair, region=region,
-                   algorithm=obj.get("algorithm", "auto"),
-                   budget_s=float(obj.get("budget_s", 30.0)),
-                   mu=float(obj.get("mu", 1.0)), seed=seed,
-                   max_iters=None if max_iters is None else int(max_iters))
+        max_iters = None if obj.get("max_iters") is None else _field(obj, "max_iters", int)
+        return cls(name=_field(obj, "name", str), pair=pair, region=region,
+                   algorithm=_field(obj, "algorithm", str, "auto"),
+                   budget_s=float(_field(obj, "budget_s", float, 30.0)),
+                   mu=float(_field(obj, "mu", float, 1.0)), seed=seed, max_iters=max_iters)
+
+
+_JSON_NAMES = {str: "a string", dict: "a JSON object", int: "an integer", float: "a number"}
+
+
+def _field(obj, key, kind, default=None):
+    """obj[key], or `default` where the key is absent and a default given;
+    a value of another JSON type than `kind` raises ValueError (a boolean is
+    neither an integer nor a number, an integer is a number)."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(f"bench instance field {key!r} must be {_JSON_NAMES[kind]}, got {value!r}")
+    return value
 
 
 def _solve(pair, region, algorithm, mu, budget_s, max_iters, seed):

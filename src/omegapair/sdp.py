@@ -98,23 +98,16 @@ nonnegative by construction; dx'(H_f dx) computed from the Gram matrix
 H_f is not once cond(Q)^2 passes 1 / machine eps. A second derivative
 that rounding still leaves nonpositive ends the search where it is.
 
-f is quadratic and each G_b affine, so along an accepted step
-x -> x + s dx the gradient grad f moves by s H_f dx and G_b by s dG_b,
-exactly. Both are kept with the iterate and moved so, from H_f dx and the
-dG_b that `_step_spectrum` forms for mu: all blocks' values are one flat
-array, each G_b a view of it, so the move is one axpy on that array;
-`_barrier` factors the values it is given. They are formed from x itself
-at the start of `solve_subproblem` and at the first accepted step of each
-barrier stage. Rounding carried across stages builds up where a block
-shrinks by orders of magnitude along the path (R >= 0 near a zero R): on
-solves to 1e-11, values carried from the start drifted from those formed
-from x by up to 8e-5 of their size, and by 4e-11 when each stage's first
-step forms them anew. The certificate's point is confirmed interior on
-G_b formed from it; an unconverged solve confirms its returned point so
-too, and returns the last point whose G_b were formed from it where that
-fails. Every eigenvalues-only decomposition (mu, and
-`ConstraintSet.margins`) calls LAPACK `dsyevd` without eigenvectors
-directly, as the factorizations below call their routines.
+A point's state, the Cholesky factors of its block values G_b and the
+gradient of f, is formed from x itself by one routine, wherever the solve
+takes a point: each warm-start candidate in turn, then the default start;
+each step the line search accepts; and the certificate's x + dx. A point
+where a block does not factor is outside the interior: a candidate start is
+passed over, a step halved and a certificate not taken. The returned point
+is thus always one whose G_b were formed from it and factored. Every
+eigenvalues-only decomposition (mu, and `ConstraintSet.margins`) calls
+LAPACK `dsyevd` without eigenvectors directly, as the factorizations below
+call their routines.
 
 The variables are x = (svec T, svec J, svec R): the upper triangle of
 each matrix, off-diagonal entries scaled by sqrt(2) (the strict upper
@@ -147,6 +140,13 @@ that does not reach it read as the zero slot, never as 0 times a live
 entry of x. The block values G_b(x) are then one gather, one
 multiply-sum and one add of the G0_b, and their change dG_b along dx the
 same gather of dx without G0_b, with no Python loop over blocks or terms.
+(T, J, R) is one gather too (`_split_gather`), from x extended by a zero
+slot, read by the diagonal of the skew J, and by a frozen T's entries. f's
+gradient on group g is w_g svec(res_g Q^T), res_g = T Q - E for T and
+(J - R) Q - A for J and R, w_g = 2 mu, 2 and -2: one stacked product forms
+both res_g Q^T, and one gather of their upper and lower entries, scaled by
+w_g c_i0 with the lower entries signed, forms the gradient
+(`_Objective.grad`).
 
 The Newton system (t H_f + H_phi) dx = -g is formed in one m x m buffer
 per `solve_subproblem` call and factored there in place by LAPACK
@@ -174,7 +174,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd, dtrtri
 
 from .regions import LmiRegion, connected_blocks, real_section
-from .result import _objective_value
+from .result import _objective_value, _residuals
 
 __all__ = [
     "ConvexSubproblem",
@@ -252,7 +252,8 @@ class ConvexSubproblem:
     """The (T, J, R) subproblem of every Q: data, region and options.
 
     Its constraint blocks do not depend on Q and are built once, as
-    `constraints`; `solve_subproblem` takes Q per call. `delta_lmi`
+    `constraints`, as is `grad_gather`, where f's gradient reads the
+    residuals; `solve_subproblem` takes Q per call. `delta_lmi`
     defaults to 1e-6 (1 + ||A||_F).
     """
 
@@ -264,6 +265,7 @@ class ConvexSubproblem:
     delta_lmi: float | None = None
     fixed_T: np.ndarray | None = None  # when set, T is held constant
     constraints: ConstraintSet = field(init=False, repr=False)
+    grad_gather: tuple = field(init=False, repr=False)  # see `_grad_gather`
 
     def __post_init__(self):
         self.E = np.asarray(self.E, dtype=float)
@@ -274,6 +276,7 @@ class ConvexSubproblem:
             self.fixed_T = np.asarray(self.fixed_T, dtype=float)
         self.constraints = ConstraintSet(self.n, self.region, self.require_R_psd,
                                          self.delta_lmi, self.fixed_T)
+        self.grad_gather = _grad_gather(self.constraints.groups, self.n, self.mu)
 
     @property
     def n(self) -> int:
@@ -301,6 +304,7 @@ class SubproblemSolution:
     initial_point_used: bool = False
     stage_newton: list = field(default_factory=list)  # Newton steps per barrier stage
     multipliers: list = field(default_factory=list)
+    start: tuple = ()  # the (T, J, R) the solve started from
 
 
 # a free variable group: its slice of x and sign (+1 sym, -1 skew)
@@ -384,6 +388,35 @@ def _value_gather(blocks, n, m):
     return gather
 
 
+def _split_gather(groups, n, m, fixed_T):
+    """Where (T, J, R) reads x: [T, J, R] = ext[at] coef, `at` and `coef`
+    (3, n n) arrays and ext x extended by the returned `tail`, a zero slot
+    at m and a frozen T's entries. An entry that no coordinate reaches (the
+    diagonal of the skew J) reads the zero slot."""
+    at, coef = np.full((3, n * n), m, dtype=np.intp), np.zeros((3, n * n))
+    for r, name in enumerate("TJR"):
+        if name in groups:
+            ix = _svec_index(n, groups[name].sign)
+            live = ix.coef != 0.0
+            at[r, live], coef[r, live] = groups[name].sl.start + ix.at[live], ix.coef[live]
+    if fixed_T is not None:
+        at[0], coef[0] = m + 1 + np.arange(n * n), 1.0
+    return at, coef, np.append(0.0, fixed_T if fixed_T is not None else [])
+
+
+def _grad_gather(groups, n, mu):
+    """Where f's gradient reads the flat stack M of the residuals times Q^T,
+    [T Q - E, (J - R) Q - A] Q^T: entry i of x is (M[upper] + sign M[lower])
+    weight, the svec of the residual its group enters times w_g, the weight
+    being c_i0 w_g with w_T = 2 mu, w_J = 2 and w_R = -2."""
+    parts = []
+    for name, g in groups.items():
+        ix, at = _svec_index(n, g.sign), (name != "T") * n * n
+        parts.append((at + ix.upper, at + ix.lower, np.full(len(ix.uv), float(g.sign)),
+                      {"T": 2.0 * mu, "J": 2.0, "R": -2.0}[name] * ix.c[:, 0]))
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
 # where `_barrier_grad_hess` reads the sub-blocks it needs from U, the
 # (size, n, n) stack of every block's (U_g)_ac in the order [block, term, a, c]:
 # `stacks` the offset in U and the stacked (terms, s, s) M_g of each block,
@@ -426,7 +459,6 @@ class ConstraintSet:
 
     def __init__(self, n, region, require_R_psd, delta_lmi, fixed_T):
         self.n = n
-        self.fixed_T = fixed_T
         self.groups, self.m = {}, 0
         for name in ("JR" if fixed_T is not None else "TJR"):
             sign = -1 if name == "J" else 1
@@ -453,12 +485,13 @@ class ConstraintSet:
         self.nu = sum(len(b.G0) for b in blocks)
         self.plan = _barrier_plan(blocks, list(self.groups.values()), n)
         self.gather = _value_gather(blocks, n, self.m)
+        self._split = _split_gather(self.groups, n, self.m, fixed_T)
 
     def split(self, x):
-        """(T, J, R) at x; a frozen T is its fixed value."""
-        M = {"T": self.fixed_T}
-        M.update((k, _smat(x[g.sl], self.n, g.sign)) for k, g in self.groups.items())
-        return M["T"], M["J"], M["R"]
+        """(T, J, R) at x as one (3, n, n) array; a frozen T is its fixed
+        value."""
+        at, coef, tail = self._split
+        return (np.concatenate([x, tail]).take(at) * coef).reshape(3, self.n, self.n)
 
     def pack(self, T, J, R):
         M = {"T": T, "J": J, "R": R}
@@ -496,6 +529,7 @@ class _Objective:
         self.cs = cs = sp.constraints
         self.Q = Q
         self.EA = np.stack([sp.E, sp.A])
+        self.P, self.res = np.empty_like(self.EA), np.empty_like(self.EA)  # `_residuals` scratch
         # <S_i Q, S_j Q> = sign_i tr(Q Q^T S_i S_j): the trace pairs of U = Q Q^T, V = I
         QQ = Q @ Q.T
         gram = {(si, sj): si * _trace_pairs(QQ, np.eye(sp.n), si, sj)
@@ -508,19 +542,17 @@ class _Objective:
         H[iJ, iR] = -2.0 * gram[-1, 1]
         H[iR, iJ] = H[iJ, iR].T
         self.H = H
-        # f's gradient on a group is scale * svec(D Q^T), D the residual it enters
-        self.scale = {"T": -2.0 * sp.mu, "J": -2.0, "R": 2.0}
 
     def value(self, x):
         return _objective_value(self.EA, (*self.cs.split(x), self.Q), self.sp.mu)
 
     def grad(self, x):
-        T, J, R = self.cs.split(x)
-        sp, Q = self.sp, self.Q
-        GA = (sp.A - (J - R) @ Q) @ Q.T
-        return np.concatenate([
-            self.scale[k] * _svec((sp.E - T @ Q) @ Q.T if k == "T" else GA, g.sign)
-            for k, g in self.cs.groups.items()])
+        """f's gradient at x from the residuals [T Q - E, (J - R) Q - A]
+        (module docstring)."""
+        res = _residuals(self.EA, (*self.cs.split(x), self.Q), self.P, self.res)
+        M = (res @ self.Q.T).reshape(-1)
+        upper, lower, sign, weight = self.sp.grad_gather
+        return (M.take(upper) + sign * M.take(lower)) * weight
 
     def curvature(self, dx):
         """dx'H_f dx as 2 (||(dJ - dR) Q||_F^2 + mu ||dT Q||_F^2), which is
@@ -562,19 +594,15 @@ def _barrier_grad_hess(cs, x, factors=None):
     """Gradient and Hessian of -sum logdet G_b at x over the blocks of the
     constraint set `cs`, and the inverses of the blocks' Cholesky factors.
 
-    `factors` are the blocks' Cholesky factors at x, as `_barrier` returns
-    them; they are computed here from x when not given.
+    `factors` are the blocks' Cholesky factors at the interior point x, as
+    `_barrier` returns them; they are computed here from x when not given.
     """
-    blocks, plan, n = cs.blocks, cs.plan, cs.n
+    plan, n = cs.plan, cs.n
     if factors is None:
         factors = _barrier(cs, cs.values(x))
-        if factors is None:
-            return None, None, None
     g, H, U, inverses = np.zeros(cs.m), np.zeros((cs.m, cs.m)), np.empty((plan.size, n, n)), []
     for L, (at, Ms) in zip(factors, plan.stacks):
-        Li, info = dtrtri(L, lower=1)
-        if info != 0:
-            return None, None, None
+        Li, _ = dtrtri(L, lower=1)  # L's diagonal is positive: no info to check
         inverses.append(Li)
         W = Li.T @ Li  # G^-1
         t, s = Ms.shape[:2]
@@ -746,8 +774,10 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
     """Minimize the subproblem objective at the given Q to the requested
     duality gap.
 
-    `init` may supply a warm-start triple (T, J, R); it is used only when
-    strictly feasible. `gap0` estimates the warm start's suboptimality and
+    `init` may supply a warm-start triple (T, J, R), or a list of them
+    tried in order; the first strictly feasible one is the start, and
+    without one the default `initial_point`. The solution's `start` is the
+    triple used. `gap0` estimates the warm start's suboptimality and
     sets the floor nu / gap0 of the initial barrier parameter (default:
     the objective value itself, the right scale for a cold start); the
     solve starts above it where the start is more central there. Both
@@ -762,23 +792,26 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
     cs = sp.constraints
     obj = _Objective(sp, np.asarray(Q, dtype=float))
 
-    # the block values G_b(x) and their factors, formed from x here and at
-    # each stage's first step, and carried along the other steps
-    x = None
-    if init is not None:
-        xi = cs.pack(*init)
-        G = cs.values(xi)
-        factors = _barrier(cs, G)
-        if factors is not None:
-            x = xi
-    used_default = x is None
-    if used_default:
-        x = cs.pack(*initial_point(sp))
-        G = cs.values(x)
-        factors = _barrier(cs, G)
-    formed = x  # the last point whose G_b were formed from it and factored
+    def state(x):
+        """The Cholesky factors of the block values G_b at x and f's gradient
+        there, both formed from x, or None where x is outside the interior."""
+        factors = _barrier(cs, cs.values(x))
+        return None if factors is None else (factors, obj.grad(x))
 
-    f0, gf = obj.value(x), obj.grad(x)  # gf, f's gradient, carried like G
+    starts = [init] if init is not None and np.ndim(init[0]) == 2 else list(init or ())
+    at_x = None
+    for start in starts:
+        x = cs.pack(*start)
+        if (at_x := state(x)) is not None:
+            break
+    used_default = at_x is None
+    if used_default:
+        start = initial_point(sp)
+        x = cs.pack(*start)
+        at_x = state(x)
+    factors, gf = at_x
+
+    f0 = obj.value(x)
     eps = accuracy if accuracy is not None else 1e-8 * (1.0 + f0)
 
     total_newton = 0
@@ -788,9 +821,8 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
     if not cs.blocks:
         # Unconstrained convex quadratic: one exact Newton solve.
         x = x - np.linalg.solve(obj.H + 1e-14 * np.eye(cs.m), gf)
-        T, J, R = cs.split(x)
-        return SubproblemSolution(T, J, R, obj.value(x), 1, 0.0, True,
-                                  [obj.value(x)], used_default, [1])
+        return SubproblemSolution(*cs.split(x), obj.value(x), 1, 0.0, True,
+                                  [obj.value(x)], used_default, [1], start=start)
 
     nu = cs.nu
     t_final = nu / eps
@@ -802,8 +834,6 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
     # centered or without progress leaves x to the next), and the Newton
     # factor, kept until x or t moves
     derivs = _barrier_grad_hess(cs, x, factors)
-    if derivs[0] is None:
-        raise RuntimeError("iterate left the interior; this is a bug")
     newton = np.empty((cs.m, cs.m))  # t H_f + H_phi, formed and factored in place
     L, factored_at = _newton_factor(newton, t, obj.H, derivs[1]), t
     # start at the t >= nu / gap0 where x is most nearly central: the
@@ -827,8 +857,6 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
         for _ in range(MAX_NEWTON_PER_STAGE):
             if derivs is None:
                 derivs, factored_at = _barrier_grad_hess(cs, x, factors), None
-                if derivs[0] is None:
-                    raise RuntimeError("iterate left the interior; this is a bug")
             gphi, Hphi, inverses = derivs
             if factored_at != t:
                 L, factored_at = _newton_factor(newton, t, obj.H, Hphi), t
@@ -843,31 +871,18 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
                 # x + dx is interior and the step's dual point bounds its
                 # gap; where rounding breaks either, the line search goes on
                 gap, xn = (nu - float(mu @ mu)) / t, x + dx
-                if gap <= eps and cs.strictly_feasible(xn):
+                if gap <= eps and state(xn) is not None:
                     multipliers = _multipliers(inverses, cs.views(dG), t)
                     x, converged = xn, True
                     break
             s = _line_step(t, float(gf @ dx), obj.curvature(dx), mu)
-            # f is quadratic and G_b affine, so both move exactly along the
-            # step; the stage's first step forms them from x anew, so that
-            # rounding carried from earlier, larger values does not build up
-            fresh = total_newton == stage_start + 1
-            while True:  # halved where a block lost definiteness to rounding
-                xn = x + s * dx
-                if np.array_equal(xn, x):
+            while not np.array_equal(xn := x + s * dx, x):
+                if (at_x := state(xn)) is not None:
                     break
-                G_n = cs.values(xn) if fresh else G + s * dG
-                factors_n = _barrier(cs, G_n)
-                if factors_n is not None:
-                    break
-                s *= 0.5
-            if np.array_equal(xn, x):
-                break  # no progress possible at this t
-            if fresh:
-                gf, formed = obj.grad(xn), xn
+                s *= 0.5  # a block lost definiteness to rounding
             else:
-                gf = gf + s * (obj.H @ dx)
-            x, G, factors, derivs = xn, G_n, factors_n, None
+                break  # no progress possible at this t
+            x, (factors, gf), derivs = xn, at_x, None
             if total_newton >= MAX_TOTAL_NEWTON:
                 break
         else:
@@ -886,11 +901,6 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
         elif not short:  # a stage short of centering keeps its t
             t *= BARRIER_GROWTH
 
-    if not converged and not cs.strictly_feasible(x):
-        # rounding carried along the stage left x outside the interior of
-        # the G_b formed from it: fall back to the last point formed so
-        x = formed
-    T, J, R = cs.split(x)
-    return SubproblemSolution(T, J, R, obj.value(x), total_newton,
+    return SubproblemSolution(*cs.split(x), obj.value(x), total_newton,
                               gap if converged else nu / t, converged, stage_objectives,
-                              used_default, stage_newton, multipliers)
+                              used_default, stage_newton, multipliers, start)

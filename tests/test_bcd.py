@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import subprocess
@@ -291,6 +292,28 @@ def test_ill_conditioned_q_does_not_end_bcd_in_an_exception():
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["SolveResult", "241", "iteration", "budget"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_ill_conditioned_q_through_the_cli_ends_without_a_traceback(tmp_path, threads):
+    """The same repro as `omegapair solve --algo bcd` on the left
+    half-plane, on one and on two BLAS threads: 241 sweeps drive cond(Q)
+    near 5e8, where f's gradient is formed from the residuals at every
+    Newton step, and the run ends in a result (exit 0, or 2 for a flagged
+    one), never in a traceback."""
+    pair = grcar(10, 2)
+    (tmp_path / "p.json").write_text(json.dumps({"E": pair.E.tolist(), "A": pair.A.tolist()}))
+    (tmp_path / "r.json").write_text(json.dumps({"kind": "left_half_plane", "k": 0}))
+    src = str(pathlib.Path(omegapair.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "omegapair.cli", "solve",
+                          "--pair", str(tmp_path / "p.json"), "--region", str(tmp_path / "r.json"),
+                          "--algo", "bcd", "--max-iters", "241", "--time", "120",
+                          "--out", str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode in (0, 2), run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_left_half_plane_region_forces_psd_R():

@@ -176,15 +176,21 @@ def test_solve_non_finite_or_overflowing_pair_exits_1(files, capsys, E, A):
     ("check", '{"E": [[true, false], [false, true]], "A": [[-1, 0], [0, -1]]}'),
     ("region-info", '{"raw": {"B": [[false]], "C": [[true]]}}'),
     ("check", '{"E": [[1, true], [0, 1]], "A": [[-1, 0], [0, -1]]}'),
+    ("bench", '[{"name": "x", "generator": 5}]'),
+    ("bench", '[{"name": "x", "generator": {"kind": "grcar", "n": [4]}}]'),
+    ("bench", '[{"name": "x", "generator": {"kind": "grcar", "n": 4}, "budget_s": [1]}]'),
+    ("bench", '[{"name": ["x"], "generator": {"kind": "grcar", "n": 4}, "max_iters": 5}]'),
 ], ids=["pair-list", "bench-entry-number", "bench-spec-object", "check-pair-3d",
         "solve-pair-3d", "check-pair-E-object", "solve-pair-A-object",
         "region-info-raw-B-object", "solve-raw-C-object", "solve-disk-r-boolean",
-        "check-pair-E-boolean", "region-info-raw-boolean", "check-pair-E-mixed-boolean"])
+        "check-pair-E-boolean", "region-info-raw-boolean", "check-pair-E-mixed-boolean",
+        "bench-generator-number", "bench-n-list", "bench-budget-list", "bench-name-list"])
 def test_malformed_input_files_exit_1_without_traceback(files, capsys, command, text):
     """A pair file that is no JSON object or holds no matrices, a bench spec
-    that is no JSON list, a bench entry that is no object, a region whose
-    (B, C) is no matrix, a matrix with a boolean entry or a primitive with
-    a boolean parameter is an input error."""
+    that is no JSON list, a bench entry that is no object or has a field of
+    the wrong JSON type, a region whose (B, C) is no matrix, a matrix with a
+    boolean entry or a primitive with a boolean parameter is an input
+    error."""
     tmp, write_pair, write_region = files
     path = tmp / "input.json"
     path.write_text(text)
