@@ -21,7 +21,7 @@ import numpy as np
 
 from .dh import DhParam
 from .regions import LmiRegion, in_closed_left_half_plane
-from .result import SolveResult, _fit, _objective_value, finalize_solution
+from .result import SolveResult, _check_budget, _fit, _objective_value, finalize_solution
 from .sdp import ConvexSubproblem, solve_subproblem
 
 __all__ = ["BcdOptions", "BcdDiagnostics", "update_Q", "solve_general"]
@@ -73,6 +73,7 @@ class BcdOptions:
         for name in ("max_time_s", "stall_rel_tol"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be at least 0, got {getattr(self, name)!r}")
+        _check_budget("max_outer_iters", self.max_outer_iters)
 
 
 @dataclass

@@ -59,7 +59,8 @@ from scipy.linalg.lapack import dsyevd, dsyevx
 
 from .dh import DhParam, project_psd, skew as skew_part, sym as sym_part
 from .regions import hurwitz
-from .result import SolveResult, _fit, _objective_value, _residuals, finalize_solution
+from .result import (SolveResult, _check_budget, _fit, _objective_value, _residuals,
+                     finalize_solution)
 
 __all__ = ["FgmOptions", "objective", "gradient", "project", "solve_hurwitz",
            "estimate_lipschitz"]
@@ -101,6 +102,7 @@ class FgmOptions:
         for name in ("max_time_s", "stall_rel_tol", "grad_tol"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be at least 0, got {getattr(self, name)!r}")
+        _check_budget("max_iters", self.max_iters)
 
 
 # The largest short side, as a fraction of n (at least one pair), that

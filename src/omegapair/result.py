@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import time as _time
 from dataclasses import dataclass, field
 
@@ -76,6 +77,18 @@ def read_trace(path):
             t, obj, rel = line.strip().split(",")
             rows.append((float(t), float(obj), float(rel)))
     return rows
+
+
+def _check_budget(name, value):
+    """Refuse an iteration budget that is neither None nor a nonnegative
+    integer (a bool included): -1 and NaN would run no iteration at all,
+    and 2.5 would round up in one solver and down in the other."""
+    try:
+        ok = value is None or (not isinstance(value, bool) and operator.index(value) >= 0)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be None or a nonnegative integer, got {value!r}")
 
 
 def _residuals(EA, X, P, res):

@@ -92,10 +92,11 @@ because f is quadratic. The step s minimizes this scalar function on
 [0, 0.99 s_max], s_max = 1 / max(-mu) being where the first block turns
 singular, by Newton's method in 1 / (s_max - s), where the merit's
 derivative is concave (`_line_step`); the blocks are factored once, at
-the accepted point. The curvature dx'H_f dx is formed as
-2 (||(dJ - dR) Q||_F^2 + mu ||dT Q||_F^2) (no dT term for a frozen T),
-nonnegative by construction; dx'(H_f dx) computed from the Gram matrix
-H_f is not once cond(Q)^2 passes 1 / machine eps. A second derivative
+the accepted point. The curvature dx'H_f dx is formed as 2 f(dx) with
+zero data, 2 (||(dJ - dR) Q||_F^2 + mu ||dT Q||_F^2) (dT = 0 for a frozen
+T), by the objective's own routine, nonnegative by construction;
+dx'(H_f dx) computed from the Gram matrix H_f is not once cond(Q)^2
+passes 1 / machine eps. A second derivative
 that rounding still leaves nonpositive ends the search where it is.
 
 A point's state, the Cholesky factors of its block values G_b and the
@@ -116,37 +117,44 @@ the matrices. They form a table of groups (no T when it is frozen), each
 a slice of x with its sign. A constraint block is held as its Kronecker
 terms: G = G0 + sum_g M_g (x) smat(x_g), with M_g = [1] in the T >= 0 and
 R >= 0 blocks and -B, C^T - C and C + C^T in a region part (a zero M_g is
-left out). With W = G^-1 in s x s blocks of size n x n, U_g = W (M_g (x) I)
-and S_i the svec basis, the barrier gradient on group g is
--svec(sum_a (U_g)_aa^T) and its Hessian on the group pair (g, h) is
-H_ij = sum_ac tr((U_g)_ac S_i (U_h)_ca S_j), O(s^2 n^4) work per pair.
+left out).
+
+x reaches the solver through two linear maps, both of one compiled kind
+(`_value_gather`): x -> G_b, and x -> (T, J, R), which is the same
+construction over three pseudo-blocks [1] (x) T, [1] (x) J and [1] (x) R,
+a frozen T being the first one's G0 (`ConstraintSet.tjr`; the barrier
+sees only the real blocks). A gather holds where each entry of each
+block's linear part reads x: one (k, N) array of indices into x extended
+by a zero slot, and the matching coefficients M_g[a, c] coef_g[i, j], the
+N entries of all blocks end to end, k at most the number of groups.
+Entry (a n + i, c n + j) of a block sums its terms in x order, each term
+that does not reach it read as the zero slot (as is the diagonal of the
+skew J), never as 0 times a live entry of x. A map's value at x is then
+one gather, one multiply-sum and one add of the G0 (`values`, `split`),
+and its change along dx the same without the G0 (`change`, and the
+split's linear part in `_Objective.curvature`), with no Python loop over
+blocks or terms. The adjoint of a linear part, W -> [sum_b <W_b,
+A_b(e_i)>]_i, is one weighted `np.bincount` over the same indices and
+coefficients (`_adjoint`), and serves three callers. `pack` is the
+split's adjoint at (T, J, R), which inverts `split` on symmetric T and R
+and skew J since the coordinates are orthonormal. f's gradient is the
+split's adjoint at [2 mu M_e, 2 M_a, -2 M_a], [M_e, M_a] = [T Q - E,
+(J - R) Q - A] Q^T, one stacked product of the residuals
+(`_Objective.grad`). The barrier gradient is -A*(W), W every G_b^-1
+written end to end like the block values.
+
+The barrier Hessian on the group pair (g, h) is H_ij = sum_ac
+tr((U_g)_ac S_i (U_h)_ca S_j), O(s^2 n^4) work per pair, with W = G^-1 in
+s x s blocks of size n x n, U_g = W (M_g (x) I) and S_i the svec basis.
 `ConstraintSet` compiles once where these sums read, as its barrier plan:
 each block writes its U_g, by one einsum over its stacked M_g, into one
 stack U of n x n sub-blocks, and the plan holds the indices in U of each
-group's (U_g)_aa and each group pair's (U_g)_ac and (U_h)_ca over all
-blocks. Per point, a group's gradient is then one gather, sum and svec,
-and a group pair's Hessian block one gather of each side and one call of
+group pair's (U_g)_ac and (U_h)_ca over all blocks. Per point, a group
+pair's Hessian block is one gather of each side and one call of
 `_trace_pairs`, which forms every (U_x S_i V_x)^T as one batched product
 of the gathered columns of U_x (the second half negated for a skew S_i)
 and rows of V_x, then scales the k x k result by the svec weights
 c_i0 c_j0 once.
-
-`ConstraintSet` also compiles where each entry of each block's linear part
-reads x: one (k, N) array of indices into x extended by a zero slot, and
-the matching coefficients M_g[a, c] coef_g[i, j], the N entries of all
-blocks end to end, k at most the number of groups (`_value_gather`).
-Entry (a n + i, c n + j) of a block sums its terms in x order, each term
-that does not reach it read as the zero slot, never as 0 times a live
-entry of x. The block values G_b(x) are then one gather, one
-multiply-sum and one add of the G0_b, and their change dG_b along dx the
-same gather of dx without G0_b, with no Python loop over blocks or terms.
-(T, J, R) is one gather too (`_split_gather`), from x extended by a zero
-slot, read by the diagonal of the skew J, and by a frozen T's entries. f's
-gradient on group g is w_g svec(res_g Q^T), res_g = T Q - E for T and
-(J - R) Q - A for J and R, w_g = 2 mu, 2 and -2: one stacked product forms
-both res_g Q^T, and one gather of their upper and lower entries, scaled by
-w_g c_i0 with the lower entries signed, forms the gradient
-(`_Objective.grad`).
 
 The Newton system (t H_f + H_phi) dx = -g is formed in one m x m buffer
 per `solve_subproblem` call and factored there in place by LAPACK
@@ -226,23 +234,6 @@ def _skew_pick(n):
     return _svec_index(n, -1).uv + (0, n)
 
 
-def _svec(M, sign):
-    """The coordinates of sym(M) (sign +1) or skew(M) (sign -1), for one
-    matrix or a stack."""
-    ix = _svec_index(M.shape[-1], sign)
-    flat = M.reshape(*M.shape[:-2], M.shape[-2] * M.shape[-1])  # also an empty stack
-    return (flat.take(ix.upper, axis=-1) + sign * flat.take(ix.lower, axis=-1)) * ix.c[:, 0]
-
-
-def _smat(v, n, sign):
-    """The symmetric (sign +1) or skew (sign -1) n x n matrix with
-    coordinates v, or a stack of them for a stack of coordinate rows."""
-    if v.shape[-1] == 0:  # the skew part of a 1 x 1 matrix
-        return np.zeros((*v.shape[:-1], n, n))
-    ix = _svec_index(n, sign)
-    return (v.take(ix.at, axis=-1) * ix.coef).reshape(*v.shape[:-1], n, n)
-
-
 # ---------------------------------------------------------------------------
 # Problem statement and compiled form
 
@@ -252,8 +243,7 @@ class ConvexSubproblem:
     """The (T, J, R) subproblem of every Q: data, region and options.
 
     Its constraint blocks do not depend on Q and are built once, as
-    `constraints`, as is `grad_gather`, where f's gradient reads the
-    residuals; `solve_subproblem` takes Q per call. `delta_lmi`
+    `constraints`; `solve_subproblem` takes Q per call. `delta_lmi`
     defaults to 1e-6 (1 + ||A||_F).
     """
 
@@ -265,7 +255,6 @@ class ConvexSubproblem:
     delta_lmi: float | None = None
     fixed_T: np.ndarray | None = None  # when set, T is held constant
     constraints: ConstraintSet = field(init=False, repr=False)
-    grad_gather: tuple = field(init=False, repr=False)  # see `_grad_gather`
 
     def __post_init__(self):
         self.E = np.asarray(self.E, dtype=float)
@@ -276,7 +265,6 @@ class ConvexSubproblem:
             self.fixed_T = np.asarray(self.fixed_T, dtype=float)
         self.constraints = ConstraintSet(self.n, self.region, self.require_R_psd,
                                          self.delta_lmi, self.fixed_T)
-        self.grad_gather = _grad_gather(self.constraints.groups, self.n, self.mu)
 
     @property
     def n(self) -> int:
@@ -346,14 +334,14 @@ def _trace_pairs(U, V, si, sj):
 # One affine semidefinite constraint G(x) = G0 + sum_g M_g (x) smat(x_g) >= 0,
 # held as its terms, (group, M_g) pairs in x order, M_g nonzero. With
 # W = G^-1 and U_g = W (M_g (x) I) in s x s blocks (U_g)_ac of size n x n,
-# -logdet G has the gradient -svec(sum_a (U_g)_aa^T) on group g and the
-# Hessian H_ij = sum_ac tr((U_g)_ac S_i (U_h)_ca S_j) on (g, h).
+# -logdet G has the gradient -A*(W), A* the adjoint of G's linear part, and
+# the Hessian H_ij = sum_ac tr((U_g)_ac S_i (U_h)_ca S_j) on (g, h).
 _Block = namedtuple("_Block", "G0 terms")
 
 
-# how `ConstraintSet` forms its block values from x, all blocks end to end in
-# one flat array (see `_value_gather`): `spans` the (start, stop, d_b) of
-# each block's d_b x d_b entries in it, row-major
+# how `ConstraintSet` forms the values of its blocks, or of (T, J, R), from x,
+# all blocks end to end in one flat array (see `_value_gather`): `spans` the
+# (start, stop, d_b) of each block's d_b x d_b entries in it, row-major
 _ValueGather = namedtuple("_ValueGather", "at coef G0 spans")
 
 
@@ -388,41 +376,25 @@ def _value_gather(blocks, n, m):
     return gather
 
 
-def _split_gather(groups, n, m, fixed_T):
-    """Where (T, J, R) reads x: [T, J, R] = ext[at] coef, `at` and `coef`
-    (3, n n) arrays and ext x extended by the returned `tail`, a zero slot
-    at m and a frozen T's entries. An entry that no coordinate reaches (the
-    diagonal of the skew J) reads the zero slot."""
-    at, coef = np.full((3, n * n), m, dtype=np.intp), np.zeros((3, n * n))
-    for r, name in enumerate("TJR"):
-        if name in groups:
-            ix = _svec_index(n, groups[name].sign)
-            live = ix.coef != 0.0
-            at[r, live], coef[r, live] = groups[name].sl.start + ix.at[live], ix.coef[live]
-    if fixed_T is not None:
-        at[0], coef[0] = m + 1 + np.arange(n * n), 1.0
-    return at, coef, np.append(0.0, fixed_T if fixed_T is not None else [])
+def _linear(gather, x):
+    """The linear part of the gather's blocks at x, flat."""
+    v = np.append(x, 0.0).take(gather.at)  # with the zero slot
+    v *= gather.coef
+    return v.sum(0)
 
 
-def _grad_gather(groups, n, mu):
-    """Where f's gradient reads the flat stack M of the residuals times Q^T,
-    [T Q - E, (J - R) Q - A] Q^T: entry i of x is (M[upper] + sign M[lower])
-    weight, the svec of the residual its group enters times w_g, the weight
-    being c_i0 w_g with w_T = 2 mu, w_J = 2 and w_R = -2."""
-    parts = []
-    for name, g in groups.items():
-        ix, at = _svec_index(n, g.sign), (name != "T") * n * n
-        parts.append((at + ix.upper, at + ix.lower, np.full(len(ix.uv), float(g.sign)),
-                      {"T": 2.0 * mu, "J": 2.0, "R": -2.0}[name] * ix.c[:, 0]))
-    return tuple(np.concatenate(a) for a in zip(*parts))
+def _adjoint(gather, W, m):
+    """The adjoint of `_linear` at W, flat like the blocks, over an x of
+    length m: <W, _linear(gather, y)> = _adjoint(gather, W, m).y."""
+    return np.bincount(gather.at.ravel(), (gather.coef * np.ravel(W)).ravel(),
+                       minlength=m + 1)[:m]
 
 
 # where `_barrier_grad_hess` reads the sub-blocks it needs from U, the
 # (size, n, n) stack of every block's (U_g)_ac in the order [block, term, a, c]:
 # `stacks` the offset in U and the stacked (terms, s, s) M_g of each block,
-# `traces` each group's diagonal sub-blocks (U_g)_aa over all blocks, `pairs`
-# each group pair's (U_g)_ac and (U_h)_ca over all blocks having both
-_BarrierPlan = namedtuple("_BarrierPlan", "size stacks traces pairs")
+# `pairs` each group pair's (U_g)_ac and (U_h)_ca over all blocks having both
+_BarrierPlan = namedtuple("_BarrierPlan", "size stacks pairs")
 
 
 def _barrier_plan(blocks, groups, n):
@@ -437,25 +409,24 @@ def _barrier_plan(blocks, groups, n):
         ac = size + np.arange(Ms.size).reshape(t, s, s)
         index.append({id(g): ac[i] for i, (g, _) in enumerate(b.terms)})
         size += Ms.size
-    traces, pairs = [], []
+    pairs = []
     for i, gi in enumerate(groups):
-        sub = [ix[id(gi)] for ix in index if id(gi) in ix]
-        if sub:
-            traces.append((gi, np.concatenate([a.diagonal() for a in sub])))
         for gh in groups[i:]:
             both = [(ix[id(gi)], ix[id(gh)]) for ix in index if id(gi) in ix and id(gh) in ix]
             if both:
                 pairs.append((gi, gh, np.concatenate([a.ravel() for a, _ in both]),
                               np.concatenate([c.T.ravel() for _, c in both])))
-    return _BarrierPlan(size, stacks, traces, pairs)
+    return _BarrierPlan(size, stacks, pairs)
 
 
 class ConstraintSet:
     """Constraint blocks and variable layout of a `ConvexSubproblem`:
     `groups`, the free variable groups by name in x order: T (unless
-    frozen), J and R; `blocks`; `plan`, the blocks' `_BarrierPlan`; and
+    frozen), J and R; `blocks`; `plan`, the blocks' `_BarrierPlan`;
     `gather`, their `_ValueGather`: block values are one flat array, the
-    blocks end to end, each a matrix in `views`."""
+    blocks end to end, each a matrix in `views`; and `tjr`, the
+    `_ValueGather` of (T, J, R) as three pseudo-blocks [1] (x) X, a frozen
+    T being its G0, which the barrier does not see."""
 
     def __init__(self, n, region, require_R_psd, delta_lmi, fixed_T):
         self.n = n
@@ -485,28 +456,31 @@ class ConstraintSet:
         self.nu = sum(len(b.G0) for b in blocks)
         self.plan = _barrier_plan(blocks, list(self.groups.values()), n)
         self.gather = _value_gather(blocks, n, self.m)
-        self._split = _split_gather(self.groups, n, self.m, fixed_T)
+        # (T, J, R) as three pseudo-blocks [1] (x) X, a frozen T the first one's G0
+        self.tjr = _value_gather([_Block(np.zeros((n, n)), [(self.groups[k], np.ones((1, 1)))])
+                                  if k in self.groups else _Block(fixed_T, []) for k in "TJR"],
+                                 n, self.m)
 
     def split(self, x):
         """(T, J, R) at x as one (3, n, n) array; a frozen T is its fixed
-        value."""
-        at, coef, tail = self._split
-        return (np.concatenate([x, tail]).take(at) * coef).reshape(3, self.n, self.n)
+        value. Along a direction dx, (dT, dJ, dR) is `_linear(tjr, dx)`."""
+        TJR = _linear(self.tjr, x)
+        TJR += self.tjr.G0
+        return TJR.reshape(3, self.n, self.n)
 
     def pack(self, T, J, R):
-        M = {"T": T, "J": J, "R": R}
-        return np.concatenate([_svec(M[k], g.sign) for k, g in self.groups.items()])
+        """The x of symmetric T and R and skew J, `split`'s inverse: the
+        adjoint of its linear part at (T, J, R); a frozen T drops out."""
+        return _adjoint(self.tjr, np.stack([T, J, R]), self.m)
 
     def change(self, dx):
         """The change dG_b of every block value along dx, all blocks end to
         end in one flat array: the blocks' linear parts at dx."""
-        v = np.append(dx, 0.0).take(self.gather.at)  # with the zero slot
-        v *= self.gather.coef
-        return v.sum(0)
+        return _linear(self.gather, dx)
 
     def values(self, x):
         """The block values G_b(x), formed from x, in one flat array."""
-        G = self.change(x)
+        G = _linear(self.gather, x)
         G += self.gather.G0
         return G
 
@@ -516,9 +490,6 @@ class ConstraintSet:
 
     def margins(self, x):
         return [float(_eigenvalues(G)[0]) for G in self.views(self.values(x))]
-
-    def strictly_feasible(self, x):
-        return _barrier(self, self.values(x)) is not None
 
 
 class _Objective:
@@ -530,6 +501,8 @@ class _Objective:
         self.Q = Q
         self.EA = np.stack([sp.E, sp.A])
         self.P, self.res = np.empty_like(self.EA), np.empty_like(self.EA)  # `_residuals` scratch
+        self.zero = np.zeros_like(self.EA)  # the data of `curvature`
+        self.weights = np.array([2.0 * sp.mu, 2.0, -2.0])[:, None, None]  # of `grad`
         # <S_i Q, S_j Q> = sign_i tr(Q Q^T S_i S_j): the trace pairs of U = Q Q^T, V = I
         QQ = Q @ Q.T
         gram = {(si, sj): si * _trace_pairs(QQ, np.eye(sp.n), si, sj)
@@ -547,23 +520,18 @@ class _Objective:
         return _objective_value(self.EA, (*self.cs.split(x), self.Q), self.sp.mu)
 
     def grad(self, x):
-        """f's gradient at x from the residuals [T Q - E, (J - R) Q - A]
-        (module docstring)."""
+        """f's gradient at x: the split's adjoint at [2 mu M_e, 2 M_a, -2 M_a],
+        [M_e, M_a] = [T Q - E, (J - R) Q - A] Q^T (module docstring)."""
         res = _residuals(self.EA, (*self.cs.split(x), self.Q), self.P, self.res)
-        M = (res @ self.Q.T).reshape(-1)
-        upper, lower, sign, weight = self.sp.grad_gather
-        return (M.take(upper) + sign * M.take(lower)) * weight
+        M = res @ self.Q.T
+        return _adjoint(self.cs.tjr, M[[0, 1, 1]] * self.weights, self.cs.m)
 
     def curvature(self, dx):
-        """dx'H_f dx as 2 (||(dJ - dR) Q||_F^2 + mu ||dT Q||_F^2), which is
-        nonnegative however ill-conditioned Q is: the computed dx'(H_f dx)
-        is not once cond(Q)^2 passes 1 / machine eps."""
-        groups, n = self.cs.groups, self.sp.n
-        dJR = _smat(dx[groups["J"].sl], n, -1) - _smat(dx[groups["R"].sl], n, 1)
-        curv = np.linalg.norm(dJR @ self.Q) ** 2
-        if "T" in groups:
-            curv += self.sp.mu * np.linalg.norm(_smat(dx[groups["T"].sl], n, 1) @ self.Q) ** 2
-        return 2.0 * float(curv)
+        """dx'H_f dx as 2 f(dx) with zero data, 2 (||(dJ - dR) Q||_F^2 +
+        mu ||dT Q||_F^2), which is nonnegative however ill-conditioned Q is:
+        the computed dx'(H_f dx) is not once cond(Q)^2 passes 1 / machine eps."""
+        dTJR = _linear(self.cs.tjr, dx).reshape(3, self.sp.n, self.sp.n)
+        return 2.0 * _objective_value(self.zero, (*dTJR, self.Q), self.sp.mu, self.P, self.res)
 
 
 def _eigenvalues(M):
@@ -600,16 +568,16 @@ def _barrier_grad_hess(cs, x, factors=None):
     plan, n = cs.plan, cs.n
     if factors is None:
         factors = _barrier(cs, cs.values(x))
-    g, H, U, inverses = np.zeros(cs.m), np.zeros((cs.m, cs.m)), np.empty((plan.size, n, n)), []
-    for L, (at, Ms) in zip(factors, plan.stacks):
+    H, U, inverses = np.zeros((cs.m, cs.m)), np.empty((plan.size, n, n)), []
+    W = np.empty(len(cs.gather.G0))  # every G_b^-1, end to end like the values
+    for L, (at, Ms), Wb in zip(factors, plan.stacks, cs.views(W)):
         Li, _ = dtrtri(L, lower=1)  # L's diagonal is positive: no info to check
         inverses.append(Li)
-        W = Li.T @ Li  # G^-1
+        np.matmul(Li.T, Li, out=Wb)
         t, s = Ms.shape[:2]
-        np.einsum("apbq,tbc->tacpq", W.reshape(s, n, s, n), Ms,
+        np.einsum("apbq,tbc->tacpq", Wb.reshape(s, n, s, n), Ms,
                   out=U[at:at + Ms.size].reshape(t, s, s, n, n))
-    for gi, diagonal in plan.traces:
-        g[gi.sl] = -_svec(U[diagonal].sum(0).T, gi.sign)
+    g = -_adjoint(cs.gather, W, cs.m)
     for gi, gh, left, right in plan.pairs:
         Hgh = _trace_pairs(U[left], U[right], gi.sign, gh.sign)
         H[gi.sl, gh.sl] = Hgh

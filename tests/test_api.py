@@ -35,6 +35,10 @@ def test_every_exported_name_resolves(name):
     (FgmOptions, "max_time_s", -1.0),
     (FgmOptions, "grad_tol", math.nan),   # the gradient-mapping stop never fires
     (FgmOptions, "stall_rel_tol", math.nan),  # nor the stall stop
+    (FgmOptions, "max_iters", -1),        # ran no iteration: "iteration budget"
+    (FgmOptions, "max_iters", math.nan),
+    (FgmOptions, "max_iters", 2.5),       # ran 3 iterations where BCD ran 2 sweeps
+    (FgmOptions, "max_iters", True),
     (BcdOptions, "eps_init", 0.0),       # ZeroDivisionError
     (BcdOptions, "eps_init", math.nan),  # NaNs in the SDP Newton system
     (BcdOptions, "eps_init", math.inf),
@@ -45,6 +49,10 @@ def test_every_exported_name_resolves(name):
     (BcdOptions, "stall_outer", 0),
     (BcdOptions, "max_time_s", math.nan),
     (BcdOptions, "stall_rel_tol", math.nan),
+    (BcdOptions, "max_outer_iters", -1),
+    (BcdOptions, "max_outer_iters", math.nan),
+    (BcdOptions, "max_outer_iters", 2.5),
+    (BcdOptions, "max_outer_iters", True),
 ])
 def test_options_refuse_values_a_solve_cannot_run_with(options, field, value):
     with pytest.raises(ValueError, match=field):
@@ -55,6 +63,8 @@ def test_options_refuse_values_a_solve_cannot_run_with(options, field, value):
     (FgmOptions, "grad_tol"),   # the gradient-mapping stop off
     (FgmOptions, "max_time_s"),
     (BcdOptions, "max_time_s"),
+    (FgmOptions, "max_iters"),  # an integer budget: 0, not 0.0
+    (BcdOptions, "max_outer_iters"),
 ])
 def test_options_accept_zero_budgets_and_tolerances(options, field):
-    assert getattr(options(**{field: 0.0}), field) == 0.0
+    assert getattr(options(**{field: 0}), field) == 0

@@ -104,6 +104,20 @@ def test_solve_non_finite_mu_exits_1(files, capsys, algo, mu):
     assert not (tmp / "out").exists()
 
 
+@pytest.mark.parametrize("algo, field", [("fgm", "max_iters"), ("bcd", "max_outer_iters")])
+def test_solve_negative_iteration_budget_exits_1(files, capsys, algo, field):
+    tmp, write_pair, write_region = files
+    pair = write_pair("p.json", np.eye(2), -np.eye(2))
+    region = write_region("r.json", HURWITZ)
+    code = main(["solve", "--pair", pair, "--region", region, "--algo", algo,
+                 "--max-iters", "-1", "--out", str(tmp / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {field} must be None or a nonnegative integer" in err
+    assert "Traceback" not in err
+    assert not (tmp / "out").exists()
+
+
 def test_solve_auto_picks_bcd_for_disk(files):
     tmp, write_pair, write_region = files
     pair = write_pair("p.json", np.eye(2), 0.4 * np.eye(2))

@@ -10,9 +10,9 @@ from omegapair import regions as rg
 from omegapair import sdp
 from omegapair.bench import grcar
 from omegapair.dh import project_psd, skew, sym
-from omegapair.sdp import (ConvexSubproblem, InfeasibleStartError, _barrier,
-                           _barrier_grad_hess, _line_merit, _line_step, _Objective, _smat,
-                           _step_spectrum, _svec, initial_point, solve_subproblem)
+from omegapair.sdp import (ConvexSubproblem, InfeasibleStartError, _adjoint, _barrier,
+                           _barrier_grad_hess, _line_merit, _line_step, _linear, _Objective,
+                           _step_spectrum, initial_point, solve_subproblem)
 
 from _oracles import (barrier_blocks, random_well_conditioned, skew_basis,
                       stability_lmi_blocks, sym_basis)
@@ -23,22 +23,46 @@ def _composite():
                         rg.left_parabola(6.0, 1.0), rg.right_parabola(-6.0, 1.0))
 
 
+def _dense_split(x, n, T=None):
+    """(T, J, R) at x on the oracle's orthonormal bases, x holding the
+    coordinates of T (unless T is given, frozen), J and R in that order."""
+    bases = ([] if T is not None else [sym_basis(n)]) + [skew_basis(n), sym_basis(n)]
+    parts = np.split(x, np.cumsum([len(b) for b in bases])[:-1])
+    mats = tuple(np.tensordot(p, b, axes=1) for p, b in zip(parts, bases, strict=True))
+    return mats if T is None else (T, *mats)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 5])
-def test_svec_round_trip_inner_product_and_oracle_basis(n):
+def test_pack_and_split_round_trip_inner_product_and_oracle_basis(n, frozen):
+    """`pack` gives the coordinates of (sym T, skew J, sym R) on the
+    oracle's bases (no T when it is frozen), `split` turns them back (a
+    frozen T its fixed value), the split of each unit coordinate is its
+    basis matrix, and coordinates keep the Frobenius inner product."""
     rng = np.random.default_rng(n)
-    M, N = rng.standard_normal((2, n, n))
-    for sign, part, basis in ((1, sym, sym_basis(n)), (-1, skew, skew_basis(n))):
-        np.testing.assert_allclose(_smat(_svec(M, sign), n, sign), part(M),
+    T_fixed = np.eye(n) + 0.1 * sym(rng.standard_normal((n, n))) if frozen else None
+    cs = ConvexSubproblem(np.eye(n), np.zeros((n, n)), 1.0, rg.hurwitz(),
+                          fixed_T=T_fixed).constraints
+    M, N = rng.standard_normal((2, 3, n, n))
+    parts, skip = [sym, skew, sym], int(frozen)  # skip the T of a frozen T
+    x = cs.pack(*M)
+    want = [part(Mk) for part, Mk in zip(parts, M)]
+    if frozen:
+        want[0] = T_fixed
+    np.testing.assert_allclose(cs.split(x), want, rtol=0.0, atol=1e-15)
+    bases = [sym_basis(n), skew_basis(n), sym_basis(n)][skip:]
+    np.testing.assert_allclose(
+        x, np.concatenate([np.einsum("ij,kij->k", Mk, b) for Mk, b in zip(M[skip:], bases)]),
+        rtol=0.0, atol=1e-15)
+    for e in np.eye(cs.m):  # a unit direction moves no frozen T
+        np.testing.assert_allclose(_linear(cs.tjr, e).reshape(3, n, n),
+                                   _dense_split(e, n, np.zeros((n, n)) if frozen else None),
                                    rtol=0.0, atol=1e-15)
-        # the coordinates along the oracle's basis, and the basis itself
-        np.testing.assert_allclose(_svec(M, sign), np.einsum("ij,kij->k", M, basis),
-                                   rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(_smat(np.eye(len(basis)), n, sign), basis,
-                                   rtol=0.0, atol=1e-15)
-    # sym and skew parts are Frobenius-orthogonal, so the two coordinate
-    # inner products add up to <M, N>_F
-    inner = sum(_svec(M, sign) @ _svec(N, sign) for sign in (1, -1))
-    assert inner == pytest.approx(np.sum(M * N), rel=1e-14, abs=1e-14)
+    # sym and skew parts are Frobenius-orthogonal, and the coordinates of each
+    # part orthonormal: x.y is the sum of the parts' inner products
+    inner = sum(np.sum(part(Mk) * part(Nk))
+                for part, Mk, Nk in zip(parts[skip:], M[skip:], N[skip:]))
+    assert x @ cs.pack(*N) == pytest.approx(inner, rel=1e-14, abs=1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -214,7 +238,8 @@ def test_stage_newton_sums_to_barrier_iterations():
 def _interior_case(case, n):
     """A subproblem of one of four constraint layouts, a random interior
     point x off the start's symmetric (I, 0, rho I), the dense-oracle
-    blocks, and the generator for further draws."""
+    blocks, which read x on the oracle's bases, and the generator for
+    further draws."""
     rng = np.random.default_rng(n)
     region = {"schur": rg.schur(), "hurwitz_psd_R": rg.hurwitz()}.get(case, _composite())
     psd_R = case == "hurwitz_psd_R"
@@ -226,18 +251,20 @@ def _interior_case(case, n):
     x0 = cs.pack(*initial_point(sp))
 
     def oracle(x, direction=False):
-        """G_b at a point x, or dG_b along a direction x."""
-        T, J, R = cs.split(x)
-        if direction and T_fixed is not None:
-            T = np.zeros((n, n))  # a direction does not move a frozen T
-        return barrier_blocks(region.B, region.C, T, J, R,
+        """G_b at a point x, or dG_b along a direction x (which does not
+        move a frozen T)."""
+        frozen = None if T_fixed is None else np.zeros((n, n)) if direction else T_fixed
+        return barrier_blocks(region.B, region.C, *_dense_split(x, n, frozen),
                               0.0 if direction else sp.delta_lmi,
                               psd_T=T_fixed is None, psd_R=psd_R)
 
     step = rng.standard_normal(cs.m)
-    while min(np.linalg.eigvalsh(G)[0] for G in oracle(x0 + step)) <= 0.0:
+    for _ in range(60):
+        if min(np.linalg.eigvalsh(G)[0] for G in oracle(x0 + step)) > 0.0:
+            return sp, cs, oracle, x0 + step, rng
         step /= 2.0
-    return sp, cs, oracle, x0 + step, rng
+    raise AssertionError(f"no interior point within 60 halvings of a step from the "
+                         f"start of {case} at n = {n}: the start is not interior")
 
 
 CASES = ["schur", "hurwitz_psd_R", "composite", "frozen_T"]
@@ -345,11 +372,11 @@ def test_block_values_and_changes_match_dense_oracle(case, n):
     frozen = sp.fixed_T is not None
 
     def change(d):  # the oracle's dG_b along d; a direction does not move a frozen T
-        dT, dJ, dR = cs.split(d)
-        return split_blocks(np.zeros((n, n)) if frozen else dT, dJ, dR, 0.0)
+        return split_blocks(*_dense_split(d, n, np.zeros((n, n)) if frozen else None), 0.0)
 
     dx = rng.standard_normal(cs.m)
-    for got, dense in ((cs.values(x), split_blocks(*cs.split(x), sp.delta_lmi)),
+    for got, dense in ((cs.values(x), split_blocks(*_dense_split(x, n, sp.fixed_T),
+                                                   sp.delta_lmi)),
                        (cs.change(dx), change(dx))):
         assert got.shape == (sum(len(D) ** 2 for D in dense),)
         for Gb, D in zip(cs.views(got), dense, strict=True):
@@ -360,6 +387,26 @@ def test_block_values_and_changes_match_dense_oracle(case, n):
     for Gb, G0, live in zip(at_nan, cs.views(cs.values(np.zeros(cs.m))), reached):
         np.testing.assert_array_equal(np.isnan(Gb), live)
         np.testing.assert_array_equal(Gb[~live], G0[~live])
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+@pytest.mark.parametrize("case", CASES)
+def test_adjoint_is_the_adjoint_of_the_linear_part(case, n):
+    """W._linear(y) = _adjoint(W).y for the blocks' gather and the (T, J, R)
+    split's, the two maps the solver reads x through (at n = 1 the skew J
+    has no coordinates); a frozen T's entries of W drop out of the
+    split's adjoint."""
+    sp, cs, _, _, rng = _interior_case(case, n)
+    for gather in (cs.gather, cs.tjr):
+        y = rng.standard_normal(cs.m)
+        W = rng.standard_normal(len(gather.G0))
+        Ly, AW = _linear(gather, y), _adjoint(gather, W, cs.m)
+        assert Ly.shape == W.shape and AW.shape == y.shape
+        scale = np.abs(W) @ np.abs(Ly) + 1e-300
+        assert abs(W @ Ly - AW @ y) <= 1e-14 * scale
+    W = np.zeros((3, n, n))
+    W[0] = rng.standard_normal((n, n))  # at the T entries alone
+    assert np.any(_adjoint(cs.tjr, W, cs.m)) == (sp.fixed_T is None)
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -377,7 +424,7 @@ def test_line_merit_matches_dense_oracle(case, n):
     obj = _Objective(sp, Q)
 
     def f(x):
-        T, J, R = cs.split(x)
+        T, J, R = _dense_split(x, n, sp.fixed_T)
         res_a = sp.A - (J - R) @ Q
         res_e = sp.E - T @ Q
         return np.sum(res_a * res_a) + sp.mu * np.sum(res_e * res_e)
@@ -396,10 +443,9 @@ def test_line_merit_matches_dense_oracle(case, n):
     for _ in range(3):
         dx = rng.standard_normal(cs.m)
         mu, dG = _step_spectrum(cs, inverses, dx)
-        dT, dJ, dR = cs.split(dx)
-        if sp.fixed_T is not None:
-            dT = np.zeros((n, n))  # a direction does not move a frozen T
-        for dGb, dense in zip(cs.views(dG), split_blocks(dT, dJ, dR, 0.0), strict=True):
+        # a direction does not move a frozen T
+        dTJR = _dense_split(dx, n, None if sp.fixed_T is None else np.zeros((n, n)))
+        for dGb, dense in zip(cs.views(dG), split_blocks(*dTJR, 0.0), strict=True):
             np.testing.assert_allclose(dGb, dense, rtol=0.0, atol=1e-12 * np.abs(dense).max())
         assert mu.min() < 0.0
         s_max = 1.0 / -mu.min()
@@ -420,16 +466,15 @@ def test_line_merit_matches_dense_oracle(case, n):
 @pytest.mark.parametrize("n", [1, 3, 5])
 @pytest.mark.parametrize("case", CASES)
 def test_split_and_objective_gradient_match_dense_forms(case, n):
-    """`split` gives smat of each group's coordinates (a frozen T its fixed
-    value), and f's gradient from the compiled residual gather is, on the
-    oracle's orthonormal bases S_i, -2 mu <(E - T Q) Q^T, S_i> on T,
-    -2 <(A - (J - R) Q) Q^T, S_i> on J and its negation on R, at mu != 1
-    and a random Q."""
+    """`split` gives sum_i x_i S_i over each group's coordinates on the
+    oracle's orthonormal bases S_i (a frozen T its fixed value), and f's
+    gradient, the split's adjoint at the weighted residuals, is
+    -2 mu <(E - T Q) Q^T, S_i> on T, -2 <(A - (J - R) Q) Q^T, S_i> on J and
+    its negation on R, at mu != 1 and a random Q."""
     sp, cs, _, x, rng = _interior_case(case, n)
     sp = dataclasses.replace(sp, mu=0.7)
     Q = random_well_conditioned(n, rng)
-    M = {k: _smat(x[g.sl], n, g.sign) for k, g in cs.groups.items()}
-    T, J, R = M.get("T", sp.fixed_T), M["J"], M["R"]
+    T, J, R = _dense_split(x, n, sp.fixed_T)
     for got, want in zip(cs.split(x), (T, J, R), strict=True):
         np.testing.assert_array_equal(got, want)
     DA = -2.0 * (sp.A - (J - R) @ Q) @ Q.T
@@ -468,7 +513,7 @@ def test_line_search_survives_a_negative_computed_curvature():
     if obj.grad(x) @ dx > 0.0:
         dx = -dx  # a descent direction for t f at a large t
     computed, curv = float(dx @ (obj.H @ dx)), obj.curvature(dx)
-    dT, dJ, dR = (_smat(dx[g.sl], 3, g.sign) for g in cs.groups.values())
+    dT, dJ, dR = _dense_split(dx, 3)
     dense = 2.0 * (np.linalg.norm((dJ - dR) @ Q) ** 2 + sp.mu * np.linalg.norm(dT @ Q) ** 2)
     assert computed < 0.0 <= curv
     assert curv == pytest.approx(dense, rel=1e-12)
@@ -664,15 +709,16 @@ def test_gap_guess_below_the_warm_start_suboptimality_still_converges():
     assert sol.barrier_iterations <= 120  # 100 measured
 
 
-def test_carried_gradient_and_blocks_match_those_formed_from_x(monkeypatch):
-    """The solver carries grad f and the block values G_b along its Newton
-    steps (f quadratic, G_b affine). At every point where it takes the
-    barrier derivatives, over full cold solves to 1e-11 and warm solves,
-    they match _Objective.grad(x) and the G_b formed from x: relative to
-    |grad f| + |g_phi| / t and to |G_b|, the worst differences measured
-    over these solves are 3e-11 and 4e-11, and 1e-9 is allowed. Every
-    returned (T, J, R) is strictly feasible."""
-    points, directions = [], []  # (x, carried G_b, g_phi); (t, g, index in points)
+def test_newton_steps_use_the_gradient_and_blocks_of_their_point(monkeypatch):
+    """Every Newton step reads grad f and the block values G_b of the point
+    it is taken at. At every point where the solver takes the barrier
+    derivatives, over full cold solves to 1e-11 and warm solves, the
+    Cholesky factors it passes are those of the G_b formed from x, and the
+    f-part (g - g_phi) / t of each Newton right-hand side g is
+    _Objective.grad(x), to 1e-9 relative to |G_b| and to
+    |grad f| + |g_phi| / t. Every returned (T, J, R) is strictly
+    feasible."""
+    points, directions = [], []  # (x, L L^T of each factor, g_phi); (t, g, index in points)
     factored = []  # the t of each Newton factor
     barrier_grad_hess = sdp._barrier_grad_hess
     newton_factor, newton_solve = sdp._newton_factor, sdp._newton_solve
@@ -713,7 +759,7 @@ def test_carried_gradient_and_blocks_match_those_formed_from_x(monkeypatch):
                 points.clear()
                 directions.clear()
                 sol = solve_subproblem(sp, Qs, **kwargs)
-                assert cs.strictly_feasible(cs.pack(sol.T, sol.J, sol.R))
+                assert _barrier(cs, cs.values(cs.pack(sol.T, sol.J, sol.R))) is not None
                 obj = _Objective(sp, Qs)
                 for x, G, _ in points:
                     for Gb, formed in zip(G, cs.views(cs.values(x)), strict=True):
