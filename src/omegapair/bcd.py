@@ -36,43 +36,39 @@ __all__ = ["BcdOptions", "BcdDiagnostics", "update_Q", "solve_general"]
 # in a solve.
 ACCURACY_KAPPA = 0.1
 
+# The cold start is solved to a gap of EPS_INIT (1 + ||A||^2 + mu ||E||^2);
+# EPS_DECAY and STALL_REL_TOL enter eps_k and the stall test as BcdOptions
+# describes.
+EPS_INIT = 1e-2
+EPS_DECAY = 4.0
+STALL_REL_TOL = 1e-10
+
 
 @dataclass
 class BcdOptions:
     mu: float = 1.0
     max_time_s: float = 100.0
     max_outer_iters: int | None = None
-    eps_init: float = 1e-2
-    eps_decay: float = 4.0
     eps_floor: float = 1e-8
-    extrapolate: bool = True
     # stop on "objective stall" when the best objective fell by at most
-    # max(stall_rel_tol (1 + |f|), eps_k) over the last stall_outer sweeps,
-    # eps_k = max(eps_floor, eps_init eps_decay^-k) scale being the sweep's
+    # max(STALL_REL_TOL (1 + |f|), eps_k) over the last stall_outer sweeps,
+    # eps_k = max(eps_floor, EPS_INIT EPS_DECAY^-k) scale being the sweep's
     # accuracy target; the subproblem is solved to eps_k or, from the second
     # sweep on, to ACCURACY_KAPPA |last decrease| when that is larger
     stall_outer: int = 5
-    stall_rel_tol: float = 1e-10
     fix_T: np.ndarray | None = None   # freeze the E-side (baseline mode)
     fix_Q: np.ndarray | None = None   # disable the Q update
-    require_R_psd: bool | None = None  # None decides from the region
-    delta_lmi: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.mu < np.inf:  # also false for NaN
             raise ValueError(f"mu must be finite and positive, got {self.mu!r}")
-        if not self.eps_decay > 1.0:  # also false for NaN
-            raise ValueError(f"eps_decay must exceed 1, got {self.eps_decay!r}")
-        for name in ("eps_init", "eps_floor"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
+        if not 0.0 < self.eps_floor < np.inf:
+            raise ValueError(f"eps_floor must be finite and positive, got {self.eps_floor!r}")
         if not self.stall_outer >= 1:
             raise ValueError(f"stall_outer must be at least 1, got {self.stall_outer!r}")
-        # a NaN budget or tolerance would switch its stop off: elapsed >= nan
-        # and every other comparison with NaN is false
-        for name in ("max_time_s", "stall_rel_tol"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)!r}")
+        # a NaN budget would switch its stop off: elapsed >= nan is false
+        if not self.max_time_s >= 0.0:
+            raise ValueError(f"max_time_s must be at least 0, got {self.max_time_s!r}")
         _check_budget("max_outer_iters", self.max_outer_iters)
 
 
@@ -123,9 +119,8 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
     n = E.shape[0]
     mu = opts.mu
 
-    require_R_psd = (opts.require_R_psd if opts.require_R_psd is not None
-                     else in_closed_left_half_plane(region))
-    sp = ConvexSubproblem(E, A, mu, region, require_R_psd, opts.delta_lmi, opts.fix_T)
+    sp = ConvexSubproblem(E, A, mu, region, in_closed_left_half_plane(region),
+                          fixed_T=opts.fix_T)
 
     t_start = _time.perf_counter()
 
@@ -134,7 +129,7 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
 
     Q = np.eye(n) if opts.fix_Q is None else np.asarray(opts.fix_Q, dtype=float)
     scale0 = 1.0 + float(np.sum(A * A) + mu * np.sum(E * E))
-    sol = solve_subproblem(sp, Q, accuracy=opts.eps_init * scale0)
+    sol = solve_subproblem(sp, Q, accuracy=EPS_INIT * scale0)
     T, J, R, f = sol.T, sol.J, sol.R, sol.objective
     scale = 1.0 + f
 
@@ -176,18 +171,15 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
         if elapsed() + 1.2 * last_solve_time >= opts.max_time_s:
             break
         t_iter = _time.perf_counter()
-        eps_k = max(opts.eps_floor, opts.eps_init * opts.eps_decay ** (-k)) * scale
+        eps_k = max(opts.eps_floor, EPS_INIT * EPS_DECAY ** (-k)) * scale
         # the warm start is about one sweep's decrease from the optimum: start
         # the barrier at t = nu / |decrease| (Boyd and Vandenberghe, sec. 11.3)
         gap_guess = max(10.0 * eps_k, abs(last_decrease))
         # the first sweep's "decrease" is the start's objective: it keeps eps_k
         acc_k = eps_k if k == 1 else max(eps_k, ACCURACY_KAPPA * abs(last_decrease))
-        beta = (k - 1.0) / (k + 2.0) if opts.extrapolate else 0.0
-        if beta > 0.0:
-            base = (T + beta * (T - prev[0]), J + beta * (J - prev[1]),
-                    R + beta * (R - prev[2]), Q + beta * (Q - prev[3]))
-        else:
-            base = (T, J, R, Q)
+        beta = (k - 1.0) / (k + 2.0)
+        base = (T + beta * (T - prev[0]), J + beta * (J - prev[1]),
+                R + beta * (R - prev[2]), Q + beta * (Q - prev[3]))
         Tn, Jn, Rn, Qn, fn = half_step(*base, acc_k, gap_guess)
         if fn > f and beta > 0.0:
             diag.restarts += 1
@@ -202,7 +194,7 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
         k += 1  # sweeps run: k - 1, whichever way the loop ends
         if len(trace) > opts.stall_outer:
             first = trace[-(opts.stall_outer + 1)][1]  # best objective then
-            if first - fbest <= max(opts.stall_rel_tol * (1.0 + abs(first)), eps_k):
+            if first - fbest <= max(STALL_REL_TOL * (1.0 + abs(first)), eps_k):
                 stop_reason = "objective stall"
                 break
     else:

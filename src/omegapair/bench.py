@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,7 +183,7 @@ def _row(inst, res, error=""):
     return dict(zip(_COLUMNS, (inst.name, *values, inst.seed, error)))
 
 
-def run_table(instances, out_dir=None, workers=1):
+def run_table(instances, out_dir=None):
     """Run every instance and collect a results table.
 
     Returns a list of rows (dict per instance, input order preserved).
@@ -209,11 +208,7 @@ def run_table(instances, out_dir=None, workers=1):
         except Exception as exc:  # noqa: BLE001 - batch keeps going by contract
             return _row(inst, None, f"{type(exc).__name__}: {exc}"), None
 
-    if workers <= 1:
-        outcome = [work(inst) for inst in instances]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcome = list(pool.map(work, instances))
+    outcome = [work(inst) for inst in instances]
     results = [row for row, _ in outcome]
     if out_dir is not None:
         for name, (row, res) in zip(safe, outcome):

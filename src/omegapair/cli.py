@@ -66,7 +66,6 @@ def _parser():
     pb = sub.add_parser("bench", help="run a table of instances")
     pb.add_argument("--spec", required=True, help="JSON list of instances")
     pb.add_argument("--out", default="bench_out")
-    pb.add_argument("--workers", type=int, default=1)
 
     pr = sub.add_parser("region-info", help="inspect a region file")
     pr.add_argument("--region", required=True)
@@ -136,7 +135,7 @@ def _cmd_bench(args):
     if not isinstance(spec, list):
         raise ValueError(f"bench spec {args.spec} must hold a JSON list of instances")
     instances = [BenchInstance.from_dict(obj) for obj in spec]
-    rows = run_table(instances, out_dir=args.out, workers=args.workers)
+    rows = run_table(instances, out_dir=args.out)
     for row in rows:
         err = row["error"] or "ok"
         print(f"{row['instance']:>24s}  {row['algorithm']:>4s}  "

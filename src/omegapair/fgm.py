@@ -72,10 +72,6 @@ class FgmOptions:
     max_time_s: float = 30.0
     max_iters: int | None = None
     init_step: float | None = None     # default 1 / L with L from power iteration
-    ls_shrink: float = 2.0             # backtracking factor
-    ls_grow: float = 2.0               # step growth at the start of each iteration
-    ls_max: int = 20
-    alpha0: float = 0.5                # momentum seed
     stall_window: int = 3000
     stall_rel_tol: float = 1e-11
     grad_tol: float = 0.0              # gradient-mapping stop, 0 disables
@@ -85,16 +81,10 @@ class FgmOptions:
     def __post_init__(self):
         if not 0.0 < self.mu < np.inf:  # also false for NaN
             raise ValueError(f"mu must be finite and positive, got {self.mu!r}")
-        if not self.ls_shrink > 1.0:  # also false for NaN
-            raise ValueError(f"ls_shrink must exceed 1, got {self.ls_shrink!r}")
-        if not self.ls_grow >= 1.0:
-            raise ValueError(f"ls_grow must be at least 1, got {self.ls_grow!r}")
-        if not 0.0 < self.alpha0 < 1.0:
-            raise ValueError("alpha0 must be in (0, 1)")
         if self.init_step is not None and not 0.0 < self.init_step < np.inf:
             raise ValueError(f"init_step must be None or finite and positive, "
                              f"got {self.init_step!r}")
-        for name in ("ls_max", "stall_window", "trace_every"):
+        for name in ("stall_window", "trace_every"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
         # a NaN budget or tolerance would switch its stop off: elapsed >= nan
@@ -104,6 +94,15 @@ class FgmOptions:
                 raise ValueError(f"{name} must be at least 0, got {getattr(self, name)!r}")
         _check_budget("max_iters", self.max_iters)
 
+
+# The backtracking line search: the step grows by LS_GROW at the start of
+# each iteration and shrinks by LS_SHRINK per rejected trial, for at most
+# LS_MAX trials (100 in the first iteration). ALPHA0 seeds the momentum,
+# at the start and after every restart.
+LS_SHRINK = 2.0
+LS_GROW = 2.0
+LS_MAX = 20
+ALPHA0 = 0.5
 
 # The largest short side, as a fraction of n (at least one pair), that
 # `project` takes with the subset driver `dsyevx`. At n = 200 on one thread
@@ -307,7 +306,7 @@ def _descend(E, A, opts: FgmOptions, t0):
     step_accept = step
 
     trace = [(0.0, *_fit(work.EA, X, mu))]
-    alpha = opts.alpha0
+    alpha = ALPHA0
     fail_streak = 0
     it = 0
     stall_anchor = (0, fX)
@@ -319,9 +318,9 @@ def _descend(E, A, opts: FgmOptions, t0):
             stop_reason = "time budget"
             break
         G = gradient(E, A, Y, mu, work)
-        step *= opts.ls_grow
+        step *= LS_GROW
         accepted = False
-        ls_budget = 100 if it == 0 else opts.ls_max
+        ls_budget = 100 if it == 0 else LS_MAX
         for _ in range(ls_budget):
             np.multiply(G, step, out=C)
             np.subtract(Y, C, out=C)
@@ -334,7 +333,7 @@ def _descend(E, A, opts: FgmOptions, t0):
             if fc < fX:
                 accepted = True
                 break
-            step /= opts.ls_shrink
+            step /= LS_SHRINK
 
         stationary = False
         if not accepted:
@@ -345,7 +344,7 @@ def _descend(E, A, opts: FgmOptions, t0):
             # drop momentum and retry from the last iterate; first with half
             # the last working step, then from a fresh curvature estimate
             np.copyto(Y, X)
-            alpha = opts.alpha0
+            alpha = ALPHA0
             if fail_streak == 1:
                 step = step_accept / 2.0
             else:

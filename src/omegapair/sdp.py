@@ -20,7 +20,7 @@ when the growth lands one ulp short.
 
 The first stage runs where the start point x is most nearly central. The
 caller's estimate gap0 of the start's suboptimality (f(x) by default)
-gives t0 = nu / max(gap0, eps), clamped to [1e-2, 1e8]. K0 = t0 H_f +
+gives t0 = nu / max(gap0, eps), at most t_final. K0 = t0 H_f +
 H_phi is factored at x once and solved for y_f = K0^-1 gf and
 y_phi = K0^-1 g_phi (gf and g_phi the gradients of f and of the
 barrier). The t minimizing ||t gf + g_phi|| in the K0^-1 norm, the
@@ -742,9 +742,9 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
     """Minimize the subproblem objective at the given Q to the requested
     duality gap.
 
-    `init` may supply a warm-start triple (T, J, R), or a list of them
-    tried in order; the first strictly feasible one is the start, and
-    without one the default `initial_point`. The solution's `start` is the
+    `init` may supply a list of warm-start triples (T, J, R) tried in
+    order; the first strictly feasible one is the start, and without one
+    the default `initial_point`. The solution's `start` is the
     triple used. `gap0` estimates the warm start's suboptimality and
     sets the floor nu / gap0 of the initial barrier parameter (default:
     the objective value itself, the right scale for a cold start); the
@@ -766,9 +766,8 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
         factors = _barrier(cs, cs.values(x))
         return None if factors is None else (factors, obj.grad(x))
 
-    starts = [init] if init is not None and np.ndim(init[0]) == 2 else list(init or ())
     at_x = None
-    for start in starts:
+    for start in init or ():
         x = cs.pack(*start)
         if (at_x := state(x)) is not None:
             break
@@ -797,7 +796,7 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
     if nu / t_final > eps:
         t_final = math.nextafter(t_final, math.inf)
     gap_guess = gap0 if gap0 is not None else f0
-    t = max(1e-2, min(1e8, nu / max(gap_guess, eps)))
+    t = nu / max(gap_guess, eps)
     # the barrier derivatives at x, kept until x moves (a stage that ends
     # centered or without progress leaves x to the next), and the Newton
     # factor, kept until x or t moves

@@ -188,7 +188,7 @@ def test_late_sweeps_are_solved_to_a_fraction_of_the_last_decrease():
     scale = 1.0 + f
     restarts = looser = 0
     for k, (fn, accuracies) in enumerate(_sweeps(res, diag), start=1):
-        eps_k = max(opts.eps_floor, opts.eps_init * opts.eps_decay ** (-k)) * scale
+        eps_k = max(opts.eps_floor, bcd.EPS_INIT * bcd.EPS_DECAY ** (-k)) * scale
         wanted = eps_k if k == 1 else max(eps_k, bcd.ACCURACY_KAPPA * abs(decrease))
         assert accuracies == pytest.approx([wanted] * len(accuracies), rel=1e-9)
         restarts += len(accuracies) - 1

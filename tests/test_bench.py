@@ -136,18 +136,16 @@ def test_run_table_records_failures_and_continues(tmp_path):
     assert rows[1]["admissible"]
 
 
-def test_run_table_parallel_matches_serial(tmp_path):
+def test_run_table_keeps_input_order_and_algorithms():
     insts = [BenchInstance(name=f"i{k}", pair=MatrixPair(np.eye(2), 0.4 * np.eye(2)),
                            region=rg.hurwitz(), algorithm="fgm",
                            budget_s=30.0, max_iters=40) for k in range(3)]
     insts.append(BenchInstance(name="i3", pair=grcar(6, 1), region=rg.schur(),
                                algorithm="bcd", budget_s=60.0, max_iters=3))
-    serial = run_table(insts)
-    parallel = run_table(insts, workers=3)
-    assert [r["objective"] for r in serial] == [r["objective"] for r in parallel]
-    assert [r["instance"] for r in parallel] == ["i0", "i1", "i2", "i3"]
-    assert [r["algorithm"] for r in parallel] == ["fgm", "fgm", "fgm", "bcd"]
-    assert all(r["error"] == "" for r in parallel)
+    rows = run_table(insts)
+    assert [r["instance"] for r in rows] == ["i0", "i1", "i2", "i3"]
+    assert [r["algorithm"] for r in rows] == ["fgm", "fgm", "fgm", "bcd"]
+    assert all(r["error"] == "" for r in rows)
 
 
 # Eigenvalues -0.5 +- 2i: in the left half-plane, outside disk(-3, 1).

@@ -160,16 +160,23 @@ def test_solve_malformed_pair_file(files, capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("E, A", [
-    (np.eye(2), [[np.nan, 0.0], [0.0, -1.0]]),
-    (1e300 * np.eye(2), [[-1e300, 1e300], [0.0, -1e300]]),
+@pytest.mark.parametrize("E, A, overflows", [
+    (np.eye(2), [[np.nan, 0.0], [0.0, -1.0]], False),
+    (1e300 * np.eye(2), [[-1e300, 1e300], [0.0, -1e300]], True),
 ], ids=["nan", "1e300"])
-def test_solve_non_finite_or_overflowing_pair_exits_1(files, capsys, E, A):
+def test_solve_non_finite_or_overflowing_pair_exits_1(files, capsys, E, A, overflows):
     tmp, write_pair, write_region = files
     pair = write_pair("p.json", E, A)
     region = write_region("r.json", HURWITZ)
-    code = main(["solve", "--pair", pair, "--region", region, "--max-iters", "50",
-                 "--out", str(tmp / "out")])
+    argv = ["solve", "--pair", pair, "--region", region, "--max-iters", "50",
+            "--out", str(tmp / "out")]
+    if overflows:
+        # the 1e300 pair overflows in the solve (it does not scale its input)
+        with pytest.warns(RuntimeWarning) as record:
+            code = main(argv)
+        assert any("overflow" in str(w.message) for w in record)
+    else:
+        code = main(argv)
     assert code == 1
     err = capsys.readouterr().err
     assert "error:" in err

@@ -365,10 +365,6 @@ def test_nan_inputs_abort_with_diagnostic():
 def test_option_validation():
     with pytest.raises(ValueError):
         FgmOptions(mu=0.0)
-    with pytest.raises(ValueError):
-        FgmOptions(alpha0=1.5)
-    with pytest.raises(ValueError):
-        FgmOptions(ls_shrink=1.0)
 
 
 def _per_matrix_project(Z, work=None):

