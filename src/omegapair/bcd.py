@@ -6,10 +6,10 @@ blocks and a monotone safeguard that redoes an iteration without momentum
 whenever the objective would increase. A (T, J, R) update keeps its warm
 start where the subproblem returns above it, so that it never raises the
 objective, as inexact block coordinate descent needs (Tseng and Yun, Math.
-Program. 117, 2009). When the region sits in the closed left half-plane
-the dissipation R is kept PSD, which makes the final pair certifiably
-admissible; otherwise R is only symmetric and admissibility is verified
-on the realized pair.
+Program. 117, 2009). The subproblem keeps the dissipation R PSD when the
+region sits in the closed left half-plane, which makes the final pair
+certifiably admissible; otherwise R is only symmetric and admissibility
+is verified on the realized pair.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dh import DhParam
-from .regions import LmiRegion, in_closed_left_half_plane
+from .regions import LmiRegion
 from .result import SolveResult, _check_budget, _fit, _objective_value, finalize_solution
 from .sdp import ConvexSubproblem, solve_subproblem
 
@@ -119,8 +119,7 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
     n = E.shape[0]
     mu = opts.mu
 
-    sp = ConvexSubproblem(E, A, mu, region, in_closed_left_half_plane(region),
-                          fixed_T=opts.fix_T)
+    sp = ConvexSubproblem(E, A, mu, region, fixed_T=opts.fix_T)
 
     t_start = _time.perf_counter()
 

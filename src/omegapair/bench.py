@@ -238,7 +238,16 @@ def region_plot_data(region: LmiRegion, pairs, bounds, nx=161, ny=121,
     eigenvalue of the characteristic matrix, negated and scaled) changes
     sign between neighbouring grid nodes, refined by bisection along the
     connecting segment to `tol`. Returns the mapping of emitted file paths.
+    `bounds` (xmin, xmax, ymin, ymax) must be four finite numbers with
+    xmin < xmax and ymin < ymax, and the grid at least 2 x 2 nodes; else
+    ValueError, before anything is written.
     """
+    if not (len(bounds) == 4 and np.isfinite(bounds).all()
+            and bounds[0] < bounds[1] and bounds[2] < bounds[3]):
+        raise ValueError(f"bounds must be four finite numbers xmin < xmax and ymin < ymax, "
+                         f"got {tuple(bounds)!r}")
+    if not (nx >= 2 and ny >= 2):
+        raise ValueError(f"the grid needs nx >= 2 and ny >= 2 nodes, got {nx} x {ny}")
     os.makedirs(out_dir, exist_ok=True)
     xmin, xmax, ymin, ymax = bounds
     xs = np.linspace(xmin, xmax, nx)

@@ -160,15 +160,23 @@ def _cmd_region_info(args):
     return EXIT_OK
 
 
+def _flag_numbers(flag, text, kind):
+    """The comma-separated numbers of a flag's value `text`, each read by
+    `kind`; a value that does not read is an error naming the flag."""
+    try:
+        return tuple(kind(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated numbers, got {text!r}") from None
+
+
 def _cmd_plot_data(args):
     region = load_region(args.region)
     pairs = [load_pair(path) for path in args.pair]
-    bounds = tuple(float(v) for v in args.bounds.split(","))
-    if len(bounds) != 4:
-        raise ValueError("--bounds needs xmin,xmax,ymin,ymax")
-    nx, ny = (int(v) for v in args.grid.split(","))
-    files = region_plot_data(region, pairs, bounds, nx=nx, ny=ny,
-                             out_dir=args.out)
+    bounds = _flag_numbers("--bounds", args.bounds, float)
+    grid = _flag_numbers("--grid", args.grid, int)
+    if len(grid) != 2:
+        raise ValueError(f"--grid needs nx,ny, got {args.grid!r}")
+    files = region_plot_data(region, pairs, bounds, *grid, out_dir=args.out)
     for name, path in files.items():
         print(f"{name}: {path}")
     return EXIT_OK

@@ -3,7 +3,8 @@
 For a fixed invertible Q the problem
 
     min  ||A - (J - R) Q||_F^2 + mu ||E - T Q||_F^2
-    s.t. T >= 0,  optionally R >= 0,  and the region LMI
+    s.t. T >= 0,  R >= 0 when the region lies in the closed left
+         half-plane (or there is none),  and the region LMI
          -(B (x) T + (C-C^T) (x) J - (C+C^T) (x) R) > delta_lmi I,
 
 is a convex quadratic over the symmetric/skew/symmetric triple (T, J, R)
@@ -166,9 +167,11 @@ since the failed `dpotrf` has overwritten the buffer, and shifted by
 1e-12 (1 + tr / m) on its diagonal before the second factorization. A
 direction that is not finite raises ValueError.
 
-A `ConvexSubproblem` states everything but Q and compiles its constraint
-blocks once; `solve_subproblem` takes Q per call, so one subproblem serves
-every Q update of a BCD solve.
+A `ConvexSubproblem` states the data, the region and a frozen T, works
+out from them its LMI margin delta_lmi and whether R must be PSD, and
+compiles its constraint blocks once; `solve_subproblem` takes Q per call,
+so one subproblem serves every Q update of a BCD solve. It always has a
+block: R >= 0 without a region, a region block otherwise.
 """
 
 from __future__ import annotations
@@ -181,7 +184,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd, dtrtri
 
-from .regions import LmiRegion, connected_blocks, real_section
+from .regions import LmiRegion, connected_blocks, in_closed_left_half_plane, real_section
 from .result import _objective_value, _residuals
 
 __all__ = [
@@ -240,27 +243,32 @@ def _skew_pick(n):
 
 @dataclass
 class ConvexSubproblem:
-    """The (T, J, R) subproblem of every Q: data, region and options.
+    """The (T, J, R) subproblem of every Q: data, weight, region and an
+    optional frozen T.
 
-    Its constraint blocks do not depend on Q and are built once, as
-    `constraints`; `solve_subproblem` takes Q per call. `delta_lmi`
-    defaults to 1e-6 (1 + ||A||_F).
+    The rest follows from these. `require_R_psd`: R >= 0 is a constraint
+    exactly when there is no region or it lies in the closed left
+    half-plane, where a PSD R certifies the pair admissible (the
+    dissipative-Hamiltonian characterization). `delta_lmi`, the margin of
+    the region LMI, is 1e-6 (1 + ||A||_F). The constraint blocks do not
+    depend on Q and are built once, as `constraints`; `solve_subproblem`
+    takes Q per call.
     """
 
     E: np.ndarray
     A: np.ndarray
     mu: float = 1.0
     region: LmiRegion | None = None
-    require_R_psd: bool = False
-    delta_lmi: float | None = None
     fixed_T: np.ndarray | None = None  # when set, T is held constant
+    require_R_psd: bool = field(init=False)
+    delta_lmi: float = field(init=False)
     constraints: ConstraintSet = field(init=False, repr=False)
 
     def __post_init__(self):
         self.E = np.asarray(self.E, dtype=float)
         self.A = np.asarray(self.A, dtype=float)
-        if self.delta_lmi is None:
-            self.delta_lmi = 1e-6 * (1.0 + np.linalg.norm(self.A, "fro"))
+        self.require_R_psd = self.region is None or in_closed_left_half_plane(self.region)
+        self.delta_lmi = 1e-6 * (1.0 + np.linalg.norm(self.A, "fro"))
         if self.fixed_T is not None:
             self.fixed_T = np.asarray(self.fixed_T, dtype=float)
         self.constraints = ConstraintSet(self.n, self.region, self.require_R_psd,
@@ -288,11 +296,11 @@ class SubproblemSolution:
     barrier_iterations: int
     gap_estimate: float
     converged: bool
-    stage_objectives: list = field(default_factory=list)
-    initial_point_used: bool = False
-    stage_newton: list = field(default_factory=list)  # Newton steps per barrier stage
-    multipliers: list = field(default_factory=list)
-    start: tuple = ()  # the (T, J, R) the solve started from
+    stage_objectives: list
+    initial_point_used: bool
+    stage_newton: list  # Newton steps per barrier stage
+    multipliers: list
+    start: tuple  # the (T, J, R) the solve started from
 
 
 # a free variable group: its slice of x and sign (+1 sym, -1 skew)
@@ -558,16 +566,13 @@ def _barrier(cs, G):
     return factors
 
 
-def _barrier_grad_hess(cs, x, factors=None):
+def _barrier_grad_hess(cs, x, factors):
     """Gradient and Hessian of -sum logdet G_b at x over the blocks of the
-    constraint set `cs`, and the inverses of the blocks' Cholesky factors.
-
-    `factors` are the blocks' Cholesky factors at the interior point x, as
-    `_barrier` returns them; they are computed here from x when not given.
+    constraint set `cs`, and the inverses of the blocks' Cholesky factors,
+    from `factors`, those of the block values at the interior point x as
+    `_barrier` returns them.
     """
     plan, n = cs.plan, cs.n
-    if factors is None:
-        factors = _barrier(cs, cs.values(x))
     H, U, inverses = np.zeros((cs.m, cs.m)), np.empty((plan.size, n, n)), []
     W = np.empty(len(cs.gather.G0))  # every G_b^-1, end to end like the values
     for L, (at, Ms), Wb in zip(factors, plan.stacks, cs.views(W)):
@@ -610,21 +615,16 @@ def _multipliers(inverses, dG, t):
 
 
 def _line_slopes(s, t, slope_f, curv_f, mu):
-    """The first and second derivative in s of `_line_merit`."""
+    """The first and second derivative in s of the line merit
+    psi(x + s dx) - psi(x) = t (s slope_f + s^2 curv_f / 2) - sum log(1 + s mu)
+    for psi = t f - sum logdet G_b, from slope_f = gf.dx, curv_f = dx'H_f dx
+    and the step spectrum mu."""
     w = mu / (1.0 + s * mu)
     return t * (slope_f + s * curv_f) - float(w.sum()), t * curv_f + float(w @ w)
 
 
-def _line_merit(s, t, slope_f, curv_f, mu):
-    """psi(x + s dx) - psi(x) for psi = t f - sum logdet G_b, and its first
-    and second derivative in s, from slope_f = gf.dx, curv_f = dx'H_f dx
-    and the step spectrum mu."""
-    return (t * (s * slope_f + 0.5 * s * s * curv_f) - float(np.sum(np.log1p(s * mu))),
-            *_line_slopes(s, t, slope_f, curv_f, mu))
-
-
 def _line_step(t, slope_f, curv_f, mu):
-    """The minimizer of `_line_merit` over s in [0, 0.99 s_max].
+    """The minimizer of the line merit over s in [0, 0.99 s_max].
 
     Newton's method on the merit's derivative phi'(s) in the variable
     v = 1 / (s_max - s) (in s itself where no mu is negative). phi' is
@@ -710,8 +710,8 @@ def initial_point(sp: ConvexSubproblem):
             f"no scalar dissipation level is feasible (interval [{lo:.3g}, {hi:.3g}] "
             "is empty); a PSD R needs a region that meets the open left half-plane")
 
-    if math.isinf(lo) and math.isinf(hi):
-        candidates = [0.0, 1.0] if not sp.require_R_psd else [1.0]
+    if math.isinf(lo) and math.isinf(hi):  # R is free: a PSD R has lo >= 0
+        candidates = [0.0, 1.0]
     elif math.isinf(hi):
         step = max(1.0, abs(lo))
         candidates = [lo + step * f for f in (0.5, 1.0, 4.0)]
@@ -727,17 +727,17 @@ def initial_point(sp: ConvexSubproblem):
     best = (-math.inf, None)
     for rho in candidates:
         x = cs.pack(T, J, rho * np.eye(n))
-        worst = min(cs.margins(x)) if cs.blocks else math.inf
+        worst = min(cs.margins(x))
         if worst > best[0]:
             best = (worst, rho)
-    if best[0] <= max(10.0 * sp.delta_lmi * 1e-3, 0.0) and cs.blocks:
+    if best[0] <= 1e-2 * sp.delta_lmi:
         raise InfeasibleStartError(
             f"default starting point search failed (best margin {best[0]:.3e}); "
             "review the region and its parameters")
     return T, J, best[1] * np.eye(n)
 
 
-def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None = None,
+def solve_subproblem(sp: ConvexSubproblem, Q, init=None, *, accuracy: float,
                      gap0: float | None = None) -> SubproblemSolution:
     """Minimize the subproblem objective at the given Q to the requested
     duality gap.
@@ -748,11 +748,11 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
     triple used. `gap0` estimates the warm start's suboptimality and
     sets the floor nu / gap0 of the initial barrier parameter (default:
     the objective value itself, the right scale for a cold start); the
-    solve starts above it where the start is more central there. Both
-    must be finite and positive when given; `accuracy` defaults to
-    1e-8 (1 + f) at the start. The returned point is strictly feasible
-    and, when `converged`, its objective is within the certified
-    `gap_estimate` <= `accuracy` of the optimum.
+    solve starts above it where the start is more central there.
+    `accuracy`, and `gap0` when given, must be finite and positive. The
+    returned point is strictly feasible and, when `converged`, its
+    objective is within the certified `gap_estimate` <= `accuracy` of the
+    optimum.
     """
     for name, value in (("accuracy", accuracy), ("gap0", gap0)):
         if value is not None and not (math.isfinite(value) and value > 0.0):
@@ -778,25 +778,15 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
         at_x = state(x)
     factors, gf = at_x
 
-    f0 = obj.value(x)
-    eps = accuracy if accuracy is not None else 1e-8 * (1.0 + f0)
-
     total_newton = 0
     stage_objectives = []
     stage_newton = []
-
-    if not cs.blocks:
-        # Unconstrained convex quadratic: one exact Newton solve.
-        x = x - np.linalg.solve(obj.H + 1e-14 * np.eye(cs.m), gf)
-        return SubproblemSolution(*cs.split(x), obj.value(x), 1, 0.0, True,
-                                  [obj.value(x)], used_default, [1], start=start)
-
     nu = cs.nu
-    t_final = nu / eps
-    if nu / t_final > eps:
+    t_final = nu / accuracy
+    if nu / t_final > accuracy:
         t_final = math.nextafter(t_final, math.inf)
-    gap_guess = gap0 if gap0 is not None else f0
-    t = nu / max(gap_guess, eps)
+    gap_guess = gap0 if gap0 is not None else obj.value(x)
+    t = nu / max(gap_guess, accuracy)
     # the barrier derivatives at x, kept until x moves (a stage that ends
     # centered or without progress leaves x to the next), and the Newton
     # factor, kept until x or t moves
@@ -838,7 +828,7 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
                 # x + dx is interior and the step's dual point bounds its
                 # gap; where rounding breaks either, the line search goes on
                 gap, xn = (nu - float(mu @ mu)) / t, x + dx
-                if gap <= eps and state(xn) is not None:
+                if gap <= accuracy and state(xn) is not None:
                     multipliers = _multipliers(inverses, cs.views(dG), t)
                     x, converged = xn, True
                     break
@@ -862,7 +852,7 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, accuracy: float | None 
             # nearer to centering x; an overshoot costs a growth stage of a
             # few steps, an undershoot another stage short of its end. f >= 0
             # bounds the gap by f(x), so t need not fall below nu / f(x)
-            t = min(t, max(t / BARRIER_GROWTH ** 2, nu / max(stage_objectives[-1], eps)))
+            t = min(t, max(t / BARRIER_GROWTH ** 2, nu / max(stage_objectives[-1], accuracy)))
         elif is_final:
             break
         elif not short:  # a stage short of centering keeps its t

@@ -223,8 +223,8 @@ def test_criterion_7_numerical_analysis_suite():
     # subproblem solver vs closed-form projections
     G = sym(rng.standard_normal((5, 5)))
     A5 = rng.standard_normal((5, 5))
-    sol = solve_subproblem(ConvexSubproblem(G, A5, 1.0, region=None, require_R_psd=True),
-                           np.eye(5), accuracy=1e-10)
+    sol = solve_subproblem(ConvexSubproblem(G, A5, 1.0, region=None), np.eye(5),
+                           accuracy=1e-10)
     err_sdp = max(np.abs(sol.T - project_psd(G)).max(),
                   np.abs(sol.J - skew(A5)).max(),
                   np.abs(sol.R - project_psd(-sym(A5))).max())

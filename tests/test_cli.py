@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -335,3 +336,35 @@ def test_bench_duplicate_instance_names_exit_1(files, capsys):
         assert main(["bench", "--spec", str(spec_path), "--out", str(out_dir)]) == 1
         assert "unique" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flag, value, names", [
+    ("--bounds", "nan,1,0,1", "bounds"),
+    ("--bounds", "-inf,1,0,1", "bounds"),
+    ("--bounds", "5,-5,-3,3", "bounds"),
+    ("--bounds", "-5,5,3,-3", "bounds"),
+    ("--bounds", "-5,5,-3", "bounds"),
+    ("--bounds", "-5,5,-3,x", "--bounds"),
+    ("--grid", "0,0", "grid"),
+    ("--grid", "161,1", "grid"),
+    ("--grid", "161", "--grid"),
+    ("--grid", "161,x", "--grid"),
+], ids=["nan", "minus-inf", "x-reversed", "y-reversed", "three-bounds", "bound-text",
+        "grid-empty", "grid-one-row", "grid-one-number", "grid-text"])
+def test_plot_data_bad_bounds_or_grid_exit_1(files, capsys, flag, value, names):
+    """Bounds that are not four finite numbers with xmin < xmax and
+    ymin < ymax, or a grid that is not two numbers of at least 2 nodes
+    each, are input errors: exit 1, no traceback, no warning and no
+    output written, where they once gave an empty boundary.csv or a bare
+    unpacking error."""
+    tmp, write_pair, write_region = files
+    region = write_region("r.json", {"intersect": [{"kind": "disk", "q": 0.0, "r": 1.0}]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["plot-data", "--region", region, f"{flag}={value}",
+                     "--out", str(tmp / "plots")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and names in err
+    assert "Traceback" not in err
+    assert not (tmp / "plots").exists()

@@ -11,7 +11,7 @@ from omegapair import sdp
 from omegapair.bench import grcar
 from omegapair.dh import project_psd, skew, sym
 from omegapair.sdp import (ConvexSubproblem, InfeasibleStartError, _adjoint, _barrier,
-                           _barrier_grad_hess, _line_merit, _line_step, _linear, _Objective,
+                           _barrier_grad_hess, _line_slopes, _line_step, _linear, _Objective,
                            _step_spectrum, initial_point, solve_subproblem)
 
 from _oracles import (barrier_blocks, random_well_conditioned, skew_basis,
@@ -21,6 +21,11 @@ from _oracles import (barrier_blocks, random_well_conditioned, skew_basis,
 def _composite():
     return rg.intersect(rg.vertical_strip(-5.0, 5.0), rg.horizontal_strip(3.0),
                         rg.left_parabola(6.0, 1.0), rg.right_parabola(-6.0, 1.0))
+
+
+def _barrier_derivs(cs, x):
+    """The barrier's gradient, Hessian and inverse factors at the interior x."""
+    return _barrier_grad_hess(cs, x, _barrier(cs, cs.values(x)))
 
 
 def _dense_split(x, n, T=None):
@@ -83,8 +88,8 @@ def test_trace_pairs_match_dense_sum(si, sj, n):
 
 
 def test_identity_instance_recovers_exact_quadruple():
-    sp = ConvexSubproblem(np.eye(2), -np.eye(2), 1.0, rg.hurwitz(), require_R_psd=True)
-    sol = solve_subproblem(sp, np.eye(2))
+    sp = ConvexSubproblem(np.eye(2), -np.eye(2), 1.0, rg.hurwitz())
+    sol = solve_subproblem(sp, np.eye(2), accuracy=1e-8)
     assert sol.converged
     assert sol.objective <= 1e-12
     np.testing.assert_allclose(sol.T, np.eye(2), atol=1e-6)
@@ -95,7 +100,7 @@ def test_identity_instance_recovers_exact_quadruple():
 def test_projection_special_case_matches_clipping_oracle():
     rng = np.random.default_rng(0)
     G = sym(rng.standard_normal((5, 5)))
-    sp = ConvexSubproblem(G, np.zeros((5, 5)), 1.0, region=None, require_R_psd=True)
+    sp = ConvexSubproblem(G, np.zeros((5, 5)), 1.0, region=None)
     sol = solve_subproblem(sp, np.eye(5), accuracy=1e-10)
     np.testing.assert_allclose(sol.T, project_psd(G), atol=1e-6)
 
@@ -104,7 +109,7 @@ def test_closed_form_projections_no_region():
     rng = np.random.default_rng(1)
     E = rng.standard_normal((4, 4))
     A = rng.standard_normal((4, 4))
-    sp = ConvexSubproblem(E, A, 1.0, region=None, require_R_psd=True)
+    sp = ConvexSubproblem(E, A, 1.0, region=None)
     sol = solve_subproblem(sp, np.eye(4), accuracy=1e-10)
     np.testing.assert_allclose(sol.J, skew(A), atol=1e-6)
     np.testing.assert_allclose(sol.R, project_psd(-sym(A)), atol=1e-6)
@@ -119,8 +124,7 @@ def test_disk_instance_beats_grid_search_slice():
     A = rng.standard_normal((2, 2))
     p = rg.disk(0.0, 1.0)
     reg = rg.from_primitive(p)
-    delta = 1e-8
-    sp = ConvexSubproblem(E, A, 1.0, reg, require_R_psd=False, delta_lmi=delta)
+    sp = ConvexSubproblem(E, A, 1.0, reg)
     sol = solve_subproblem(sp, np.eye(2), accuracy=1e-8)
 
     # the block is affine in (T, J, R): its value at the origin plus its
@@ -134,7 +138,7 @@ def test_disk_instance_beats_grid_search_slice():
                           np.linspace(-1.0, 1.0, 40), indexing="ij")
     grid = (origin + t[..., None, None] * unit[0] + j[..., None, None] * unit[1]
             + r[..., None, None] * unit[2])
-    feasible = np.linalg.eigvalsh(grid)[..., 0] > delta
+    feasible = np.linalg.eigvalsh(grid)[..., 0] > sp.delta_lmi
     vals = (np.sum((A - (j[..., None, None] * S - r[..., None, None] * I)) ** 2, axis=(-2, -1))
             + np.sum((E - t[..., None, None] * I) ** 2, axis=(-2, -1)))
     best = vals[feasible].min()
@@ -144,7 +148,7 @@ def test_disk_instance_beats_grid_search_slice():
 def test_initial_point_examples():
     n = 3
     E, A = np.eye(n), np.zeros((n, n))
-    sp = ConvexSubproblem(E, A, 1.0, rg.hurwitz(), require_R_psd=True)
+    sp = ConvexSubproblem(E, A, 1.0, rg.hurwitz())
     cs = sp.constraints
     T, J, R = initial_point(sp)
     assert min(cs.margins(cs.pack(T, J, R))) >= 1.0
@@ -154,7 +158,7 @@ def test_initial_point_examples():
     np.testing.assert_allclose(R, 0.0, atol=1e-12)
 
     strip = rg.from_primitive(rg.vertical_strip(-3.0, -1.0))
-    sps = ConvexSubproblem(E, A, 1.0, strip, require_R_psd=True)
+    sps = ConvexSubproblem(E, A, 1.0, strip)
     T, J, R = initial_point(sps)
     np.testing.assert_allclose(T, np.eye(n))
     np.testing.assert_allclose(R, 2.0 * np.eye(n))
@@ -166,7 +170,7 @@ def test_initial_point_infeasible_intersection():
     with pytest.raises(InfeasibleStartError):
         initial_point(sp)
     with pytest.raises(InfeasibleStartError):
-        solve_subproblem(sp, np.eye(2))
+        solve_subproblem(sp, np.eye(2), accuracy=1e-8)
 
 
 def test_stage_objectives_non_increasing():
@@ -184,7 +188,7 @@ def test_barrier_derivatives_are_not_recomputed_at_an_unmoved_point(monkeypatch)
     # Newton step must reuse the derivatives taken there
     points = []
 
-    def recording(cs, x, factors=None):
+    def recording(cs, x, factors):
         points.append(x.copy())
         return _barrier_grad_hess(cs, x, factors)
 
@@ -206,7 +210,7 @@ def test_non_finite_newton_system_raises_value_error(monkeypatch):
     # it at the second point must end the solve with a clear error
     calls = []
 
-    def nan_on_second_call(cs, x, factors=None):
+    def nan_on_second_call(cs, x, factors):
         calls.append(x)
         g, H, inverses = _barrier_grad_hess(cs, x, factors)
         return g * (np.nan if len(calls) == 2 else 1.0), H, inverses
@@ -227,9 +231,9 @@ def test_stage_newton_sums_to_barrier_iterations():
     cold = solve_subproblem(sp, np.eye(4), accuracy=1e-8)
     warm = solve_subproblem(sp, np.eye(4), init=[(cold.T, cold.J, cold.R)], accuracy=1e-10,
                             gap0=1e-6)
-    free = solve_subproblem(ConvexSubproblem(np.eye(4), A, 1.0, fixed_T=np.eye(4)),
-                            np.eye(4))
-    for sol in (cold, warm, free):
+    no_region = solve_subproblem(ConvexSubproblem(np.eye(4), A, 1.0, fixed_T=np.eye(4)),
+                                 np.eye(4), accuracy=1e-8)
+    for sol in (cold, warm, no_region):
         assert len(sol.stage_newton) == len(sol.stage_objectives)
         assert sum(sol.stage_newton) == sol.barrier_iterations
         assert all(k >= 1 for k in sol.stage_newton)
@@ -246,7 +250,7 @@ def _interior_case(case, n):
     T_fixed = (np.eye(n) + 0.3 * sym(rng.standard_normal((n, n)))
                if case == "frozen_T" else None)
     sp = ConvexSubproblem(np.eye(n), rng.standard_normal((n, n)), 1.0, region,
-                          require_R_psd=psd_R, fixed_T=T_fixed)
+                          fixed_T=T_fixed)
     cs = sp.constraints
     x0 = cs.pack(*initial_point(sp))
 
@@ -276,10 +280,7 @@ def test_barrier_derivatives_match_dense_oracle(case, n):
     """g.dx = -sum tr(G^-1 dG) and dx'H dx = sum tr(G^-1 dG G^-1 dG)."""
     sp, cs, oracle, x, rng = _interior_case(case, n)
     G = oracle(x)
-    g, H, _ = _barrier_grad_hess(cs, x)
-    g2, H2, _ = _barrier_grad_hess(cs, x, _barrier(cs, cs.values(x)))
-    np.testing.assert_array_equal(g, g2)
-    np.testing.assert_array_equal(H, H2)
+    g, H, _ = _barrier_derivs(cs, x)
     for _ in range(3):
         dx = rng.standard_normal(cs.m)
         WdG = [np.linalg.solve(Gb, dGb) for Gb, dGb in zip(G, oracle(dx, direction=True))]
@@ -295,7 +296,7 @@ def test_barrier_hessian_entries_match_dense_oracle(case):
     the coordinate direction e_i, entry by entry: a run pair added to the
     wrong slice of H shows here even where a quadratic form hides it."""
     _, cs, oracle, x, _ = _interior_case(case, 3)
-    _, H, _ = _barrier_grad_hess(cs, x)
+    _, H, _ = _barrier_derivs(cs, x)
     dense = np.zeros((cs.m, cs.m))
     for b, Gb in enumerate(oracle(x)):
         # W[i] = G_b^-1 dG_b along e_i
@@ -310,7 +311,7 @@ def test_block_terms_follow_nonzero_groups_in_x_order():
     out."""
     n = 4
     A = np.random.default_rng(0).standard_normal((n, n))
-    full = ConvexSubproblem(np.eye(n), A, 1.0, _composite(), require_R_psd=True).constraints
+    full = ConvexSubproblem(np.eye(n), A, 1.0, _composite()).constraints
     frozen = ConvexSubproblem(np.eye(n), A, 1.0, _composite(),
                               fixed_T=np.eye(n)).constraints
     schur = ConvexSubproblem(np.eye(n), A, 1.0, rg.schur()).constraints
@@ -333,10 +334,11 @@ def test_block_terms_follow_nonzero_groups_in_x_order():
                 assert len(M) * n == len(b.G0)
     # the schur() region block: every group
     assert names(schur, schur.blocks[-1]) == ["T", "J", "R"]
-    # a vertical-strip part couples T and R but not J
-    assert names(full, full.blocks[2]) == ["T", "R"]
+    # a vertical-strip part couples T and R but not J (the composite region
+    # is not in the closed left half-plane: T >= 0 is the one PSD block)
+    assert names(full, full.blocks[1]) == ["T", "R"]
     # a horizontal-strip part has C + C^T = 0, so it leaves R out
-    assert names(full, full.blocks[4]) == ["T", "J"]
+    assert names(full, full.blocks[3]) == ["T", "J"]
     # with T frozen, T is no variable: the same strip part is R alone
     assert "T" not in frozen.groups
     assert names(frozen, frozen.blocks[0]) == ["R"]
@@ -351,7 +353,7 @@ def test_constraint_blocks_hold_no_expanded_basis():
                           rg.left_half_plane(-0.1))
     tracemalloc.start()
     try:
-        sp = ConvexSubproblem(pair.E, pair.A, 1.0, region, require_R_psd=True)
+        sp = ConvexSubproblem(pair.E, pair.A, 1.0, region)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -412,34 +414,21 @@ def test_adjoint_is_the_adjoint_of_the_linear_part(case, n):
 @pytest.mark.parametrize("n", [3, 5])
 @pytest.mark.parametrize("case", CASES)
 def test_line_merit_matches_dense_oracle(case, n):
-    """The closed-form psi(x + s dx) - psi(x) equals t (f(x + s dx) - f(x))
-    minus the change of sum logdet G_b, its s-derivatives equal
-    t gf.dx - sum tr(G^-1 dG) and t dx'H_f dx + sum tr(G^-1 dG G^-1 dG)
-    at x + s dx, and s_max = 1 / max(-mu) is where the first block turns
-    singular. The dG_b returned with mu are the dense blocks' change
-    along dx."""
+    """The closed-form s-derivatives of the line merit psi(x + s dx) - psi(x)
+    (`_line_slopes`) equal t gf.dx - sum tr(G^-1 dG) and
+    t dx'H_f dx + sum tr(G^-1 dG G^-1 dG) at x + s dx, and
+    s_max = 1 / max(-mu) is where the first block turns singular. The dG_b
+    returned with mu are the dense blocks' change along dx."""
     sp, cs, oracle, x, rng = _interior_case(case, n)
     t = 7.0
-    Q = np.eye(n)
-    obj = _Objective(sp, Q)
-
-    def f(x):
-        T, J, R = _dense_split(x, n, sp.fixed_T)
-        res_a = sp.A - (J - R) @ Q
-        res_e = sp.E - T @ Q
-        return np.sum(res_a * res_a) + sp.mu * np.sum(res_e * res_e)
-
-    def logdet(x):
-        signs, logs = zip(*(np.linalg.slogdet(G) for G in oracle(x)))
-        assert all(sign == 1.0 for sign in signs)
-        return sum(logs)
+    obj = _Objective(sp, np.eye(n))
 
     def definite(x):
         return min(np.linalg.eigvalsh(G)[0] for G in oracle(x)) > 0.0
 
     gf = obj.grad(x)
     _, split_blocks, _ = _dense_problem(sp)
-    _, _, inverses = _barrier_grad_hess(cs, x)
+    _, _, inverses = _barrier_derivs(cs, x)
     for _ in range(3):
         dx = rng.standard_normal(cs.m)
         mu, dG = _step_spectrum(cs, inverses, dx)
@@ -454,10 +443,9 @@ def test_line_merit_matches_dense_oracle(case, n):
             xs = x + s * dx
             WdG = [np.linalg.solve(G, dG)
                    for G, dG in zip(oracle(xs), oracle(dx, direction=True))]
-            dense = (t * (f(xs) - f(x)) - (logdet(xs) - logdet(x)),
-                     t * (obj.grad(xs) @ dx) - sum(np.trace(M) for M in WdG),
+            dense = (t * (obj.grad(xs) @ dx) - sum(np.trace(M) for M in WdG),
                      t * (dx @ obj.H @ dx) + sum(np.trace(M @ M) for M in WdG))
-            closed = _line_merit(s, t, gf @ dx, obj.curvature(dx), mu)
+            closed = _line_slopes(s, t, gf @ dx, obj.curvature(dx), mu)
             assert closed == pytest.approx(dense, rel=1e-9)
         assert definite(x + 0.999 * s_max * dx)
         assert not definite(x + 1.001 * s_max * dx)
@@ -517,7 +505,7 @@ def test_line_search_survives_a_negative_computed_curvature():
     dense = 2.0 * (np.linalg.norm((dJ - dR) @ Q) ** 2 + sp.mu * np.linalg.norm(dT @ Q) ** 2)
     assert computed < 0.0 <= curv
     assert curv == pytest.approx(dense, rel=1e-12)
-    _, _, inverses = _barrier_grad_hess(cs, x)
+    _, _, inverses = _barrier_derivs(cs, x)
     mu, _ = _step_spectrum(cs, inverses, dx)
     t = 10.0 * float(mu @ mu) / -computed  # t dx'H_f dx + sum mu^2 < 0 at s = 0
     cap = 1.0 / -mu.min()
@@ -591,7 +579,7 @@ def _most_central_t(sp, Q, init, t0):
     at the point `init`, by dense solves: where the start is most central."""
     cs, obj = sp.constraints, _Objective(sp, Q)
     x = cs.pack(*init)
-    gphi, Hphi, _ = _barrier_grad_hess(cs, x)
+    gphi, Hphi, _ = _barrier_derivs(cs, x)
     gf = obj.grad(x)
     K = t0 * obj.H + Hphi
     return -(gf @ np.linalg.solve(K, gphi)) / (gf @ np.linalg.solve(K, gf))
@@ -658,18 +646,19 @@ _T0_SCHEDULES = {
 def test_start_most_central_below_t0_keeps_its_stage_schedule(case):
     """A cold start most central at or below its t0 = nu / f(x) starts at
     t0 and takes the stage schedule every solve took when the barrier
-    always started at t0."""
+    always started at t0, at accuracy 1e-8 (1 + f(x))."""
     rng = np.random.default_rng(0)
     region = {"schur": rg.schur(), "hurwitz_psd_R": rg.hurwitz()}.get(case, _composite())
     T_fixed = (np.eye(4) + 0.2 * sym(rng.standard_normal((4, 4)))
                if case == "frozen_T" else None)
     sp = ConvexSubproblem(np.eye(4), 2.0 * rng.standard_normal((4, 4)), 1.0, region,
-                          require_R_psd=case == "hurwitz_psd_R", fixed_T=T_fixed)
+                          fixed_T=T_fixed)
     cs = sp.constraints
     start = initial_point(sp)
-    t0 = cs.nu / _Objective(sp, np.eye(4)).value(cs.pack(*start))
+    f0 = _Objective(sp, np.eye(4)).value(cs.pack(*start))
+    t0 = cs.nu / f0
     assert _most_central_t(sp, np.eye(4), start, t0) <= t0
-    sol = solve_subproblem(sp, np.eye(4))
+    sol = solve_subproblem(sp, np.eye(4), accuracy=1e-8 * (1.0 + f0))
     assert sol.stage_newton == _T0_SCHEDULES[case]
     assert sol.converged
 
@@ -694,14 +683,15 @@ def test_gap_guess_below_the_warm_start_suboptimality_still_converges():
     rng = np.random.default_rng(4)
     A = 2.0 * rng.standard_normal((4, 4))
     sp = ConvexSubproblem(np.eye(4), A, 1.0, rg.schur())
-    start = solve_subproblem(sp, np.eye(4))
+    f_cold = _Objective(sp, np.eye(4)).value(sp.constraints.pack(*initial_point(sp)))
+    start = solve_subproblem(sp, np.eye(4), accuracy=1e-8 * (1.0 + f_cold))
     Q = np.eye(4) + 0.1 * rng.standard_normal((4, 4))
     init = (start.T, start.J, start.R)
     f_warm = _Objective(sp, Q).value(sp.constraints.pack(*init))
-    eps = 1e-8 * (1.0 + f_warm)  # the default accuracy
+    eps = 1e-8 * (1.0 + f_warm)
     tight = solve_subproblem(sp, Q, accuracy=1e-11)
     assert f_warm - tight.objective > 100.0 * 1e-2
-    sol = solve_subproblem(sp, Q, init=[init], gap0=1e-2)
+    sol = solve_subproblem(sp, Q, init=[init], accuracy=eps, gap0=1e-2)
     assert sol.stage_newton[0] == sdp.MAX_NEWTON_PER_STAGE  # the first stage ran short
     assert sol.converged and sol.gap_estimate <= eps
     assert tight.objective - 1e-11 <= sol.objective <= tight.objective + eps
@@ -722,7 +712,7 @@ def test_newton_steps_use_the_gradient_and_blocks_of_their_point(monkeypatch):
     barrier_grad_hess = sdp._barrier_grad_hess
     newton_factor, newton_solve = sdp._newton_factor, sdp._newton_solve
 
-    def recording_derivs(cs, x, factors=None):
+    def recording_derivs(cs, x, factors):
         out = barrier_grad_hess(cs, x, factors)
         points.append((x.copy(), [L @ L.T for L in factors], out[0]))
         return out
@@ -747,14 +737,14 @@ def test_newton_steps_use_the_gradient_and_blocks_of_their_point(monkeypatch):
             T_fixed = (np.eye(4) + 0.2 * sym(rng.standard_normal((4, 4)))
                        if case == "frozen_T" else None)
             sp = ConvexSubproblem(np.eye(4), 2.0 * rng.standard_normal((4, 4)), 1.0, region,
-                                  require_R_psd=case == "hurwitz_psd_R", fixed_T=T_fixed)
+                                  fixed_T=T_fixed)
             cs = sp.constraints
             Q = np.eye(4) + 0.1 * rng.standard_normal((4, 4))
             start = solve_subproblem(sp, np.eye(4), accuracy=1e-3)
             init = (start.T, start.J, start.R)
             for Qs, kwargs in ((np.eye(4), {"accuracy": 1e-11}),
                                (Q, {"init": [init], "accuracy": 1e-11, "gap0": 1e-3}),
-                               (Q, {"init": [init], "gap0": 1.0})):
+                               (Q, {"init": [init], "accuracy": 1e-8, "gap0": 1.0})):
                 points.clear()
                 directions.clear()
                 sol = solve_subproblem(sp, Qs, **kwargs)
@@ -845,8 +835,7 @@ def test_kkt_residual_at_return():
         T_fixed = (np.eye(3) + 0.2 * sym(rng.standard_normal((3, 3)))
                    if case == "frozen_T" else None)
         A = rng.standard_normal((3, 3))
-        sp = ConvexSubproblem(np.eye(3), A, 1.0, region, require_R_psd=case == "hurwitz_psd_R",
-                              fixed_T=T_fixed)
+        sp = ConvexSubproblem(np.eye(3), A, 1.0, region, fixed_T=T_fixed)
         grad, blocks, adjoint = _dense_problem(sp)
         eps = 1e-8 * (1 + np.sum(A * A))
         cold = solve_subproblem(sp, np.eye(3), accuracy=eps)
@@ -881,7 +870,7 @@ def test_objective_is_within_accuracy_of_a_tight_solve(case, accuracy):
         T_fixed = (np.eye(4) + 0.2 * sym(rng.standard_normal((4, 4)))
                    if case == "frozen_T" else None)
         sp = ConvexSubproblem(np.eye(4), 2.0 * rng.standard_normal((4, 4)), 1.0, region,
-                              require_R_psd=case == "hurwitz_psd_R", fixed_T=T_fixed)
+                              fixed_T=T_fixed)
         Q = np.eye(4) + 0.1 * rng.standard_normal((4, 4))
         start = solve_subproblem(sp, np.eye(4), accuracy=1e-3)
         init = (start.T, start.J, start.R)
@@ -905,7 +894,7 @@ def test_accuracy_and_gap_guess_must_be_finite_and_positive(name, value):
     rng = np.random.default_rng(4)
     sp = ConvexSubproblem(np.eye(3), rng.standard_normal((3, 3)), 1.0, rg.schur())
     with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
-        solve_subproblem(sp, np.eye(3), **{name: value})
+        solve_subproblem(sp, np.eye(3), **{"accuracy": 1e-8, name: value})
 
 
 def test_orthogonal_change_of_basis_invariance():
@@ -916,12 +905,9 @@ def test_orthogonal_change_of_basis_invariance():
     Q = random_well_conditioned(n, rng)
     U = scipy.linalg.qr(rng.standard_normal((n, n)))[0]
     reg = rg.from_primitive(rg.disk(0.0, 2.0))
-    delta = 1e-6 * (1.0 + np.linalg.norm(A, "fro"))
-    sol = solve_subproblem(ConvexSubproblem(E, A, 1.0, reg, delta_lmi=delta), Q,
-                           accuracy=1e-9)
-    sol2 = solve_subproblem(
-        ConvexSubproblem(U.T @ E @ U, U.T @ A @ U, 1.0, reg, delta_lmi=delta),
-        U.T @ Q @ U, accuracy=1e-9)
+    sol = solve_subproblem(ConvexSubproblem(E, A, 1.0, reg), Q, accuracy=1e-9)
+    sol2 = solve_subproblem(ConvexSubproblem(U.T @ E @ U, U.T @ A @ U, 1.0, reg),
+                            U.T @ Q @ U, accuracy=1e-9)
     assert sol2.objective == pytest.approx(sol.objective, abs=1e-6 * (1 + sol.objective))
     np.testing.assert_allclose(sol2.T, U.T @ sol.T @ U, atol=1e-6)
     np.testing.assert_allclose(sol2.J, U.T @ sol.J @ U, atol=1e-6)
@@ -932,9 +918,9 @@ def test_warm_start_is_used_and_respected():
     rng = np.random.default_rng(7)
     A = rng.standard_normal((3, 3))
     sp = ConvexSubproblem(np.eye(3), A, 1.0, rg.schur())
-    sol = solve_subproblem(sp, np.eye(3))
+    sol = solve_subproblem(sp, np.eye(3), accuracy=1e-8)
     assert sol.initial_point_used
-    sol2 = solve_subproblem(sp, np.eye(3), init=[(sol.T, sol.J, sol.R)],
+    sol2 = solve_subproblem(sp, np.eye(3), init=[(sol.T, sol.J, sol.R)], accuracy=1e-8,
                             gap0=10 * sol.gap_estimate)
     assert not sol2.initial_point_used
     assert sol2.objective <= sol.objective + 1e-9 * (1 + sol.objective)
@@ -966,16 +952,17 @@ def test_one_subproblem_serves_every_Q():
             assert _same_solution(solve_subproblem(sp, Qs[i], accuracy=1e-8), fresh[i])
 
 
-@pytest.mark.parametrize("psd_R", [False, True])
 @pytest.mark.parametrize("region, T, R", [(rg.from_primitive(rg.disk(-1.0, 0.5)), 0.52, 0.26),
                                           (rg.hurwitz(), 1.0, 0.0)], ids=["disk", "hurwitz"])
-def test_one_by_one_pair_reaches_the_closed_form_optimum(region, T, R, psd_R):
+def test_one_by_one_pair_reaches_the_closed_form_optimum(region, T, R):
     """At n = 1 the skew J has no coordinates, and at Q = 1 the pencil's
     eigenvalue is -R / T: the nearest (T, R) to (1, -0.7) with it in
     disk(-1, 0.5) lies on the ray R = T / 2, and in the left half-plane
-    at R = 0."""
-    sp = ConvexSubproblem(np.eye(1), np.array([[0.7]]), 1.0, region, require_R_psd=psd_R)
-    sol = solve_subproblem(sp, np.eye(1))
+    at R = 0. Both regions lie in the closed left half-plane, so R >= 0 is
+    a constraint too."""
+    sp = ConvexSubproblem(np.eye(1), np.array([[0.7]]), 1.0, region)
+    assert sp.require_R_psd
+    sol = solve_subproblem(sp, np.eye(1), accuracy=1e-8)
     assert sol.converged
     assert sol.J.shape == (1, 1) and not np.any(sol.J)
     np.testing.assert_allclose([sol.T[0, 0], sol.R[0, 0]], [T, R], rtol=0.0, atol=1e-5)
@@ -993,3 +980,31 @@ def test_fixed_T_mode_optimizes_J_R_only():
     sol_free = solve_subproblem(ConvexSubproblem(E, A, 1.0, rg.schur()), np.eye(3),
                                 accuracy=1e-9)
     assert sol_free.objective <= sol.objective + 1e-7 * (1 + sol.objective)
+
+
+def test_subproblem_states_its_data_and_works_out_the_rest():
+    """A subproblem is stated by E, A, mu, its region and a frozen T alone.
+    Its LMI margin is 1e-6 (1 + ||A||_F), and R >= 0 is a constraint
+    exactly when there is no region or the region lies in the closed left
+    half-plane, so every subproblem has a constraint block. Neither can be
+    passed in, and a solve names its accuracy."""
+    assert [f.name for f in dataclasses.fields(ConvexSubproblem) if f.init] == [
+        "E", "A", "mu", "region", "fixed_T"]
+    E, A = np.eye(2), np.array([[0.0, 2.0], [-2.0, 1.0]])
+    for name, value in (("delta_lmi", 1e-8), ("require_R_psd", True)):
+        with pytest.raises(TypeError):
+            ConvexSubproblem(E, A, 1.0, rg.schur(), **{name: value})
+    sp = ConvexSubproblem(E, A, 1.0, rg.schur())
+    assert sp.delta_lmi == pytest.approx(4e-6, rel=1e-15)
+    with pytest.raises(TypeError):
+        solve_subproblem(sp, np.eye(2))
+    regions = [rg.hurwitz(), rg.schur(), rg.from_primitive(rg.vertical_strip(-3.0, -1.0)),
+               _composite(), rg.intersect(rg.disk(-3.0, 1.0), rg.disk(3.0, 1.0))]
+    derived = [ConvexSubproblem(E, A, 1.0, region).require_R_psd for region in regions]
+    assert derived == [rg.in_closed_left_half_plane(region) for region in regions]
+    assert derived == [True, False, True, False, True]
+    for fixed_T in (None, np.eye(2)):
+        sp = ConvexSubproblem(E, A, 1.0, fixed_T=fixed_T)
+        assert sp.require_R_psd
+        # R >= 0 alone with T frozen, else T >= 0 and R >= 0
+        assert len(sp.constraints.blocks) == 1 + (fixed_T is None)
