@@ -36,12 +36,17 @@ __all__ = ["BcdOptions", "BcdDiagnostics", "update_Q", "solve_general"]
 # in a solve.
 ACCURACY_KAPPA = 0.1
 
-# The cold start is solved to a gap of EPS_INIT (1 + ||A||^2 + mu ||E||^2);
-# EPS_DECAY and STALL_REL_TOL enter eps_k and the stall test as BcdOptions
-# describes.
+# The cold start is solved to a gap of EPS_INIT (1 + ||A||^2 + mu ||E||^2),
+# and sweep k to eps_k = max(EPS_FLOOR, EPS_INIT EPS_DECAY^-k) scale, scale
+# 1 + f after the cold start, or from the second sweep on to
+# ACCURACY_KAPPA |last decrease| when that is larger. The solve stops on
+# "objective stall" when the best objective fell by at most
+# max(STALL_REL_TOL (1 + |f|), eps_k) over the last STALL_OUTER sweeps.
 EPS_INIT = 1e-2
 EPS_DECAY = 4.0
+EPS_FLOOR = 1e-8
 STALL_REL_TOL = 1e-10
+STALL_OUTER = 5
 
 
 @dataclass
@@ -49,23 +54,12 @@ class BcdOptions:
     mu: float = 1.0
     max_time_s: float = 100.0
     max_outer_iters: int | None = None
-    eps_floor: float = 1e-8
-    # stop on "objective stall" when the best objective fell by at most
-    # max(STALL_REL_TOL (1 + |f|), eps_k) over the last stall_outer sweeps,
-    # eps_k = max(eps_floor, EPS_INIT EPS_DECAY^-k) scale being the sweep's
-    # accuracy target; the subproblem is solved to eps_k or, from the second
-    # sweep on, to ACCURACY_KAPPA |last decrease| when that is larger
-    stall_outer: int = 5
     fix_T: np.ndarray | None = None   # freeze the E-side (baseline mode)
     fix_Q: np.ndarray | None = None   # disable the Q update
 
     def __post_init__(self):
         if not 0.0 < self.mu < np.inf:  # also false for NaN
             raise ValueError(f"mu must be finite and positive, got {self.mu!r}")
-        if not 0.0 < self.eps_floor < np.inf:
-            raise ValueError(f"eps_floor must be finite and positive, got {self.eps_floor!r}")
-        if not self.stall_outer >= 1:
-            raise ValueError(f"stall_outer must be at least 1, got {self.stall_outer!r}")
         # a NaN budget would switch its stop off: elapsed >= nan is false
         if not self.max_time_s >= 0.0:
             raise ValueError(f"max_time_s must be at least 0, got {self.max_time_s!r}")
@@ -170,7 +164,7 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
         if elapsed() + 1.2 * last_solve_time >= opts.max_time_s:
             break
         t_iter = _time.perf_counter()
-        eps_k = max(opts.eps_floor, EPS_INIT * EPS_DECAY ** (-k)) * scale
+        eps_k = max(EPS_FLOOR, EPS_INIT * EPS_DECAY ** (-k)) * scale
         # the warm start is about one sweep's decrease from the optimum: start
         # the barrier at t = nu / |decrease| (Boyd and Vandenberghe, sec. 11.3)
         gap_guess = max(10.0 * eps_k, abs(last_decrease))
@@ -191,8 +185,8 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
         trace.append((elapsed(), *_fit(EA, best, mu)))
         last_solve_time = _time.perf_counter() - t_iter
         k += 1  # sweeps run: k - 1, whichever way the loop ends
-        if len(trace) > opts.stall_outer:
-            first = trace[-(opts.stall_outer + 1)][1]  # best objective then
+        if len(trace) > STALL_OUTER:
+            first = trace[-(STALL_OUTER + 1)][1]  # best objective then
             if first - fbest <= max(STALL_REL_TOL * (1.0 + abs(first)), eps_k):
                 stop_reason = "objective stall"
                 break

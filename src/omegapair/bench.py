@@ -122,6 +122,8 @@ class BenchInstance:
         elif kind == "near_schur":
             pair = near_schur(_field(gen, "n", int), float(_field(gen, "eps", float, 0.0)), seed)
         elif kind == "pair":
+            if missing := [k for k in "EA" if k not in gen]:
+                raise ValueError(f"bench generator has no field {missing[0]!r}")
             pair = MatrixPair(*(_json_matrix(gen[k], f"bench generator field {k!r}") for k in "EA"))
         else:
             raise ValueError(f"unknown generator kind {kind!r}")
@@ -138,9 +140,12 @@ _JSON_NAMES = {str: "a string", dict: "a JSON object", int: "an integer", float:
 
 def _field(obj, key, kind, default=None):
     """obj[key], or `default` where the key is absent and a default given;
-    a value of another JSON type than `kind` raises ValueError (a boolean is
-    neither an integer nor a number, an integer is a number)."""
-    value = obj[key] if default is None else obj.get(key, default)
+    an absent key without a default, or a value of another JSON type than
+    `kind`, raises ValueError (a boolean is neither an integer nor a number,
+    an integer is a number)."""
+    if default is None and key not in obj:
+        raise ValueError(f"bench instance has no field {key!r}")
+    value = obj.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise ValueError(f"bench instance field {key!r} must be {_JSON_NAMES[kind]}, got {value!r}")
     return value

@@ -51,6 +51,7 @@ decrease, so the last iterate is the best one.
 from __future__ import annotations
 
 import math
+import operator
 import time as _time
 from dataclasses import dataclass
 
@@ -71,28 +72,25 @@ class FgmOptions:
     mu: float = 1.0
     max_time_s: float = 30.0
     max_iters: int | None = None
-    init_step: float | None = None     # default 1 / L with L from power iteration
-    stall_window: int = 3000
-    stall_rel_tol: float = 1e-11
-    grad_tol: float = 0.0              # gradient-mapping stop, 0 disables
-    trace_every: int = 25
+    trace_every: int = 25              # record a trace row every this many iterations
     seed: int = 0                      # power-iteration start
 
     def __post_init__(self):
         if not 0.0 < self.mu < np.inf:  # also false for NaN
             raise ValueError(f"mu must be finite and positive, got {self.mu!r}")
-        if self.init_step is not None and not 0.0 < self.init_step < np.inf:
-            raise ValueError(f"init_step must be None or finite and positive, "
-                             f"got {self.init_step!r}")
-        for name in ("stall_window", "trace_every"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
-        # a NaN budget or tolerance would switch its stop off: elapsed >= nan
-        # and every other comparison with NaN is false
-        for name in ("max_time_s", "stall_rel_tol", "grad_tol"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)!r}")
+        # a NaN budget would switch its stop off: elapsed >= nan is false
+        if not self.max_time_s >= 0.0:
+            raise ValueError(f"max_time_s must be at least 0, got {self.max_time_s!r}")
         _check_budget("max_iters", self.max_iters)
+        # an integer, as `_check_budget` reads one: 2.5 would record a row every
+        # 5th iteration, and True would read as 1
+        try:
+            ok = not isinstance(self.trace_every, bool) and operator.index(self.trace_every) >= 1
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"trace_every must be an integer of at least 1, "
+                             f"got {self.trace_every!r}")
 
 
 # The backtracking line search: the step grows by LS_GROW at the start of
@@ -103,6 +101,12 @@ LS_SHRINK = 2.0
 LS_GROW = 2.0
 LS_MAX = 20
 ALPHA0 = 0.5
+
+# Every STALL_WINDOW iterations the loop stops on "objective stall" when the
+# objective fell by at most STALL_REL_TOL (1 + |f|) over that window, f its
+# objective at the window's start.
+STALL_WINDOW = 3000
+STALL_REL_TOL = 1e-11
 
 # The largest short side, as a fraction of n (at least one pair), that
 # `project` takes with the subset driver `dsyevx`. At n = 200 on one thread
@@ -269,11 +273,11 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
     """Nearest pair with all finite eigenvalues in the open left half-plane.
 
     Runs the accelerated projected gradient from the standard starting
-    point until the time or iteration budget runs out, the best objective
-    stalls, or the gradient mapping of an accepted step falls to
-    `grad_tol`, then realizes and checks the best quadruple; a
-    boundary optimum that fails the check comes back with T and R lifted
-    to a definite floor when the lifted pair passes.
+    point until the time or iteration budget runs out, the objective
+    stalls or no descent step is found after restarts, then realizes and
+    checks the best quadruple; a boundary optimum that fails the check
+    comes back with T and R lifted to a definite floor when the lifted
+    pair passes.
     """
     opts = opts if opts is not None else FgmOptions()
     E = np.asarray(E, dtype=float)
@@ -293,8 +297,7 @@ def _descend(E, A, opts: FgmOptions, t0):
     loop arrays are freed on return, before the finish allocates its own."""
     mu = opts.mu
     X = initial_quadruple(E, A)
-    L = (1.0 / opts.init_step if opts.init_step is not None
-         else estimate_lipschitz(E, A, X, mu, seed=opts.seed))
+    L = estimate_lipschitz(E, A, X, mu, seed=opts.seed)
     # allocated after the curvature estimate, so that its temporaries and
     # the workspace are not held at once
     work = _Workspace(E, A, mu)
@@ -335,7 +338,6 @@ def _descend(E, A, opts: FgmOptions, t0):
                 break
             step /= LS_SHRINK
 
-        stationary = False
         if not accepted:
             fail_streak += 1
             if fail_streak >= 3:
@@ -352,10 +354,6 @@ def _descend(E, A, opts: FgmOptions, t0):
         else:
             fail_streak = 0
             step_accept = step
-            # the gradient mapping ||X+ - Y|| / step vanishes at a constrained
-            # optimum, where the gradient itself need not
-            stationary = (opts.grad_tol > 0.0
-                          and np.linalg.norm(C - Y) / step <= opts.grad_tol)
             alpha_next = (math.sqrt(alpha ** 4 + 4 * alpha ** 2) - alpha ** 2) / 2.0
             beta = alpha * (1.0 - alpha) / (alpha ** 2 + alpha_next)
             # Y+ = X+ + beta (X+ - X) goes where X was; the old Y takes the trials
@@ -369,12 +367,9 @@ def _descend(E, A, opts: FgmOptions, t0):
         it += 1
         if it % opts.trace_every == 0:
             trace.append((_time.perf_counter() - t0, *_fit(work.EA, X, mu)))
-        if stationary:
-            stop_reason = "gradient norm"
-            break
         anchor_it, anchor_f = stall_anchor
-        if it - anchor_it >= opts.stall_window:
-            if anchor_f - fX <= opts.stall_rel_tol * (1.0 + abs(anchor_f)):
+        if it - anchor_it >= STALL_WINDOW:
+            if anchor_f - fX <= STALL_REL_TOL * (1.0 + abs(anchor_f)):
                 stop_reason = "objective stall"
                 break
             stall_anchor = (it, fX)

@@ -566,11 +566,11 @@ def _barrier(cs, G):
     return factors
 
 
-def _barrier_grad_hess(cs, x, factors):
-    """Gradient and Hessian of -sum logdet G_b at x over the blocks of the
+def _barrier_grad_hess(cs, factors):
+    """Gradient and Hessian of -sum logdet G_b over the blocks of the
     constraint set `cs`, and the inverses of the blocks' Cholesky factors,
-    from `factors`, those of the block values at the interior point x as
-    `_barrier` returns them.
+    at the interior point whose block values have the Cholesky factors
+    `factors`, as `_barrier` returns them.
     """
     plan, n = cs.plan, cs.n
     H, U, inverses = np.zeros((cs.m, cs.m)), np.empty((plan.size, n, n)), []
@@ -790,7 +790,7 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, *, accuracy: float,
     # the barrier derivatives at x, kept until x moves (a stage that ends
     # centered or without progress leaves x to the next), and the Newton
     # factor, kept until x or t moves
-    derivs = _barrier_grad_hess(cs, x, factors)
+    derivs = _barrier_grad_hess(cs, factors)
     newton = np.empty((cs.m, cs.m))  # t H_f + H_phi, formed and factored in place
     L, factored_at = _newton_factor(newton, t, obj.H, derivs[1]), t
     # start at the t >= nu / gap0 where x is most nearly central: the
@@ -813,7 +813,7 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, *, accuracy: float,
         stage_start, short = total_newton, False
         for _ in range(MAX_NEWTON_PER_STAGE):
             if derivs is None:
-                derivs, factored_at = _barrier_grad_hess(cs, x, factors), None
+                derivs, factored_at = _barrier_grad_hess(cs, factors), None
             gphi, Hphi, inverses = derivs
             if factored_at != t:
                 L, factored_at = _newton_factor(newton, t, obj.H, Hphi), t

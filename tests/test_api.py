@@ -27,13 +27,13 @@ def test_every_exported_name_resolves(name):
 
 
 def test_settable_values_are_the_documented_ones(tmp_path, capsys):
-    """The line search, momentum seed, accuracy schedule and LMI margin are
-    module constants, not options, and the bench table runs serially."""
+    """The line search, momentum seed, stall stops, accuracy schedule and
+    LMI margin are module constants, not options, and the bench table runs
+    serially."""
     assert [f.name for f in dataclasses.fields(FgmOptions)] == [
-        "mu", "max_time_s", "max_iters", "init_step", "stall_window", "stall_rel_tol",
-        "grad_tol", "trace_every", "seed"]
+        "mu", "max_time_s", "max_iters", "trace_every", "seed"]
     assert [f.name for f in dataclasses.fields(BcdOptions)] == [
-        "mu", "max_time_s", "max_outer_iters", "eps_floor", "stall_outer", "fix_T", "fix_Q"]
+        "mu", "max_time_s", "max_outer_iters", "fix_T", "fix_Q"]
     assert list(inspect.signature(run_table).parameters) == ["instances", "out_dir"]
     spec = tmp_path / "spec.json"
     spec.write_text("[]")
@@ -46,17 +46,25 @@ def test_settable_values_are_the_documented_ones(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# Fields that are now module constants or deleted: any value is refused.
+REMOVED = {(FgmOptions, "init_step"), (FgmOptions, "stall_window"),
+           (FgmOptions, "stall_rel_tol"), (FgmOptions, "grad_tol"),
+           (BcdOptions, "eps_floor"), (BcdOptions, "stall_outer")}
+
+
 @pytest.mark.parametrize("options, field, value", [
     (FgmOptions, "trace_every", 0),      # ZeroDivisionError mid-solve
+    (FgmOptions, "trace_every", 2.5),    # a row every 5th iteration
+    (FgmOptions, "trace_every", True),   # read as 1
     (FgmOptions, "stall_window", 0),
-    (FgmOptions, "init_step", 0.0),      # ZeroDivisionError
-    (FgmOptions, "init_step", -1.0),     # a negative step
+    (FgmOptions, "init_step", 0.0),
+    (FgmOptions, "init_step", -1.0),
     (FgmOptions, "init_step", math.inf),
     (FgmOptions, "init_step", math.nan),
     (FgmOptions, "max_time_s", math.nan),  # elapsed >= nan: no time budget
     (FgmOptions, "max_time_s", -1.0),
-    (FgmOptions, "grad_tol", math.nan),   # the gradient-mapping stop never fires
-    (FgmOptions, "stall_rel_tol", math.nan),  # nor the stall stop
+    (FgmOptions, "grad_tol", math.nan),
+    (FgmOptions, "stall_rel_tol", math.nan),
     (FgmOptions, "max_iters", -1),        # ran no iteration: "iteration budget"
     (FgmOptions, "max_iters", math.nan),
     (FgmOptions, "max_iters", 2.5),       # ran 3 iterations where BCD ran 2 sweeps
@@ -72,12 +80,12 @@ def test_settable_values_are_the_documented_ones(tmp_path, capsys):
     (BcdOptions, "max_outer_iters", True),
 ])
 def test_options_refuse_values_a_solve_cannot_run_with(options, field, value):
-    with pytest.raises(ValueError, match=field):
+    error = TypeError if (options, field) in REMOVED else ValueError
+    with pytest.raises(error, match=field):
         options(**{field: value})
 
 
 @pytest.mark.parametrize("options, field", [
-    (FgmOptions, "grad_tol"),   # the gradient-mapping stop off
     (FgmOptions, "max_time_s"),
     (BcdOptions, "max_time_s"),
     (FgmOptions, "max_iters"),  # an integer budget: 0, not 0.0

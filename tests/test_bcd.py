@@ -59,13 +59,14 @@ def test_raw_bc_region_solves_like_its_primitive():
     assert res_raw.objective == pytest.approx(res.objective, rel=1e-10)
 
 
-def test_already_admissible_disk_input_recovered():
+def test_already_admissible_disk_input_recovered(monkeypatch):
+    monkeypatch.setattr(bcd, "EPS_FLOOR", 1e-13)
     rng = np.random.default_rng(1)
     n = 5
     U = scipy.linalg.qr(rng.standard_normal((n, n)))[0]
     A = 0.5 * U  # spectral norm 0.5, comfortably inside the unit disk
     E = np.eye(n)
-    opts = BcdOptions(max_time_s=60.0, max_outer_iters=12, eps_floor=1e-13)
+    opts = BcdOptions(max_time_s=60.0, max_outer_iters=12)
     res = solve_general(E, A, rg.schur(), opts)
     assert res.admissible
     assert res.relative_error <= 1e-6
@@ -188,7 +189,7 @@ def test_late_sweeps_are_solved_to_a_fraction_of_the_last_decrease():
     scale = 1.0 + f
     restarts = looser = 0
     for k, (fn, accuracies) in enumerate(_sweeps(res, diag), start=1):
-        eps_k = max(opts.eps_floor, bcd.EPS_INIT * bcd.EPS_DECAY ** (-k)) * scale
+        eps_k = max(bcd.EPS_FLOOR, bcd.EPS_INIT * bcd.EPS_DECAY ** (-k)) * scale
         wanted = eps_k if k == 1 else max(eps_k, bcd.ACCURACY_KAPPA * abs(decrease))
         assert accuracies == pytest.approx([wanted] * len(accuracies), rel=1e-9)
         restarts += len(accuracies) - 1
@@ -269,12 +270,12 @@ def test_grcar_disk_stop_does_not_depend_on_blas_threads():
 
 
 _ILL_CONDITIONED_Q_SOLVE = """
-from omegapair import regions as rg
+from omegapair import bcd, regions as rg
 from omegapair.bcd import BcdOptions, solve_general
 from omegapair.bench import grcar
+bcd.STALL_OUTER = 10**6
 pair = grcar(10, 2)
-res = solve_general(pair.E, pair.A, rg.hurwitz(),
-                    BcdOptions(max_outer_iters=241, stall_outer=10**6))
+res = solve_general(pair.E, pair.A, rg.hurwitz(), BcdOptions(max_outer_iters=241))
 print(type(res).__name__, res.iterations, res.stop_reason)
 """
 

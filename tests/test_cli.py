@@ -1,11 +1,16 @@
 import json
+import time
 import warnings
 
 import numpy as np
 import pytest
 
+from omegapair import cli
+from omegapair import regions as rg
 from omegapair.cli import main
+from omegapair.dh import DhParam
 from omegapair.pencil import MatrixPair, save_pair
+from omegapair.result import finalize_solution
 
 
 @pytest.fixture
@@ -71,6 +76,33 @@ def test_solve_stable_input_and_roundtrip(files, capsys):
     assert (code2 == 0) == payload["admissible"]
     trace = (tmp / "out" / "trace.csv").read_text().splitlines()
     assert trace[0] == "time_s,objective,relative_error"
+
+
+def test_solve_flagged_result_exits_2(files, capsys, monkeypatch):
+    """A solve whose result is flagged exits 2, prints why and still writes
+    its result.json. The dispatch returns a quadruple whose pair has
+    eigenvalues near -1 +- 1e6 i, far outside the unit disk, and whose lift
+    does not help."""
+    tmp, write_pair, write_region = files
+    d = DhParam(np.diag([1.0, -1e-15]), np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                np.diag([1.0, 0.0]), np.eye(2))
+    flagged = finalize_solution(np.eye(2), -np.eye(2), d, rg.schur(), 1.0, algorithm="bcd",
+                                iterations=0, stop_reason="iteration budget", trace=[],
+                                t0=time.perf_counter())
+    monkeypatch.setattr(cli, "_solve", lambda *args: flagged)
+    pair = write_pair("p.json", np.eye(2), -np.eye(2))
+    region = write_region("r.json", {"kind": "disk", "q": 0.0, "r": 1.0})
+    code = main(["solve", "--pair", pair, "--region", region, "--algo", "bcd",
+                 "--out", str(tmp / "out")])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert "admissible: False" in out
+    reasons = [line.split("reason: ", 1)[1] for line in out.splitlines() if "reason: " in line]
+    assert reasons and reasons == list(flagged.admissibility.reasons)
+    with open(tmp / "out" / "result.json") as fh:
+        payload = json.load(fh)
+    assert payload["admissible"] is False
+    assert payload["reasons"] == reasons
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
@@ -184,6 +216,12 @@ def test_solve_non_finite_or_overflowing_pair_exits_1(files, capsys, E, A, overf
     assert "Traceback" not in err
 
 
+_NO_NAME = '[{"generator": {"kind": "grcar", "n": 4}}]'
+_NO_GENERATOR = '[{"name": "x"}]'
+_NO_A = '[{"name": "x", "generator": {"kind": "pair", "E": [[1]]}}]'
+_MISSING_FIELD = {_NO_NAME: "name", _NO_GENERATOR: "generator", _NO_A: "A"}
+
+
 @pytest.mark.parametrize("command, text", [
     ("check", "[[1.0]]"),
     ("bench", "[1]"),
@@ -202,17 +240,21 @@ def test_solve_non_finite_or_overflowing_pair_exits_1(files, capsys, E, A, overf
     ("bench", '[{"name": "x", "generator": {"kind": "grcar", "n": [4]}}]'),
     ("bench", '[{"name": "x", "generator": {"kind": "grcar", "n": 4}, "budget_s": [1]}]'),
     ("bench", '[{"name": ["x"], "generator": {"kind": "grcar", "n": 4}, "max_iters": 5}]'),
+    ("bench", _NO_NAME),
+    ("bench", _NO_GENERATOR),
+    ("bench", _NO_A),
 ], ids=["pair-list", "bench-entry-number", "bench-spec-object", "check-pair-3d",
         "solve-pair-3d", "check-pair-E-object", "solve-pair-A-object",
         "region-info-raw-B-object", "solve-raw-C-object", "solve-disk-r-boolean",
         "check-pair-E-boolean", "region-info-raw-boolean", "check-pair-E-mixed-boolean",
-        "bench-generator-number", "bench-n-list", "bench-budget-list", "bench-name-list"])
+        "bench-generator-number", "bench-n-list", "bench-budget-list", "bench-name-list",
+        "bench-no-name", "bench-no-generator", "bench-pair-no-A"])
 def test_malformed_input_files_exit_1_without_traceback(files, capsys, command, text):
     """A pair file that is no JSON object or holds no matrices, a bench spec
-    that is no JSON list, a bench entry that is no object or has a field of
-    the wrong JSON type, a region whose (B, C) is no matrix, a matrix with a
-    boolean entry or a primitive with a boolean parameter is an input
-    error."""
+    that is no JSON list, a bench entry that is no object, lacks a required
+    field or has a field of the wrong JSON type, a region whose (B, C) is no
+    matrix, a matrix with a boolean entry or a primitive with a boolean
+    parameter is an input error. A missing field is named."""
     tmp, write_pair, write_region = files
     path = tmp / "input.json"
     path.write_text(text)
@@ -229,6 +271,8 @@ def test_malformed_input_files_exit_1_without_traceback(files, capsys, command, 
     err = capsys.readouterr().err
     assert "error:" in err
     assert "Traceback" not in err
+    if text in _MISSING_FIELD:
+        assert f"no field {_MISSING_FIELD[text]!r}" in err
     assert not (tmp / "bench").exists()
     assert not (tmp / "out").exists()
 

@@ -213,12 +213,13 @@ def test_project_hands_no_non_finite_block_to_lapack(monkeypatch, capfd):
     assert capfd.readouterr().err == ""
 
 
-def test_a_non_finite_trial_point_ends_in_the_overflow_error(capfd):
+def test_a_non_finite_trial_point_ends_in_the_overflow_error(monkeypatch, capfd):
     # a first step of 2e308 overflows: the first trial point is +-inf and NaN
+    monkeypatch.setattr(fgm, "estimate_lipschitz", lambda *args, **kwargs: 1e-308)
     pair = grcar(10, 2)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             FloatingPointError, match="objective overflowed during line search"):
-        solve_hurwitz(pair.E, pair.A, FgmOptions(init_step=1e308, max_iters=5, max_time_s=1e9))
+        solve_hurwitz(pair.E, pair.A, FgmOptions(max_iters=5, max_time_s=1e9))
     assert capfd.readouterr().err == ""
 
 
@@ -340,14 +341,16 @@ def test_solve_small_unstable_instance():
     assert rep.finite_eigenvalues.real.max() <= 1e-8
 
 
-def test_orthogonal_conjugation_gives_identical_objective_sequence():
+def test_orthogonal_conjugation_gives_identical_objective_sequence(monkeypatch):
+    # one fixed step 1 / 20 for both: the curvature estimate's random start
+    # is not conjugated with the data
+    monkeypatch.setattr(fgm, "estimate_lipschitz", lambda *args, **kwargs: 20.0)
     rng = np.random.default_rng(6)
     n = 4
     A = rng.standard_normal((n, n)) + 0.3 * np.eye(n)
     E = np.eye(n) + 0.1 * rng.standard_normal((n, n))
     U = scipy.linalg.qr(rng.standard_normal((n, n)))[0]
-    opts = FgmOptions(max_time_s=60.0, max_iters=400, init_step=0.05,
-                      trace_every=1)
+    opts = FgmOptions(max_time_s=60.0, max_iters=400, trace_every=1)
     res1 = solve_hurwitz(E, A, opts)
     res2 = solve_hurwitz(U.T @ E @ U, U.T @ A @ U, opts)
     o1 = np.array([r[1] for r in res1.trace])
@@ -441,40 +444,23 @@ def test_a_solve_does_not_depend_on_the_solves_before_it():
         assert (M == ref).all()
 
 
-def test_grad_tol_stops_on_gradient_norm():
-    # a stable pair: the optimum is interior with objective 0, so the raw
-    # gradient vanishes there
-    rng = np.random.default_rng(8)
-    E = np.eye(4) + 0.1 * rng.standard_normal((4, 4))
-    A = -2.0 * np.eye(4) + 0.3 * rng.standard_normal((4, 4))
-    res = solve_hurwitz(E, A, FgmOptions(max_iters=20_000, max_time_s=1e9, grad_tol=1e-6))
-    assert res.stop_reason == "gradient norm"
-    assert res.converged
-    assert res.iterations < 20_000
-
-
-def test_grad_tol_stops_a_boundary_optimum_on_the_gradient_mapping():
-    # Grcar(10,2) has a boundary optimum: the plain gradient norm stays above
-    # 12 there, while the accepted step's gradient mapping ||X+ - Y|| / step
-    # falls to 0.024 within the first 300 iterations
-    pair = grcar(10, 2)
-    res = solve_hurwitz(pair.E, pair.A,
-                        FgmOptions(max_iters=2000, max_time_s=1e9, grad_tol=0.03))
-    assert res.stop_reason == "gradient norm"
-    assert res.converged
-    assert res.iterations < 2000
-    _, iterations, stop_reason, _, _ = fgm_reference(pair.E, pair.A, 2000, grad_tol=0.03)
-    assert (res.iterations, res.stop_reason) == (iterations, stop_reason)
-
-
-def test_small_stall_window_stops_on_objective_stall():
+def test_small_stall_window_stops_on_objective_stall(monkeypatch):
+    monkeypatch.setattr(fgm, "STALL_WINDOW", 20)
+    monkeypatch.setattr(fgm, "STALL_REL_TOL", 1e-3)
     rng = np.random.default_rng(9)
     E, A = rng.standard_normal((4, 4)), rng.standard_normal((4, 4)) + np.eye(4)
-    res = solve_hurwitz(E, A, FgmOptions(max_iters=20_000, max_time_s=1e9,
-                                         stall_window=20, stall_rel_tol=1e-3))
+    res = solve_hurwitz(E, A, FgmOptions(max_iters=20_000, max_time_s=1e9))
     assert res.stop_reason == "objective stall"
     assert res.converged
     assert res.iterations % 20 == 0 and res.iterations < 20_000
+
+
+def test_zero_time_budget_stops_before_the_first_iteration():
+    # the start row and the closing row; a budget stop is not convergence
+    pair = grcar(10, 1)
+    res = solve_hurwitz(pair.E, pair.A, FgmOptions(max_time_s=0.0))
+    assert (res.iterations, res.stop_reason, res.converged) == (0, "time budget", False)
+    assert len(res.trace) == 2
 
 
 def test_grcar_10_3_boundary_optimum_comes_back_lifted_and_admissible():

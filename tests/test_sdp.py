@@ -8,6 +8,7 @@ import scipy.optimize
 
 from omegapair import regions as rg
 from omegapair import sdp
+from omegapair.bcd import BcdOptions, solve_general
 from omegapair.bench import grcar
 from omegapair.dh import project_psd, skew, sym
 from omegapair.sdp import (ConvexSubproblem, InfeasibleStartError, _adjoint, _barrier,
@@ -25,7 +26,7 @@ def _composite():
 
 def _barrier_derivs(cs, x):
     """The barrier's gradient, Hessian and inverse factors at the interior x."""
-    return _barrier_grad_hess(cs, x, _barrier(cs, cs.values(x)))
+    return _barrier_grad_hess(cs, _barrier(cs, cs.values(x)))
 
 
 def _dense_split(x, n, T=None):
@@ -164,6 +165,32 @@ def test_initial_point_examples():
     np.testing.assert_allclose(R, 2.0 * np.eye(n))
 
 
+@pytest.mark.parametrize("primitive", [rg.right_half_plane(0.5), rg.horizontal_strip(0.5)],
+                         ids=["right_half_plane", "horizontal_strip"])
+def test_initial_point_with_a_free_R_over_a_section_open_to_the_right(primitive):
+    """A region whose real section is open to the right, (0.5, inf), or to
+    both sides leaves R free (the region reaches past the closed left
+    half-plane), and the scalar search then tries levels off the one
+    finite end or around 0. The start is strictly feasible with R = rho I,
+    rho in the negated section, the subproblem from it converges, and a
+    5-sweep BCD solve of Grcar(6,1) in the region is admissible."""
+    region = rg.from_primitive(primitive)
+    pair = grcar(6, 1)
+    sp = ConvexSubproblem(pair.E, pair.A, 1.0, region)
+    assert not sp.require_R_psd
+    cs = sp.constraints
+    T, J, R = initial_point(sp)
+    rho = R[0, 0]
+    np.testing.assert_array_equal(R, rho * np.eye(6))
+    lo, hi = rg.real_section(region)
+    assert lo < -rho < hi
+    assert min(cs.margins(cs.pack(T, J, R))) > sp.delta_lmi
+    sol = solve_subproblem(sp, np.eye(6), accuracy=1e-8)
+    assert sol.converged and sol.initial_point_used
+    res = solve_general(pair.E, pair.A, region, BcdOptions(max_outer_iters=5))
+    assert res.iterations == 5 and res.admissible
+
+
 def test_initial_point_infeasible_intersection():
     reg = rg.intersect(rg.disk(-3.0, 1.0), rg.disk(3.0, 1.0))
     sp = ConvexSubproblem(np.eye(2), np.zeros((2, 2)), 1.0, reg)
@@ -185,12 +212,13 @@ def test_stage_objectives_non_increasing():
 
 def test_barrier_derivatives_are_not_recomputed_at_an_unmoved_point(monkeypatch):
     # a stage that ends centered leaves x to the next stage, whose first
-    # Newton step must reuse the derivatives taken there
+    # Newton step must reuse the derivatives taken there: each point has
+    # its own factors, so no two calls in a row may get the same ones
     points = []
 
-    def recording(cs, x, factors):
-        points.append(x.copy())
-        return _barrier_grad_hess(cs, x, factors)
+    def recording(cs, factors):
+        points.append(factors)
+        return _barrier_grad_hess(cs, factors)
 
     monkeypatch.setattr(sdp, "_barrier_grad_hess", recording)
     rng = np.random.default_rng(3)
@@ -202,7 +230,7 @@ def test_barrier_derivatives_are_not_recomputed_at_an_unmoved_point(monkeypatch)
                             gap0=1e-6)
     for sol, xs in ((cold, points[:n_cold]), (warm, points[n_cold:])):
         assert len(sol.stage_newton) >= 2
-        assert not any(np.array_equal(a, b) for a, b in zip(xs, xs[1:]))
+        assert not any(a is b for a, b in zip(xs, xs[1:]))
 
 
 def test_non_finite_newton_system_raises_value_error(monkeypatch):
@@ -210,9 +238,9 @@ def test_non_finite_newton_system_raises_value_error(monkeypatch):
     # it at the second point must end the solve with a clear error
     calls = []
 
-    def nan_on_second_call(cs, x, factors):
-        calls.append(x)
-        g, H, inverses = _barrier_grad_hess(cs, x, factors)
+    def nan_on_second_call(cs, factors):
+        calls.append(factors)
+        g, H, inverses = _barrier_grad_hess(cs, factors)
         return g * (np.nan if len(calls) == 2 else 1.0), H, inverses
 
     monkeypatch.setattr(sdp, "_barrier_grad_hess", nan_on_second_call)
@@ -700,21 +728,33 @@ def test_gap_guess_below_the_warm_start_suboptimality_still_converges():
 
 def test_newton_steps_use_the_gradient_and_blocks_of_their_point(monkeypatch):
     """Every Newton step reads grad f and the block values G_b of the point
-    it is taken at. At every point where the solver takes the barrier
-    derivatives, over full cold solves to 1e-11 and warm solves, the
-    Cholesky factors it passes are those of the G_b formed from x, and the
-    f-part (g - g_phi) / t of each Newton right-hand side g is
-    _Objective.grad(x), to 1e-9 relative to |G_b| and to
-    |grad f| + |g_phi| / t. Every returned (T, J, R) is strictly
-    feasible."""
+    it is taken at. The solver forms a point's factors and then grad f at
+    that point x; at every place where it takes the barrier derivatives,
+    over full cold solves to 1e-11 and warm solves, the Cholesky factors
+    it passes are those of the G_b formed from x, and the f-part
+    (g - g_phi) / t of each Newton right-hand side g is _Objective.grad(x),
+    to 1e-9 relative to |G_b| and to |grad f| + |g_phi| / t. Every returned
+    (T, J, R) is strictly feasible."""
     points, directions = [], []  # (x, L L^T of each factor, g_phi); (t, g, index in points)
     factored = []  # the t of each Newton factor
-    barrier_grad_hess = sdp._barrier_grad_hess
+    pending, owners = [], {}  # the last factors formed; id of factors -> (factors, x)
+    barrier, grad, barrier_grad_hess = sdp._barrier, sdp._Objective.grad, sdp._barrier_grad_hess
     newton_factor, newton_solve = sdp._newton_factor, sdp._newton_solve
 
-    def recording_derivs(cs, x, factors):
-        out = barrier_grad_hess(cs, x, factors)
-        points.append((x.copy(), [L @ L.T for L in factors], out[0]))
+    def recording_barrier(cs, G):
+        factors = barrier(cs, G)
+        pending[:] = [] if factors is None else [factors]
+        return factors
+
+    def recording_grad(obj, x):
+        if pending:  # the point whose factors were just formed
+            factors = pending.pop()
+            owners[id(factors)] = (factors, x.copy())
+        return grad(obj, x)
+
+    def recording_derivs(cs, factors):
+        out = barrier_grad_hess(cs, factors)
+        points.append((owners[id(factors)][1], [L @ L.T for L in factors], out[0]))
         return out
 
     def recording_factor(buf, t, Hf, Hphi):
@@ -726,6 +766,8 @@ def test_newton_steps_use_the_gradient_and_blocks_of_their_point(monkeypatch):
             directions.append((factored[-1], g.copy(), len(points) - 1))
         return newton_solve(L, g)
 
+    monkeypatch.setattr(sdp, "_barrier", recording_barrier)
+    monkeypatch.setattr(sdp._Objective, "grad", recording_grad)
     monkeypatch.setattr(sdp, "_barrier_grad_hess", recording_derivs)
     monkeypatch.setattr(sdp, "_newton_factor", recording_factor)
     monkeypatch.setattr(sdp, "_newton_solve", recording_direction)
@@ -747,6 +789,7 @@ def test_newton_steps_use_the_gradient_and_blocks_of_their_point(monkeypatch):
                                (Q, {"init": [init], "accuracy": 1e-8, "gap0": 1.0})):
                 points.clear()
                 directions.clear()
+                owners.clear()
                 sol = solve_subproblem(sp, Qs, **kwargs)
                 assert _barrier(cs, cs.values(cs.pack(sol.T, sol.J, sol.R))) is not None
                 obj = _Objective(sp, Qs)
