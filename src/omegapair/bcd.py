@@ -21,7 +21,8 @@ import numpy as np
 
 from .dh import DhParam
 from .regions import LmiRegion
-from .result import SolveResult, _check_budget, _fit, _objective_value, finalize_solution
+from .result import (SolveResult, _check_budget, _check_pair, _fit, _objective_value,
+                     finalize_solution)
 from .sdp import ConvexSubproblem, solve_subproblem
 
 __all__ = ["BcdOptions", "BcdDiagnostics", "update_Q", "solve_general"]
@@ -107,8 +108,7 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
     """
     opts = opts if opts is not None else BcdOptions()
     diag = diagnostics if diagnostics is not None else BcdDiagnostics()
-    E = np.asarray(E, dtype=float)
-    A = np.asarray(A, dtype=float)
+    E, A = _check_pair(E, A)
     EA = np.stack([E, A])
     n = E.shape[0]
     mu = opts.mu

@@ -7,6 +7,20 @@ projected gradient with a restart safeguard applies: extrapolated
 gradient steps with a backtracking line search, momentum dropped and the
 step halved whenever the objective fails to decrease.
 
+The line search grows the step only while grown steps succeed. A grown
+first trial (a probe) costs one projection and one objective whenever it
+is rejected, and a probe before every iteration was rejected in about
+three iterations of four at n = 10 and in nearly all at n = 200 (2.01 and
+2.02 trials per iteration on the benchmark). When an iteration rejects
+its probe and accepts a smaller step, the next 1, 2, 4, ... iterations
+keep their step, the wait doubling with each such probe in a row; an
+accepted probe brings a probe back to every iteration (1.53 and 1.57
+trials per iteration). A line search that finds no descent leaves the
+wait alone. A fixed wait of 8, or growth only every K-th iteration, sent
+Grcar(10,2) to a worse basin (about 28.7 % against 23.9 % at 20k
+iterations): the probes that succeed decide which basin FGM reaches, so
+they must come back as soon as one works.
+
 The iterate, the extrapolated point and the gradient are each one stacked
 (4, n, n) array [T, J, R, Q], so a line-search trial is one array update,
 one projection of T and R, and one objective evaluation. The stacked
@@ -60,8 +74,8 @@ from scipy.linalg.lapack import dsyevd, dsyevx
 
 from .dh import DhParam, project_psd, skew as skew_part, sym as sym_part
 from .regions import hurwitz
-from .result import (SolveResult, _check_budget, _fit, _objective_value, _residuals,
-                     finalize_solution)
+from .result import (SolveResult, _check_budget, _check_pair, _fit, _objective_value,
+                     _residuals, finalize_solution)
 
 __all__ = ["FgmOptions", "objective", "gradient", "project", "solve_hurwitz",
            "estimate_lipschitz"]
@@ -93,10 +107,11 @@ class FgmOptions:
                              f"got {self.trace_every!r}")
 
 
-# The backtracking line search: the step grows by LS_GROW at the start of
-# each iteration and shrinks by LS_SHRINK per rejected trial, for at most
-# LS_MAX trials (100 in the first iteration). ALPHA0 seeds the momentum,
-# at the start and after every restart.
+# The backtracking line search: the step shrinks by LS_SHRINK per rejected
+# trial, for at most LS_MAX trials (100 in the first iteration), and grows
+# by LS_GROW before an iteration's first trial except while the loop backs
+# off after a rejected grown trial (see the module docstring). ALPHA0 seeds
+# the momentum, at the start and after every restart.
 LS_SHRINK = 2.0
 LS_GROW = 2.0
 LS_MAX = 20
@@ -280,8 +295,7 @@ def solve_hurwitz(E, A, opts: FgmOptions | None = None) -> SolveResult:
     pair passes.
     """
     opts = opts if opts is not None else FgmOptions()
-    E = np.asarray(E, dtype=float)
-    A = np.asarray(A, dtype=float)
+    E, A = _check_pair(E, A)
     t0 = _time.perf_counter()
     X, it, stop_reason, trace = _descend(E, A, opts, t0)
     # DhParam copies T, J and R when it symmetrizes them; copying Q too
@@ -311,6 +325,7 @@ def _descend(E, A, opts: FgmOptions, t0):
     trace = [(0.0, *_fit(work.EA, X, mu))]
     alpha = ALPHA0
     fail_streak = 0
+    skip = wait = 0    # iterations left without a probe; the wait that set them
     it = 0
     stall_anchor = (0, fX)
     max_iters = opts.max_iters if opts.max_iters is not None else np.inf
@@ -321,10 +336,14 @@ def _descend(E, A, opts: FgmOptions, t0):
             stop_reason = "time budget"
             break
         G = gradient(E, A, Y, mu, work)
-        step *= LS_GROW
+        probe = skip == 0
+        if probe:
+            step *= LS_GROW
+        else:
+            skip -= 1
         accepted = False
         ls_budget = 100 if it == 0 else LS_MAX
-        for _ in range(ls_budget):
+        for trial in range(ls_budget):
             np.multiply(G, step, out=C)
             np.subtract(Y, C, out=C)
             project(C, work)
@@ -352,6 +371,9 @@ def _descend(E, A, opts: FgmOptions, t0):
             else:
                 step = 1.0 / estimate_lipschitz(E, A, X, mu, seed=opts.seed)
         else:
+            if probe:
+                wait = 0 if trial == 0 else max(1, 2 * wait)
+                skip = wait
             fail_streak = 0
             step_accept = step
             alpha_next = (math.sqrt(alpha ** 4 + 4 * alpha ** 2) - alpha ** 2) / 2.0

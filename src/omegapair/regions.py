@@ -485,10 +485,11 @@ def _primitive_from_dict(d) -> RegionPrimitive:
 
 
 def _json_matrix(value, what):
-    """A JSON matrix field as a float array; a value that is no array of
-    numbers (an object, a string, a boolean, ragged rows) raises a
-    ValueError naming it. Booleans are looked for entry by entry, since
-    numpy reads true and false as 1 and 0."""
+    """A JSON matrix field as a 2-D float array; a value that is no array
+    of rows of numbers (a bare number, a flat list, an object, a string, a
+    boolean, ragged rows) raises a ValueError naming it. Booleans are
+    looked for entry by entry, since numpy reads true and false as 1 and
+    0."""
     pending = [value]
     while pending:
         item = pending.pop()
@@ -497,9 +498,12 @@ def _json_matrix(value, what):
         elif isinstance(item, bool):
             raise ValueError(f"{what} must be a matrix of numbers, got a boolean entry")
     try:
-        return np.asarray(value, dtype=float)
+        M = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a matrix of numbers") from None
+        M = None
+    if M is None or M.ndim != 2:
+        raise ValueError(f"{what} must be a matrix of numbers, a JSON array of rows")
+    return M
 
 
 def region_to_dict(region: LmiRegion):

@@ -91,6 +91,17 @@ def _check_budget(name, value):
         raise ValueError(f"{name} must be None or a nonnegative integer, got {value!r}")
 
 
+def _check_pair(E, A):
+    """The solvers' data (E, A) as float arrays, checked once on entry: a
+    pair that is not square, not of one shape or not finite raises a
+    ValueError naming the problem, as `load_pair` refuses such a file."""
+    pair = MatrixPair(E, A)
+    for name, M in (("E", pair.E), ("A", pair.A)):
+        if not np.isfinite(M).all():
+            raise ValueError(f"{name} has a non-finite entry")
+    return pair.E, pair.A
+
+
 def _residuals(EA, X, P, res):
     """res = [T Q - E, (J - R) Q - A] at X = [T, J, R, Q], with P = [T, J - R]
     on the way. EA = [E, A], P and res are (2, n, n) arrays; X is a

@@ -12,7 +12,7 @@ same facts from (B, C), and the tests compare the two.
 `fgm_reference` is the projected fast gradient loop written on separate
 T, J, R, Q matrices in plain numpy, with no `omegapair.fgm` import; the
 package runs the same loop on one stacked array, and the tests require
-the two to agree bit for bit.
+the two to agree bit for bit and to make the same line-search trials.
 
 `sym_basis` and `skew_basis` build the orthonormal matrix bases of the
 subproblem's coordinates entry by entry; the package's svec gathers are
@@ -420,47 +420,61 @@ def _fgm_relative_error(E, A, d):
     return float(np.sqrt(num / float(np.sum(A * A) + np.sum(E * E))))
 
 
-def fgm_reference(E, A, max_iters, mu=1.0, init_step=None, ls_shrink=2.0,
-                  ls_grow=2.0, ls_max=20, alpha0=0.5, stall_window=3000,
-                  stall_rel_tol=1e-11, grad_tol=0.0, trace_every=25, seed=0):
+def fgm_reference(E, A, max_iters, mu=1.0, ls_shrink=2.0, ls_grow=2.0, ls_max=20,
+                  alpha0=0.5, stall_window=3000, stall_rel_tol=1e-11, trace_every=25,
+                  seed=0):
     """The projected fast gradient loop of `fgm.solve_hurwitz`, written on
     per-matrix (T, J, R, Q) tuples with one `eigh` per PSD projection and a
     re-symmetrized tuple after every projection and momentum step.
 
+    The step grows by `ls_grow` before an iteration's first trial unless
+    the loop is holding it: when a grown trial is rejected and a smaller
+    one accepted, the next 1, 2, 4, ... iterations (doubling with each
+    such iteration in a row) keep the step they hold, and an accepted
+    grown trial brings growth back to every iteration. A line search that
+    finds no descent leaves the hold alone.
+
     Takes `FgmOptions`' fields by name, with no wall-clock budget. Returns
     the trace rows without their times, (objective, relative error), the
-    iteration count, the stop reason, the best (T, J, R, Q) and the number
-    of line searches that found no descent (restarts).
+    iteration count, the stop reason, the best (T, J, R, Q), the number
+    of line searches that found no descent (restarts) and the number of
+    line-search trials, one projection each.
     """
     E = np.asarray(E, dtype=float)
     A = np.asarray(A, dtype=float)
     n = E.shape[0]
     X = _quadruple(_psd(E), _skew(A), _psd(-_sym(A)), np.eye(n))
     fX = _fgm_objective(E, A, X, mu)
-    L = 1.0 / init_step if init_step is not None else _fgm_lipschitz(E, A, X, mu, seed=seed)
-    step = 1.0 / L
+    step = 1.0 / _fgm_lipschitz(E, A, X, mu, seed=seed)
     step_accept = step
     best, fbest = X, fX
     trace = [(fbest, _fgm_relative_error(E, A, best))]
     Y = X
     alpha = alpha0
-    fail_streak = restarts = it = 0
+    fail_streak = restarts = trials = it = 0
+    hold = backoff = 0   # iterations left without growth; the last back-off
     stall_anchor = (0, fbest)
     stop_reason = "iteration budget"
     while it < max_iters:
         gT, gJ, gR, gQ = _fgm_gradient(E, A, Y, mu)
-        step *= ls_grow
+        probe = hold == 0
+        if probe:
+            step *= ls_grow
+        else:
+            hold -= 1
         accepted = None
+        first = True
         for _ in range(100 if it == 0 else ls_max):
+            trials += 1
             YT, YJ, YR, YQ = Y
             cand = _quadruple(_psd(YT - step * gT), _skew(YJ - step * gJ),
                               _psd(YR - step * gR), YQ - step * gQ)
             fc = _fgm_objective(E, A, cand, mu)
             if fc < fX:
-                accepted = (cand, fc)
+                accepted = (cand, fc, first)
                 break
+            first = False
             step /= ls_shrink
-        stationary = False
         if accepted is None:
             fail_streak += 1
             restarts += 1
@@ -474,11 +488,12 @@ def fgm_reference(E, A, max_iters, mu=1.0, init_step=None, ls_shrink=2.0,
             else:
                 step = 1.0 / _fgm_lipschitz(E, A, X, mu, seed=seed)
         else:
+            Xn, fXn, on_first = accepted
+            if probe:
+                backoff = 0 if on_first else 2 * backoff if backoff else 1
+                hold = backoff
             fail_streak = 0
             step_accept = step
-            Xn, fXn = accepted
-            stationary = grad_tol > 0.0 and np.sqrt(sum(
-                np.sum((a - b) ** 2) for a, b in zip(Xn, Y))) / step <= grad_tol
             alpha_next = (np.sqrt(alpha ** 4 + 4 * alpha ** 2) - alpha ** 2) / 2.0
             beta = alpha * (1.0 - alpha) / (alpha ** 2 + alpha_next)
             Y = _quadruple(*(a + beta * (a - b) for a, b in zip(Xn, X)))
@@ -489,9 +504,6 @@ def fgm_reference(E, A, max_iters, mu=1.0, init_step=None, ls_shrink=2.0,
         it += 1
         if it % trace_every == 0:
             trace.append((fbest, _fgm_relative_error(E, A, best)))
-        if stationary:
-            stop_reason = "gradient norm"
-            break
         anchor_it, anchor_f = stall_anchor
         if it - anchor_it >= stall_window:
             if anchor_f - fbest <= stall_rel_tol * (1.0 + abs(anchor_f)):
@@ -499,7 +511,7 @@ def fgm_reference(E, A, max_iters, mu=1.0, init_step=None, ls_shrink=2.0,
                 break
             stall_anchor = (it, fbest)
     trace.append((fbest, _fgm_relative_error(E, A, best)))
-    return trace, it, stop_reason, best, restarts
+    return trace, it, stop_reason, best, restarts, trials
 
 
 def _symmetric_psd_rows(name, M, tol):

@@ -1,6 +1,7 @@
 """The public API: every entry of a module's `__all__` is defined in it, the
 solver options and the bench runner take exactly their documented values,
-and the solver options refuse values a solve cannot run with."""
+and the solver options and the solvers refuse values a solve cannot run
+with."""
 
 import dataclasses
 import importlib
@@ -8,12 +9,14 @@ import inspect
 import math
 import pkgutil
 
+import numpy as np
 import pytest
 
 import omegapair
-from omegapair import BcdOptions, FgmOptions
+from omegapair import BcdOptions, FgmOptions, solve_general, solve_hurwitz
 from omegapair.bench import run_table
 from omegapair.cli import main
+from omegapair.regions import disk, intersect
 
 MODULES = ["omegapair"] + [f"omegapair.{m.name}"
                            for m in pkgutil.iter_modules(omegapair.__path__)]
@@ -93,3 +96,19 @@ def test_options_refuse_values_a_solve_cannot_run_with(options, field, value):
 ])
 def test_options_accept_zero_budgets_and_tolerances(options, field):
     assert getattr(options(**{field: 0}), field) == 0
+
+
+@pytest.mark.parametrize("solve", [
+    lambda E, A: solve_hurwitz(E, A, FgmOptions(max_iters=5)),
+    lambda E, A: solve_general(E, A, intersect(disk(0.0, 1.0)), BcdOptions(max_outer_iters=2)),
+], ids=["fgm", "bcd"])
+@pytest.mark.parametrize("E, A, problem", [
+    (np.eye(2), np.eye(3), "E and A must share dimension"),
+    (np.ones((2, 3)), np.ones((2, 3)), "E must be a square matrix"),
+    (np.eye(2), np.array([[-1.0, np.inf], [0.0, -1.0]]), "A has a non-finite entry"),
+], ids=["shapes-differ", "not-square", "inf-entry"])
+def test_solvers_refuse_a_pair_they_cannot_solve(solve, E, A, problem):
+    """Checked once on entry, before any arithmetic, so the error names the
+    problem instead of a NumPy shape error or an overflow inside the loop."""
+    with pytest.raises(ValueError, match=problem):
+        solve(E, A)

@@ -220,6 +220,9 @@ _NO_NAME = '[{"generator": {"kind": "grcar", "n": 4}}]'
 _NO_GENERATOR = '[{"name": "x"}]'
 _NO_A = '[{"name": "x", "generator": {"kind": "pair", "E": [[1]]}}]'
 _MISSING_FIELD = {_NO_NAME: "name", _NO_GENERATOR: "generator", _NO_A: "A"}
+_E_NUMBER = '{"E": 5, "A": [[-1]]}'
+_E_FLAT = '{"E": [5], "A": [[-1]]}'
+_GENERATOR_E_NUMBER = '[{"name": "x", "generator": {"kind": "pair", "E": 5, "A": [[-1]]}}]'
 
 
 @pytest.mark.parametrize("command, text", [
@@ -243,18 +246,23 @@ _MISSING_FIELD = {_NO_NAME: "name", _NO_GENERATOR: "generator", _NO_A: "A"}
     ("bench", _NO_NAME),
     ("bench", _NO_GENERATOR),
     ("bench", _NO_A),
+    ("check", _E_NUMBER),
+    ("check", _E_FLAT),
+    ("bench", _GENERATOR_E_NUMBER),
 ], ids=["pair-list", "bench-entry-number", "bench-spec-object", "check-pair-3d",
         "solve-pair-3d", "check-pair-E-object", "solve-pair-A-object",
         "region-info-raw-B-object", "solve-raw-C-object", "solve-disk-r-boolean",
         "check-pair-E-boolean", "region-info-raw-boolean", "check-pair-E-mixed-boolean",
         "bench-generator-number", "bench-n-list", "bench-budget-list", "bench-name-list",
-        "bench-no-name", "bench-no-generator", "bench-pair-no-A"])
+        "bench-no-name", "bench-no-generator", "bench-pair-no-A", "check-pair-E-number",
+        "check-pair-E-flat-list", "bench-pair-E-number"])
 def test_malformed_input_files_exit_1_without_traceback(files, capsys, command, text):
     """A pair file that is no JSON object or holds no matrices, a bench spec
     that is no JSON list, a bench entry that is no object, lacks a required
     field or has a field of the wrong JSON type, a region whose (B, C) is no
     matrix, a matrix with a boolean entry or a primitive with a boolean
-    parameter is an input error. A missing field is named."""
+    parameter is an input error. A bare number or a flat list is no matrix.
+    A missing field, and a pair field that is no array of rows, is named."""
     tmp, write_pair, write_region = files
     path = tmp / "input.json"
     path.write_text(text)
@@ -273,6 +281,8 @@ def test_malformed_input_files_exit_1_without_traceback(files, capsys, command, 
     assert "Traceback" not in err
     if text in _MISSING_FIELD:
         assert f"no field {_MISSING_FIELD[text]!r}" in err
+    if text in (_E_NUMBER, _E_FLAT, _GENERATOR_E_NUMBER):
+        assert "field 'E' must be a matrix of numbers, a JSON array of rows" in err
     assert not (tmp / "bench").exists()
     assert not (tmp / "out").exists()
 

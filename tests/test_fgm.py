@@ -361,7 +361,7 @@ def test_orthogonal_conjugation_gives_identical_objective_sequence(monkeypatch):
 
 def test_nan_inputs_abort_with_diagnostic():
     A = np.full((2, 2), np.nan)
-    with pytest.raises((FloatingPointError, ValueError)):
+    with pytest.raises(ValueError, match="A has a non-finite entry"):
         solve_hurwitz(np.eye(2), A, FgmOptions(max_time_s=1.0))
 
 
@@ -381,11 +381,19 @@ def _per_matrix_project(Z, work=None):
 def _assert_matches_reference(monkeypatch, E, A, opts):
     # the loop's own projection rounds differently from the oracle's `eigh`;
     # with the oracle's projection in its place, the gradient, momentum, line
-    # search, restarts and trace must match the reference bit for bit
-    monkeypatch.setattr(fgm, "project", _per_matrix_project)
+    # search, step growth, restarts and trace must match the reference bit
+    # for bit, with one projection per line-search trial
+    projections = []
+
+    def spy(Z, work=None):
+        projections.append(1)
+        return _per_matrix_project(Z, work)
+
+    monkeypatch.setattr(fgm, "project", spy)
     res = solve_hurwitz(E, A, opts)
-    trace, iterations, stop_reason, best, restarts = fgm_reference(
+    trace, iterations, stop_reason, best, restarts, trials = fgm_reference(
         E, A, opts.max_iters, mu=opts.mu, trace_every=opts.trace_every, seed=opts.seed)
+    assert len(projections) == trials
     assert res.iterations == iterations
     assert res.stop_reason == stop_reason
     assert len(res.trace) == len(trace)
@@ -399,8 +407,8 @@ def _assert_matches_reference(monkeypatch, E, A, opts):
 
 def test_stacked_loop_matches_per_matrix_reference_on_grcar(monkeypatch):
     pair = grcar(10, 2)
-    # at mu = 0.37 the finish lifts the best quadruple of 100 to 400
-    # iterations, and the reference has no finish to compare that with
+    # the reference has no finish, so each budget is one the finish does
+    # not lift
     for mu, iters in ((1.0, 300), (0.37, 500)):
         _assert_matches_reference(monkeypatch, pair.E, pair.A,
                                   FgmOptions(mu=mu, max_iters=iters, max_time_s=1e9))
