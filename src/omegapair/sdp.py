@@ -15,24 +15,54 @@ nu / t drops below the requested accuracy eps. The last stage is chosen
 by comparing t with t_final = nu / eps (rounded up one ulp if nu / t_final
 would exceed eps): a t at or above t_final, or within a relative
 FINAL_STAGE_SNAP below it, is run as the last stage at max(t, t_final).
-A start at nu / (10 eps) thus takes two stages whichever way the x10
-growth rounds, where a test of nu / t <= eps would take a third stage
+A warm start at nu / (10 eps) thus takes two stages whichever way the
+x10 growth rounds, where a test of nu / t <= eps would take a third stage
 when the growth lands one ulp short.
 
-The first stage runs where the start point x is most nearly central. The
-caller's estimate gap0 of the start's suboptimality (f(x) by default)
-gives t0 = nu / max(gap0, eps), at most t_final. K0 = t0 H_f +
-H_phi is factored at x once and solved for y_f = K0^-1 gf and
-y_phi = K0^-1 g_phi (gf and g_phi the gradients of f and of the
-barrier). The t minimizing ||t gf + g_phi|| in the K0^-1 norm, the
-Newton decrement of psi at x measured in the metric of t0, is
-t* = -gf.y_phi / gf.y_f, and the solve starts at max(t0, min(t*,
+The first stage runs where the start point x is most nearly central, or
+at t_final where that is within reach. The caller's estimate gap0 of the
+start's suboptimality (f(x) by default) gives t0 = nu / max(gap0, eps),
+at most t_final. K0 = t0 H_f + H_phi is factored at x once and solved for
+y_f = K0^-1 gf and y_phi = K0^-1 g_phi (gf and g_phi the gradients of f
+and of the barrier). The t minimizing ||t gf + g_phi|| in the K0^-1 norm,
+the Newton decrement of psi at x measured in the metric of t0, is
+t* = -gf.y_phi / gf.y_f, and the solve starts at t = max(t0, min(t*,
 t_final)): gap0 is the floor of the start, and t0 is kept where there
-is no positive minimizer (gf.y_f <= 0 or gf.y_phi >= 0).
-FINAL_STAGE_SNAP then decides whether the start is already the last
-stage, so a warm start near its optimum begins there. A start that stays
-at t0 takes its first Newton direction from the same factor; only a
-start that rises pays a factorization at its t.
+is no positive minimizer (gf.y_f <= 0 or gf.y_phi >= 0). Where t_final
+<= r t the solve starts at t_final instead, its only stage ending on the
+dual certificate below, with the reach r = COLD_REACH = BARRIER_GROWTH^2
+from the default start and r = WARM_REACH = BARRIER_GROWTH / 2 from a
+warm one; where that holds at t0 already, K0 is not formed. Otherwise
+FINAL_STAGE_SNAP decides whether the start is already the last stage, so
+a warm start near its optimum begins there. A start that stays at t0
+takes its first Newton direction from K0's factor; only a start that
+rises pays a factorization at its t.
+
+The default start is `initial_point`'s, the candidate with the largest
+block margin, well inside every block; Boyd and Vandenberghe (sec.
+11.3.3) observe that the total Newton count of a barrier solve changes
+little for growth factors from about 10 up to 100. COLD_REACH is two x10
+growths, the factor by which a stage that runs short before any stage
+ended centered falls back (below). BCD's cold subproblem, asked for
+`bcd.EPS_INIT` = 1 % of the data scale, sits at t_final / t of 72 to 100
+on `bcd-regions`: its three cold solves take 4, 5 and 11 Newton steps in
+one stage where three stages took [3, 4, 3], [5, 3, 4] and [3, 4, 4].
+The reach is needed: started at its t_final, 4.7e11 times its t0, the
+5 x 5 no-region solve to 1e-10 of acceptance criterion 7 meets its
+certificate 0.65 off the closed-form projections. A warm start is the
+previous solve's point, near the boundary of the tight blocks, where
+long steps are cut short (Gondzio and Grothey, SIAM J. Optim. 13, 2003),
+so it jumps only within half a growth. From the second sweep on, BCD's
+warm subproblems have t_final = 10 t0 exactly (gap0 = max(10 eps_k,
+|decrease|) against accuracy max(eps_k, `bcd.ACCURACY_KAPPA`
+|decrease|), ACCURACY_KAPPA = 0.1), so one whose t* does not rise keeps
+its two stages: started at t_final, the composite full solve of
+`bcd-regions` takes 168 Newton steps, 60 of them in one stage. The late
+warm starts on the disk, whose t* is 1.4 to 4.2 below t_final, begin in
+their last stage. A `bcd-regions` pass (disk, composite full, frozen-E)
+takes 36 + 50 + 23 = 109 Newton steps where starting at t took 48 + 58 +
+24 = 130, and the MSD(10, 0.05) `hurwitz()` BCD solve of the test suite
+291 where it took 310.
 
 An intermediate stage ends once lambda^2 / 2 = -g.dx / 2 is at most
 STAGE_CENTERING, lambda being the Newton decrement of psi at x. It only
@@ -202,6 +232,8 @@ MAX_NEWTON_PER_STAGE = 60
 MAX_TOTAL_NEWTON = 4000
 MAX_LINE_NEWTON = 50  # scalar Newton steps per line search
 FINAL_STAGE_SNAP = 1e-6  # relative distance below nu / eps taken as the last stage
+COLD_REACH = BARRIER_GROWTH ** 2  # t_final / t at most this: the default start jumps there
+WARM_REACH = BARRIER_GROWTH / 2.0  # the same for a warm start
 
 
 class InfeasibleStartError(RuntimeError):
@@ -384,9 +416,12 @@ def _value_gather(blocks, n, m):
     return gather
 
 
+_ZERO_SLOT = np.zeros(1)  # appended to x for `_linear`'s gather
+
+
 def _linear(gather, x):
     """The linear part of the gather's blocks at x, flat."""
-    v = np.append(x, 0.0).take(gather.at)  # with the zero slot
+    v = np.concatenate((x, _ZERO_SLOT)).take(gather.at)
     v *= gather.coef
     return v.sum(0)
 
@@ -510,7 +545,9 @@ class _Objective:
         self.EA = np.stack([sp.E, sp.A])
         self.P, self.res = np.empty_like(self.EA), np.empty_like(self.EA)  # `_residuals` scratch
         self.zero = np.zeros_like(self.EA)  # the data of `curvature`
-        self.weights = np.array([2.0 * sp.mu, 2.0, -2.0])[:, None, None]  # of `grad`
+        # `grad` takes these rows of [M_e, M_a] and weights them
+        self.rows = np.array([0, 1, 1])
+        self.weights = np.array([2.0 * sp.mu, 2.0, -2.0])[:, None, None]
         # <S_i Q, S_j Q> = sign_i tr(Q Q^T S_i S_j): the trace pairs of U = Q Q^T, V = I
         QQ = Q @ Q.T
         gram = {(si, sj): si * _trace_pairs(QQ, np.eye(sp.n), si, sj)
@@ -531,8 +568,9 @@ class _Objective:
         """f's gradient at x: the split's adjoint at [2 mu M_e, 2 M_a, -2 M_a],
         [M_e, M_a] = [T Q - E, (J - R) Q - A] Q^T (module docstring)."""
         res = _residuals(self.EA, (*self.cs.split(x), self.Q), self.P, self.res)
-        M = res @ self.Q.T
-        return _adjoint(self.cs.tjr, M[[0, 1, 1]] * self.weights, self.cs.m)
+        M = (res @ self.Q.T).take(self.rows, axis=0)
+        M *= self.weights
+        return _adjoint(self.cs.tjr, M, self.cs.m)
 
     def curvature(self, dx):
         """dx'H_f dx as 2 f(dx) with zero data, 2 (||(dJ - dR) Q||_F^2 +
@@ -748,8 +786,9 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, *, accuracy: float,
     triple used. `gap0` estimates the warm start's suboptimality and
     sets the floor nu / gap0 of the initial barrier parameter (default:
     the objective value itself, the right scale for a cold start); the
-    solve starts above it where the start is more central there.
-    `accuracy`, and `gap0` when given, must be finite and positive. The
+    solve starts above it where the start is more central there, and at
+    the final nu / `accuracy` where that is within COLD_REACH (default
+    start) or WARM_REACH (warm start) of it. `accuracy`, and `gap0` when given, must be finite and positive. The
     returned point is strictly feasible and, when `converged`, its
     objective is within the certified `gap_estimate` <= `accuracy` of the
     optimum.
@@ -792,13 +831,18 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, *, accuracy: float,
     # factor, kept until x or t moves
     derivs = _barrier_grad_hess(cs, factors)
     newton = np.empty((cs.m, cs.m))  # t H_f + H_phi, formed and factored in place
-    L, factored_at = _newton_factor(newton, t, obj.H, derivs[1]), t
-    # start at the t >= nu / gap0 where x is most nearly central: the
-    # minimizer of ||t gf + g_phi|| in the norm of that factor's inverse
-    yf, yphi = _newton_solve(L, np.stack([gf, derivs[0]], axis=1)).T
-    gyf, gyphi = float(gf @ yf), float(gf @ yphi)
-    if gyf > 0.0 and gyphi < 0.0:
-        t = max(t, min(-gyphi / gyf, t_final))
+    L = factored_at = None
+    reach = COLD_REACH if used_default else WARM_REACH
+    if t_final > reach * t:  # K0 and t* only where t0 leaves the last stage out of reach
+        L, factored_at = _newton_factor(newton, t, obj.H, derivs[1]), t
+        # start at the t >= nu / gap0 where x is most nearly central: the
+        # minimizer of ||t gf + g_phi|| in the norm of that factor's inverse
+        yf, yphi = _newton_solve(L, np.stack([gf, derivs[0]], axis=1)).T
+        gyf, gyphi = float(gf @ yf), float(gf @ yphi)
+        if gyf > 0.0 and gyphi < 0.0:
+            t = max(t, min(-gyphi / gyf, t_final))
+    if t_final <= reach * t:  # the last stage is within reach: start there
+        t = t_final
     converged, multipliers = False, []
     on_path = False  # whether a stage has ended centered
     while total_newton < MAX_TOTAL_NEWTON:

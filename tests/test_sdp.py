@@ -7,7 +7,7 @@ import scipy.linalg
 import scipy.optimize
 
 from omegapair import regions as rg
-from omegapair import sdp
+from omegapair import bcd, sdp
 from omegapair.bcd import BcdOptions, solve_general
 from omegapair.bench import grcar
 from omegapair.dh import project_psd, skew, sym
@@ -107,11 +107,14 @@ def test_projection_special_case_matches_clipping_oracle():
 
 
 def test_closed_form_projections_no_region():
+    """A cold solve to 1e-10, far beyond COLD_REACH of its start, grows t
+    stage by stage and meets the closed-form projections."""
     rng = np.random.default_rng(1)
     E = rng.standard_normal((4, 4))
     A = rng.standard_normal((4, 4))
     sp = ConvexSubproblem(E, A, 1.0, region=None)
     sol = solve_subproblem(sp, np.eye(4), accuracy=1e-10)
+    assert len(sol.stage_newton) > 2 and sol.converged
     np.testing.assert_allclose(sol.J, skew(A), atol=1e-6)
     np.testing.assert_allclose(sol.R, project_psd(-sym(A)), atol=1e-6)
     np.testing.assert_allclose(sol.T, project_psd(sym(E)), atol=1e-6)
@@ -658,6 +661,48 @@ def test_warm_start_at_the_optimum_begins_in_the_final_stage():
         assert sol.stage_newton == [1]
         assert sol.gap_estimate <= eps
         assert sol.converged
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_cold_start_at_bcd_cold_accuracy_runs_one_stage(case):
+    """BCD's cold subproblem asks for `bcd.EPS_INIT` times the data scale,
+    within COLD_REACH of the default start's t0 = nu / f(x): the solve
+    starts in its final stage and converges there, within its accuracy of
+    a tight solve."""
+    rng = np.random.default_rng(0)
+    region = {"schur": rg.schur(), "hurwitz_psd_R": rg.hurwitz()}.get(case, _composite())
+    T_fixed = (np.eye(4) + 0.2 * sym(rng.standard_normal((4, 4)))
+               if case == "frozen_T" else None)
+    E, A = np.eye(4), 2.0 * rng.standard_normal((4, 4))
+    sp = ConvexSubproblem(E, A, 1.0, region, fixed_T=T_fixed)
+    accuracy = bcd.EPS_INIT * (1.0 + np.sum(A * A) + np.sum(E * E))
+    f0 = _Objective(sp, np.eye(4)).value(sp.constraints.pack(*initial_point(sp)))
+    assert sdp.BARRIER_GROWTH * accuracy < f0 <= sdp.COLD_REACH * accuracy  # two growths
+    sol = solve_subproblem(sp, np.eye(4), accuracy=accuracy)
+    tight = solve_subproblem(sp, np.eye(4), accuracy=1e-11)
+    assert len(sol.stage_newton) == 1
+    assert sol.converged and sol.gap_estimate <= accuracy
+    assert tight.objective - 1e-11 <= sol.objective <= tight.objective + accuracy
+
+
+@pytest.mark.parametrize("ratio, stages", [(10.0, 2), (4.0, 1)])
+def test_warm_start_jumps_to_its_final_stage_only_within_warm_reach(ratio, stages):
+    """A warm start most central below t0 = nu / gap0 starts at t0. At
+    gap0 = 10 eps, BCD's floor, t_final = nu / eps is exactly 10 t0, beyond
+    WARM_REACH: the solve grows t once, two stages. At gap0 = 4 eps the
+    final stage is within reach and the solve starts there."""
+    rng = np.random.default_rng(4)
+    sp = ConvexSubproblem(np.eye(3), rng.standard_normal((3, 3)), 1.0, rg.schur())
+    nu, eps = sp.constraints.nu, 1e-7
+    loose = solve_subproblem(sp, np.eye(3), accuracy=1e-5)
+    init = (loose.T, loose.J, loose.R)
+    t0 = nu / (ratio * eps)
+    assert _most_central_t(sp, np.eye(3), init, t0) <= t0
+    assert (nu / eps) / t0 == ratio
+    assert (ratio <= sdp.WARM_REACH) == (stages == 1)
+    sol = solve_subproblem(sp, np.eye(3), init=[init], accuracy=eps, gap0=ratio * eps)
+    assert len(sol.stage_newton) == stages
+    assert sol.converged and sol.gap_estimate <= eps
 
 
 # the stage schedules of the cold solves below before the start rose to the
