@@ -30,23 +30,26 @@ reference).
 
 The projection takes, for each of T and R, only the eigenpairs on the
 short side of zero: T - V- diag(w-) V-^T when the negative eigenvalues are
-few, V+ diag(w+) V+^T when the positive ones are. The FGM trial points are
-nearly one-sided (at Grcar(200,3), T has about 5 negative eigenvalues and
-R about 50 positive ones), so the subset driver `dsyevx` computes a few
-pairs where a full decomposition computes n. When the short side holds
-more than `SUBSET_FRACTION` n pairs, the block takes one full `dsyevd` and
-is still rebuilt from its short side. The previous trial's count picks
-the side; the first trial of a solve takes `dsyevd`, which counts exactly.
+few, V+ diag(w+) V+^T when the positive ones are, written over the
+block as M + S S^T or S S^T with S = V sqrt|w| (see `_clip_psd`). The FGM
+trial points are nearly one-sided (at Grcar(200,3), T has about 5
+negative eigenvalues and R about 50 positive ones), so the subset driver
+`dsyevx` computes a few pairs where a full decomposition computes n. When
+the short side holds more than `SUBSET_FRACTION` n pairs, the block takes
+one full `dsyevd` and is still rebuilt from its short side. The previous
+trial's count picks the side; the first trial of a solve takes `dsyevd`,
+which counts exactly.
 The guess changes only the rounding, and it lives in the solve's
 workspace, so a solve is deterministic.
 
 Every stack the loop forms is exactly structured: T and R symmetric and J
 skew to the last bit. The start is built with `sym` and `skew`, `project`
-writes (P + P^T) / 2, the gradient's blocks are formed as M + M^T and
+writes M + S S^T or S S^T, the gradient's blocks are formed as M + M^T and
 M - M^T, and the extrapolation Y = X+ + beta (X+ - X) and the trial point
 Y - step G are elementwise, where IEEE rounding treats x and -x alike. So
-`project` needs no symmetrizing pass on its input: it projects T and R
-onto the PSD cone in place and leaves J and Q as they are.
+`project` needs no symmetrizing pass, on its input or on its output: it
+projects T and R onto the PSD cone in place and leaves J and Q as they
+are.
 
 A solve allocates its arrays once, in a `_Workspace`: the constants
 [E, A] and [2 mu, 2, -2], the gradient and one scratch set that
@@ -137,11 +140,12 @@ _STRUCTURE_SIGNS = np.array([1.0, -1.0, 1.0])[:, None, None]
 class _Workspace:
     """The arrays one solve reuses, allocated once as one block: the
     constants [E, A], the gradient's factors `scale` [2 mu, 2, -2] and
-    their halves, one scratch set shared by `gradient`, `objective` and
-    `project` (they never run at once: P = [T, J - R], the residuals `res`
-    and the (3, n, n) stack K) and the gradient G. `nonpos` holds the count
-    of nonpositive eigenvalues of T and R at the last projection, None
-    before the first, which picks the side the next projection takes."""
+    their halves, one scratch set (P = [T, J - R] and the residuals `res`
+    for `gradient` and `objective`, the (3, n, n) stack K for `gradient`
+    and `project`; they never run at once) and the gradient G. `nonpos`
+    holds the count of nonpositive eigenvalues of T and R at the last
+    projection, None before the first, which picks the side the next
+    projection takes."""
 
     def __init__(self, E, A, mu=1.0):
         n = E.shape[0]
@@ -188,29 +192,34 @@ def gradient(E, A, X, mu=1.0, work=None):
 def project(Z, work=None):
     """Project a structured Z = [T, J, R, Q] onto the feasible set in place
     and return it: T and R onto the PSD cone, each rebuilt from the
-    eigenpairs on the short side of zero and symmetrized; J and Q
-    unchanged. T and R must be exactly symmetric and J exactly skew, as
-    every stack the FGM loop forms is. `work` lends scratch and the side
+    eigenpairs on the short side of zero as an exactly symmetric matrix; J
+    and Q unchanged. T and R must be exactly symmetric and J exactly skew,
+    as every stack the FGM loop forms is. `work` lends scratch and the side
     guesses of the last call; without it both blocks take `dsyevd`.
 
     A T or R that is not finite is left as it is, so that no eigensolver
     sees it and the objective at Z reads as not finite."""
     ws = work if work is not None else _Workspace(Z[3], Z[3])  # only its scratch is read
-    TR = Z[::2]
-    if not np.isfinite(TR).all():
+    if not np.isfinite(Z[::2]).all():
         return Z
-    P, nonpos = ws.P, ws.nonpos
+    nonpos = ws.nonpos
     for b in (0, 1):
-        nonpos[b] = _clip_psd(TR[b], nonpos[b], ws.K, P[b])
-    np.divide(np.add(P, P.mT, out=ws.K[:2]), 2.0, out=TR)
+        nonpos[b] = _clip_psd(Z[2 * b], nonpos[b], ws.K)
     return Z
 
 
-def _clip_psd(M, guess, K, out):
-    """Write the projection of the exactly symmetric M onto the PSD cone,
-    before symmetrizing, into `out` and return M's count of nonpositive
-    eigenvalues. `guess`, that count at the last call or None, picks the
-    short side; K is (3, n, n) scratch."""
+def _clip_psd(M, guess, K):
+    """Project the exactly symmetric M onto the PSD cone in place and
+    return M's count of nonpositive eigenvalues. `guess`, that count at
+    the last call or None, picks the short side; K is (3, n, n) scratch.
+
+    With S = V sqrt|w| over the short side's pairs (V, w) the projection
+    is M + S S^T on the negative side and S S^T on the positive one, so no
+    symmetrizing pass follows. S S^T is exactly symmetric: one pair forms
+    |w| (v_i v_j), and products commute; more pairs form `S @ S.T`, which
+    NumPy (2.0 and later) computes with syrk and mirrors, where a general
+    product does not round alike across the diagonal. A PSD M is left as
+    it is."""
     n = M.shape[0]
     info = 1  # nonzero until dsyevx succeeds
     if guess is not None and min(guess, n - guess) <= max(1, int(SUBSET_FRACTION * n)):
@@ -231,12 +240,17 @@ def _clip_psd(M, guess, K, out):
         w, V = (w[:nonpos], V[:, :nonpos]) if negative else (w[nonpos:], V[:, nonpos:])
     k = w.shape[0]
     if k == (0 if negative else n):  # no nonpositive eigenvalue: M is PSD
-        np.copyto(out, M)
         return nonpos
-    VW = np.multiply(V, w, out=K[1][:, :k])
-    np.matmul(VW, V.T, out=out)
+    SS = K[2] if negative else M
+    if k == 1:
+        v = V[:, 0]
+        np.multiply(v[:, None], v, out=SS)
+        SS *= abs(w[0])
+    else:
+        S = np.multiply(V, np.sqrt(np.abs(w)), out=K[1][:, :k])
+        np.matmul(S, S.T, out=SS)
     if negative:
-        np.subtract(M, out, out=out)
+        M += SS
     return nonpos
 
 
@@ -277,8 +291,8 @@ def estimate_lipschitz(E, A, X, mu=1.0, iters=25, seed=0):
 def initial_quadruple(E, A):
     """Q = I with the best (T, J, R) for that Q, as a stack [T, J, R, Q]:
     PSD-clipped E, the skew part of A, and the PSD-clipped negated
-    symmetric part of A; T and R are symmetrized after the clipping, as
-    in `project`."""
+    symmetric part of A; T and R are symmetrized after the clipping, so
+    that the loop starts exactly structured."""
     n = E.shape[0]
     return np.stack([sym_part(project_psd(E)), skew_part(A),
                      sym_part(project_psd(-sym_part(A))), np.eye(n)])

@@ -131,8 +131,8 @@ def drivers(monkeypatch):
 
 # |project(M) - psd(M)| <= PROJECT_TOL n eps ||M||_2 elementwise, with psd
 # from the oracle's eigh. Over the points of the test below at seeds 0-199
-# (n = 1, 3, 10), 0-59 (n = 50) and 0-5 (n = 200), the worst case is 3.2 at
-# n = 3, 1.7 at n = 10, 0.2 at n = 50 and 0.03 at n = 200.
+# (n = 1, 3, 10), 0-59 (n = 50) and 0-5 (n = 200), the worst case is 3.16 at
+# n = 3, 1.72 at n = 10, 0.20 at n = 50 and 0.033 at n = 200 (0 at n = 1).
 PROJECT_TOL = 8.0
 
 
@@ -252,18 +252,25 @@ def test_project_recomputes_an_unconverged_block_with_dsyevd(monkeypatch, driver
     (grcar(10, 2), 0.37, 300, "iteration budget"),
     (msd(10, 0.05)[0], 1.0, 300, "iteration budget"),
     # stops at 56 after failed line searches, through the momentum-dropping restarts
-    (grcar(10, 1), 1.0, 20_000, "converged (no descent after restarts)")],
-    ids=["grcar-10-2", "grcar-10-2-mu-0.37", "msd-10-0.05", "grcar-10-1-restarts"])
+    (grcar(10, 1), 1.0, 20_000, "converged (no descent after restarts)"),
+    # R takes dsyevd on every trial and is rebuilt from 44 to 78 pairs
+    (grcar(200, 3), 1.0, 5, "iteration budget")],
+    ids=["grcar-10-2", "grcar-10-2-mu-0.37", "msd-10-0.05", "grcar-10-1-restarts",
+         "grcar-200-3"])
 def test_every_trial_point_is_exactly_structured(monkeypatch, pair, mu, iters, stop):
-    # `project` relies on it: it does not symmetrize its input
+    # `project` relies on it: it symmetrizes neither its input nor its output
     calls = []
 
-    def spy(Z, work=None):
+    def structured(Z):
         T, J, R, _ = Z
-        assert np.array_equal(T, T.T) and np.array_equal(R, R.T)
-        assert np.array_equal(J, -J.T)
+        return (np.array_equal(T, T.T) and np.array_equal(R, R.T)
+                and np.array_equal(J, -J.T))
+
+    def spy(Z, work=None):
+        assert structured(Z)
         calls.append(None)
-        return project(Z, work)
+        assert structured(project(Z, work))
+        return Z
 
     monkeypatch.setattr(fgm, "project", spy)
     res = solve_hurwitz(pair.E, pair.A, FgmOptions(mu=mu, max_iters=iters, max_time_s=1e9))
