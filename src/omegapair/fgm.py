@@ -198,9 +198,12 @@ def project(Z, work=None):
     guesses of the last call; without it both blocks take `dsyevd`.
 
     A T or R that is not finite is left as it is, so that no eigensolver
-    sees it and the objective at Z reads as not finite."""
+    sees it and the objective at Z reads as not finite. The test is one
+    sum over T and R, and the entries one by one only where that sum is not
+    finite: finite blocks whose sum overflows (NumPy warns of it) are still
+    projected."""
     ws = work if work is not None else _Workspace(Z[3], Z[3])  # only its scratch is read
-    if not np.isfinite(Z[::2]).all():
+    if not math.isfinite(np.add.reduce(Z[::2], axis=None)) and not np.isfinite(Z[::2]).all():
         return Z
     nonpos = ws.nonpos
     for b in (0, 1):

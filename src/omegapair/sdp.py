@@ -182,10 +182,12 @@ each block writes its U_g, by one einsum over its stacked M_g, into one
 stack U of n x n sub-blocks, and the plan holds the indices in U of each
 group pair's (U_g)_ac and (U_h)_ca over all blocks. Per point, a group
 pair's Hessian block is one gather of each side and one call of
-`_trace_pairs`, which forms every (U_x S_i V_x)^T as one batched product
-of the gathered columns of U_x (the second half negated for a skew S_i)
-and rows of V_x, then scales the k x k result by the svec weights
-c_i0 c_j0 once.
+`_trace_pairs`. It gathers the columns of U_x (the second half negated
+for a skew S_i) and the rows of V_x, each straight into a contiguous
+stack, and forms every (U_x S_i V_x)^T as one batched product that reads
+the rows' stack transposed, so no operand is reordered by a copy. It
+then scales the k x k result by the svec weights c_i0 c_j0 in one
+multiply by their outer product, cached for the four sign pairs of one n.
 
 The Newton system (t H_f + H_phi) dx = -g is formed in one m x m buffer
 per `solve_subproblem` call and factored there in place by LAPACK
@@ -269,6 +271,16 @@ def _skew_pick(n):
     return _svec_index(n, -1).uv + (0, n)
 
 
+@functools.lru_cache(maxsize=4)  # the four sign pairs of one n
+def _svec_weights(n, si, sj):
+    """[c_i0 c_j0]_ij over the svec bases of signs si and sj: one multiply
+    of the same shape, where a row and a column scaling are two
+    broadcasts, each slower than it. Read-only, as every caller shares it."""
+    w = np.outer(_svec_index(n, si).c[:, 0], _svec_index(n, sj).c[:, 0])
+    w.flags.writeable = False
+    return w
+
+
 # ---------------------------------------------------------------------------
 # Problem statement and compiled form
 
@@ -347,7 +359,9 @@ def _trace_pairs(U, V, si, sj):
     ix, jx = _svec_index(n, si), _svec_index(n, sj)
     # S_i = c_i0 (e_u e_v^T + si e_v e_u^T), so (U_x S_i V_x)^T / c_i0 is
     # V_x[v]^T U_x[:, u]^T + si V_x[u]^T U_x[:, v]^T: one batch over i of
-    # products over the two terms t and x
+    # products over the two terms t and x. Both operands are gathered
+    # straight into contiguous (k, 2X, n) stacks, and the product reads the
+    # rows' stack transposed, which BLAS does by a flag: no reordering copy
     k, w = len(ix.uv), 2 * len(U)  # a 1 x 1 skew part has k = 0: no -1 to infer
     cols, pick = U.transpose(2, 0, 1), ix.uv  # cols[c, x, p] = U_x[p, c]
     if si < 0:  # the t = 1 half from -U, a copy about n / 2 times smaller than `right`
@@ -356,18 +370,18 @@ def _trace_pairs(U, V, si, sj):
         np.negative(cols[:n], out=cols[n:])
         pick = _skew_pick(n)
     right = cols.take(pick, axis=0)  # [i, t, x, p] = U_x[p, (u, v)_t], times si for t = 1
-    # [i, s, (t, x)] = V_x[(v, u)_t, s], the gather freed once reordered
-    left = V.transpose(1, 2, 0).take(ix.uv[:, ::-1], axis=0).transpose(0, 2, 1, 3).reshape(k, n, w)
-    SVU = (left @ right.reshape(k, w, n)).reshape(k, n * n)
+    left = V.transpose(1, 0, 2).take(ix.uv[:, ::-1], axis=0).reshape(k, w, n)  # [i, (t, x), s]
+    SVU = np.matmul(left.mT, right.reshape(k, w, n)).reshape(k, n * n)
     # tr(X S_j) = c_j0 (X^T[u, v] + sj X^T[v, u]), formed in place after the
     # operands are freed: a higher peak can take the free top of glibc's heap
     # past twice its largest recent block (the m x m Hessian), so that it is
-    # returned to the system and every page faults again in the next call
+    # returned to the system and every page faults again in the next call.
+    # One n = 20 composite Hessian peaks at 2.01 times its size; a copy that
+    # reorders the rows takes it to 2.12, and 1433 faults a call
     del cols, left, right
     H = SVU.take(jx.upper, axis=1)
     (np.add if sj > 0 else np.subtract)(H, SVU.take(jx.lower, axis=1), out=H)
-    H *= ix.c[:, :1]
-    H *= jx.c[:, 0]
+    H *= _svec_weights(n, si, sj)
     return H
 
 

@@ -191,11 +191,16 @@ def test_project_leaves_a_psd_block_unchanged_bit_for_bit(n, drivers):
 
 
 def test_project_hands_no_non_finite_block_to_lapack(monkeypatch, capfd):
-    def refuse(*args, **kwargs):
-        raise AssertionError("an eigensolver was called on a non-finite matrix")
+    class Reached(Exception):
+        pass
 
-    monkeypatch.setattr(fgm, "dsyevx", refuse)
-    monkeypatch.setattr(fgm, "dsyevd", refuse)
+    def eigensolver(M, *args, **kwargs):
+        if not np.isfinite(M).all():
+            raise AssertionError("an eigensolver was called on a non-finite matrix")
+        raise Reached
+
+    monkeypatch.setattr(fgm, "dsyevx", eigensolver)
+    monkeypatch.setattr(fgm, "dsyevd", eigensolver)
     rng = np.random.default_rng(7)
     n = 10
     E, A = rng.standard_normal((2, n, n))
@@ -210,6 +215,16 @@ def test_project_hands_no_non_finite_block_to_lapack(monkeypatch, capfd):
             assert np.array_equal(Z, before, equal_nan=True)
             with np.errstate(invalid="ignore", over="ignore"):
                 assert not np.isfinite(objective(E, A, Z, 1.0, ws))
+    # finite blocks whose sum overflows reach the eigensolver: the guard's
+    # sum is not finite, and its entry-by-entry test passes them
+    for huge in (1e308, -1e308):
+        for b in (0, 2):
+            Z = _one_sided_point(rng, n, 1)
+            Z[b, 3, 4] = Z[b, 4, 3] = huge
+            with np.errstate(over="ignore"):
+                assert not np.isfinite(np.add.reduce(Z[::2], axis=None))
+                with pytest.raises(Reached):
+                    project(Z, ws)
     assert capfd.readouterr().err == ""
 
 
