@@ -21,7 +21,7 @@ import numpy as np
 
 from .dh import DhParam
 from .regions import LmiRegion
-from .result import (SolveResult, _check_budget, _check_pair, _fit, _objective_value,
+from .result import (SolveResult, _check_options, _check_pair, _fit, _objective_value,
                      finalize_solution)
 from .sdp import ConvexSubproblem, solve_subproblem
 
@@ -59,12 +59,7 @@ class BcdOptions:
     fix_Q: np.ndarray | None = None   # disable the Q update
 
     def __post_init__(self):
-        if not 0.0 < self.mu < np.inf:  # also false for NaN
-            raise ValueError(f"mu must be finite and positive, got {self.mu!r}")
-        # a NaN budget would switch its stop off: elapsed >= nan is false
-        if not self.max_time_s >= 0.0:
-            raise ValueError(f"max_time_s must be at least 0, got {self.max_time_s!r}")
-        _check_budget("max_outer_iters", self.max_outer_iters)
+        _check_options(self.mu, self.max_time_s, "max_outer_iters", self.max_outer_iters)
 
 
 @dataclass
@@ -81,21 +76,15 @@ def update_Q(E, A, T, J, R, mu=1.0):
     """Exact minimizer of the objective over Q, all else fixed.
 
     Solves the stacked least squares [J - R; sqrt(mu) T] Q ~ [A; sqrt(mu) E]
-    by orthogonal factorization, falling back to a Tikhonov-regularized
-    normal-equation solve when the operator is rank-deficient. Returns
-    (Q, fallback_used).
+    by the SVD (`np.linalg.lstsq`), which returns the minimum-norm
+    minimizer, pinv(M) b, when the operator M is rank-deficient. Returns
+    (Q, rank_deficient), the flag counted as a Q fallback.
     """
-    n = E.shape[0]
     root = np.sqrt(mu)
     M = np.vstack([J - R, root * T])
     b = np.vstack([A, root * E])
-    Q, _, rank, sv = np.linalg.lstsq(M, b, rcond=None)
-    if rank < n:
-        scale = float(sv[0] ** 2) if len(sv) and sv[0] > 0 else 1.0
-        tau = 1e-12 * scale
-        Q = np.linalg.solve(M.T @ M + tau * np.eye(n), M.T @ b)
-        return Q, True
-    return Q, False
+    Q, _, rank, _ = np.linalg.lstsq(M, b, rcond=None)
+    return Q, bool(rank < E.shape[0])
 
 
 def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,

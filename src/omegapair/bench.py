@@ -35,6 +35,8 @@ __all__ = [
     "region_plot_data",
 ]
 
+BOUNDARY_TOL = 1e-6  # length below which `region_plot_data` stops bisecting
+
 
 def grcar(n, k=1) -> MatrixPair:
     """Banded Toeplitz pair: subdiagonal -1, main and k superdiagonals 1, E = I.
@@ -235,17 +237,16 @@ def _csv_cell(v):
     return str(v)
 
 
-def region_plot_data(region: LmiRegion, pairs, bounds, nx=161, ny=121,
-                     out_dir=".", tol=1e-6):
+def region_plot_data(region: LmiRegion, pairs, bounds, nx=161, ny=121, out_dir="."):
     """Emit eigenvalue scatters and a region boundary point cloud as CSV.
 
     The boundary is located where the membership margin (the largest
     eigenvalue of the characteristic matrix, negated and scaled) changes
     sign between neighbouring grid nodes, refined by bisection along the
-    connecting segment to `tol`. Returns the mapping of emitted file paths.
-    `bounds` (xmin, xmax, ymin, ymax) must be four finite numbers with
-    xmin < xmax and ymin < ymax, and the grid at least 2 x 2 nodes; else
-    ValueError, before anything is written.
+    connecting segment to BOUNDARY_TOL. Returns the mapping of emitted
+    file paths. `bounds` (xmin, xmax, ymin, ymax) must be four finite
+    numbers with xmin < xmax and ymin < ymax, and the grid at least 2 x 2
+    nodes; else ValueError, before anything is written.
     """
     if not (len(bounds) == 4 and np.isfinite(bounds).all()
             and bounds[0] < bounds[1] and bounds[2] < bounds[3]):
@@ -262,7 +263,7 @@ def region_plot_data(region: LmiRegion, pairs, bounds, nx=161, ny=121,
     def bisect(z_a, z_b):
         inside_a = membership_margins(region, [z_a])[0] > 0.0
         for _ in range(80):
-            if abs(z_b - z_a) < tol:
+            if abs(z_b - z_a) < BOUNDARY_TOL:
                 break
             mid = (z_a + z_b) / 2.0
             if (membership_margins(region, [mid])[0] > 0.0) == inside_a:

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .bench import BenchInstance, _solve, region_plot_data, run_table
-from .pencil import admissibility_check, load_pair, save_pair, spectrum
+from .pencil import admissibility_check, load_pair, save_pair
 from .regions import load_region, uniform_part_nonempty
 from .result import write_trace
 from .sdp import InfeasibleStartError
@@ -111,9 +111,8 @@ def _cmd_solve(args):
 def _cmd_check(args):
     pair = load_pair(args.pair)
     region = load_region(args.region)
-    rep = spectrum(pair)
-    verdict = admissibility_check(pair, region, margin_tol=args.tol_margin,
-                                  report=rep)
+    verdict = admissibility_check(pair, region, margin_tol=args.tol_margin)
+    rep = verdict.spectrum
     print(f"n: {pair.n}")
     print(f"rank(E): {rep.rank_E}")
     print(f"regular: {rep.is_regular}")

@@ -68,16 +68,16 @@ decrease, so the last iterate is the best one.
 from __future__ import annotations
 
 import math
-import operator
 import time as _time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg.lapack import dsyevd, dsyevx
 
 from .dh import DhParam, project_psd, skew as skew_part, sym as sym_part
 from .regions import hurwitz
-from .result import (SolveResult, _check_budget, _check_pair, _fit, _objective_value,
+from .result import (SolveResult, _check_options, _check_pair, _fit, _objective_value,
                      _residuals, finalize_solution)
 
 __all__ = ["FgmOptions", "objective", "gradient", "project", "solve_hurwitz",
@@ -89,25 +89,11 @@ class FgmOptions:
     mu: float = 1.0
     max_time_s: float = 30.0
     max_iters: int | None = None
-    trace_every: int = 25              # record a trace row every this many iterations
+    trace_every: ClassVar[int] = 25    # record a trace row every this many iterations
     seed: int = 0                      # power-iteration start
 
     def __post_init__(self):
-        if not 0.0 < self.mu < np.inf:  # also false for NaN
-            raise ValueError(f"mu must be finite and positive, got {self.mu!r}")
-        # a NaN budget would switch its stop off: elapsed >= nan is false
-        if not self.max_time_s >= 0.0:
-            raise ValueError(f"max_time_s must be at least 0, got {self.max_time_s!r}")
-        _check_budget("max_iters", self.max_iters)
-        # an integer, as `_check_budget` reads one: 2.5 would record a row every
-        # 5th iteration, and True would read as 1
-        try:
-            ok = not isinstance(self.trace_every, bool) and operator.index(self.trace_every) >= 1
-        except TypeError:
-            ok = False
-        if not ok:
-            raise ValueError(f"trace_every must be an integer of at least 1, "
-                             f"got {self.trace_every!r}")
+        _check_options(self.mu, self.max_time_s, "max_iters", self.max_iters)
 
 
 # The backtracking line search: the step shrinks by LS_SHRINK per rejected
@@ -125,6 +111,9 @@ ALPHA0 = 0.5
 # objective at the window's start.
 STALL_WINDOW = 3000
 STALL_REL_TOL = 1e-11
+
+# Power-iteration steps of `estimate_lipschitz`.
+LIPSCHITZ_ITERS = 25
 
 # The largest short side, as a fraction of n (at least one pair), that
 # `project` takes with the subset driver `dsyevx`. At n = 200 on one thread
@@ -257,12 +246,13 @@ def _clip_psd(M, guess, K):
     return nonpos
 
 
-def estimate_lipschitz(E, A, X, mu=1.0, iters=25, seed=0):
+def estimate_lipschitz(E, A, X, mu=1.0, seed=0):
     """Power iteration on the Gauss-Newton curvature operator at X = [T, J, R, Q].
 
     The operator maps a structured direction to the derivative of the two
     residuals; twice its largest singular value squared bounds the local
-    curvature of the objective and seeds the step size 1 / L.
+    curvature of the objective and seeds the step size 1 / L. It runs
+    LIPSCHITZ_ITERS steps from a random start drawn with `seed`.
     """
     rng = np.random.default_rng(seed)
     T, J, R, Q = X
@@ -273,7 +263,7 @@ def estimate_lipschitz(E, A, X, mu=1.0, iters=25, seed=0):
     dR = sym_part(rng.standard_normal((n, n)))
     dQ = rng.standard_normal((n, n))
     lam = 1.0
-    for _ in range(iters):
+    for _ in range(LIPSCHITZ_ITERS):
         norm = np.sqrt(sum(np.sum(M * M) for M in (dT, dJ, dR, dQ)))
         if norm == 0.0:
             break

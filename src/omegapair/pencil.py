@@ -60,7 +60,7 @@ class MatrixPair:
 
 @dataclass
 class SpectrumReport:
-    """Eigenvalue classification of a pencil with the tolerances that made it.
+    """Eigenvalue classification of a pencil with the rank tolerance that made it.
 
     `residuals` and `residuals_left` are computed on first read, from one
     QZ with eigenvectors of `pair`; the admissibility verdict does not
@@ -73,7 +73,6 @@ class SpectrumReport:
     is_regular: bool
     is_impulse_free: bool
     rank_tol: float
-    beta_tol: float
     regularity_witness: complex | None
     pair: MatrixPair = field(repr=False)
     scale: float  # sigma_max(E) + sigma_max(A)
@@ -89,7 +88,7 @@ class SpectrumReport:
         ab, vl, vr = scipy.linalg.eig(self.pair.A, self.pair.E, left=True, right=True,
                                       homogeneous_eigvals=True)
         alpha, beta = ab[0], ab[1]
-        finite = np.abs(beta) > self.beta_tol * self.scale
+        finite = np.abs(beta) > DEFAULT_BETA_TOL * self.scale
         return alpha[finite] / beta[finite], vr[:, finite], vl[:, finite]
 
     @cached_property
@@ -123,13 +122,12 @@ class AdmissibilityVerdict:
     spectrum: SpectrumReport | None = None
 
 
-def spectrum(pair: MatrixPair, rank_tol: float | None = None,
-             beta_tol: float = DEFAULT_BETA_TOL) -> SpectrumReport:
+def spectrum(pair: MatrixPair) -> SpectrumReport:
     """Generalized eigenvalues of s E - A with finite/infinite split.
 
     An eigenvalue (alpha_i, beta_i) from the QZ reduction counts as finite
-    when |beta_i| > beta_tol * (||E|| + ||A||); rank(E) comes from the
-    singular values with threshold rank_tol (default n * eps * sigma_max).
+    when |beta_i| > DEFAULT_BETA_TOL * (||E|| + ||A||); rank(E) counts the
+    singular values above the report's `rank_tol`, n * eps * sigma_max(E).
     The QZ computes eigenvalues only, and the singular values of E and of
     A (one SVD each) give the scale, rank(E) and the regularity test's
     sample at s = 0.
@@ -139,43 +137,43 @@ def spectrum(pair: MatrixPair, rank_tol: float | None = None,
     sv_E = scipy.linalg.svdvals(E)
     sv_A = scipy.linalg.svdvals(A)
     scale = _largest(sv_E) + _largest(sv_A)
-    if rank_tol is None:
-        rank_tol = n * np.finfo(float).eps * _largest(sv_E)
+    rank_tol = n * np.finfo(float).eps * _largest(sv_E)
     rank_E = int(np.sum(sv_E > rank_tol))
 
-    regular, witness = _regularity(E, A, scale, sv_A, REGULARITY_TOL)
+    regular, witness = _regularity(E, A, scale, sv_A)
 
     if scale == 0.0:
-        return SpectrumReport(np.zeros(0, complex), n, 0, False, False, rank_tol, beta_tol,
+        return SpectrumReport(np.zeros(0, complex), n, 0, False, False, rank_tol,
                               witness, pair, scale)
 
     alpha, beta = scipy.linalg.eig(A, E, left=False, right=False, homogeneous_eigvals=True)
-    finite_mask = np.abs(beta) > beta_tol * scale
+    finite_mask = np.abs(beta) > DEFAULT_BETA_TOL * scale
     lam = alpha[finite_mask] / beta[finite_mask]
 
     num_infinite = int(np.sum(~finite_mask))
     is_impulse_free = regular and (len(lam) == rank_E)
     return SpectrumReport(lam, num_infinite, rank_E, regular, is_impulse_free, rank_tol,
-                          beta_tol, witness, pair, scale)
+                          witness, pair, scale)
 
 
 def _largest(sv) -> float:
     return float(sv[0]) if len(sv) else 0.0
 
 
-def regularity_check(pair: MatrixPair, tol: float = REGULARITY_TOL):
+def regularity_check(pair: MatrixPair):
     """Decide det(s E - A) != 0 for some s, with a witness point.
 
     Samples s over {0, +-1, +-i} plus eight seeded Gaussian points; one
-    well-conditioned sample certifies regularity, numerical singularity at
-    every sample is taken as singular.
+    sample with sigma_min(s E - A) >= REGULARITY_TOL (||E|| + ||A||)
+    certifies regularity, numerical singularity at every sample is taken
+    as singular.
     """
     sv_A = scipy.linalg.svdvals(pair.A)
     scale = _largest(scipy.linalg.svdvals(pair.E)) + _largest(sv_A)
-    return _regularity(pair.E, pair.A, scale, sv_A, tol)
+    return _regularity(pair.E, pair.A, scale, sv_A)
 
 
-def _regularity(E, A, scale, sv_A, tol):
+def _regularity(E, A, scale, sv_A):
     """`regularity_check` given scale = sigma_max(E) + sigma_max(A) and the
     singular values sv_A of A, whose smallest is the sample at s = 0."""
     if scale == 0.0:
@@ -189,14 +187,13 @@ def _regularity(E, A, scale, sv_A, tol):
         rel = smin / scale
         if rel > best[0]:
             best = (rel, s)
-        if rel >= tol:
+        if rel >= REGULARITY_TOL:
             return True, s
     return False, best[1]
 
 
 def admissibility_check(pair: MatrixPair, region: LmiRegion,
-                        margin_tol: float = DEFAULT_MARGIN_TOL,
-                        report: SpectrumReport | None = None) -> AdmissibilityVerdict:
+                        margin_tol: float = DEFAULT_MARGIN_TOL) -> AdmissibilityVerdict:
     """Regular, impulse-free, and all finite eigenvalues inside the region.
 
     Eigenvalues are accepted when their membership margin is >= 0 at the
@@ -206,7 +203,7 @@ def admissibility_check(pair: MatrixPair, region: LmiRegion,
     """
     if not 0.0 <= margin_tol < np.inf:
         raise ValueError(f"margin_tol must be finite and non-negative, got {margin_tol!r}")
-    rep = report if report is not None else spectrum(pair)
+    rep = spectrum(pair)
     reasons = []
     if not rep.is_regular:
         reasons.append("not regular: det(sE - A) vanishes at all sample points")

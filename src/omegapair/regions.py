@@ -330,21 +330,20 @@ def membership_margins(region: LmiRegion, points) -> np.ndarray:
     return -lam_max / min(1.0, region.scale)
 
 
-def membership(region: LmiRegion, z: complex,
-               margin_tol: float = DEFAULT_MARGIN_TOL) -> Membership:
+def membership(region: LmiRegion, z: complex) -> Membership:
     """Classify z by its margin from `membership_margins`: inside above
-    margin_tol, outside below -margin_tol, boundary between."""
+    DEFAULT_MARGIN_TOL, outside below -DEFAULT_MARGIN_TOL, boundary between."""
     margin = float(membership_margins(region, [z])[0])
-    if margin > margin_tol:
+    if margin > DEFAULT_MARGIN_TOL:
         status = "inside"
-    elif margin < -margin_tol:
+    elif margin < -DEFAULT_MARGIN_TOL:
         status = "outside"
     else:
         status = "boundary"
     return Membership(status, margin)
 
 
-def uniform_part_nonempty(region: LmiRegion, tol: float = DEFAULT_MARGIN_TOL) -> bool:
+def uniform_part_nonempty(region: LmiRegion) -> bool:
     """True iff C + C^T is positive or negative definite.
 
     This is exactly the condition under which {z : C z + C^T conj(z) < 0}
@@ -352,8 +351,8 @@ def uniform_part_nonempty(region: LmiRegion, tol: float = DEFAULT_MARGIN_TOL) ->
     """
     sym = region.C + region.C.T
     eigs = np.linalg.eigvalsh(sym)
-    scale = max(1.0, float(np.abs(eigs).max()))
-    return bool(eigs[0] > tol * scale or eigs[-1] < -tol * scale)
+    tol = DEFAULT_MARGIN_TOL * max(1.0, float(np.abs(eigs).max()))
+    return bool(eigs[0] > tol or eigs[-1] < -tol)
 
 
 def real_section(region: LmiRegion):

@@ -91,6 +91,18 @@ def _check_budget(name, value):
         raise ValueError(f"{name} must be None or a nonnegative integer, got {value!r}")
 
 
+def _check_options(mu, max_time_s, budget_name, budget):
+    """Refuse a solver option set that a solve cannot run with: mu must be
+    finite and positive, max_time_s at least 0, and the iteration budget
+    `budget_name` as `_check_budget` asks."""
+    if not 0.0 < mu < np.inf:  # also false for NaN
+        raise ValueError(f"mu must be finite and positive, got {mu!r}")
+    # a NaN budget would switch its stop off: elapsed >= nan is false
+    if not max_time_s >= 0.0:
+        raise ValueError(f"max_time_s must be at least 0, got {max_time_s!r}")
+    _check_budget(budget_name, budget)
+
+
 def _check_pair(E, A):
     """The solvers' data (E, A) as float arrays, checked once on entry: a
     pair that is not square, not of one shape or not finite raises a
@@ -129,24 +141,29 @@ def _objective_value(EA, X, mu, P=None, res=None):
     return float(s[1] + mu * s[0])
 
 
+def _relative(EA, s):
+    """sqrt((s[1] + s[0]) / (||A||_F^2 + ||E||_F^2)) for EA = [E, A] and the
+    squared residual norms s = [||E - Et||_F^2, ||A - At||_F^2]."""
+    scale = (EA * EA).sum(axis=(1, 2))
+    if scale[1] + scale[0] == 0.0:
+        raise ValueError("relative error undefined for E = A = 0")
+    return float(np.sqrt((s[1] + s[0]) / (scale[1] + scale[0])))
+
+
 def relative_error(E, A, Et, At) -> float:
     """sqrt((||A - At||_F^2 + ||E - Et||_F^2) / (||A||_F^2 + ||E||_F^2))."""
-    E, A = np.asarray(E, float), np.asarray(A, float)
-    Et, At = np.asarray(Et, float), np.asarray(At, float)
-    denom = float(np.sum(A * A) + np.sum(E * E))
-    if denom == 0.0:
-        raise ValueError("relative error undefined for E = A = 0")
-    num = float(np.sum((A - At) ** 2) + np.sum((E - Et) ** 2))
-    return float(np.sqrt(num / denom))
+    EA = np.array([E, A], dtype=float)
+    sq = np.array([Et, At], dtype=float)
+    sq -= EA
+    sq *= sq
+    return _relative(EA, sq.sum(axis=(1, 2)))
 
 
 def _fit(EA, X, mu):
     """(objective, relative error) at X = [T, J, R, Q], for EA = [E, A], from
     one residual evaluation; the error is `relative_error` of (T Q, (J - R) Q)."""
-    s, scale = _squared_norms(EA, X), (EA * EA).sum(axis=(1, 2))
-    if scale[1] + scale[0] == 0.0:
-        raise ValueError("relative error undefined for E = A = 0")
-    return float(s[1] + mu * s[0]), float(np.sqrt((s[1] + s[0]) / (scale[1] + scale[0])))
+    s = _squared_norms(EA, X)
+    return float(s[1] + mu * s[0]), _relative(EA, s)
 
 
 def _lifted(d: DhParam) -> DhParam:

@@ -20,23 +20,23 @@ x10 growth rounds, where a test of nu / t <= eps would take a third stage
 when the growth lands one ulp short.
 
 The first stage runs where the start point x is most nearly central, or
-at t_final where that is within reach. The caller's estimate gap0 of the
-start's suboptimality (f(x) by default) gives t0 = nu / max(gap0, eps),
-at most t_final. K0 = t0 H_f + H_phi is factored at x once and solved for
-y_f = K0^-1 gf and y_phi = K0^-1 g_phi (gf and g_phi the gradients of f
-and of the barrier). The t minimizing ||t gf + g_phi|| in the K0^-1 norm,
-the Newton decrement of psi at x measured in the metric of t0, is
-t* = -gf.y_phi / gf.y_f, and the solve starts at t = max(t0, min(t*,
-t_final)): gap0 is the floor of the start, and t0 is kept where there
-is no positive minimizer (gf.y_f <= 0 or gf.y_phi >= 0). Where t_final
-<= r t the solve starts at t_final instead, its only stage ending on the
-dual certificate below, with the reach r = COLD_REACH = BARRIER_GROWTH^2
-from the default start and r = WARM_REACH = BARRIER_GROWTH / 2 from a
-warm one; where that holds at t0 already, K0 is not formed. Otherwise
-FINAL_STAGE_SNAP decides whether the start is already the last stage, so
-a warm start near its optimum begins there. A start that stays at t0
-takes its first Newton direction from K0's factor; only a start that
-rises pays a factorization at its t.
+at t_final where that is within reach. The caller's estimate gap0 of a
+warm start's suboptimality (f(x) by default, and always from the default
+start) gives t0 = nu / max(gap0, eps), at most t_final. K0 = t0 H_f +
+H_phi is factored at x once and solved for y_f = K0^-1 gf and y_phi =
+K0^-1 g_phi (gf and g_phi the gradients of f and of the barrier). The t
+minimizing ||t gf + g_phi|| in the K0^-1 norm, the Newton decrement of
+psi at x measured in the metric of t0, is t* = -gf.y_phi / gf.y_f, and
+the solve starts at t = max(t0, min(t*, t_final)): gap0 is the floor of
+the start, and t0 is kept where there is no positive minimizer (gf.y_f
+<= 0 or gf.y_phi >= 0). Where t_final <= r t the solve starts at t_final
+instead, its only stage ending on the dual certificate below, with the
+reach r = COLD_REACH = BARRIER_GROWTH^2 from the default start and r =
+WARM_REACH = BARRIER_GROWTH / 2 from a warm one; where that holds at t0
+already, K0 is not formed. Otherwise FINAL_STAGE_SNAP decides whether
+the start is already the last stage, so a warm start near its optimum
+begins there. A start that stays at t0 takes its first Newton direction
+from K0's factor; only a start that rises pays a factorization at its t.
 
 The default start is `initial_point`'s, the candidate with the largest
 block margin, well inside every block; Boyd and Vandenberghe (sec.
@@ -799,10 +799,13 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, *, accuracy: float,
     the default `initial_point`. The solution's `start` is the
     triple used. `gap0` estimates the warm start's suboptimality and
     sets the floor nu / gap0 of the initial barrier parameter (default:
-    the objective value itself, the right scale for a cold start); the
-    solve starts above it where the start is more central there, and at
-    the final nu / `accuracy` where that is within COLD_REACH (default
-    start) or WARM_REACH (warm start) of it. `accuracy`, and `gap0` when given, must be finite and positive. The
+    the objective value itself, the right scale for a cold start). A solve
+    that starts at the default point, because `init` is empty or none of
+    its triples is strictly feasible, takes that default whatever `gap0`
+    says. The solve starts above the floor where the start is more
+    central there, and at the final nu / `accuracy` where that is within
+    COLD_REACH (default start) or WARM_REACH (warm start) of it.
+    `accuracy`, and `gap0` when given, must be finite and positive. The
     returned point is strictly feasible and, when `converged`, its
     objective is within the certified `gap_estimate` <= `accuracy` of the
     optimum.
@@ -838,7 +841,8 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, *, accuracy: float,
     t_final = nu / accuracy
     if nu / t_final > accuracy:
         t_final = math.nextafter(t_final, math.inf)
-    gap_guess = gap0 if gap0 is not None else obj.value(x)
+    # gap0 estimates a warm start's suboptimality, not the default point's
+    gap_guess = obj.value(x) if used_default or gap0 is None else gap0
     t = nu / max(gap_guess, accuracy)
     # the barrier derivatives at x, kept until x moves (a stage that ends
     # centered or without progress leaves x to the next), and the Newton

@@ -14,9 +14,12 @@ import pytest
 
 import omegapair
 from omegapair import BcdOptions, FgmOptions, solve_general, solve_hurwitz
-from omegapair.bench import run_table
+from omegapair.bcd import update_Q
+from omegapair.bench import region_plot_data, run_table
 from omegapair.cli import main
-from omegapair.regions import disk, intersect
+from omegapair.fgm import estimate_lipschitz
+from omegapair.pencil import admissibility_check, regularity_check, spectrum
+from omegapair.regions import disk, intersect, membership, uniform_part_nonempty
 
 MODULES = ["omegapair"] + [f"omegapair.{m.name}"
                            for m in pkgutil.iter_modules(omegapair.__path__)]
@@ -29,15 +32,31 @@ def test_every_exported_name_resolves(name):
     assert not missing, f"{name}.__all__ names undefined {missing}"
 
 
+# The parameters of the functions whose tolerances, iteration counts and
+# trace interval are module constants, not arguments.
+SIGNATURES = [
+    (spectrum, ["pair"]),
+    (regularity_check, ["pair"]),
+    (admissibility_check, ["pair", "region", "margin_tol"]),
+    (membership, ["region", "z"]),
+    (uniform_part_nonempty, ["region"]),
+    (region_plot_data, ["region", "pairs", "bounds", "nx", "ny", "out_dir"]),
+    (estimate_lipschitz, ["E", "A", "X", "mu", "seed"]),
+    (update_Q, ["E", "A", "T", "J", "R", "mu"]),
+]
+
+
 def test_settable_values_are_the_documented_ones(tmp_path, capsys):
-    """The line search, momentum seed, stall stops, accuracy schedule and
-    LMI margin are module constants, not options, and the bench table runs
-    serially."""
+    """The line search, momentum seed, stall stops, accuracy schedule, LMI
+    margin, trace interval and the verification tolerances are module
+    constants, not options, and the bench table runs serially."""
     assert [f.name for f in dataclasses.fields(FgmOptions)] == [
-        "mu", "max_time_s", "max_iters", "trace_every", "seed"]
+        "mu", "max_time_s", "max_iters", "seed"]
     assert [f.name for f in dataclasses.fields(BcdOptions)] == [
         "mu", "max_time_s", "max_outer_iters", "fix_T", "fix_Q"]
     assert list(inspect.signature(run_table).parameters) == ["instances", "out_dir"]
+    for func, params in SIGNATURES:
+        assert list(inspect.signature(func).parameters) == params, func.__name__
     spec = tmp_path / "spec.json"
     spec.write_text("[]")
     with pytest.raises(SystemExit) as exc:
@@ -52,6 +71,7 @@ def test_settable_values_are_the_documented_ones(tmp_path, capsys):
 # Fields that are now module constants or deleted: any value is refused.
 REMOVED = {(FgmOptions, "init_step"), (FgmOptions, "stall_window"),
            (FgmOptions, "stall_rel_tol"), (FgmOptions, "grad_tol"),
+           (FgmOptions, "trace_every"),
            (BcdOptions, "eps_floor"), (BcdOptions, "stall_outer")}
 
 

@@ -30,6 +30,19 @@ def test_update_Q_degenerate_falls_back():
     Q, fell_back = update_Q(np.eye(2), -np.eye(2), Z, Z, Z)
     assert fell_back
     np.testing.assert_allclose(Q, 0.0, atol=1e-9)
+    # T and R share an eigenvalue of 1e-17: the operator is numerically
+    # rank-deficient, and Q is its minimum-norm least-squares solution
+    rng = np.random.default_rng(0)
+    n = 4
+    U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    T = (U * [1e-17, 1.0, 2.0, 3.0]) @ U.T
+    R = (U * [1e-17, 0.5, 1.5, 2.5]) @ U.T
+    J = np.zeros((n, n))
+    E, A = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    Q, fell_back = update_Q(E, A, T, J, R)
+    assert fell_back
+    M, b = np.vstack([J - R, T]), np.vstack([A, E])
+    np.testing.assert_allclose(Q, np.linalg.pinv(M) @ b, rtol=0.0, atol=1e-12)
 
 
 def test_update_Q_normal_equation_residual():

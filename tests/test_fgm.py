@@ -331,7 +331,7 @@ def test_estimate_lipschitz_identity_case():
     # at (T, J, R, Q) = (I, 0, I, I) with A = -I the extremal direction is
     # dT = dR = s, dQ = 2s for symmetric s, giving curvature 2 * 3 = 6
     X = np.stack([np.eye(3), np.zeros((3, 3)), np.eye(3), np.eye(3)])
-    L = estimate_lipschitz(np.eye(3), -np.eye(3), X, 1.0, iters=200)
+    L = estimate_lipschitz(np.eye(3), -np.eye(3), X, 1.0)
     assert L == pytest.approx(6.0, rel=1e-3)
 
 
@@ -372,7 +372,8 @@ def test_orthogonal_conjugation_gives_identical_objective_sequence(monkeypatch):
     A = rng.standard_normal((n, n)) + 0.3 * np.eye(n)
     E = np.eye(n) + 0.1 * rng.standard_normal((n, n))
     U = scipy.linalg.qr(rng.standard_normal((n, n)))[0]
-    opts = FgmOptions(max_time_s=60.0, max_iters=400, trace_every=1)
+    monkeypatch.setattr(FgmOptions, "trace_every", 1)
+    opts = FgmOptions(max_time_s=60.0, max_iters=400)
     res1 = solve_hurwitz(E, A, opts)
     res2 = solve_hurwitz(U.T @ E @ U, U.T @ A @ U, opts)
     o1 = np.array([r[1] for r in res1.trace])

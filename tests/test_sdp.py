@@ -796,6 +796,23 @@ def test_gap_guess_below_the_warm_start_suboptimality_still_converges():
     assert sol.barrier_iterations <= 120  # 100 measured
 
 
+def test_gap_guess_is_ignored_when_the_solve_falls_back_to_the_default_start():
+    """gap0 estimates a warm start's suboptimality. When no warm candidate
+    is strictly feasible (T = -I is not PSD), the solve starts at the
+    default point and must schedule its barrier from f there: with
+    gap0 = accuracy it used to start in its final stage and return a
+    false certificate several units above the optimum."""
+    rng = np.random.default_rng(1)
+    G, A = sym(rng.standard_normal((5, 5))), rng.standard_normal((5, 5))
+    sp = ConvexSubproblem(G, A, 1.0, region=None)
+    eye, zero = np.eye(5), np.zeros((5, 5))
+    staged = solve_subproblem(sp, eye, accuracy=1e-10)
+    sol = solve_subproblem(sp, eye, init=[(-eye, zero, eye)], accuracy=1e-10, gap0=1e-10)
+    assert sol.initial_point_used and sol.converged
+    assert sol.objective == pytest.approx(staged.objective, abs=1e-9)
+    np.testing.assert_allclose(sol.T, project_psd(G), atol=1e-6)
+
+
 def test_newton_steps_use_the_gradient_and_blocks_of_their_point(monkeypatch):
     """Every Newton step reads grad f and the block values G_b of the point
     it is taken at. The solver forms a point's factors and then grad f at
