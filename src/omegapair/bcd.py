@@ -15,7 +15,7 @@ is verified on the realized pair.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,12 +41,11 @@ ACCURACY_KAPPA = 0.1
 # and sweep k to eps_k = max(EPS_FLOOR, EPS_INIT EPS_DECAY^-k) scale, scale
 # 1 + f after the cold start, or from the second sweep on to
 # ACCURACY_KAPPA |last decrease| when that is larger. The solve stops on
-# "objective stall" when the best objective fell by at most
-# max(STALL_REL_TOL (1 + |f|), eps_k) over the last STALL_OUTER sweeps.
+# "objective stall" when the best objective fell by at most eps_k over the
+# last STALL_OUTER sweeps.
 EPS_INIT = 1e-2
 EPS_DECAY = 4.0
 EPS_FLOOR = 1e-8
-STALL_REL_TOL = 1e-10
 STALL_OUTER = 5
 
 
@@ -64,10 +63,9 @@ class BcdOptions:
 
 @dataclass
 class BcdDiagnostics:
-    """Per-update objective bookkeeping used by the invariant tests."""
+    """Counts of one solve: Q updates whose least squares was rank-deficient,
+    and sweeps redone without momentum."""
 
-    q_updates: list = field(default_factory=list)    # (f_before, f_after)
-    tjr_updates: list = field(default_factory=list)  # (f_before, f_after, accuracy)
     q_fallbacks: int = 0
     restarts: int = 0
 
@@ -112,41 +110,36 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
     Q = np.eye(n) if opts.fix_Q is None else np.asarray(opts.fix_Q, dtype=float)
     scale0 = 1.0 + float(np.sum(A * A) + mu * np.sum(E * E))
     sol = solve_subproblem(sp, Q, accuracy=EPS_INIT * scale0)
-    T, J, R, f = sol.T, sol.J, sol.R, sol.objective
+    # the iterate X, the previous iterate and the best point are (4, n, n)
+    # stacks [T, J, R, Q], none written in place once bound
+    X = prev = best = np.stack([sol.T, sol.J, sol.R, Q])
+    f = fbest = sol.objective
     scale = 1.0 + f
-
-    best = (T, J, R, Q)
-    fbest = f
     trace = [(elapsed(), *_fit(EA, best, mu))]
-    prev = (T, J, R, Q)
     k = 1
     stop_reason = "time budget"
     max_outer = opts.max_outer_iters if opts.max_outer_iters is not None else np.inf
     last_solve_time = 0.0
 
-    def half_step(base_T, base_J, base_R, base_Q, accuracy, gap_guess):
-        """One [Q update; (T, J, R) update] sweep from the given base."""
+    def half_step(base, accuracy, gap_guess):
+        """One [Q update; (T, J, R) update] sweep from the stack `base`:
+        (the kept stack, its objective)."""
         if opts.fix_Q is None:
-            f_before = _objective_value(EA, (base_T, base_J, base_R, base_Q), mu)
-            Qn, fell_back = update_Q(E, A, base_T, base_J, base_R, mu)
-            f_after = _objective_value(EA, (base_T, base_J, base_R, Qn), mu)
-            diag.q_updates.append((f_before, f_after))
-            if fell_back:
-                diag.q_fallbacks += 1
+            Qn, fell_back = update_Q(E, A, *base[:3], mu)
+            diag.q_fallbacks += fell_back
         else:
-            Qn = base_Q
+            Qn = base[3]
         # warm-started from the base where it is strictly feasible, else
         # from the current (T, J, R)
-        soln = solve_subproblem(sp, Qn, init=[(base_T, base_J, base_R), (T, J, R)],
-                                accuracy=accuracy, gap0=gap_guess)
+        soln = solve_subproblem(sp, Qn, init=[base[:3], X[:3]], accuracy=accuracy,
+                                gap0=gap_guess)
         f_warm = _objective_value(EA, (*soln.start, Qn), mu)
-        diag.tjr_updates.append((f_warm, soln.objective, accuracy))
         if soln.objective > f_warm:
             # the strictly feasible warm start is as near the optimum as the
             # certified point, f_warm < f(soln) <= p* + gap: keep it, so that
             # the sweep keeps its descent and the safeguard does not restart it
-            return *soln.start, Qn, f_warm
-        return soln.T, soln.J, soln.R, Qn, soln.objective
+            return np.stack([*soln.start, Qn]), f_warm
+        return np.stack([soln.T, soln.J, soln.R, Qn]), soln.objective
 
     last_decrease = f
     while k <= max_outer:
@@ -160,28 +153,27 @@ def solve_general(E, A, region: LmiRegion, opts: BcdOptions | None = None,
         # the first sweep's "decrease" is the start's objective: it keeps eps_k
         acc_k = eps_k if k == 1 else max(eps_k, ACCURACY_KAPPA * abs(last_decrease))
         beta = (k - 1.0) / (k + 2.0)
-        base = (T + beta * (T - prev[0]), J + beta * (J - prev[1]),
-                R + beta * (R - prev[2]), Q + beta * (Q - prev[3]))
-        Tn, Jn, Rn, Qn, fn = half_step(*base, acc_k, gap_guess)
+        Xn, fn = half_step(X + beta * (X - prev), acc_k, gap_guess)
         if fn > f and beta > 0.0:
             diag.restarts += 1
-            Tn, Jn, Rn, Qn, fn = half_step(T, J, R, Q, acc_k, gap_guess)
-        prev = (T, J, R, Q)
-        last_decrease = f - fn
-        T, J, R, Q, f = Tn, Jn, Rn, Qn, fn
+            Xn, fn = half_step(X, acc_k, gap_guess)
+        prev, X = X, Xn
+        last_decrease, f = f - fn, fn
         if f < fbest:
-            best, fbest = (T, J, R, Q), f
+            best, fbest = X, f
         trace.append((elapsed(), *_fit(EA, best, mu)))
         last_solve_time = _time.perf_counter() - t_iter
         k += 1  # sweeps run: k - 1, whichever way the loop ends
         if len(trace) > STALL_OUTER:
             first = trace[-(STALL_OUTER + 1)][1]  # best objective then
-            if first - fbest <= max(STALL_REL_TOL * (1.0 + abs(first)), eps_k):
+            if first - fbest <= eps_k:
                 stop_reason = "objective stall"
                 break
     else:
         stop_reason = "iteration budget"
 
-    return finalize_solution(E, A, DhParam(*best), region, mu, algorithm="bcd",
-                             iterations=k - 1, stop_reason=stop_reason, trace=trace,
-                             t0=t_start)
+    # DhParam copies T, J and R when it symmetrizes them; copying Q too
+    # keeps the result from holding the whole stack
+    return finalize_solution(E, A, DhParam(*best[:3], best[3].copy()), region, mu,
+                             algorithm="bcd", iterations=k - 1, stop_reason=stop_reason,
+                             trace=trace, t0=t_start)

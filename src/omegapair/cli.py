@@ -195,7 +195,7 @@ def main(argv=None):
     except InfeasibleStartError as exc:
         print(f"error: infeasible region: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError, KeyError, FloatingPointError) as exc:
+    except (OSError, ValueError, KeyError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

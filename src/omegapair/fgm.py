@@ -97,10 +97,10 @@ class FgmOptions:
 
 
 # The backtracking line search: the step shrinks by LS_SHRINK per rejected
-# trial, for at most LS_MAX trials (100 in the first iteration), and grows
-# by LS_GROW before an iteration's first trial except while the loop backs
-# off after a rejected grown trial (see the module docstring). ALPHA0 seeds
-# the momentum, at the start and after every restart.
+# trial, for at most LS_MAX trials, and grows by LS_GROW before an
+# iteration's first trial except while the loop backs off after a rejected
+# grown trial (see the module docstring). ALPHA0 seeds the momentum, at the
+# start and after every restart.
 LS_SHRINK = 2.0
 LS_GROW = 2.0
 LS_MAX = 20
@@ -349,8 +349,7 @@ def _descend(E, A, opts: FgmOptions, t0):
         else:
             skip -= 1
         accepted = False
-        ls_budget = 100 if it == 0 else LS_MAX
-        for trial in range(ls_budget):
+        for trial in range(LS_MAX):
             np.multiply(G, step, out=C)
             np.subtract(Y, C, out=C)
             project(C, work)

@@ -9,6 +9,7 @@ lies inside a given LMI region.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -276,7 +277,10 @@ def load_pair(path) -> MatrixPair:
         pair = MatrixPair(_json_matrix(E, f"pair file {path} field 'E'"),
                           _json_matrix(A, f"pair file {path} field 'A'"))
     else:
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # a file without data is refused below by its shape, (0, 1)
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
         rows, n = data.shape
         if rows != 2 * n:
             raise ValueError(

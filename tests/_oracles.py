@@ -464,7 +464,7 @@ def fgm_reference(E, A, max_iters, mu=1.0, ls_shrink=2.0, ls_grow=2.0, ls_max=20
             hold -= 1
         accepted = None
         first = True
-        for _ in range(100 if it == 0 else ls_max):
+        for _ in range(ls_max):
             trials += 1
             YT, YJ, YR, YQ = Y
             cand = _quadruple(_psd(YT - step * gT), _skew(YJ - step * gJ),

@@ -3,10 +3,12 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import namedtuple
 
 import numpy as np
 import pytest
 import scipy.linalg
+from _oracles import _fgm_objective
 
 import omegapair
 from omegapair import bcd, sdp
@@ -85,22 +87,44 @@ def test_already_admissible_disk_input_recovered(monkeypatch):
     assert res.relative_error <= 1e-6
 
 
-def test_objective_bookkeeping_invariants():
+def test_objective_bookkeeping_invariants(monkeypatch):
     rng = np.random.default_rng(2)
     n = 4
     A = rng.standard_normal((n, n)) * 1.5
     E = np.eye(n)
-    diag = BcdDiagnostics()
-    res = solve_general(E, A, rg.schur(),
-                        BcdOptions(max_time_s=30.0, max_outer_iters=10),
-                        diagnostics=diag)
+    res, _, sweeps = _observed_sweeps(monkeypatch, E, A, rg.schur(),
+                                      BcdOptions(max_time_s=30.0, max_outer_iters=10))
     scale = 1.0 + float(np.sum(A * A) + np.sum(E * E))
-    for before, after in diag.q_updates:
-        assert after <= before + 1e-10 * scale
-    for before, after, eps in diag.tjr_updates:
-        assert after <= before + eps + 1e-9 * scale
+    updates = [u for sweep in sweeps for u in sweep]
+    assert updates
+    for u in updates:
+        assert u.q_after <= u.q_before + 1e-10 * scale
+        assert u.solved <= u.warm + u.accuracy + 1e-9 * scale
     objs = [row[1] for row in res.trace]
     assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
+
+
+def test_rank_deficient_q_updates_are_counted(monkeypatch):
+    """diag.q_fallbacks counts each Q update whose least squares `update_Q`
+    reports rank-deficient; the flag is forced on every other update, and
+    it changes nothing else in the solve."""
+    rng = np.random.default_rng(2)
+    A = rng.standard_normal((4, 4)) * 1.5
+    opts = BcdOptions(max_time_s=30.0, max_outer_iters=4)
+    plain = solve_general(np.eye(4), A, rg.schur(), opts)
+    flags = []
+
+    def flagging_update_Q(*args):
+        Q, _ = update_Q(*args)
+        flags.append(len(flags) % 2 == 0)
+        return Q, flags[-1]
+
+    monkeypatch.setattr(bcd, "update_Q", flagging_update_Q)
+    diag = BcdDiagnostics()
+    res = solve_general(np.eye(4), A, rg.schur(), opts, diagnostics=diag)
+    assert len(flags) >= 4 and sum(flags) >= 2
+    assert diag.q_fallbacks == sum(flags)
+    assert (res.iterations, res.objective) == (plain.iterations, plain.objective)
 
 
 def test_final_pair_verification():
@@ -161,70 +185,114 @@ def test_warm_barrier_starts_at_the_last_sweep_decrease(monkeypatch):
     assert res.admissible
 
 
-def _sweeps(res, diag):
-    """(objective, accuracies) of each sweep of `res`, from `tjr_updates`.
-    An update keeps the better of its warm start and the subproblem's
-    point, min(f_before, f_after), exactly. A sweep whose extrapolated
-    (T, J, R) update ends above the last sweep's objective is restarted
-    from the last iterate, and the restart's update is the next one."""
-    updates = iter(diag.tjr_updates)
+# one (T, J, R) update of a sweep, as `_observed_sweeps` sees it: the
+# objectives at the base before and after the Q update, at the warm start
+# and at the subproblem's point (all at the new Q), and the accuracy asked for
+_Update = namedtuple("_Update", "q_before q_after warm solved accuracy")
 
-    def kept():
-        before, after, accuracy = next(updates)
-        return min(before, after), accuracy
 
-    f, sweeps = res.trace[0][1], []  # the objective after the cold start
+def _observed_sweeps(monkeypatch, E, A, region, opts):
+    """Solve with `bcd.update_Q` and `bcd.solve_subproblem` wrapped: (result,
+    diagnostics, sweeps), sweeps[k - 1] the `_Update`s of sweep k, the
+    extrapolated one and its restart if any. Objectives come from the
+    oracle `_fgm_objective`.
+
+    The iterate after an update is the better of its warm start and the
+    subproblem's point; from the iterates so kept the walk rebuilds each
+    base, X + beta (X - X_prev) with beta = (k - 1) / (k + 2), or X itself
+    for a restart, and checks that `update_Q` and the subproblem's warm
+    starts saw exactly that base and X. A sweep whose extrapolated update
+    ends above the last sweep's objective is restarted, and diag.restarts
+    counts it before the restart's update runs."""
+    diag = BcdDiagnostics()
+    q_calls, sp_calls = [], []
+
+    def recording_update_Q(*args):
+        out = update_Q(*args)
+        q_calls.append((np.stack(args[2:5]), out[0]))
+        return out
+
+    def recording_solve_subproblem(sp, Q, init=None, **kwargs):
+        sol = sdp.solve_subproblem(sp, Q, init, **kwargs)
+        sp_calls.append((Q, init, kwargs["accuracy"], sol, diag.restarts))
+        return sol
+
+    monkeypatch.setattr(bcd, "update_Q", recording_update_Q)
+    monkeypatch.setattr(bcd, "solve_subproblem", recording_solve_subproblem)
+    res = solve_general(E, A, region, opts, diagnostics=diag)
+
+    def f(X):
+        return _fgm_objective(E, A, X, opts.mu)
+
+    Q, init, _, sol, _ = sp_calls[0]  # the cold start
+    assert init is None
+    X = prev = np.stack([sol.T, sol.J, sol.R, Q])
+    fX, restarts = f(X), 0
+    calls, q_updates = iter(sp_calls[1:]), iter(q_calls)
+    sweeps = []
     for k in range(1, res.iterations + 1):
-        f_next, accuracy = kept()
-        accuracies = [accuracy]
-        if k > 1 and f_next > f:  # restarted
-            f_next, accuracy = kept()
-            accuracies.append(accuracy)
-        sweeps.append((f_next, accuracies))
-        f = f_next
-    assert next(updates, None) is None
-    return sweeps
+        base = X + (k - 1.0) / (k + 2.0) * (X - prev)
+        updates = []
+        while True:
+            Q, init, accuracy, sol, seen_restarts = next(calls)
+            tjr, Qn = next(q_updates)
+            assert np.array_equal(init[1], X[:3]), "not the better point of the last update"
+            assert np.array_equal(init[0], base[:3]) and np.array_equal(tjr, base[:3])
+            assert Qn is Q and seen_restarts == restarts
+            warm = np.stack([*sol.start, Q])
+            point = np.stack([sol.T, sol.J, sol.R, Q])
+            u = _Update(f(base), f(np.stack([*base[:3], Q])), f(warm), f(point), accuracy)
+            updates.append(u)
+            Xn, fn = (warm, u.warm) if u.solved > u.warm else (point, u.solved)
+            if k == 1 or len(updates) == 2 or fn <= fX:
+                break
+            base, restarts = X, restarts + 1
+        prev, X, fX = X, Xn, fn
+        sweeps.append(updates)
+    assert next(calls, None) is None and next(q_updates, None) is None
+    assert restarts == diag.restarts
+    return res, diag, sweeps
 
 
-def test_late_sweeps_are_solved_to_a_fraction_of_the_last_decrease():
+def test_late_sweeps_are_solved_to_a_fraction_of_the_last_decrease(monkeypatch):
     """Sweep 1 is solved to eps_1, and sweep k >= 2 and its restart to
-    max(eps_k, ACCURACY_KAPPA |last decrease|), as `tjr_updates` records.
-    The stall still reads eps_k: the Grcar(10,1) disk still stops on
+    max(eps_k, ACCURACY_KAPPA |last decrease|), as the subproblem calls
+    show. The stall still reads eps_k: the Grcar(10,1) disk still stops on
     "objective stall", after 14 sweeps (13 while a subproblem's point was
     taken where it was above its warm start, 14 before the most-central
     barrier start)."""
     pair = grcar(10, 1)
     opts = BcdOptions(max_outer_iters=20, max_time_s=120.0)
-    diag = BcdDiagnostics()
-    res = solve_general(pair.E, pair.A, rg.schur(), opts, diagnostics=diag)
+    res, diag, sweeps = _observed_sweeps(monkeypatch, pair.E, pair.A, rg.schur(), opts)
     assert (res.iterations, res.stop_reason) == (14, "objective stall")
     f = res.trace[0][1]  # the objective after the cold start
     scale = 1.0 + f
     restarts = looser = 0
-    for k, (fn, accuracies) in enumerate(_sweeps(res, diag), start=1):
+    for k, updates in enumerate(sweeps, start=1):
+        accuracies = [u.accuracy for u in updates]
         eps_k = max(bcd.EPS_FLOOR, bcd.EPS_INIT * bcd.EPS_DECAY ** (-k)) * scale
         wanted = eps_k if k == 1 else max(eps_k, bcd.ACCURACY_KAPPA * abs(decrease))
         assert accuracies == pytest.approx([wanted] * len(accuracies), rel=1e-9)
         restarts += len(accuracies) - 1
         looser += accuracies[0] > eps_k
+        fn = min(updates[-1].warm, updates[-1].solved)
         decrease, f = f - fn, fn
     assert restarts == diag.restarts
     assert looser  # some sweep is solved looser than eps_k, or this shows nothing
 
 
-def test_no_sweep_raises_the_objective_on_the_grcar_disk():
+def test_no_sweep_raises_the_objective_on_the_grcar_disk(monkeypatch):
     """A (T, J, R) update keeps its warm start where the subproblem returns
     above it, so on the Grcar(10,1) disk the objective each sweep ends on,
     not only the best so far, never rises (taking the subproblem's point
     there, sweep 2 rose from 2.7832217 to 2.7837850). Each sweep's objective
     is then the best so far, which the trace records from the iterate
     itself (the last row is the closing one): that confirms the objectives
-    read from `tjr_updates`."""
+    the wrappers saw."""
     pair = grcar(10, 1)
-    diag = BcdDiagnostics()
-    res = solve_general(pair.E, pair.A, rg.schur(),
-                        BcdOptions(max_outer_iters=20, max_time_s=120.0), diagnostics=diag)
-    objectives = [res.trace[0][1]] + [f for f, _ in _sweeps(res, diag)]
+    res, _, sweeps = _observed_sweeps(monkeypatch, pair.E, pair.A, rg.schur(),
+                                      BcdOptions(max_outer_iters=20, max_time_s=120.0))
+    objectives = [res.trace[0][1]] + [min(s[-1].warm, s[-1].solved) for s in sweeps]
     assert all(b <= a for a, b in zip(objectives, objectives[1:]))
     assert [row[1] for row in res.trace[:-1]] == pytest.approx(objectives, rel=1e-12)
 

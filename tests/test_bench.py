@@ -185,6 +185,17 @@ def test_instance_from_dict_roundtrip():
     assert inst.budget_s == 3.0 and inst.seed == 5
     with pytest.raises(ValueError):
         BenchInstance.from_dict({"name": "x", "generator": {"kind": "nope"}})
+    inst = BenchInstance.from_dict({"name": "m", "generator": {"kind": "msd", "n": 3, "eps": 0.05}})
+    expected = msd(3, 0.05)[0]
+    assert np.array_equal(inst.pair.E, expected.E) and np.array_equal(inst.pair.A, expected.A)
+    inst = BenchInstance.from_dict({"name": "s", "generator": {"kind": "near_schur", "n": 4,
+                                                               "eps": 0.1}, "seed": 7})
+    expected = near_schur(4, 0.1, 7)
+    assert np.array_equal(inst.pair.E, expected.E) and np.array_equal(inst.pair.A, expected.A)
+    for gen in ({"kind": "msd", "n": 0}, {"kind": "msd", "n": 3, "eps": -0.1},
+                {"kind": "near_schur", "n": 0}):
+        with pytest.raises(ValueError):
+            BenchInstance.from_dict({"name": "x", "generator": gen})
 
 
 def test_region_plot_data_disk_boundary(tmp_path):

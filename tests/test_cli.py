@@ -193,6 +193,22 @@ def test_solve_malformed_pair_file(files, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["", "\n# no rows\n"], ids=["empty", "comment-only"])
+def test_check_csv_pair_file_without_data_exits_1_without_a_warning(files, capsys, text):
+    """A CSV pair file with no data rows is refused by its shape, with no
+    NumPy warning: under warnings-as-errors the check still exits 1."""
+    tmp, _, write_region = files
+    path = tmp / "empty.csv"
+    path.write_text(text)
+    region = write_region("r.json", HURWITZ)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", "--pair", str(path), "--region", region]) == 1
+    err = capsys.readouterr().err
+    assert "error: CSV pair file must hold two stacked n x n blocks" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("E, A, overflows", [
     (np.eye(2), [[np.nan, 0.0], [0.0, -1.0]], False),
     (1e300 * np.eye(2), [[-1e300, 1e300], [0.0, -1e300]], True),
@@ -249,19 +265,22 @@ _GENERATOR_E_NUMBER = '[{"name": "x", "generator": {"kind": "pair", "E": 5, "A":
     ("check", _E_NUMBER),
     ("check", _E_FLAT),
     ("bench", _GENERATOR_E_NUMBER),
+    ("bench", '[{"name": "x", "generator": {"kind": "grcar", "n": 100000000}}]'),
 ], ids=["pair-list", "bench-entry-number", "bench-spec-object", "check-pair-3d",
         "solve-pair-3d", "check-pair-E-object", "solve-pair-A-object",
         "region-info-raw-B-object", "solve-raw-C-object", "solve-disk-r-boolean",
         "check-pair-E-boolean", "region-info-raw-boolean", "check-pair-E-mixed-boolean",
         "bench-generator-number", "bench-n-list", "bench-budget-list", "bench-name-list",
         "bench-no-name", "bench-no-generator", "bench-pair-no-A", "check-pair-E-number",
-        "check-pair-E-flat-list", "bench-pair-E-number"])
+        "check-pair-E-flat-list", "bench-pair-E-number", "bench-n-unallocatable"])
 def test_malformed_input_files_exit_1_without_traceback(files, capsys, command, text):
     """A pair file that is no JSON object or holds no matrices, a bench spec
     that is no JSON list, a bench entry that is no object, lacks a required
     field or has a field of the wrong JSON type, a region whose (B, C) is no
-    matrix, a matrix with a boolean entry or a primitive with a boolean
-    parameter is an input error. A bare number or a flat list is no matrix.
+    matrix, a matrix with a boolean entry, a primitive with a boolean
+    parameter or a generator size NumPy cannot allocate (n = 10^8, 71 PiB,
+    refused at once) is an input error. A bare number or a flat list is no
+    matrix.
     A missing field, and a pair field that is no array of rows, is named."""
     tmp, write_pair, write_region = files
     path = tmp / "input.json"

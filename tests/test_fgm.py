@@ -342,6 +342,22 @@ def test_solve_stable_input_is_fixed_point():
     assert res.objective <= 1e-20
 
 
+def test_every_line_search_has_the_same_trial_budget(monkeypatch):
+    # E = I, A = -I starts at its optimum: no trial descends, and the solve
+    # ends after three line searches of LS_MAX trials each, the first one
+    # included
+    calls = []
+
+    def counting_project(C, work):
+        calls.append(None)
+        return project(C, work)
+
+    monkeypatch.setattr(fgm, "project", counting_project)
+    res = solve_hurwitz(np.eye(3), -np.eye(3), FgmOptions(max_time_s=1e9))
+    assert res.stop_reason == "converged (no descent after restarts)"
+    assert len(calls) == 3 * fgm.LS_MAX
+
+
 def test_solve_small_unstable_instance():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((3, 3)) + 0.5 * np.eye(3)
