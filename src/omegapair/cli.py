@@ -19,7 +19,7 @@ import numpy as np
 
 from .bench import BenchInstance, _solve, region_plot_data, run_table
 from .pencil import admissibility_check, load_pair, save_pair
-from .regions import load_region, uniform_part_nonempty
+from .regions import DEFAULT_MARGIN_TOL, load_region, uniform_part_nonempty
 from .result import write_trace
 from .sdp import InfeasibleStartError
 
@@ -61,7 +61,7 @@ def _parser():
     pc = sub.add_parser("check", help="admissibility report for a pair")
     pc.add_argument("--pair", required=True)
     pc.add_argument("--region", required=True)
-    pc.add_argument("--tol-margin", type=float, default=1e-9)
+    pc.add_argument("--tol-margin", type=float, default=DEFAULT_MARGIN_TOL)
 
     pb = sub.add_parser("bench", help="run a table of instances")
     pb.add_argument("--spec", required=True, help="JSON list of instances")
@@ -118,8 +118,7 @@ def _cmd_check(args):
     print(f"regular: {rep.is_regular}")
     print(f"impulse-free: {rep.is_impulse_free}")
     print(f"finite eigenvalues: {rep.num_finite}; infinite: {rep.num_infinite}")
-    for lam, margin in zip(rep.finite_eigenvalues,
-                           verdict.margins if verdict.margins is not None else []):
+    for lam, margin in zip(rep.finite_eigenvalues, verdict.margins):
         print(f"  lambda = {_fmt(lam.real)} + {_fmt(lam.imag)}j"
               f"  margin = {_fmt(margin)}")
     print(f"admissible: {verdict.admissible}")

@@ -14,7 +14,8 @@ parameter t increased by a fixed factor until the duality-gap bound
 nu / t drops below the requested accuracy eps. The last stage is chosen
 by comparing t with t_final = nu / eps (rounded up one ulp if nu / t_final
 would exceed eps): a t at or above t_final, or within a relative
-FINAL_STAGE_SNAP below it, is run as the last stage at max(t, t_final).
+FINAL_STAGE_SNAP below it, is run as the last stage at t_final, which
+pays for no gap tighter than eps where a x10 growth overshoots it.
 A warm start at nu / (10 eps) thus takes two stages whichever way the
 x10 growth rounds, where a test of nu / t <= eps would take a third stage
 when the growth lands one ulp short.
@@ -60,9 +61,8 @@ its two stages: started at t_final, the composite full solve of
 `bcd-regions` takes 168 Newton steps, 60 of them in one stage. The late
 warm starts on the disk, whose t* is 1.4 to 4.2 below t_final, begin in
 their last stage. A `bcd-regions` pass (disk, composite full, frozen-E)
-takes 36 + 50 + 23 = 109 Newton steps where starting at t took 48 + 58 +
-24 = 130, and the MSD(10, 0.05) `hurwitz()` BCD solve of the test suite
-291 where it took 310.
+takes 35 + 48 + 22 = 105 Newton steps, and the MSD(10, 0.05) `hurwitz()`
+BCD solve of the test suite 289.
 
 An intermediate stage ends once lambda^2 / 2 = -g.dx / 2 is at most
 STAGE_CENTERING, lambda being the Newton decrement of psi at x. It only
@@ -137,7 +137,7 @@ each step the line search accepts; and the certificate's x + dx. A point
 where a block does not factor is outside the interior: a candidate start is
 passed over, a step halved and a certificate not taken. The returned point
 is thus always one whose G_b were formed from it and factored. Every
-eigenvalues-only decomposition (mu, and `ConstraintSet.margins`) calls
+eigenvalues-only decomposition (mu, and `ConvexSubproblem.margins`) calls
 LAPACK `dsyevd` without eigenvectors directly, as the factorizations below
 call their routines.
 
@@ -153,7 +153,7 @@ left out).
 x reaches the solver through two linear maps, both of one compiled kind
 (`_value_gather`): x -> G_b, and x -> (T, J, R), which is the same
 construction over three pseudo-blocks [1] (x) T, [1] (x) J and [1] (x) R,
-a frozen T being the first one's G0 (`ConstraintSet.tjr`; the barrier
+a frozen T being the first one's G0 (`ConvexSubproblem.tjr`; the barrier
 sees only the real blocks). A gather holds where each entry of each
 block's linear part reads x: one (k, N) array of indices into x extended
 by a zero slot, and the matching coefficients M_g[a, c] coef_g[i, j], the
@@ -177,7 +177,7 @@ written end to end like the block values.
 The barrier Hessian on the group pair (g, h) is H_ij = sum_ac
 tr((U_g)_ac S_i (U_h)_ca S_j), O(s^2 n^4) work per pair, with W = G^-1 in
 s x s blocks of size n x n, U_g = W (M_g (x) I) and S_i the svec basis.
-`ConstraintSet` compiles once where these sums read, as its barrier plan:
+`ConvexSubproblem` compiles once where these sums read, as its barrier plan:
 each block writes its U_g, by one einsum over its stacked M_g, into one
 stack U of n x n sub-blocks, and the plan holds the indices in U of each
 group pair's (U_g)_ac and (U_h)_ca over all blocks. Per point, a group
@@ -200,8 +200,9 @@ since the failed `dpotrf` has overwritten the buffer, and shifted by
 direction that is not finite raises ValueError.
 
 A `ConvexSubproblem` states the data, the region and a frozen T, works
-out from them its LMI margin delta_lmi and whether R must be PSD, and
-compiles its constraint blocks once; `solve_subproblem` takes Q per call,
+out from them its LMI margin delta_lmi, the region's real section and
+whether R must be PSD, and compiles its constraint blocks once, none of
+which depends on Q; `solve_subproblem` takes Q per call,
 so one subproblem serves every Q update of a BCD solve. It always has a
 block: R >= 0 without a region, a region block otherwise.
 """
@@ -211,18 +212,17 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd, dtrtri
 
-from .regions import LmiRegion, connected_blocks, in_closed_left_half_plane, real_section
+from .regions import LmiRegion, connected_blocks, real_section
 from .result import _objective_value, _residuals
 
 __all__ = [
     "ConvexSubproblem",
     "SubproblemSolution",
-    "ConstraintSet",
     "InfeasibleStartError",
     "initial_point",
     "solve_subproblem",
@@ -286,49 +286,11 @@ def _svec_weights(n, si, sj):
 
 
 @dataclass
-class ConvexSubproblem:
-    """The (T, J, R) subproblem of every Q: data, weight, region and an
-    optional frozen T.
-
-    The rest follows from these. `require_R_psd`: R >= 0 is a constraint
-    exactly when there is no region or it lies in the closed left
-    half-plane, where a PSD R certifies the pair admissible (the
-    dissipative-Hamiltonian characterization). `delta_lmi`, the margin of
-    the region LMI, is 1e-6 (1 + ||A||_F). The constraint blocks do not
-    depend on Q and are built once, as `constraints`; `solve_subproblem`
-    takes Q per call.
-    """
-
-    E: np.ndarray
-    A: np.ndarray
-    mu: float = 1.0
-    region: LmiRegion | None = None
-    fixed_T: np.ndarray | None = None  # when set, T is held constant
-    require_R_psd: bool = field(init=False)
-    delta_lmi: float = field(init=False)
-    constraints: ConstraintSet = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.E = np.asarray(self.E, dtype=float)
-        self.A = np.asarray(self.A, dtype=float)
-        self.require_R_psd = self.region is None or in_closed_left_half_plane(self.region)
-        self.delta_lmi = 1e-6 * (1.0 + np.linalg.norm(self.A, "fro"))
-        if self.fixed_T is not None:
-            self.fixed_T = np.asarray(self.fixed_T, dtype=float)
-        self.constraints = ConstraintSet(self.n, self.region, self.require_R_psd,
-                                         self.delta_lmi, self.fixed_T)
-
-    @property
-    def n(self) -> int:
-        return self.E.shape[0]
-
-
-@dataclass
 class SubproblemSolution:
     """A `solve_subproblem` result. When `converged`, `gap_estimate` bounds
     objective - optimum by the final Newton step's dual certificate
     (nu - sum mu^2) / t <= accuracy, and `multipliers` holds its Z_b >= 0,
-    one per constraint block in `ConstraintSet.blocks` order, with
+    one per constraint block in `ConvexSubproblem.blocks` order, with
     grad f = sum_b A_b*(Z_b) at the returned point (module docstring).
     Otherwise `gap_estimate` is nu / t of the last barrier parameter, no
     bound, and `multipliers` is empty."""
@@ -393,7 +355,7 @@ def _trace_pairs(U, V, si, sj):
 _Block = namedtuple("_Block", "G0 terms")
 
 
-# how `ConstraintSet` forms the values of its blocks, or of (T, J, R), from x,
+# how `ConvexSubproblem` forms the values of its blocks, or of (T, J, R), from x,
 # all blocks end to end in one flat array (see `_value_gather`): `spans` the
 # (start, stop, d_b) of each block's d_b x d_b entries in it, row-major
 _ValueGather = namedtuple("_ValueGather", "at coef G0 spans")
@@ -476,17 +438,45 @@ def _barrier_plan(blocks, groups, n):
     return _BarrierPlan(size, stacks, pairs)
 
 
-class ConstraintSet:
-    """Constraint blocks and variable layout of a `ConvexSubproblem`:
-    `groups`, the free variable groups by name in x order: T (unless
-    frozen), J and R; `blocks`; `plan`, the blocks' `_BarrierPlan`;
-    `gather`, their `_ValueGather`: block values are one flat array, the
-    blocks end to end, each a matrix in `views`; and `tjr`, the
-    `_ValueGather` of (T, J, R) as three pseudo-blocks [1] (x) X, a frozen
-    T being its G0, which the barrier does not see."""
+@dataclass
+class ConvexSubproblem:
+    """The (T, J, R) subproblem of every Q: data, weight, region and an
+    optional frozen T, and what follows from these, compiled once since it
+    does not depend on Q; `solve_subproblem` takes Q per call.
 
-    def __init__(self, n, region, require_R_psd, delta_lmi, fixed_T):
-        self.n = n
+    `require_R_psd`: R >= 0 is a constraint exactly when there is no region
+    or it lies in the closed left half-plane, where a PSD R certifies the
+    pair admissible (the dissipative-Hamiltonian characterization).
+    `delta_lmi`, the margin of the region LMI, is 1e-6 (1 + ||A||_F).
+    `section` is the region's real section (`regions.real_section`, the
+    whole real line without a region). `groups` are the free variable
+    groups by name in x order: T (unless frozen), J and R, m entries of x
+    in all; `blocks` the constraint blocks, nu their total size; `plan`
+    the blocks' `_BarrierPlan`; `gather` their `_ValueGather`: block
+    values are one flat array, the blocks end to end, each a matrix in
+    `views`; and `tjr` the `_ValueGather` of (T, J, R) as three
+    pseudo-blocks [1] (x) X, a frozen T being its G0, which the barrier
+    does not see.
+    """
+
+    E: np.ndarray
+    A: np.ndarray
+    mu: float = 1.0
+    region: LmiRegion | None = None
+    fixed_T: np.ndarray | None = None  # when set, T is held constant
+
+    def __post_init__(self):
+        self.E = np.asarray(self.E, dtype=float)
+        self.A = np.asarray(self.A, dtype=float)
+        if self.fixed_T is not None:
+            self.fixed_T = np.asarray(self.fixed_T, dtype=float)
+        n = self.n = self.E.shape[0]
+        region, fixed_T = self.region, self.fixed_T
+        self.section = (-math.inf, math.inf) if region is None else real_section(region)
+        # a region lies in the closed left half-plane iff its section is empty
+        # or ends at or below 0
+        self.require_R_psd = region is None or self.section is None or self.section[1] <= 0.0
+        self.delta_lmi = 1e-6 * (1.0 + np.linalg.norm(self.A, "fro"))
         self.groups, self.m = {}, 0
         for name in ("JR" if fixed_T is not None else "TJR"):
             sign = -1 if name == "J" else 1
@@ -494,7 +484,7 @@ class ConstraintSet:
             self.groups[name] = _Group(slice(self.m, self.m + k), sign)
             self.m += k
 
-        psd = ("T", "R") if require_R_psd else ("T",)
+        psd = ("T", "R") if self.require_R_psd else ("T",)
         blocks = [_Block(np.zeros((n, n)), [(self.groups[k], np.ones((1, 1)))])
                   for k in psd if k in self.groups]
         if region is not None:
@@ -503,7 +493,7 @@ class ConstraintSet:
             # -(B (x) T + (C-C^T) (x) J - (C+C^T) (x) R) - delta I >= 0
             for part in connected_blocks(region):
                 B, C = part.B, part.C
-                G0 = -delta_lmi * np.eye(B.shape[0] * n)
+                G0 = -self.delta_lmi * np.eye(B.shape[0] * n)
                 if fixed_T is not None:
                     G0 = np.kron(-B, fixed_T) + G0
                 terms = (("T", -B), ("J", C.T - C), ("R", C + C.T))
@@ -554,7 +544,6 @@ class _Objective:
 
     def __init__(self, sp: ConvexSubproblem, Q):
         self.sp = sp
-        self.cs = cs = sp.constraints
         self.Q = Q
         self.EA = np.stack([sp.E, sp.A])
         self.P, self.res = np.empty_like(self.EA), np.empty_like(self.EA)  # `_residuals` scratch
@@ -567,30 +556,30 @@ class _Objective:
         gram = {(si, sj): si * _trace_pairs(QQ, np.eye(sp.n), si, sj)
                 for si, sj in ((1, 1), (-1, -1), (-1, 1))}
         weight = {"T": sp.mu, "J": 1.0, "R": 1.0}
-        H = np.zeros((cs.m, cs.m))
-        for k, g in cs.groups.items():
+        H = np.zeros((sp.m, sp.m))
+        for k, g in sp.groups.items():
             H[g.sl, g.sl] = 2.0 * weight[k] * gram[g.sign, g.sign]
-        iJ, iR = cs.groups["J"].sl, cs.groups["R"].sl
+        iJ, iR = sp.groups["J"].sl, sp.groups["R"].sl
         H[iJ, iR] = -2.0 * gram[-1, 1]
         H[iR, iJ] = H[iJ, iR].T
         self.H = H
 
     def value(self, x):
-        return _objective_value(self.EA, (*self.cs.split(x), self.Q), self.sp.mu)
+        return _objective_value(self.EA, (*self.sp.split(x), self.Q), self.sp.mu)
 
     def grad(self, x):
         """f's gradient at x: the split's adjoint at [2 mu M_e, 2 M_a, -2 M_a],
         [M_e, M_a] = [T Q - E, (J - R) Q - A] Q^T (module docstring)."""
-        res = _residuals(self.EA, (*self.cs.split(x), self.Q), self.P, self.res)
+        res = _residuals(self.EA, (*self.sp.split(x), self.Q), self.P, self.res)
         M = (res @ self.Q.T).take(self.rows, axis=0)
         M *= self.weights
-        return _adjoint(self.cs.tjr, M, self.cs.m)
+        return _adjoint(self.sp.tjr, M, self.sp.m)
 
     def curvature(self, dx):
         """dx'H_f dx as 2 f(dx) with zero data, 2 (||(dJ - dR) Q||_F^2 +
         mu ||dT Q||_F^2), which is nonnegative however ill-conditioned Q is:
         the computed dx'(H_f dx) is not once cond(Q)^2 passes 1 / machine eps."""
-        dTJR = _linear(self.cs.tjr, dx).reshape(3, self.sp.n, self.sp.n)
+        dTJR = _linear(self.sp.tjr, dx).reshape(3, self.sp.n, self.sp.n)
         return 2.0 * _objective_value(self.zero, (*dTJR, self.Q), self.sp.mu, self.P, self.res)
 
 
@@ -605,12 +594,12 @@ def _eigenvalues(M):
     return w
 
 
-def _barrier(cs, G):
+def _barrier(sp, G):
     """The Cholesky factor of every block value G_b in the flat array G of
-    the constraint set `cs`, or None when one is not positive definite (the
+    the subproblem `sp`, or None when one is not positive definite (the
     point is outside the interior)."""
     factors = []
-    for Gb in cs.views(G):
+    for Gb in sp.views(G):
         L, info = dpotrf(Gb, lower=1)
         if info != 0:
             return None
@@ -618,23 +607,23 @@ def _barrier(cs, G):
     return factors
 
 
-def _barrier_grad_hess(cs, factors):
+def _barrier_grad_hess(sp, factors):
     """Gradient and Hessian of -sum logdet G_b over the blocks of the
-    constraint set `cs`, and the inverses of the blocks' Cholesky factors,
+    subproblem `sp`, and the inverses of the blocks' Cholesky factors,
     at the interior point whose block values have the Cholesky factors
     `factors`, as `_barrier` returns them.
     """
-    plan, n = cs.plan, cs.n
-    H, U, inverses = np.zeros((cs.m, cs.m)), np.empty((plan.size, n, n)), []
-    W = np.empty(len(cs.gather.G0))  # every G_b^-1, end to end like the values
-    for L, (at, Ms), Wb in zip(factors, plan.stacks, cs.views(W)):
+    plan, n = sp.plan, sp.n
+    H, U, inverses = np.zeros((sp.m, sp.m)), np.empty((plan.size, n, n)), []
+    W = np.empty(len(sp.gather.G0))  # every G_b^-1, end to end like the values
+    for L, (at, Ms), Wb in zip(factors, plan.stacks, sp.views(W)):
         Li, _ = dtrtri(L, lower=1)  # L's diagonal is positive: no info to check
         inverses.append(Li)
         np.matmul(Li.T, Li, out=Wb)
         t, s = Ms.shape[:2]
         np.einsum("apbq,tbc->tacpq", Wb.reshape(s, n, s, n), Ms,
                   out=U[at:at + Ms.size].reshape(t, s, s, n, n))
-    g = -_adjoint(cs.gather, W, cs.m)
+    g = -_adjoint(sp.gather, W, sp.m)
     for gi, gh, left, right in plan.pairs:
         Hgh = _trace_pairs(U[left], U[right], gi.sign, gh.sign)
         H[gi.sl, gh.sl] = Hgh
@@ -643,18 +632,18 @@ def _barrier_grad_hess(cs, factors):
     return g, H, inverses
 
 
-def _step_spectrum(cs, inverses, dx):
+def _step_spectrum(sp, inverses, dx):
     """Eigenvalues mu of the step matrices L_b^-1 dG_b L_b^-T over all
-    blocks of the constraint set `cs`, and the dG_b, the change of each G_b
+    blocks of the subproblem `sp`, and the dG_b, the change of each G_b
     along dx, flat (L_b^-1 the block's inverse factor at x).
 
     G_b(x + s dx) = L_b (I + s L_b^-1 dG_b L_b^-T) L_b^T, so the barrier
     changes by -sum log(1 + s mu) and x + s dx stays interior exactly for
     s < 1 / max(-mu).
     """
-    dG = cs.change(dx)
+    dG = sp.change(dx)
     mu = np.concatenate([_eigenvalues(Li @ dGb @ Li.T)
-                         for Li, dGb in zip(inverses, cs.views(dG))])
+                         for Li, dGb in zip(inverses, sp.views(dG))])
     return mu, dG
 
 
@@ -748,9 +737,7 @@ def initial_point(sp: ConvexSubproblem):
     InfeasibleStartError when the interval is empty (for instance, an
     empty region).
     """
-    cs = sp.constraints
-    n = sp.n
-    section = (-math.inf, math.inf) if sp.region is None else real_section(sp.region)
+    n, section = sp.n, sp.section
     if section is None:
         raise InfeasibleStartError("the region is empty: no real x has "
                                    "B + x (C + C^T) negative definite")
@@ -778,8 +765,8 @@ def initial_point(sp: ConvexSubproblem):
     J = np.zeros((n, n))
     best = (-math.inf, None)
     for rho in candidates:
-        x = cs.pack(T, J, rho * np.eye(n))
-        worst = min(cs.margins(x))
+        x = sp.pack(T, J, rho * np.eye(n))
+        worst = min(sp.margins(x))
         if worst > best[0]:
             best = (worst, rho)
     if best[0] <= 1e-2 * sp.delta_lmi:
@@ -813,31 +800,30 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, *, accuracy: float,
     for name, value in (("accuracy", accuracy), ("gap0", gap0)):
         if value is not None and not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    cs = sp.constraints
     obj = _Objective(sp, np.asarray(Q, dtype=float))
 
     def state(x):
         """The Cholesky factors of the block values G_b at x and f's gradient
         there, both formed from x, or None where x is outside the interior."""
-        factors = _barrier(cs, cs.values(x))
+        factors = _barrier(sp, sp.values(x))
         return None if factors is None else (factors, obj.grad(x))
 
     at_x = None
     for start in init or ():
-        x = cs.pack(*start)
+        x = sp.pack(*start)
         if (at_x := state(x)) is not None:
             break
     used_default = at_x is None
     if used_default:
         start = initial_point(sp)
-        x = cs.pack(*start)
+        x = sp.pack(*start)
         at_x = state(x)
     factors, gf = at_x
 
     total_newton = 0
     stage_objectives = []
     stage_newton = []
-    nu = cs.nu
+    nu = sp.nu
     t_final = nu / accuracy
     if nu / t_final > accuracy:
         t_final = math.nextafter(t_final, math.inf)
@@ -847,8 +833,8 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, *, accuracy: float,
     # the barrier derivatives at x, kept until x moves (a stage that ends
     # centered or without progress leaves x to the next), and the Newton
     # factor, kept until x or t moves
-    derivs = _barrier_grad_hess(cs, factors)
-    newton = np.empty((cs.m, cs.m))  # t H_f + H_phi, formed and factored in place
+    derivs = _barrier_grad_hess(sp, factors)
+    newton = np.empty((sp.m, sp.m))  # t H_f + H_phi, formed and factored in place
     L = factored_at = None
     reach = COLD_REACH if used_default else WARM_REACH
     if t_final > reach * t:  # K0 and t* only where t0 leaves the last stage out of reach
@@ -864,18 +850,19 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, *, accuracy: float,
     converged, multipliers = False, []
     on_path = False  # whether a stage has ended centered
     while total_newton < MAX_TOTAL_NEWTON:
-        # a t just below t_final (a start at nu / eps, or a growth onto it)
-        # is raised to t_final, so the gap bound nu / t meets eps
+        # a t at, above or just below t_final (a start at nu / eps, or a
+        # growth onto or past it) runs the last stage at t_final, where the
+        # gap bound nu / t meets eps and no tighter gap is paid for
         is_final = t >= t_final * (1.0 - FINAL_STAGE_SNAP)
         if is_final:
-            t = max(t, t_final)
+            t = t_final
         # an intermediate stage ends at Newton decrement 1, which is central
         # enough to start the next stage from; the final stage ends on the
         # first Newton step whose dual certificate meets eps
         stage_start, short = total_newton, False
         for _ in range(MAX_NEWTON_PER_STAGE):
             if derivs is None:
-                derivs, factored_at = _barrier_grad_hess(cs, factors), None
+                derivs, factored_at = _barrier_grad_hess(sp, factors), None
             gphi, Hphi, inverses = derivs
             if factored_at != t:
                 L, factored_at = _newton_factor(newton, t, obj.H, Hphi), t
@@ -885,13 +872,13 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, *, accuracy: float,
             if not is_final and -float(g @ dx) / 2.0 <= STAGE_CENTERING:
                 on_path = True
                 break
-            mu, dG = _step_spectrum(cs, inverses, dx)
+            mu, dG = _step_spectrum(sp, inverses, dx)
             if is_final and float(np.abs(mu).max()) < 1.0:
                 # x + dx is interior and the step's dual point bounds its
                 # gap; where rounding breaks either, the line search goes on
                 gap, xn = (nu - float(mu @ mu)) / t, x + dx
                 if gap <= accuracy and state(xn) is not None:
-                    multipliers = _multipliers(inverses, cs.views(dG), t)
+                    multipliers = _multipliers(inverses, sp.views(dG), t)
                     x, converged = xn, True
                     break
             s = _line_step(t, float(gf @ dx), obj.curvature(dx), mu)
@@ -920,6 +907,6 @@ def solve_subproblem(sp: ConvexSubproblem, Q, init=None, *, accuracy: float,
         elif not short:  # a stage short of centering keeps its t
             t *= BARRIER_GROWTH
 
-    return SubproblemSolution(*cs.split(x), obj.value(x), total_newton,
+    return SubproblemSolution(*sp.split(x), obj.value(x), total_newton,
                               gap if converged else nu / t, converged, stage_objectives,
                               used_default, stage_newton, multipliers, start)

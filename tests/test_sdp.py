@@ -24,9 +24,9 @@ def _composite():
                         rg.left_parabola(6.0, 1.0), rg.right_parabola(-6.0, 1.0))
 
 
-def _barrier_derivs(cs, x):
+def _barrier_derivs(sp, x):
     """The barrier's gradient, Hessian and inverse factors at the interior x."""
-    return _barrier_grad_hess(cs, _barrier(cs, cs.values(x)))
+    return _barrier_grad_hess(sp, _barrier(sp, sp.values(x)))
 
 
 def _dense_split(x, n, T=None):
@@ -47,28 +47,28 @@ def test_pack_and_split_round_trip_inner_product_and_oracle_basis(n, frozen):
     basis matrix, and coordinates keep the Frobenius inner product."""
     rng = np.random.default_rng(n)
     T_fixed = np.eye(n) + 0.1 * sym(rng.standard_normal((n, n))) if frozen else None
-    cs = ConvexSubproblem(np.eye(n), np.zeros((n, n)), 1.0, rg.hurwitz(),
-                          fixed_T=T_fixed).constraints
+    sp = ConvexSubproblem(np.eye(n), np.zeros((n, n)), 1.0, rg.hurwitz(),
+                          fixed_T=T_fixed)
     M, N = rng.standard_normal((2, 3, n, n))
     parts, skip = [sym, skew, sym], int(frozen)  # skip the T of a frozen T
-    x = cs.pack(*M)
+    x = sp.pack(*M)
     want = [part(Mk) for part, Mk in zip(parts, M)]
     if frozen:
         want[0] = T_fixed
-    np.testing.assert_allclose(cs.split(x), want, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(sp.split(x), want, rtol=0.0, atol=1e-15)
     bases = [sym_basis(n), skew_basis(n), sym_basis(n)][skip:]
     np.testing.assert_allclose(
         x, np.concatenate([np.einsum("ij,kij->k", Mk, b) for Mk, b in zip(M[skip:], bases)]),
         rtol=0.0, atol=1e-15)
-    for e in np.eye(cs.m):  # a unit direction moves no frozen T
-        np.testing.assert_allclose(_linear(cs.tjr, e).reshape(3, n, n),
+    for e in np.eye(sp.m):  # a unit direction moves no frozen T
+        np.testing.assert_allclose(_linear(sp.tjr, e).reshape(3, n, n),
                                    _dense_split(e, n, np.zeros((n, n)) if frozen else None),
                                    rtol=0.0, atol=1e-15)
     # sym and skew parts are Frobenius-orthogonal, and the coordinates of each
     # part orthonormal: x.y is the sum of the parts' inner products
     inner = sum(np.sum(part(Mk) * part(Nk))
                 for part, Mk, Nk in zip(parts[skip:], M[skip:], N[skip:]))
-    assert x @ cs.pack(*N) == pytest.approx(inner, rel=1e-14, abs=1e-14)
+    assert x @ sp.pack(*N) == pytest.approx(inner, rel=1e-14, abs=1e-14)
 
 
 @pytest.mark.parametrize("n, depth", [(1, 3), (2, 3), (4, 3), (6, 12)],
@@ -156,9 +156,8 @@ def test_initial_point_examples():
     n = 3
     E, A = np.eye(n), np.zeros((n, n))
     sp = ConvexSubproblem(E, A, 1.0, rg.hurwitz())
-    cs = sp.constraints
     T, J, R = initial_point(sp)
-    assert min(cs.margins(cs.pack(T, J, R))) >= 1.0
+    assert min(sp.margins(sp.pack(T, J, R))) >= 1.0
 
     spd = ConvexSubproblem(E, A, 1.0, rg.schur())
     T, J, R = initial_point(spd)
@@ -169,6 +168,27 @@ def test_initial_point_examples():
     T, J, R = initial_point(sps)
     np.testing.assert_allclose(T, np.eye(n))
     np.testing.assert_allclose(R, 2.0 * np.eye(n))
+
+
+def test_the_real_section_is_worked_out_once_per_subproblem(monkeypatch):
+    """A subproblem works out its region's real section once, where it
+    decides `require_R_psd`; `initial_point` and a solve from the default
+    start read it from the subproblem, and `dataclasses.replace` makes a
+    subproblem that works out its own."""
+    calls = []
+
+    def counting(region):
+        calls.append(region)
+        return rg.real_section(region)
+
+    monkeypatch.setattr(sdp, "real_section", counting)
+    pair = grcar(4, 1)
+    sp = ConvexSubproblem(pair.E, pair.A, 1.0, _composite())
+    initial_point(sp)
+    assert solve_subproblem(sp, np.eye(4), accuracy=1e-6).initial_point_used
+    assert len(calls) == 1 and sp.section == rg.real_section(sp.region)
+    assert dataclasses.replace(sp, region=rg.schur()).section == rg.real_section(rg.schur())
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("primitive", [rg.right_half_plane(0.5), rg.horizontal_strip(0.5)],
@@ -184,13 +204,12 @@ def test_initial_point_with_a_free_R_over_a_section_open_to_the_right(primitive)
     pair = grcar(6, 1)
     sp = ConvexSubproblem(pair.E, pair.A, 1.0, region)
     assert not sp.require_R_psd
-    cs = sp.constraints
     T, J, R = initial_point(sp)
     rho = R[0, 0]
     np.testing.assert_array_equal(R, rho * np.eye(6))
     lo, hi = rg.real_section(region)
     assert lo < -rho < hi
-    assert min(cs.margins(cs.pack(T, J, R))) > sp.delta_lmi
+    assert min(sp.margins(sp.pack(T, J, R))) > sp.delta_lmi
     sol = solve_subproblem(sp, np.eye(6), accuracy=1e-8)
     assert sol.converged and sol.initial_point_used
     res = solve_general(pair.E, pair.A, region, BcdOptions(max_outer_iters=5))
@@ -222,9 +241,9 @@ def test_barrier_derivatives_are_not_recomputed_at_an_unmoved_point(monkeypatch)
     # its own factors, so no two calls in a row may get the same ones
     points = []
 
-    def recording(cs, factors):
+    def recording(sp, factors):
         points.append(factors)
-        return _barrier_grad_hess(cs, factors)
+        return _barrier_grad_hess(sp, factors)
 
     monkeypatch.setattr(sdp, "_barrier_grad_hess", recording)
     rng = np.random.default_rng(3)
@@ -244,9 +263,9 @@ def test_non_finite_newton_system_raises_value_error(monkeypatch):
     # it at the second point must end the solve with a clear error
     calls = []
 
-    def nan_on_second_call(cs, factors):
+    def nan_on_second_call(sp, factors):
         calls.append(factors)
-        g, H, inverses = _barrier_grad_hess(cs, factors)
+        g, H, inverses = _barrier_grad_hess(sp, factors)
         return g * (np.nan if len(calls) == 2 else 1.0), H, inverses
 
     monkeypatch.setattr(sdp, "_barrier_grad_hess", nan_on_second_call)
@@ -285,8 +304,7 @@ def _interior_case(case, n):
                if case == "frozen_T" else None)
     sp = ConvexSubproblem(np.eye(n), rng.standard_normal((n, n)), 1.0, region,
                           fixed_T=T_fixed)
-    cs = sp.constraints
-    x0 = cs.pack(*initial_point(sp))
+    x0 = sp.pack(*initial_point(sp))
 
     def oracle(x, direction=False):
         """G_b at a point x, or dG_b along a direction x (which does not
@@ -296,10 +314,10 @@ def _interior_case(case, n):
                               0.0 if direction else sp.delta_lmi,
                               psd_T=T_fixed is None, psd_R=psd_R)
 
-    step = rng.standard_normal(cs.m)
+    step = rng.standard_normal(sp.m)
     for _ in range(60):
         if min(np.linalg.eigvalsh(G)[0] for G in oracle(x0 + step)) > 0.0:
-            return sp, cs, oracle, x0 + step, rng
+            return sp, oracle, x0 + step, rng
         step /= 2.0
     raise AssertionError(f"no interior point within 60 halvings of a step from the "
                          f"start of {case} at n = {n}: the start is not interior")
@@ -312,11 +330,11 @@ CASES = ["schur", "hurwitz_psd_R", "composite", "frozen_T"]
 @pytest.mark.parametrize("case", CASES)
 def test_barrier_derivatives_match_dense_oracle(case, n):
     """g.dx = -sum tr(G^-1 dG) and dx'H dx = sum tr(G^-1 dG G^-1 dG)."""
-    sp, cs, oracle, x, rng = _interior_case(case, n)
+    sp, oracle, x, rng = _interior_case(case, n)
     G = oracle(x)
-    g, H, _ = _barrier_derivs(cs, x)
+    g, H, _ = _barrier_derivs(sp, x)
     for _ in range(3):
-        dx = rng.standard_normal(cs.m)
+        dx = rng.standard_normal(sp.m)
         WdG = [np.linalg.solve(Gb, dGb) for Gb, dGb in zip(G, oracle(dx, direction=True))]
         first = -sum(np.trace(M) for M in WdG)
         second = sum(np.trace(M @ M) for M in WdG)
@@ -329,12 +347,12 @@ def test_barrier_hessian_entries_match_dense_oracle(case):
     """H_ij = sum tr(G^-1 dG_i G^-1 dG_j), dG_i the change of G_b along
     the coordinate direction e_i, entry by entry: a run pair added to the
     wrong slice of H shows here even where a quadratic form hides it."""
-    _, cs, oracle, x, _ = _interior_case(case, 3)
-    _, H, _ = _barrier_derivs(cs, x)
-    dense = np.zeros((cs.m, cs.m))
+    sp, oracle, x, _ = _interior_case(case, 3)
+    _, H, _ = _barrier_derivs(sp, x)
+    dense = np.zeros((sp.m, sp.m))
     for b, Gb in enumerate(oracle(x)):
         # W[i] = G_b^-1 dG_b along e_i
-        W = np.linalg.solve(Gb, np.stack([oracle(e, direction=True)[b] for e in np.eye(cs.m)]))
+        W = np.linalg.solve(Gb, np.stack([oracle(e, direction=True)[b] for e in np.eye(sp.m)]))
         dense += np.einsum("iab,jba->ij", W, W)
     assert H == pytest.approx(dense, rel=1e-10)
 
@@ -345,24 +363,24 @@ def test_block_terms_follow_nonzero_groups_in_x_order():
     out."""
     n = 4
     A = np.random.default_rng(0).standard_normal((n, n))
-    full = ConvexSubproblem(np.eye(n), A, 1.0, _composite()).constraints
+    full = ConvexSubproblem(np.eye(n), A, 1.0, _composite())
     frozen = ConvexSubproblem(np.eye(n), A, 1.0, _composite(),
-                              fixed_T=np.eye(n)).constraints
-    schur = ConvexSubproblem(np.eye(n), A, 1.0, rg.schur()).constraints
+                              fixed_T=np.eye(n))
+    schur = ConvexSubproblem(np.eye(n), A, 1.0, rg.schur())
 
-    def names(cs, b):
-        return [k for g, _ in b.terms for k, h in cs.groups.items() if h is g]
+    def names(sp, b):
+        return [k for g, _ in b.terms for k, h in sp.groups.items() if h is g]
 
-    for cs in (full, frozen, schur):
+    for sp in (full, frozen, schur):
         # the groups tile x in the order T, J, R with their svec sizes
         sizes = {"T": n * (n + 1) // 2, "J": n * (n - 1) // 2, "R": n * (n + 1) // 2}
-        stops = np.cumsum([sizes[k] for k in cs.groups])
-        assert [g.sl.stop for g in cs.groups.values()] == list(stops)
-        assert cs.m == stops[-1]
-        for b in cs.blocks:
+        stops = np.cumsum([sizes[k] for k in sp.groups])
+        assert [g.sl.stop for g in sp.groups.values()] == list(stops)
+        assert sp.m == stops[-1]
+        for b in sp.blocks:
             starts = [g.sl.start for g, _ in b.terms]
             assert starts == sorted(set(starts))
-            assert len(names(cs, b)) == len(b.terms)
+            assert len(names(sp, b)) == len(b.terms)
             for _, M in b.terms:
                 assert np.any(M)
                 assert len(M) * n == len(b.G0)
@@ -391,7 +409,7 @@ def test_constraint_blocks_hold_no_expanded_basis():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sp.constraints.m == 1365
+    assert sp.m == 1365
     assert peak < 2e6
 
 
@@ -404,16 +422,15 @@ def test_barrier_hessian_peak_stays_near_its_size():
     per call at 2.12, none at 2.01)."""
     pair = grcar(20, 1)
     sp = ConvexSubproblem(pair.E, pair.A, 1.0, _composite())
-    cs = sp.constraints
-    factors = _barrier(cs, cs.values(cs.pack(*initial_point(sp))))
-    _barrier_grad_hess(cs, factors)  # the first call fills the svec caches
+    factors = _barrier(sp, sp.values(sp.pack(*initial_point(sp))))
+    _barrier_grad_hess(sp, factors)  # the first call fills the svec caches
     tracemalloc.start()
     try:
-        _, H, _ = _barrier_grad_hess(cs, factors)
+        _, H, _ = _barrier_grad_hess(sp, factors)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert cs.m == 610
+    assert sp.m == 610
     assert peak <= 2.06 * H.nbytes
 
 
@@ -425,24 +442,24 @@ def test_block_values_and_changes_match_dense_oracle(case, n):
     that no term reaches reads the zero slot, so at an all-NaN x exactly the
     entries some coordinate moves are NaN and the rest keep G0 (at n = 1
     the skew J has no coordinates and reaches nothing)."""
-    sp, cs, _, x, rng = _interior_case(case, n)
+    sp, _, x, rng = _interior_case(case, n)
     _, split_blocks, _ = _dense_problem(sp)
     frozen = sp.fixed_T is not None
 
     def change(d):  # the oracle's dG_b along d; a direction does not move a frozen T
         return split_blocks(*_dense_split(d, n, np.zeros((n, n)) if frozen else None), 0.0)
 
-    dx = rng.standard_normal(cs.m)
-    for got, dense in ((cs.values(x), split_blocks(*_dense_split(x, n, sp.fixed_T),
+    dx = rng.standard_normal(sp.m)
+    for got, dense in ((sp.values(x), split_blocks(*_dense_split(x, n, sp.fixed_T),
                                                    sp.delta_lmi)),
-                       (cs.change(dx), change(dx))):
+                       (sp.change(dx), change(dx))):
         assert got.shape == (sum(len(D) ** 2 for D in dense),)
-        for Gb, D in zip(cs.views(got), dense, strict=True):
+        for Gb, D in zip(sp.views(got), dense, strict=True):
             np.testing.assert_allclose(Gb, D, rtol=0.0, atol=1e-14 * np.abs(D).max(initial=1.0))
     reached = [sum(np.abs(D) for D in Ds) > 0.0
-               for Ds in zip(*(change(e) for e in np.eye(cs.m)))]
-    at_nan = cs.views(cs.values(np.full(cs.m, np.nan)))
-    for Gb, G0, live in zip(at_nan, cs.views(cs.values(np.zeros(cs.m))), reached):
+               for Ds in zip(*(change(e) for e in np.eye(sp.m)))]
+    at_nan = sp.views(sp.values(np.full(sp.m, np.nan)))
+    for Gb, G0, live in zip(at_nan, sp.views(sp.values(np.zeros(sp.m))), reached):
         np.testing.assert_array_equal(np.isnan(Gb), live)
         np.testing.assert_array_equal(Gb[~live], G0[~live])
 
@@ -454,17 +471,17 @@ def test_adjoint_is_the_adjoint_of_the_linear_part(case, n):
     split's, the two maps the solver reads x through (at n = 1 the skew J
     has no coordinates); a frozen T's entries of W drop out of the
     split's adjoint."""
-    sp, cs, _, _, rng = _interior_case(case, n)
-    for gather in (cs.gather, cs.tjr):
-        y = rng.standard_normal(cs.m)
+    sp, _, _, rng = _interior_case(case, n)
+    for gather in (sp.gather, sp.tjr):
+        y = rng.standard_normal(sp.m)
         W = rng.standard_normal(len(gather.G0))
-        Ly, AW = _linear(gather, y), _adjoint(gather, W, cs.m)
+        Ly, AW = _linear(gather, y), _adjoint(gather, W, sp.m)
         assert Ly.shape == W.shape and AW.shape == y.shape
         scale = np.abs(W) @ np.abs(Ly) + 1e-300
         assert abs(W @ Ly - AW @ y) <= 1e-14 * scale
     W = np.zeros((3, n, n))
     W[0] = rng.standard_normal((n, n))  # at the T entries alone
-    assert np.any(_adjoint(cs.tjr, W, cs.m)) == (sp.fixed_T is None)
+    assert np.any(_adjoint(sp.tjr, W, sp.m)) == (sp.fixed_T is None)
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -475,7 +492,7 @@ def test_line_merit_matches_dense_oracle(case, n):
     t dx'H_f dx + sum tr(G^-1 dG G^-1 dG) at x + s dx, and
     s_max = 1 / max(-mu) is where the first block turns singular. The dG_b
     returned with mu are the dense blocks' change along dx."""
-    sp, cs, oracle, x, rng = _interior_case(case, n)
+    sp, oracle, x, rng = _interior_case(case, n)
     t = 7.0
     obj = _Objective(sp, np.eye(n))
 
@@ -484,13 +501,13 @@ def test_line_merit_matches_dense_oracle(case, n):
 
     gf = obj.grad(x)
     _, split_blocks, _ = _dense_problem(sp)
-    _, _, inverses = _barrier_derivs(cs, x)
+    _, _, inverses = _barrier_derivs(sp, x)
     for _ in range(3):
-        dx = rng.standard_normal(cs.m)
-        mu, dG = _step_spectrum(cs, inverses, dx)
+        dx = rng.standard_normal(sp.m)
+        mu, dG = _step_spectrum(sp, inverses, dx)
         # a direction does not move a frozen T
         dTJR = _dense_split(dx, n, None if sp.fixed_T is None else np.zeros((n, n)))
-        for dGb, dense in zip(cs.views(dG), split_blocks(*dTJR, 0.0), strict=True):
+        for dGb, dense in zip(sp.views(dG), split_blocks(*dTJR, 0.0), strict=True):
             np.testing.assert_allclose(dGb, dense, rtol=0.0, atol=1e-12 * np.abs(dense).max())
         assert mu.min() < 0.0
         s_max = 1.0 / -mu.min()
@@ -515,16 +532,16 @@ def test_split_and_objective_gradient_match_dense_forms(case, n):
     gradient, the split's adjoint at the weighted residuals, is
     -2 mu <(E - T Q) Q^T, S_i> on T, -2 <(A - (J - R) Q) Q^T, S_i> on J and
     its negation on R, at mu != 1 and a random Q."""
-    sp, cs, _, x, rng = _interior_case(case, n)
+    sp, _, x, rng = _interior_case(case, n)
     sp = dataclasses.replace(sp, mu=0.7)
     Q = random_well_conditioned(n, rng)
     T, J, R = _dense_split(x, n, sp.fixed_T)
-    for got, want in zip(cs.split(x), (T, J, R), strict=True):
+    for got, want in zip(sp.split(x), (T, J, R), strict=True):
         np.testing.assert_array_equal(got, want)
     DA = -2.0 * (sp.A - (J - R) @ Q) @ Q.T
     parts = {"T": (-2.0 * sp.mu * (sp.E - T @ Q) @ Q.T, sym_basis(n)),
              "J": (DA, skew_basis(n)), "R": (-DA, sym_basis(n))}
-    dense = np.concatenate([np.einsum("ij,kij->k", *parts[k]) for k in cs.groups])
+    dense = np.concatenate([np.einsum("ij,kij->k", *parts[k]) for k in sp.groups])
     np.testing.assert_allclose(_Objective(sp, Q).grad(x), dense, rtol=0.0,
                                atol=1e-13 * np.abs(dense).max())
 
@@ -552,8 +569,7 @@ def test_line_search_survives_a_negative_computed_curvature():
             break
     assert found is not None
     sp, obj, dx = found
-    cs = sp.constraints
-    x = cs.pack(*initial_point(sp))
+    x = sp.pack(*initial_point(sp))
     if obj.grad(x) @ dx > 0.0:
         dx = -dx  # a descent direction for t f at a large t
     computed, curv = float(dx @ (obj.H @ dx)), obj.curvature(dx)
@@ -561,8 +577,8 @@ def test_line_search_survives_a_negative_computed_curvature():
     dense = 2.0 * (np.linalg.norm((dJ - dR) @ Q) ** 2 + sp.mu * np.linalg.norm(dT @ Q) ** 2)
     assert computed < 0.0 <= curv
     assert curv == pytest.approx(dense, rel=1e-12)
-    _, _, inverses = _barrier_derivs(cs, x)
-    mu, _ = _step_spectrum(cs, inverses, dx)
+    _, _, inverses = _barrier_derivs(sp, x)
+    mu, _ = _step_spectrum(sp, inverses, dx)
     t = 10.0 * float(mu @ mu) / -computed  # t dx'H_f dx + sum mu^2 < 0 at s = 0
     cap = 1.0 / -mu.min()
     slope = float(obj.grad(x) @ dx)
@@ -627,15 +643,15 @@ def test_returned_point_interior_and_gap():
     sol = solve_subproblem(sp, np.eye(3), accuracy=eps)
     assert sol.converged
     assert sol.gap_estimate <= eps
-    assert min(sp.constraints.margins(sp.constraints.pack(sol.T, sol.J, sol.R))) > 0.0
+    assert min(sp.margins(sp.pack(sol.T, sol.J, sol.R))) > 0.0
 
 
 def _most_central_t(sp, Q, init, t0):
     """The t minimizing ||t gf + g_phi|| in the norm of (t0 H_f + H_phi)^-1
     at the point `init`, by dense solves: where the start is most central."""
-    cs, obj = sp.constraints, _Objective(sp, Q)
-    x = cs.pack(*init)
-    gphi, Hphi, _ = _barrier_derivs(cs, x)
+    obj = _Objective(sp, Q)
+    x = sp.pack(*init)
+    gphi, Hphi, _ = _barrier_derivs(sp, x)
     gf = obj.grad(x)
     K = t0 * obj.H + Hphi
     return -(gf @ np.linalg.solve(K, gphi)) / (gf @ np.linalg.solve(K, gf))
@@ -658,7 +674,7 @@ def test_warm_start_one_growth_from_the_final_stage_runs_two_stages():
     a third at 10 nu / eps."""
     rng = np.random.default_rng(4)
     sp = ConvexSubproblem(np.eye(3), rng.standard_normal((3, 3)), 1.0, rg.schur())
-    nu = sp.constraints.nu
+    nu = sp.nu
     loose = solve_subproblem(sp, np.eye(3), accuracy=1e-5)
     init = (loose.T, loose.J, loose.R)
     for eps in _racing_accuracies(nu):
@@ -676,7 +692,7 @@ def test_warm_start_at_the_optimum_begins_in_the_final_stage():
     stage, whose first Newton step certifies the gap."""
     rng = np.random.default_rng(4)
     sp = ConvexSubproblem(np.eye(3), rng.standard_normal((3, 3)), 1.0, rg.schur())
-    nu = sp.constraints.nu
+    nu = sp.nu
     cold = solve_subproblem(sp, np.eye(3), accuracy=1e-7)
     init = (cold.T, cold.J, cold.R)
     for eps in _racing_accuracies(nu):
@@ -701,7 +717,7 @@ def test_cold_start_at_bcd_cold_accuracy_runs_one_stage(case):
     E, A = np.eye(4), 2.0 * rng.standard_normal((4, 4))
     sp = ConvexSubproblem(E, A, 1.0, region, fixed_T=T_fixed)
     accuracy = bcd.EPS_INIT * (1.0 + np.sum(A * A) + np.sum(E * E))
-    f0 = _Objective(sp, np.eye(4)).value(sp.constraints.pack(*initial_point(sp)))
+    f0 = _Objective(sp, np.eye(4)).value(sp.pack(*initial_point(sp)))
     assert sdp.BARRIER_GROWTH * accuracy < f0 <= sdp.COLD_REACH * accuracy  # two growths
     sol = solve_subproblem(sp, np.eye(4), accuracy=accuracy)
     tight = solve_subproblem(sp, np.eye(4), accuracy=1e-11)
@@ -710,24 +726,34 @@ def test_cold_start_at_bcd_cold_accuracy_runs_one_stage(case):
     assert tight.objective - 1e-11 <= sol.objective <= tight.objective + accuracy
 
 
-@pytest.mark.parametrize("ratio, stages", [(10.0, 2), (4.0, 1)])
-def test_warm_start_jumps_to_its_final_stage_only_within_warm_reach(ratio, stages):
+@pytest.mark.parametrize("ratio, stages", [(10.0, 2), (8.0, 2), (4.0, 1)])
+def test_warm_start_jumps_to_its_final_stage_only_within_warm_reach(ratio, stages, monkeypatch):
     """A warm start most central below t0 = nu / gap0 starts at t0. At
     gap0 = 10 eps, BCD's floor, t_final = nu / eps is exactly 10 t0, beyond
-    WARM_REACH: the solve grows t once, two stages. At gap0 = 4 eps the
-    final stage is within reach and the solve starts there."""
+    WARM_REACH: the solve grows t once, two stages. At gap0 = 8 eps the
+    growth lands at 1.25 t_final, and the last stage runs at t_final all
+    the same. At gap0 = 4 eps the final stage is within reach and the solve
+    starts there. Every solve's last Newton factor is at t_final."""
     rng = np.random.default_rng(4)
     sp = ConvexSubproblem(np.eye(3), rng.standard_normal((3, 3)), 1.0, rg.schur())
-    nu, eps = sp.constraints.nu, 1e-7
+    nu, eps = sp.nu, 1e-7
     loose = solve_subproblem(sp, np.eye(3), accuracy=1e-5)
     init = (loose.T, loose.J, loose.R)
     t0 = nu / (ratio * eps)
     assert _most_central_t(sp, np.eye(3), init, t0) <= t0
     assert (nu / eps) / t0 == ratio
     assert (ratio <= sdp.WARM_REACH) == (stages == 1)
+    factored_at, factor = [], sdp._newton_factor
+
+    def recording(buf, t, Hf, Hphi):
+        factored_at.append(t)
+        return factor(buf, t, Hf, Hphi)
+
+    monkeypatch.setattr(sdp, "_newton_factor", recording)
     sol = solve_subproblem(sp, np.eye(3), init=[init], accuracy=eps, gap0=ratio * eps)
     assert len(sol.stage_newton) == stages
     assert sol.converged and sol.gap_estimate <= eps
+    assert factored_at[-1] == nu / eps
 
 
 # the stage schedules of the cold solves below before the start rose to the
@@ -751,10 +777,9 @@ def test_start_most_central_below_t0_keeps_its_stage_schedule(case):
                if case == "frozen_T" else None)
     sp = ConvexSubproblem(np.eye(4), 2.0 * rng.standard_normal((4, 4)), 1.0, region,
                           fixed_T=T_fixed)
-    cs = sp.constraints
     start = initial_point(sp)
-    f0 = _Objective(sp, np.eye(4)).value(cs.pack(*start))
-    t0 = cs.nu / f0
+    f0 = _Objective(sp, np.eye(4)).value(sp.pack(*start))
+    t0 = sp.nu / f0
     assert _most_central_t(sp, np.eye(4), start, t0) <= t0
     sol = solve_subproblem(sp, np.eye(4), accuracy=1e-8 * (1.0 + f0))
     assert sol.stage_newton == _T0_SCHEDULES[case]
@@ -781,11 +806,11 @@ def test_gap_guess_below_the_warm_start_suboptimality_still_converges():
     rng = np.random.default_rng(4)
     A = 2.0 * rng.standard_normal((4, 4))
     sp = ConvexSubproblem(np.eye(4), A, 1.0, rg.schur())
-    f_cold = _Objective(sp, np.eye(4)).value(sp.constraints.pack(*initial_point(sp)))
+    f_cold = _Objective(sp, np.eye(4)).value(sp.pack(*initial_point(sp)))
     start = solve_subproblem(sp, np.eye(4), accuracy=1e-8 * (1.0 + f_cold))
     Q = np.eye(4) + 0.1 * rng.standard_normal((4, 4))
     init = (start.T, start.J, start.R)
-    f_warm = _Objective(sp, Q).value(sp.constraints.pack(*init))
+    f_warm = _Objective(sp, Q).value(sp.pack(*init))
     eps = 1e-8 * (1.0 + f_warm)
     tight = solve_subproblem(sp, Q, accuracy=1e-11)
     assert f_warm - tight.objective > 100.0 * 1e-2
@@ -828,8 +853,8 @@ def test_newton_steps_use_the_gradient_and_blocks_of_their_point(monkeypatch):
     barrier, grad, barrier_grad_hess = sdp._barrier, sdp._Objective.grad, sdp._barrier_grad_hess
     newton_factor, newton_solve = sdp._newton_factor, sdp._newton_solve
 
-    def recording_barrier(cs, G):
-        factors = barrier(cs, G)
+    def recording_barrier(sp, G):
+        factors = barrier(sp, G)
         pending[:] = [] if factors is None else [factors]
         return factors
 
@@ -839,8 +864,8 @@ def test_newton_steps_use_the_gradient_and_blocks_of_their_point(monkeypatch):
             owners[id(factors)] = (factors, x.copy())
         return grad(obj, x)
 
-    def recording_derivs(cs, factors):
-        out = barrier_grad_hess(cs, factors)
+    def recording_derivs(sp, factors):
+        out = barrier_grad_hess(sp, factors)
         points.append((owners[id(factors)][1], [L @ L.T for L in factors], out[0]))
         return out
 
@@ -867,7 +892,6 @@ def test_newton_steps_use_the_gradient_and_blocks_of_their_point(monkeypatch):
                        if case == "frozen_T" else None)
             sp = ConvexSubproblem(np.eye(4), 2.0 * rng.standard_normal((4, 4)), 1.0, region,
                                   fixed_T=T_fixed)
-            cs = sp.constraints
             Q = np.eye(4) + 0.1 * rng.standard_normal((4, 4))
             start = solve_subproblem(sp, np.eye(4), accuracy=1e-3)
             init = (start.T, start.J, start.R)
@@ -878,10 +902,10 @@ def test_newton_steps_use_the_gradient_and_blocks_of_their_point(monkeypatch):
                 directions.clear()
                 owners.clear()
                 sol = solve_subproblem(sp, Qs, **kwargs)
-                assert _barrier(cs, cs.values(cs.pack(sol.T, sol.J, sol.R))) is not None
+                assert _barrier(sp, sp.values(sp.pack(sol.T, sol.J, sol.R))) is not None
                 obj = _Objective(sp, Qs)
                 for x, G, _ in points:
-                    for Gb, formed in zip(G, cs.views(cs.values(x)), strict=True):
+                    for Gb, formed in zip(G, sp.views(sp.values(x)), strict=True):
                         assert np.linalg.norm(Gb - formed) <= 1e-9 * np.linalg.norm(formed)
                 for t, g, i in directions:
                     x, _, gphi = points[i]
@@ -905,7 +929,7 @@ def test_stage_centering_changes_the_work_not_the_answer(region, monkeypatch):
     start = solve_subproblem(sp, np.eye(4), accuracy=eps)
     init = (start.T, start.J, start.R)
     # the warm barrier sized by how much the change of Q raised the start's objective
-    gap0 = _Objective(sp, Q).value(sp.constraints.pack(*init)) - start.objective
+    gap0 = _Objective(sp, Q).value(sp.pack(*init)) - start.objective
     runs = {}
     for tol in (sdp.STAGE_CENTERING, 1e-4):
         monkeypatch.setattr(sdp, "STAGE_CENTERING", tol)
@@ -1008,7 +1032,7 @@ def test_objective_is_within_accuracy_of_a_tight_solve(case, accuracy):
             tight = solve_subproblem(sp, Qs, accuracy=1e-11)
             kwargs = {}
             if warm:
-                gap0 = _Objective(sp, Qs).value(sp.constraints.pack(*init)) - tight.objective
+                gap0 = _Objective(sp, Qs).value(sp.pack(*init)) - tight.objective
                 kwargs = {"init": [init], "gap0": max(gap0, accuracy)}
             sol = solve_subproblem(sp, Qs, accuracy=accuracy, **kwargs)
             assert tight.converged and sol.converged
@@ -1121,7 +1145,8 @@ def test_subproblem_states_its_data_and_works_out_the_rest():
     assert [f.name for f in dataclasses.fields(ConvexSubproblem) if f.init] == [
         "E", "A", "mu", "region", "fixed_T"]
     E, A = np.eye(2), np.array([[0.0, 2.0], [-2.0, 1.0]])
-    for name, value in (("delta_lmi", 1e-8), ("require_R_psd", True)):
+    for name, value in (("delta_lmi", 1e-8), ("require_R_psd", True), ("section", (-1.0, 1.0)),
+                        ("m", 3)):
         with pytest.raises(TypeError):
             ConvexSubproblem(E, A, 1.0, rg.schur(), **{name: value})
     sp = ConvexSubproblem(E, A, 1.0, rg.schur())
@@ -1137,4 +1162,4 @@ def test_subproblem_states_its_data_and_works_out_the_rest():
         sp = ConvexSubproblem(E, A, 1.0, fixed_T=fixed_T)
         assert sp.require_R_psd
         # R >= 0 alone with T frozen, else T >= 0 and R >= 0
-        assert len(sp.constraints.blocks) == 1 + (fixed_T is None)
+        assert len(sp.blocks) == 1 + (fixed_T is None)
